@@ -24,7 +24,6 @@ from .measure import (
     is_kronecker,
     kronecker_free_part,
     mahler,
-    mahler_graeffe_oracle,
     mahler_lower_bound,
     measure,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "is_symplectic",
     "kronecker_free_part",
     "mahler",
-    "mahler_graeffe_oracle",
     "mahler_lower_bound",
     "measure",
     "min_house",

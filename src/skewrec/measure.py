@@ -1,9 +1,10 @@
 """Mahler measure, house, and exact Kronecker classification.
 
-The quantities with certified enclosures (mahler, house) are computed
-from certified root disks; the near-unit-circle headache — deciding
-whether a root modulus equals 1 — is never decided numerically.
-Instead:
+The quantities with certified enclosures (mahler, house) are read from
+certified root disks by one refinement loop, _refine, which lets
+measure() take both from a single disk set.  The near-unit-circle
+headache — deciding whether a root modulus equals 1 — is never decided
+numerically.  Instead:
 
   * is_kronecker is an exact integer decision procedure (Graeffe
     iteration with a binomial coefficient bound and cycle detection);
@@ -20,12 +21,10 @@ whole modulus interval of each disk component.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
-import numpy
-
-from . import _dyadic as dy
 from .enclosure import Enclosure
 from .errors import PolynomialError, PrecisionExhausted
 from .poly import (
@@ -44,7 +43,6 @@ __all__ = [
     "kronecker_free_part",
     "mahler",
     "house",
-    "mahler_graeffe_oracle",
     "mahler_lower_bound",
     "MeasureResult",
     "measure",
@@ -111,13 +109,10 @@ def is_kronecker(f: IntPoly) -> bool:
         seen.add(g.coeffs)
 
 
-def _max_cyclotomic_order(d: int) -> int:
-    """Largest N with euler_phi(N) <= d (totient lower bound gives N <= 2*d*d)."""
-    best = 1
-    for n in range(1, 2 * d * d + 1):
-        if euler_phi(n) <= d:
-            best = n
-    return best
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_orders(d: int) -> tuple[int, ...]:
+    """Every N with euler_phi(N) <= d (totient lower bound gives N <= 2*d*d)."""
+    return tuple(n for n in range(1, 2 * d * d + 1) if euler_phi(n) <= d)
 
 
 def kronecker_free_part(f: IntPoly) -> tuple[IntPoly, int, int]:
@@ -135,7 +130,7 @@ def kronecker_free_part(f: IntPoly) -> tuple[IntPoly, int, int]:
     stripped = 0
     if d == 0:
         return u, 0, k
-    for n in range(1, _max_cyclotomic_order(d) + 1):
+    for n in _cyclotomic_orders(d):
         # work with (t**n - 1) mod u to keep the gcd inputs small
         tn = IntPoly((-1,) + (0,) * (n - 1) + (1,))
         while u.degree > 0:
@@ -154,18 +149,92 @@ def kronecker_free_part(f: IntPoly) -> tuple[IntPoly, int, int]:
 # -- certified enclosures --------------------------------------------------
 
 
-def _disk_data(f: IntPoly, tol: Fraction, max_bits: int):
-    """Certified disks for the squarefree parts of monic cyclotomic-free f.
+def _disk_data(parts, tol: Fraction, max_bits: int):
+    """Certified disks for each (factor, multiplicity) pair of parts.
 
-    Yields (disks, multiplicity) pairs plus the largest precision used.
+    Returns (disks, multiplicity) pairs plus the largest precision used.
     """
     bits = 0
     out = []
-    for p, mult in squarefree_decomposition(f):
+    for p, mult in parts:
         disks, prec = _certified_disks(p, tol, max_bits)
         bits = max(bits, prec)
         out.append((disks, mult))
     return out, bits
+
+
+def _mahler_bounds(disk_data) -> tuple[Fraction, Fraction]:
+    """Rational bounds on the product of max(1, |alpha|) over all roots.
+
+    Overlapping disks are grouped into components; a component of k disks
+    holds exactly k roots, so it contributes its modulus interval, clamped
+    below at 1, to the k-th power.  This keeps the product sound even when
+    disks cannot be told apart.
+    """
+    lo, hi = Fraction(1), Fraction(1)
+    for disks, mult in disk_data:
+        for group in components(disks):
+            g_lo = max(Fraction(1), min(disks[i].mod_lo for i in group))
+            g_hi = max(Fraction(1), max(disks[i].mod_hi for i in group))
+            lo *= (g_lo ** len(group)) ** mult
+            hi *= (g_hi ** len(group)) ** mult
+    return lo, hi
+
+
+def _house_bounds(floor: Fraction, disk_data) -> tuple[Fraction, Fraction]:
+    """Rational bounds on max(floor, largest root modulus).
+
+    The lower bound uses the fact that each certified disk contains at
+    least one root.
+    """
+    lo = hi = floor
+    for disks, _ in disk_data:
+        for d in disks:
+            lo = max(lo, d.mod_lo)
+            hi = max(hi, d.mod_hi)
+    return lo, hi
+
+
+def _refine(parts, tol: float, root_tol: Fraction, max_bits: int, readers):
+    """Certify disks for parts until every reader's enclosure is at most tol wide.
+
+    Each reader maps the disk data to rational (lo, hi) bounds.  The root
+    tolerance starts at root_tol and shrinks 16-fold per round.  Returns
+    the enclosures in reader order and the disk data they were read from.
+
+    Enclosures carry float endpoints, so their width can never drop below
+    about one ulp of the value.  If an exact interval is already four
+    times tighter than the request while its rounded enclosure is not,
+    further refinement cannot help, and PrecisionExhausted is raised
+    instead of looping forever.
+    """
+    while True:
+        disk_data, bits = _disk_data(parts, root_tol, max_bits)
+        encs = []
+        for read in readers:
+            lo, hi = read(disk_data)
+            enc = Enclosure.from_bounds(lo, hi, bits)
+            if enc.width > tol and hi - lo <= Fraction(tol) / 4:
+                raise PrecisionExhausted(
+                    f"enclosure width {enc.width:.3g} cannot reach {tol:.3g} "
+                    "with float endpoints",
+                    max_bits,
+                )
+            encs.append(enc)
+        if all(enc.width <= tol for enc in encs):
+            return encs, disk_data
+        root_tol /= 16
+
+
+def _mahler_root_tol(f: IntPoly, tol: float) -> Fraction:
+    """Starting root tolerance for a Mahler enclosure of width tol."""
+    return Fraction(min(tol, 1.0)) / (8 * (f.degree + 1) * _height_bound(f))
+
+
+def _height_bound(f: IntPoly) -> int:
+    """Integer upper bound for M(f), from the coefficient l2 norm."""
+    s = sum(c * c for c in f.coeffs)
+    return max(1, math.isqrt(s) + 1)
 
 
 def mahler(
@@ -176,57 +245,17 @@ def mahler(
     M(f) is the product of max(1, |alpha|) over all roots.  Kronecker
     inputs return the exact point [1, 1].  Otherwise the cyclotomic part
     is stripped (factor exactly 1) and the remaining roots are enclosed by
-    certified disks; overlapping disks are grouped into components, and a
-    component of k disks contributes a factor interval raised to the k-th
-    power, which keeps the product sound even when disks cannot be told
-    apart.  All interval arithmetic is exact rational until the final
-    outward float conversion.
+    certified disks (see _mahler_bounds).  All interval arithmetic is
+    exact rational until the final outward float conversion.
     """
     if not f.is_monic():
         raise PolynomialError("mahler requires monic input")
-    if is_kronecker(f):
-        return Enclosure(1.0, 1.0, 0)
     u, _, _ = kronecker_free_part(f)
-    root_tol = Fraction(min(tol, 1.0)) / (8 * (f.degree + 1) * _height_bound(f))
-    while True:
-        parts, bits = _disk_data(u, root_tol, max_bits)
-        lo, hi = Fraction(1), Fraction(1)
-        for disks, mult in parts:
-            for group in components(disks):
-                g_lo = max(Fraction(1), min(disks[i].mod_lo for i in group))
-                g_hi = max(Fraction(1), max(disks[i].mod_hi for i in group))
-                lo *= (g_lo ** len(group)) ** mult
-                hi *= (g_hi ** len(group)) ** mult
-        lo = max(lo, Fraction(1))
-        enc = Enclosure.from_bounds(lo, hi, bits)
-        if enc.width <= tol:
-            return enc
-        _check_float_floor(lo, hi, enc, tol, max_bits)
-        root_tol /= 16
-
-
-def _height_bound(f: IntPoly) -> int:
-    """Integer upper bound for M(f), from the coefficient l2 norm."""
-    s = sum(c * c for c in f.coeffs)
-    return max(1, math.isqrt(s) + 1)
-
-
-def _check_float_floor(
-    lo: Fraction, hi: Fraction, enc: Enclosure, tol: float, max_bits: int
-) -> None:
-    """Abort refinement when double endpoints are the binding constraint.
-
-    Enclosures carry float endpoints, so their width can never drop below
-    about one ulp of the value.  If the exact rational interval is already
-    four times tighter than the request while the rounded enclosure is
-    not, further root refinement cannot help and would loop forever.
-    """
-    if hi - lo <= Fraction(tol) / 4:
-        raise PrecisionExhausted(
-            f"enclosure width {enc.width:.3g} cannot reach {tol:.3g} with "
-            "float endpoints",
-            max_bits,
-        )
+    if u.degree == 0:  # f is Kronecker
+        return Enclosure(1.0, 1.0, 0)
+    (enc,), _ = _refine(squarefree_decomposition(u), tol,
+                        _mahler_root_tol(f, tol), max_bits, (_mahler_bounds,))
+    return enc
 
 
 def house(
@@ -237,56 +266,25 @@ def house(
     For monic input: [0, 0] for a pure power of t, the exact point [1, 1]
     for Kronecker input with a nonzero root, and otherwise a disk-based
     enclosure of the largest modulus, with the cyclotomic part stripped
-    first (it contributes exactly 1).  The lower bound uses the fact that
-    each certified disk contains at least one root.  Non-monic input is
-    enclosed directly from root disks without exact stripping.
+    first (it contributes exactly 1).  Non-monic input is enclosed
+    directly from root disks without exact stripping.
     """
     if f.is_zero() or f.degree < 1:
         raise PolynomialError("house requires degree >= 1")
-    if not f.is_monic():
-        return _house_direct(f, tol, max_bits)
-    k, u = _strip_t_powers(f)
-    if u.degree == 0:
-        return Enclosure(0.0, 0.0, 0)
-    if is_kronecker(f):
-        return Enclosure(1.0, 1.0, 0)
-    u, stripped, _ = kronecker_free_part(u)
-    has_unit_root = stripped > 0
-    root_tol = Fraction(min(tol, 1.0)) / 4
-    while True:
-        parts, bits = _disk_data(u, root_tol, max_bits)
-        lo = Fraction(1) if has_unit_root else Fraction(0)
-        hi = lo
-        for disks, _ in parts:
-            for d in disks:
-                lo = max(lo, d.mod_lo)
-                hi = max(hi, d.mod_hi)
+    if f.is_monic():
+        u, stripped, _ = kronecker_free_part(f)
+        if u.degree == 0:
+            return Enclosure(1.0, 1.0, 0) if stripped else Enclosure(0.0, 0.0, 0)
         # monic with a nonzero root forces house >= 1
-        lo = max(lo, Fraction(1))
-        hi = max(hi, Fraction(1))
-        enc = Enclosure.from_bounds(lo, hi, bits)
-        if enc.width <= tol:
-            return enc
-        _check_float_floor(lo, hi, enc, tol, max_bits)
-        root_tol /= 16
-
-
-def _house_direct(f: IntPoly, tol: float, max_bits: int) -> Enclosure:
-    k, u = _strip_t_powers(f)
-    if u.degree == 0:
-        return Enclosure(0.0, 0.0, 0)
-    root_tol = Fraction(min(tol, 1.0)) / 4
-    while True:
-        disks, bits = _certified_disks(u, root_tol, max_bits)
-        lo = max(d.mod_lo for d in disks)
-        hi = max(d.mod_hi for d in disks)
-        if k:
-            hi = max(hi, Fraction(0))
-        enc = Enclosure.from_bounds(lo, hi, bits)
-        if enc.width <= tol:
-            return enc
-        _check_float_floor(lo, hi, enc, tol, max_bits)
-        root_tol /= 16
+        parts, floor = squarefree_decomposition(u), Fraction(1)
+    else:
+        _, u = _strip_t_powers(f)
+        if u.degree == 0:
+            return Enclosure(0.0, 0.0, 0)
+        parts, floor = [(u, 1)], Fraction(0)
+    (enc,), _ = _refine(parts, tol, Fraction(min(tol, 1.0)) / 4, max_bits,
+                        (functools.partial(_house_bounds, floor),))
+    return enc
 
 
 def mahler_lower_bound(f: IntPoly, steps: int = 6) -> float:
@@ -309,44 +307,6 @@ def mahler_lower_bound(f: IntPoly, steps: int = 6) -> float:
     log2_s = math.log2(mant) + max(0, bl - 53)
     log2_bound = (log2_s / 2 - f.degree) / (1 << steps)
     return max(1.0, 2.0 ** (log2_bound - 1e-9))
-
-
-def mahler_graeffe_oracle(f: IntPoly, iterations: int = 8) -> float:
-    """Uncertified Mahler estimate from exact Graeffe iterates, for testing.
-
-    The polynomial is Graeffe-iterated exactly; a repeat among the integer
-    iterates proves measure 1 and returns exactly 1.0.  Otherwise the
-    measure of the last iterate f_k is evaluated as its Jensen mean
-    exp(avg log |f_k| on the unit circle) by a trapezoidal rule on scaled
-    floats, and the 2**k-th root is taken.  Off-circle root contributions
-    to the quadrature error decay doubly exponentially in the iteration
-    count, so the estimate converges to M(f) as iterations grow.  This
-    path shares nothing with the certified root-disk pipeline.
-    """
-    if not f.is_monic():
-        raise PolynomialError("mahler_graeffe_oracle requires monic input")
-    if iterations < 0:
-        raise PolynomialError("iterations must be nonnegative")
-    g = f
-    seen = {g.coeffs}
-    for _ in range(iterations):
-        g = graeffe(g)
-        if g.coeffs in seen:
-            return 1.0
-        seen.add(g.coeffs)
-    top = max(abs(c) for c in g.coeffs)
-    shift = max(0, top.bit_length() - 53)
-
-    def scaled(c: int) -> float:
-        return float(c >> shift if c >= 0 else -((-c) >> shift))
-
-    coeffs = numpy.array([scaled(c) for c in g.coeffs], dtype=float)
-    n_nodes = 16384
-    theta = 2.0 * numpy.pi * (numpy.arange(n_nodes) + 0.5) / n_nodes
-    values = numpy.abs(numpy.polyval(coeffs[::-1], numpy.exp(1j * theta)))
-    values = numpy.maximum(values, 1e-300)
-    mean_log = float(numpy.mean(numpy.log(values))) + shift * math.log(2.0)
-    return math.exp(max(0.0, mean_log) / (1 << iterations))
 
 
 # -- aggregate result -------------------------------------------------------
@@ -377,24 +337,27 @@ def measure(
 ) -> MeasureResult:
     """Certified Mahler/house enclosures plus exact classification data.
 
-    The root count outside the unit circle is exact whenever every disk
-    is resolved against the circle; Salem-type roots on the circle leave
-    straddling disks, in which case the count is a certified lower bound
-    and the certified flag is False.
+    Both enclosures and the root count are read from one set of certified
+    disks, refined until both enclosures meet tol.  The root count outside
+    the unit circle is exact whenever every disk is resolved against the
+    circle; Salem-type roots on the circle leave straddling disks, in
+    which case the count is a certified lower bound and the certified
+    flag is False.
     """
     if not f.is_monic():
         raise PolynomialError("measure requires monic input")
-    kron = is_kronecker(f)
-    if kron:
+    if is_kronecker(f):
         return MeasureResult(Enclosure(1.0, 1.0, 0), house(f, tol, max_bits),
                              True, 0, True)
-    m = mahler(f, tol, max_bits)
-    h = house(f, tol, max_bits)
     u, _, _ = kronecker_free_part(f)
-    parts, _ = _disk_data(u, Fraction(min(tol, 1e-6)), max_bits)
+    # the count needs disks no coarser than 1e-6
+    root_tol = min(_mahler_root_tol(f, tol), Fraction(min(tol, 1e-6)))
+    readers = (_mahler_bounds, functools.partial(_house_bounds, Fraction(1)))
+    (m, h), disk_data = _refine(squarefree_decomposition(u), tol, root_tol,
+                                max_bits, readers)
     outside = 0
     certified = True
-    for disks, mult in parts:
+    for disks, mult in disk_data:
         for d in disks:
             if d.mod_lo > 1:
                 outside += mult

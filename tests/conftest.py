@@ -1,7 +1,9 @@
 """Shared oracles and generators for the test suite.
 
 The oracles here deliberately avoid the package's own algorithms:
-root-based quantities come from numpy's eigenvalue-based root finder,
+root-based quantities come from numpy's eigenvalue-based root finder
+and, for the Mahler measure, from Jensen quadrature on an exact Graeffe
+iterate (sharing only the exact graeffe transform with the package),
 characteristic polynomials from naive cofactor expansion, and number
 theory from sympy.  Tests compare certified results against these
 independent implementations.
@@ -9,12 +11,15 @@ independent implementations.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from skewrec.errors import PolynomialError
+from skewrec.measure import graeffe
 from skewrec.poly import ONE, IntPoly, cyclotomic, euler_phi
 
 settings.register_profile(
@@ -40,6 +45,44 @@ def brute_mahler(f: IntPoly) -> float:
 
 def brute_house(f: IntPoly) -> float:
     return float(max(abs(r) for r in brute_roots(f)))
+
+
+def mahler_graeffe_oracle(f: IntPoly, iterations: int = 8) -> float:
+    """Uncertified Mahler estimate from exact Graeffe iterates.
+
+    The polynomial is Graeffe-iterated exactly; a repeat among the integer
+    iterates proves measure 1 and returns exactly 1.0.  Otherwise the
+    measure of the last iterate f_k is evaluated as its Jensen mean
+    exp(avg log |f_k| on the unit circle) by a trapezoidal rule on scaled
+    floats, and the 2**k-th root is taken.  Off-circle root contributions
+    to the quadrature error decay doubly exponentially in the iteration
+    count, so the estimate converges to M(f) as iterations grow.  This
+    path shares nothing with the certified root-disk pipeline.
+    """
+    if not f.is_monic():
+        raise PolynomialError("mahler_graeffe_oracle requires monic input")
+    if iterations < 0:
+        raise PolynomialError("iterations must be nonnegative")
+    g = f
+    seen = {g.coeffs}
+    for _ in range(iterations):
+        g = graeffe(g)
+        if g.coeffs in seen:
+            return 1.0
+        seen.add(g.coeffs)
+    top = max(abs(c) for c in g.coeffs)
+    shift = max(0, top.bit_length() - 53)
+
+    def scaled(c: int) -> float:
+        return float(c >> shift if c >= 0 else -((-c) >> shift))
+
+    coeffs = np.array([scaled(c) for c in g.coeffs], dtype=float)
+    n_nodes = 16384
+    theta = 2.0 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
+    values = np.abs(np.polyval(coeffs[::-1], np.exp(1j * theta)))
+    values = np.maximum(values, 1e-300)
+    mean_log = float(np.mean(np.log(values))) + shift * math.log(2.0)
+    return math.exp(max(0.0, mean_log) / (1 << iterations))
 
 
 def charpoly_cofactor(m) -> IntPoly:

@@ -16,9 +16,9 @@ import time
 import mpmath as mp
 import pytest
 
-from conftest import cyclotomic_products, random_monic
+from conftest import cyclotomic_products, mahler_graeffe_oracle, random_monic
 from skewrec.cli import main as cli_main
-from skewrec.measure import is_kronecker, mahler, mahler_graeffe_oracle
+from skewrec.measure import is_kronecker, mahler
 from skewrec.poly import LEHMER_POLY, IntPoly, is_reciprocal, is_skew_reciprocal
 from skewrec.search import (
     SearchSpace,

@@ -220,8 +220,12 @@ def console_script_command():
     ]
 
 
-def run_console_script(args):
-    """Run the console script as a separate process on this checkout."""
+def run_in_checkout(command):
+    """Run command as a separate process that imports this checkout's skewrec.
+
+    PYTHONPATH is led by the directory holding the imported package, so the
+    child runs the code under test from any working directory.
+    """
     package_root = str(Path(skewrec.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ)
@@ -229,12 +233,17 @@ def run_console_script(args):
         package_root + os.pathsep + inherited if inherited else package_root
     )
     return subprocess.run(
-        console_script_command() + args,
+        command,
         capture_output=True,
         text=True,
         timeout=60,
         env=env,
     )
+
+
+def run_console_script(args):
+    """Run the console script as a separate process on this checkout."""
+    return run_in_checkout(console_script_command() + args)
 
 
 class TestConsoleScript:
@@ -251,3 +260,15 @@ class TestConsoleScript:
         error = json.loads(proc.stderr)["error"]
         assert set(error) == {"type", "message"}
         assert error["type"] == "ParseError"
+
+
+class TestImportHygiene:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # numpy is a test dependency only; the CLI must start without it
+        proc = run_in_checkout([
+            sys.executable,
+            "-c",
+            "import sys, skewrec.cli; print('numpy' in sys.modules)",
+        ])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -5,12 +5,19 @@ below as exact expressions) or come from the independent numpy root
 oracle in conftest.
 """
 
+import importlib
 import math
 from fractions import Fraction
 
 import pytest
 
-from conftest import brute_house, brute_mahler, cyclotomic_products, random_monic
+from conftest import (
+    brute_house,
+    brute_mahler,
+    cyclotomic_products,
+    mahler_graeffe_oracle,
+    random_monic,
+)
 from skewrec.enclosure import Enclosure
 from skewrec.errors import PolynomialError, PrecisionExhausted
 from skewrec.measure import (
@@ -19,13 +26,20 @@ from skewrec.measure import (
     is_kronecker,
     kronecker_free_part,
     mahler,
-    mahler_graeffe_oracle,
     mahler_lower_bound,
     measure,
 )
-from skewrec.poly import LEHMER_POLY, IntPoly, cyclotomic
+from skewrec.poly import LEHMER_POLY, IntPoly, cyclotomic, squarefree_decomposition
 
 PHI = (1 + math.sqrt(5)) / 2  # golden ratio, house of t^2 - t - 1
+
+# (t^2 - t - 1)^2 (t - 2) Phi_6: a squared factor, a cyclotomic factor,
+# and a house (2) carried by a simple root
+SQUARED_WITH_CYCLOTOMIC = IntPoly([-1, -1, 1]) ** 2 * IntPoly([-2, 1]) * cyclotomic(6)
+
+# the numpy root oracle is float root finding; on the inputs below it
+# lands up to about 1e-14 outside tight certified enclosures
+ORACLE_SLACK = 1e-9
 
 
 class TestGraeffe:
@@ -278,6 +292,42 @@ class TestMeasureDriver:
         assert r.root_count_outside_unit_circle == 0
         assert r.root_count_certified is True
         assert r.mahler == Enclosure(1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-3])
+    @pytest.mark.parametrize(
+        "f",
+        [
+            LEHMER_POLY,
+            IntPoly([-2, 1]) * IntPoly([-3, 1]) * cyclotomic(3),
+            IntPoly([1, -3, 1]),
+            SQUARED_WITH_CYCLOTOMIC,
+            cyclotomic(8).shift(1),
+        ],
+        ids=str,
+    )
+    def test_agrees_with_standalone_enclosures(self, f, tol):
+        r = measure(f, tol=tol)
+        assert r.mahler.intersects(mahler(f, tol=tol))
+        assert r.house.intersects(house(f, tol=tol))
+        for enc, oracle in ((r.mahler, brute_mahler(f)), (r.house, brute_house(f))):
+            assert enc.width <= tol
+            assert enc.lo - ORACLE_SLACK <= oracle <= enc.hi + ORACLE_SLACK
+
+    @pytest.mark.parametrize("f", [LEHMER_POLY, SQUARED_WITH_CYCLOTOMIC], ids=str)
+    def test_certifies_each_squarefree_part_once(self, f, monkeypatch):
+        # the package attribute skewrec.measure is the measure() function
+        module = importlib.import_module("skewrec.measure")
+        original = module._certified_disks
+        calls = []
+
+        def counting(p, tol, max_bits):
+            calls.append(p)
+            return original(p, tol, max_bits)
+
+        monkeypatch.setattr(module, "_certified_disks", counting)
+        measure(f, tol=1e-10)
+        u, _, _ = kronecker_free_part(f)
+        assert calls == [p for p, _ in squarefree_decomposition(u)]
 
     def test_json_shape(self):
         doc = measure(IntPoly([1, -3, 1])).to_json()
