@@ -1,17 +1,18 @@
 """Exact complex dyadic arithmetic for root certification.
 
 A point is (a, b, e) meaning (a + b*i) * 2**e with unbounded integers
-a, b and integer exponent e.  Multiprecision floats are pairs of dyadics,
-so the approximate roots coming out of the floating iteration are exact
-rational points; evaluating an integer polynomial at them and comparing
-the resulting radii against a tolerance are therefore exact operations,
-with no rounding anywhere in the certificate.
+a, b and integer exponent e.  Hardware doubles and multiprecision floats
+are dyadic rationals, so the approximate roots coming out of either
+floating iteration are exact rational points; evaluating an integer
+polynomial at them and comparing the resulting radii against a
+tolerance are therefore exact operations, with no rounding anywhere in
+the certificate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import frexp, isfinite, isqrt
 
 Dyadic = tuple[int, int, int]
 
@@ -19,9 +20,13 @@ ZERO: Dyadic = (0, 0, 0)
 
 
 def from_mpf_pair(re, im) -> Dyadic:
-    """Exact conversion of an mpmath mpc's (real, imag) parts."""
-    a, ea = _mpf_to_int_exp(re)
-    b, eb = _mpf_to_int_exp(im)
+    """Exact conversion of a point's (real, imag) parts.
+
+    Each part is an mpmath mpf or a Python float, so the real and
+    imaginary parts of an mpc and of a complex both convert.
+    """
+    a, ea = _to_int_exp(re)
+    b, eb = _to_int_exp(im)
     if a == 0 and b == 0:
         return ZERO
     if a == 0:
@@ -32,7 +37,25 @@ def from_mpf_pair(re, im) -> Dyadic:
     return (a << (ea - e), b << (eb - e), e)
 
 
-def _mpf_to_int_exp(x) -> tuple[int, int]:
+def from_float(x: float) -> tuple[int, int]:
+    """Exact (m, e) with x == m * 2**e and m odd, or (0, 0) for +-0.0.
+
+    This is the normal form mpmath gives the same value, so a double and
+    its exact mpf convert to the same dyadic.
+    """
+    if not isfinite(x):
+        raise ValueError("non-finite float in certification")
+    frac, exp = frexp(x)  # exact: x == frac * 2**exp, 0.5 <= |frac| < 1
+    man = int(frac * (1 << 53))  # exact, also for subnormals
+    if man == 0:
+        return 0, 0
+    zeros = (man & -man).bit_length() - 1
+    return man >> zeros, exp - 53 + zeros
+
+
+def _to_int_exp(x) -> tuple[int, int]:
+    if isinstance(x, float):
+        return from_float(x)
     sign, man, exp, _ = x._mpf_
     if man == 0:
         if exp != 0:
@@ -82,6 +105,15 @@ def eval_int_poly(coeffs, z: Dyadic) -> Dyadic:
         if c:
             acc = add(acc, (c, 0, 0))
     return acc
+
+
+def to_fractions(x: Dyadic) -> tuple[Fraction, Fraction]:
+    """The real and imaginary parts of x as exact rationals."""
+    a, b, e = x
+    if e >= 0:
+        return Fraction(a << e), Fraction(b << e)
+    den = 1 << -e
+    return Fraction(a, den), Fraction(b, den)
 
 
 def abs2(x: Dyadic) -> Fraction:

@@ -1,10 +1,12 @@
 """Certified real enclosures and outward-rounded interval helpers.
 
 An Enclosure is a closed interval [lo, hi] of doubles guaranteed to
-contain the mathematically exact value, together with the working
-precision (in bits) that produced it.  Exact results carry bits = 0 and
-lo == hi.  Serialization uses decimal strings via repr(float), which
-round-trips exactly, so reports are byte-stable across runs.
+contain the mathematically exact value, together with the precision
+(in bits) of the approximation it was certified from: 53 for hardware
+doubles, the working precision for multiprecision.  Exact results
+carry bits = 0 and lo == hi.  Serialization uses decimal strings via
+repr(float), which round-trips exactly, so reports are byte-stable
+across runs.
 
 Derived arithmetic (log, products, quotients) rounds every endpoint
 outward: one ulp for correctly rounded float operations, and a two-ulp

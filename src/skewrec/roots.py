@@ -1,8 +1,11 @@
 """Certified complex root enclosures for integer polynomials.
 
-The engine is a simultaneous (Aberth-Ehrlich) iteration in configurable
-multiprecision floating arithmetic.  Certification on top of it is exact:
-the approximations are dyadic rationals, so the Weierstrass corrections
+The engine is a simultaneous (Aberth-Ehrlich) iteration, run first in
+hardware double precision and, only when those approximations do not
+certify at the requested tolerance, in multiprecision floating
+arithmetic warm-started from them.  Certification on top of it is exact:
+the approximations are dyadic rationals (doubles included), so the
+Weierstrass corrections
 
     W_i = f(z_i) / (lc * prod_{j != i} (z_i - z_j))
 
@@ -18,10 +21,11 @@ radii r_i = n * max(|W_i|, |f(z_i)/f'(z_i)|):
   * each single disk contains at least one root, because the distance
     from any point z to the nearest root is at most n*|f(z)/f'(z)|.
 
-If the radii do not certify at the current precision, the precision
-doubles, warm-starting from the previous approximations, until a
-configured bit cap; running past the cap raises PrecisionExhausted
-rather than returning anything unsound.
+Soundness therefore never depends on which iteration produced the
+points.  If the radii do not certify, the multiprecision iteration
+doubles its precision, warm-starting from the previous approximations,
+until a configured bit cap; running past the cap raises
+PrecisionExhausted rather than returning anything unsound.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import _dyadic as dy
+from .enclosure import float_above
 from .errors import PolynomialError, PrecisionExhausted
 from .poly import IntPoly, squarefree_decomposition
 
@@ -40,6 +45,8 @@ __all__ = ["RootDisk", "roots_certified", "DEFAULT_MAX_BITS"]
 DEFAULT_MAX_BITS = 4096
 _START_BITS = 64
 _MAX_ITER = 220
+_DOUBLE_BITS = 53
+_INF = float("inf")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,6 +150,63 @@ def _aberth(coeffs, prec: int, warm):
         return zs
 
 
+def _aberth_float(coeffs):
+    """The iteration of _aberth in hardware doubles; a complex list or None.
+
+    Same update rule, iteration cap and starting points as _aberth, with
+    a convergence threshold of 2**(10 - 53) on the relative correction.
+    Only the correctly rounded +, -, *, / of Python complex arithmetic
+    touch the iterates (the convergence test compares squared moduli),
+    so the result is the same on every run and in every worker process.
+    Returns None when a coefficient is too large for a double, a value
+    stops being finite, a derivative vanishes or two points collide;
+    the caller then falls back to the multiprecision iteration.
+    """
+    n = len(coeffs) - 1
+    try:
+        cs = [float(c) for c in coeffs]
+        dcs = [float(i * c) for i, c in enumerate(coeffs) if i > 0]
+    except OverflowError:
+        return None
+    with mp.workprec(_DOUBLE_BITS):
+        zs = [complex(z) for z in _initial_points(coeffs, n)]
+    eps2 = 2.0 ** (2 * (10 - _DOUBLE_BITS))
+    for _ in range(_MAX_ITER):
+        maxcorr2 = 0.0
+        for i in range(n):
+            z = zs[i]
+            fz = 0j
+            for c in reversed(cs):
+                fz = fz * z + c
+            dfz = 0j
+            for c in reversed(dcs):
+                dfz = dfz * z + c
+            if dfz == 0:
+                return None
+            w = fz / dfz
+            s = 0j
+            for j in range(n):
+                if j != i:
+                    diff = z - zs[j]
+                    if diff == 0:
+                        return None
+                    s += 1 / diff
+            denom = 1 - w * s
+            corr = w if denom == 0 else w / denom
+            zs[i] = z - corr
+            corr2 = corr.real * corr.real + corr.imag * corr.imag
+            z2 = z.real * z.real + z.imag * z.imag
+            if not (corr2 < _INF and z2 < _INF):
+                return None
+            # (|corr| / (1 + |z|))**2 <= corr2 / (1 + z2) <= twice that
+            mc2 = corr2 / (1 + z2)
+            if mc2 > maxcorr2:
+                maxcorr2 = mc2
+        if maxcorr2 < eps2:
+            break
+    return zs
+
+
 def _certify(coeffs, zs_mpc, res_bits=0):
     """Exact certification of a floating approximation set.
 
@@ -200,7 +264,9 @@ def _certified_disks(
     """Certified disks for all roots of f (any nonzero f, roots of 0 excluded).
 
     The caller is responsible for stripping powers of t.  Returns the
-    disks together with the precision that certified them.
+    disks together with the precision of the approximation they were
+    certified from: 53 when the hardware-double iteration already meets
+    tol, otherwise the multiprecision working precision.
     """
     coeffs = f.coeffs
     if f.degree <= 0:
@@ -213,6 +279,14 @@ def _certified_disks(
     while Fraction(1, 1 << prec) > tol and prec < max_bits:
         prec *= 2
     warm = None
+    if prec <= max_bits:
+        warm = _aberth_float(coeffs)
+        if warm is not None:
+            # a double is a dyadic rational: _certify converts it exactly
+            disks = _certify(coeffs, warm, prec)
+            if disks is not None and all(d.radius * d.radius <= tol2
+                                         for d in disks):
+                return disks, _DOUBLE_BITS
     while prec <= max_bits:
         zs = _aberth(coeffs, prec, warm)
         disks = _certify(coeffs, zs, prec)
@@ -231,7 +305,9 @@ def components(disks: list[_ExactDisk]) -> list[list[int]]:
 
     A component of k disks is certified to contain exactly k roots
     (with multiplicity), which is what makes products over root moduli
-    sound even when disks overlap.
+    sound even when disks overlap.  Overlapping (or tangent) disks have
+    meeting real extents [Re c - r, Re c + r], so a sweep over the disks
+    sorted by left end tests only those pairs for overlap.
     """
     n = len(disks)
     parent = list(range(n))
@@ -242,10 +318,18 @@ def components(disks: list[_ExactDisk]) -> list[list[int]]:
             x = parent[x]
         return x
 
-    for i in range(n):
-        for j in range(i + 1, n):
+    extents = []
+    for i, d in enumerate(disks):
+        re, _ = dy.to_fractions(d.center)
+        extents.append((re - d.radius, re + d.radius, i))
+    extents.sort()
+    active: list[tuple[Fraction, int]] = []  # (right end, index)
+    for left, right, i in extents:
+        active = [(r, j) for r, j in active if r >= left]
+        for _, j in active:
             if disks[i].overlaps(disks[j]):
                 parent[find(i)] = find(j)
+        active.append((right, i))
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
@@ -260,7 +344,12 @@ def roots_certified(
     Roots at 0 come out as exact zero-radius disks.  The remaining part
     is split into squarefree factors first (Yun's decomposition for monic
     input), so repeated roots cost one disk computation each and are then
-    replicated per multiplicity.  Every returned radius is at most tol.
+    replicated per multiplicity.  Each disk is the certified exact disk
+    with its centre rounded to the nearest complex double and its radius
+    widened, rounding upward, by the rounding distance, so it still
+    contains its root.  Every returned radius is at most tol; a tol too
+    small for that at the centre's double spacing raises
+    PrecisionExhausted.
     """
     if f.is_zero():
         raise PolynomialError("roots of the zero polynomial")
@@ -282,9 +371,16 @@ def roots_certified(
     for p, mult in parts:
         disks, _ = _certified_disks(p, tol_frac, max_bits)
         for d in disks:
-            a, b, e = d.center
-            center = complex(float(Fraction(a) * Fraction(2) ** e),
-                             float(Fraction(b) * Fraction(2) ** e))
-            radius = min(float(d.radius) * (1 + 2e-16) + 5e-324, tol)
+            re, im = dy.to_fractions(d.center)
+            center = complex(float(re), float(im))
+            # the rounding distance is at most |Re error| + |Im error|
+            radius = float_above(d.radius + abs(re - Fraction(center.real))
+                                 + abs(im - Fraction(center.imag)))
+            if radius > tol:
+                raise PrecisionExhausted(
+                    f"root disk radius {radius:.3g} cannot reach {tol:.3g} "
+                    "around a double centre",
+                    max_bits,
+                )
             out.extend(RootDisk(center, radius) for _ in range(mult))
     return out

@@ -115,6 +115,18 @@ class TestSearchCommand:
         assert outs[0]["data"] == outs[1]["data"]
         assert outs[0]["meta"]["jobs"] == 1 and outs[1]["meta"]["jobs"] == 2
 
+    def test_house_search_data_byte_identical_across_jobs(self, capsys):
+        # every member is enclosed, in this process or in pool workers,
+        # mostly from hardware-double root approximations
+        args = ["search", "--kind", "skew_reciprocal", "--degree", "8",
+                "--height", "1", "--quantity", "house"]
+        datas = []
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(args + ["--jobs", jobs], capsys)
+            assert code == 0
+            datas.append(json.dumps(json.loads(out)["data"], sort_keys=True))
+        assert datas[0] == datas[1]
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(
             ["search", "--kind", "skew_reciprocal", "--degree", "8",

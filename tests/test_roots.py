@@ -1,15 +1,39 @@
 """Certified root disks versus an independent eigenvalue-based oracle."""
 
+import importlib
 import math
+import random
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_roots, random_monic
+from conftest import brute_house, brute_mahler, brute_roots, random_monic
+from skewrec import _dyadic as dy
 from skewrec.errors import PolynomialError, PrecisionExhausted
-from skewrec.poly import LEHMER_POLY, IntPoly
-from skewrec.roots import roots_certified
+from skewrec.measure import _house_bounds, _mahler_bounds
+from skewrec.poly import LEHMER_POLY, IntPoly, squarefree_decomposition
+from skewrec.roots import (
+    DEFAULT_MAX_BITS,
+    _aberth,
+    _certified_disks,
+    _certify,
+    _ExactDisk,
+    _START_BITS,
+    components,
+    roots_certified,
+)
+
+ORACLE_INPUTS = [
+    (1, -3, 1),
+    (-1, -1, 1),
+    (2, 0, 1),
+    (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1),
+    (5, 4, 3, 2, 1),
+    (-2, 0, 0, 0, 0, 0, 1),
+]
 
 
 def assert_disks_cover_oracle(f, disks, slack=1e-7):
@@ -23,17 +47,7 @@ def assert_disks_cover_oracle(f, disks, slack=1e-7):
 
 
 class TestAgainstOracle:
-    @pytest.mark.parametrize(
-        "coeffs",
-        [
-            (1, -3, 1),
-            (-1, -1, 1),
-            (2, 0, 1),
-            (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1),
-            (5, 4, 3, 2, 1),
-            (-2, 0, 0, 0, 0, 0, 1),
-        ],
-    )
+    @pytest.mark.parametrize("coeffs", ORACLE_INPUTS)
     def test_known_polynomials(self, coeffs):
         f = IntPoly(coeffs)
         disks = roots_certified(f, tol=1e-10)
@@ -45,6 +59,26 @@ class TestAgainstOracle:
             f = random_monic(rng, 8, 6)
             disks = roots_certified(f, tol=1e-8)
             assert_disks_cover_oracle(f, disks)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("coeffs", ORACLE_INPUTS)
+    def test_float_disks_contain_their_roots(self, coeffs, tol):
+        # no slack: the roots come from a 400-bit solver, and a double
+        # disk must contain its root exactly, not just up to float noise
+        disks = roots_certified(IntPoly(coeffs), tol=tol)
+        assert all(d.radius <= tol for d in disks)
+        with mp.workprec(400):
+            roots = mp.polyroots(list(reversed(coeffs)), maxsteps=400,
+                                 extraprec=400)
+            assert len(disks) == len(roots)
+
+            def inside(r, d):
+                return abs(r - mp.mpc(d.center)) <= mp.mpf(d.radius)
+
+            for d in disks:
+                assert any(inside(r, d) for r in roots), d
+            for r in roots:
+                assert any(inside(r, d) for d in disks), r
 
 
 class TestStructure:
@@ -98,6 +132,12 @@ class TestErrors:
         with pytest.raises(PrecisionExhausted):
             roots_certified(LEHMER_POLY, tol=1e-40, max_bits=64)
 
+    def test_tolerance_below_double_spacing_is_exhausted(self):
+        # the exact disks certify, but a double centre near sqrt(2) is
+        # about 1e-16 off, so no double disk of radius 1e-30 holds the root
+        with pytest.raises(PrecisionExhausted):
+            roots_certified(IntPoly([-2, 0, 1]), tol=1e-30)
+
     def test_constant_polynomial_has_no_roots(self):
         assert roots_certified(IntPoly([7])) == []
 
@@ -108,3 +148,137 @@ class TestSerialization:
         doc = disk.to_json()
         assert set(doc) == {"re", "im", "radius"}
         assert float(doc["re"]) == disk.center.real
+
+
+def _disk_data(parts, certify):
+    return [(certify(p), mult) for p, mult in parts]
+
+
+class TestDoubleFastPath:
+    """The hardware-double seed against a forced multiprecision run.
+
+    Both disk sets are exact certificates, so each must meet the
+    tolerance, and the enclosures read from them must intersect and
+    contain the numpy oracle values.
+    """
+
+    TOL = Fraction(1e-10)
+
+    def check(self, f):
+        parts = squarefree_decomposition(f)
+        fast = _disk_data(parts, lambda p: _certified_disks(
+            p, self.TOL, DEFAULT_MAX_BITS)[0])
+        forced = _disk_data(parts, lambda p: _certify(
+            p.coeffs, _aberth(p.coeffs, _START_BITS, None), _START_BITS))
+        for data in (fast, forced):
+            for disks, _ in data:
+                assert disks is not None
+                assert all(d.radius <= self.TOL for d in disks)
+        slack = 1e-9  # the oracle is float root finding
+        for read, oracle in ((_mahler_bounds, brute_mahler(f)),
+                             (lambda data: _house_bounds(Fraction(0), data),
+                              brute_house(f))):
+            (lo1, hi1), (lo2, hi2) = read(fast), read(forced)
+            assert max(lo1, lo2) <= min(hi1, hi2)
+            for lo, hi in ((lo1, hi1), (lo2, hi2)):
+                assert float(lo) - slack <= oracle <= float(hi) + slack
+
+    def test_lehmer(self):
+        self.check(LEHMER_POLY)
+        _, bits = _certified_disks(LEHMER_POLY, self.TOL, DEFAULT_MAX_BITS)
+        assert bits == 53
+
+    @settings(max_examples=40)
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=12)
+           .filter(lambda cs: cs[0] != 0))
+    def test_random_monic(self, coeffs):
+        self.check(IntPoly(coeffs + [1]))
+
+    def test_fallback_is_warm_started(self, monkeypatch):
+        module = importlib.import_module("skewrec.roots")
+        original = module._aberth
+        warms = []
+
+        def recording(coeffs, prec, warm):
+            warms.append(warm)
+            return original(coeffs, prec, warm)
+
+        monkeypatch.setattr(module, "_aberth", recording)
+        tol = Fraction(1e-20)  # out of reach of double approximations
+        disks, bits = _certified_disks(IntPoly([1, -3, 1]), tol,
+                                       DEFAULT_MAX_BITS)
+        assert len(disks) == 2 and all(d.radius <= tol for d in disks)
+        assert bits > 53
+        assert warms and warms[0] is not None
+
+
+def _brute_components(disks):
+    """All-pairs grouping, in the order components() promises."""
+    n = len(disks)
+    label = list(range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if disks[i].overlaps(disks[j]):
+                old, new = label[j], label[i]
+                label = [new if x == old else x for x in label]
+    groups = {}
+    for i in range(n):
+        groups.setdefault(label[i], []).append(i)
+    return list(groups.values())
+
+
+def _disk(a, b, e, radius):
+    return _ExactDisk((a, b, e), Fraction(radius), Fraction(0), Fraction(0))
+
+
+class TestComponents:
+    @pytest.mark.parametrize("b", [0, 4], ids=["real-axis", "diagonal"])
+    def test_tangent_disks_join(self, b):
+        # centres 0 and 3 + b*i (or 5) are 5 apart; radii 2 and 3 touch,
+        # and on the real axis the real extents meet in one point
+        a = 5 if b == 0 else 3
+        tangent = [_disk(0, 0, 0, 2), _disk(a, b, 0, 3)]
+        assert components(tangent) == [[0, 1]]
+        apart = [_disk(0, 0, 0, 2), _disk(a, b, 0, Fraction(299, 100))]
+        assert components(apart) == [[0], [1]]
+
+    def test_conjugate_pairs(self):
+        # conjugates share their real extent; only the nearby pair joins
+        disks = [_disk(1, 3, 0, 1), _disk(1, -3, 0, 1),
+                 _disk(1, 1, -2, Fraction(1, 4)), _disk(1, -1, -2, Fraction(1, 4))]
+        assert components(disks) == [[0], [1], [2, 3]]
+
+    def test_matches_all_pairs_grouping(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            disks = []
+            for _ in range(rng.randint(0, 14)):
+                a, b, e = rng.randint(-8, 8), rng.randint(-8, 8), rng.randint(-2, 0)
+                radius = Fraction(rng.randint(0, 12), 8)
+                disks.append(_disk(a, b, e, radius))
+                if rng.random() < 0.3:
+                    disks.append(_disk(a, -b, e, radius))
+            rng.shuffle(disks)
+            assert components(disks) == _brute_components(disks)
+
+
+class TestFloatToDyadic:
+    @pytest.mark.parametrize("x", [
+        0.0, -0.0, 1.0, -0.75, 0.1, 5e-324, -5e-324, 2.2250738585072014e-308,
+        2.225073858507201e-308, 1.7976931348623157e308, -2.0**1000, 3.0 * 2.0**-1060,
+    ])
+    def test_round_trip(self, x):
+        man, exp = dy.from_float(x)
+        assert Fraction(man) * Fraction(2) ** exp == Fraction(x)
+        assert man == 0 and exp == 0 or man % 2 == 1
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_matches_mpmath_normal_form(self, x):
+        assert dy.from_float(x) == dy._to_int_exp(mp.mpf(x))
+        point = dy.from_mpf_pair(x, -x)
+        assert dy.to_fractions(point) == (Fraction(x), Fraction(-x))
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, x):
+        with pytest.raises(ValueError):
+            dy.from_float(x)
