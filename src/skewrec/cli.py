@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -55,17 +56,35 @@ __all__ = ["main"]
 _ENV_MAX_BITS = "SKEWREC_MAX_BITS"
 
 
-def _default_max_bits() -> int:
-    raw = os.environ.get(_ENV_MAX_BITS)
-    if raw is None:
-        return DEFAULT_MAX_BITS
+def _max_bits(flag: int | None) -> int:
+    """The precision cap from --max-bits, else the environment, else the default.
+
+    Both sources obey one rule: an integer of at least 64 bits.
+    """
+    if flag is not None:
+        source, raw = "--max-bits", flag
+    else:
+        raw = os.environ.get(_ENV_MAX_BITS)
+        if raw is None:
+            return DEFAULT_MAX_BITS
+        source = _ENV_MAX_BITS
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ParseError(f"{_ENV_MAX_BITS} must be an integer, got {raw!r}") from exc
+        raise ParseError(f"{source} must be an integer, got {raw!r}") from exc
     if value < 64:
-        raise ParseError(f"{_ENV_MAX_BITS} must be >= 64, got {value}")
+        raise ParseError(f"{source} must be >= 64, got {value}")
     return value
+
+
+def _check_run_options(args: argparse.Namespace) -> None:
+    """Reject a tolerance that is not a positive finite number, and jobs < 1."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0 < tol < math.inf:
+        raise ParseError(f"--tol must be a positive finite number, got {tol!r}")
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and jobs < 1:
+        raise ParseError(f"--jobs must be >= 1, got {jobs}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -158,7 +177,8 @@ def _parse_arg_poly(text: str) -> IntPoly:
 
 
 def _run(args: argparse.Namespace) -> dict:
-    max_bits = args.max_bits if getattr(args, "max_bits", None) else _default_max_bits()
+    max_bits = _max_bits(getattr(args, "max_bits", None))
+    _check_run_options(args)
     meta = _meta(args, max_bits)
 
     if args.command == "measure":

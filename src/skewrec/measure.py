@@ -9,9 +9,10 @@ numerically.  Instead:
   * is_kronecker is an exact integer decision procedure (Graeffe
     iteration with a binomial coefficient bound and cycle detection);
   * before root finding, all cyclotomic factors are stripped exactly by
-    gcd with t**N - 1 over the finitely many N whose totient fits the
-    degree, so the factors that would pin root disks onto the unit
-    circle are gone and contribute their exact factor 1.
+    dividing by each cyclotomic polynomial Phi_N, for the finitely many
+    N whose totient fits the degree, as often as it divides.  The
+    factors that would pin root disks onto the unit circle are gone and
+    contribute their exact factor 1.
 
 Roots of a Salem-type factor still sit on the circle; the disk product
 remains a sound enclosure for them because max(1, .) is applied to the
@@ -29,10 +30,10 @@ from .enclosure import Enclosure
 from .errors import PolynomialError, PrecisionExhausted
 from .poly import (
     IntPoly,
+    cyclotomic,
     divrem_exact,
-    div_exact,
     euler_phi,
-    gcd_primitive,
+    gcd_primitive,  # not called here; perfbench/tracer.py wraps this name
     squarefree_decomposition,
 )
 from .roots import DEFAULT_MAX_BITS, _certified_disks, components
@@ -49,22 +50,44 @@ __all__ = [
 ]
 
 
+def _square(a: tuple[int, ...]) -> list[int]:
+    """Coefficients of a(t)**2, each cross product computed once and doubled."""
+    n = len(a)
+    out = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[2 * i] += x * x
+            x2 = x + x
+            for j in range(i + 1, n):
+                out[i + j] += x2 * a[j]
+    return out
+
+
 def graeffe(f: IntPoly) -> IntPoly:
     """The root-squaring transform: a polynomial whose roots are the squares.
 
     Splitting f(t) = e(t**2) + t*o(t**2) gives f(t)*f(-t) = g(t**2) with
     g = e**2 - t*o**2.  The sign is normalized so that the leading
     coefficient of the result equals lc(f)**2; in particular monic input
-    stays monic.  Everything is exact integer arithmetic.
+    stays monic.  Everything is exact integer arithmetic on coefficient
+    lists, with a single IntPoly built for the result.
     """
     if f.is_zero():
         raise PolynomialError("graeffe of the zero polynomial")
-    even = IntPoly(f.coeffs[0::2])
-    odd = IntPoly(f.coeffs[1::2])
-    g = even * even - (odd * odd).shift(1)
-    if f.degree % 2 == 1:
-        g = -g
-    assert g.degree == f.degree and g.leading == f.leading**2
+    c = f.coeffs
+    n = len(c)
+    coeffs = _square(c[0::2])
+    coeffs += [0] * (n - len(coeffs))
+    for k, y in enumerate(_square(c[1::2])):
+        coeffs[k + 1] -= y
+    if n % 2 == 0:  # odd degree
+        coeffs = [-x for x in coeffs]
+    g = IntPoly(coeffs)
+    if g.degree != f.degree or g.leading != f.leading**2:
+        raise PolynomialError(
+            f"graeffe of a degree-{f.degree} polynomial gave degree "
+            f"{g.degree} with leading coefficient {g.leading}"
+        )
     return g
 
 
@@ -119,30 +142,22 @@ def kronecker_free_part(f: IntPoly) -> tuple[IntPoly, int, int]:
     """Split monic f into t**k * (cyclotomic product) * u with u cyclotomic-free.
 
     Returns (u, degree of the cyclotomic part, k).  Any cyclotomic factor
-    of f has order N with euler_phi(N) <= deg f, and divides t**N - 1, so
-    repeatedly dividing out gcd(f, t**N - 1) over all such N removes every
-    cyclotomic factor including multiplicities.
+    of f is some Phi_N with euler_phi(N) <= deg f, so dividing f exactly by
+    each such monic Phi_N for as long as the remainder is zero removes
+    every cyclotomic factor including multiplicities.
     """
     if not f.is_monic():
         raise PolynomialError("kronecker_free_part requires monic input")
     k, u = _strip_t_powers(f)
-    d = u.degree
     stripped = 0
-    if d == 0:
-        return u, 0, k
-    for n in _cyclotomic_orders(d):
-        # work with (t**n - 1) mod u to keep the gcd inputs small
-        tn = IntPoly((-1,) + (0,) * (n - 1) + (1,))
-        while u.degree > 0:
-            _, r = divrem_exact(tn, u)
-            if r.is_zero():
-                g = u
-            else:
-                g = gcd_primitive(u, r)
-            if g.degree == 0:
+    for n in _cyclotomic_orders(u.degree):
+        phi = cyclotomic(n)
+        while phi.degree <= u.degree:
+            q, r = divrem_exact(u, phi)
+            if not r.is_zero():
                 break
-            u = div_exact(u, g)
-            stripped += g.degree
+            u = q
+            stripped += phi.degree
     return u, stripped, k
 
 

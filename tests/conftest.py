@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the package's own algorithms:
 root-based quantities come from numpy's eigenvalue-based root finder
 and, for the Mahler measure, from Jensen quadrature on an exact Graeffe
-iterate (sharing only the exact graeffe transform with the package),
-characteristic polynomials from naive cofactor expansion, and number
-theory from sympy.  Tests compare certified results against these
+iterate (sharing only the exact graeffe transform with the package,
+which tests/test_measure.py checks against the product f(t)*f(-t)),
+cyclotomic stripping from a gcd scan with t**N - 1, characteristic
+polynomials from naive cofactor expansion, and number theory from sympy.  Tests compare certified results against these
 independent implementations.
 """
 
@@ -20,7 +21,15 @@ from hypothesis import HealthCheck, settings
 
 from skewrec.errors import PolynomialError
 from skewrec.measure import graeffe
-from skewrec.poly import ONE, IntPoly, cyclotomic, euler_phi
+from skewrec.poly import (
+    ONE,
+    IntPoly,
+    cyclotomic,
+    div_exact,
+    divrem_exact,
+    euler_phi,
+    gcd_primitive,
+)
 
 settings.register_profile(
     "ci",
@@ -83,6 +92,42 @@ def mahler_graeffe_oracle(f: IntPoly, iterations: int = 8) -> float:
     values = np.maximum(values, 1e-300)
     mean_log = float(np.mean(np.log(values))) + shift * math.log(2.0)
     return math.exp(max(0.0, mean_log) / (1 << iterations))
+
+
+def kronecker_free_part_gcd_reference(f: IntPoly) -> tuple[IntPoly, int, int]:
+    """Reference for skewrec.measure.kronecker_free_part: (u, stripped, k).
+
+    The package divides by each cyclotomic polynomial Phi_N directly; this
+    reference instead strips gcd(u, t**N - 1) for every order N with
+    euler_phi(N) <= deg u.  By unique factorisation both give the same
+    (u, stripped, k).
+    """
+    if not f.is_monic():
+        raise PolynomialError("kronecker_free_part requires monic input")
+    k = 0
+    coeffs = f.coeffs
+    while coeffs and coeffs[0] == 0:
+        coeffs = coeffs[1:]
+        k += 1
+    u = IntPoly(coeffs)
+    d = u.degree
+    stripped = 0
+    if d == 0:
+        return u, 0, k
+    for n in (n for n in range(1, 2 * d * d + 1) if euler_phi(n) <= d):
+        # work with (t**n - 1) mod u to keep the gcd inputs small
+        tn = IntPoly((-1,) + (0,) * (n - 1) + (1,))
+        while u.degree > 0:
+            _, r = divrem_exact(tn, u)
+            if r.is_zero():
+                g = u
+            else:
+                g = gcd_primitive(u, r)
+            if g.degree == 0:
+                break
+            u = div_exact(u, g)
+            stripped += g.degree
+    return u, stripped, k
 
 
 def charpoly_cofactor(m) -> IntPoly:

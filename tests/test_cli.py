@@ -207,6 +207,73 @@ class TestEnvironment:
         assert doc["meta"]["max_bits"] == 4096
 
 
+    @pytest.mark.parametrize("value", ["0", "10", "63"])
+    def test_flag_below_64_rejected(self, capsys, value):
+        # the flag obeys the same rule as SKEWREC_MAX_BITS; 0 used to run
+        # silently at the default cap
+        code, out, err = run_cli(
+            ["measure", "[1,-3,1]", "--max-bits", value], capsys
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ParseError" and "--max-bits" in error["message"]
+
+    def test_env_below_64_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("SKEWREC_MAX_BITS", "10")
+        code, out, err = run_cli(["measure", "[1,-3,1]"], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ParseError"
+
+    def test_flag_at_64_accepted(self, capsys):
+        code, out, _ = run_cli(
+            ["measure", "[1,-3,1]", "--tol", "1e-6", "--max-bits", "64"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["meta"]["max_bits"] == 64
+
+
+class TestRunOptions:
+    """--tol must be a positive finite number and --jobs at least 1."""
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf"])
+    def test_measure_bad_tol_rejected_before_work(self, capsys, monkeypatch,
+                                                  tol):
+        def no_work(*args, **kwargs):
+            raise AssertionError("measure ran with a rejected tolerance")
+
+        monkeypatch.setattr("skewrec.cli.measure", no_work)
+        code, out, err = run_cli(["measure", "[1,-3,1]", f"--tol={tol}"], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ParseError" and "--tol" in error["message"]
+
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
+    def test_search_bad_tol_rejected(self, capsys, tol):
+        code, out, err = run_cli(
+            ["search", "--kind", "reciprocal", "--degree", "4", "--height",
+             "1", "--tol", tol], capsys
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_search_jobs_below_one_rejected(self, capsys, jobs):
+        code, out, err = run_cli(
+            ["search", "--kind", "reciprocal", "--degree", "4", "--height",
+             "1", "--jobs", jobs], capsys
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ParseError" and "--jobs" in error["message"]
+
+    def test_table_jobs_below_one_rejected(self, capsys):
+        code, out, err = run_cli(
+            ["table", "--max-i", "1", "--heights", "1", "--jobs", "0"], capsys
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ParseError"
+
+
 def console_script_command():
     """Command prefix that launches the ``skewrec`` console script.
 

@@ -10,11 +10,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import (
     brute_house,
     brute_mahler,
     cyclotomic_products,
+    kronecker_free_part_gcd_reference,
     mahler_graeffe_oracle,
     random_monic,
 )
@@ -29,7 +32,15 @@ from skewrec.measure import (
     mahler_lower_bound,
     measure,
 )
-from skewrec.poly import LEHMER_POLY, IntPoly, cyclotomic, squarefree_decomposition
+from skewrec.poly import (
+    LEHMER_POLY,
+    IntPoly,
+    cyclotomic,
+    euler_phi,
+    negate_variable,
+    squarefree_decomposition,
+    substitute_square,
+)
 
 PHI = (1 + math.sqrt(5)) / 2  # golden ratio, house of t^2 - t - 1
 
@@ -40,6 +51,15 @@ SQUARED_WITH_CYCLOTOMIC = IntPoly([-1, -1, 1]) ** 2 * IntPoly([-2, 1]) * cycloto
 # the numpy root oracle is float root finding; on the inputs below it
 # lands up to about 1e-14 outside tight certified enclosures
 ORACLE_SLACK = 1e-9
+
+
+@st.composite
+def integer_polys(draw):
+    """Nonzero integer polynomials: any degree up to 15, monic or not,
+    possibly with a factor t**k."""
+    lower = draw(st.lists(st.integers(-40, 40), max_size=12))
+    leading = draw(st.just(1) | st.integers(-40, 40).filter(bool))
+    return IntPoly(lower + [leading]).shift(draw(st.integers(0, 3)))
 
 
 class TestGraeffe:
@@ -74,6 +94,17 @@ class TestGraeffe:
     def test_zero_rejected(self):
         with pytest.raises(PolynomialError):
             graeffe(IntPoly([]))
+
+    @given(f=integer_polys())
+    @example(f=IntPoly([7]))  # degree 0
+    @example(f=IntPoly([-1]))
+    @example(f=IntPoly([0, 1]))  # t
+    @example(f=IntPoly([0, 0, -3, 0, 2]))  # non-monic multiple of t**2
+    @example(f=IntPoly([0, 5, 0, 1]))  # odd degree, monic, multiple of t
+    def test_is_product_with_negated_variable(self, f):
+        # g(t**2) = (-1)**deg(f) * f(t) * f(-t), by plain multiplication
+        expected = (-1) ** f.degree * f * negate_variable(f)
+        assert substitute_square(graeffe(f)) == expected
 
 
 class TestIsKronecker:
@@ -128,6 +159,41 @@ class TestKroneckerFreePart:
     def test_cyclotomic_free_input_unchanged(self):
         u, stripped, k = kronecker_free_part(IntPoly([1, -3, 1]))
         assert u == IntPoly([1, -3, 1]) and stripped == 0 and k == 0
+
+    def test_matches_gcd_scan_on_cyclotomic_products(self, rng):
+        for p in cyclotomic_products(8):
+            while True:
+                u = random_monic(rng, 6, 3)
+                if kronecker_free_part_gcd_reference(u)[1] == 0:
+                    break
+            f = p * u
+            assert kronecker_free_part(f) == (u, p.degree, 0)
+            assert kronecker_free_part(f) == kronecker_free_part_gcd_reference(f)
+
+    def test_matches_gcd_scan_on_repeated_factors(self, rng):
+        orders = [n for n in range(1, 201) if euler_phi(n) <= 10]
+        for _ in range(60):
+            f = IntPoly([1])
+            for _ in range(rng.randint(1, 3)):
+                phi = cyclotomic(rng.choice(orders))
+                mult = rng.randint(1, 3)
+                if f.degree + mult * phi.degree <= 30:
+                    f = f * phi**mult
+            if f.degree < 30:
+                f = f * random_monic(rng, min(8, 30 - f.degree), 2)
+            assert kronecker_free_part(f) == kronecker_free_part_gcd_reference(f)
+
+    def test_matches_gcd_scan_on_t_power_multiples(self, rng):
+        bases = [IntPoly([1]), cyclotomic(1) ** 3, cyclotomic(12) * cyclotomic(2),
+                 LEHMER_POLY * cyclotomic(6) ** 2]
+        bases += [random_monic(rng, 10, 2) * cyclotomic(rng.choice([1, 3, 5, 8]))
+                  for _ in range(10)]
+        for base in bases:
+            for k in range(1, 4):
+                f = base.shift(k)
+                got = kronecker_free_part(f)
+                assert got == kronecker_free_part_gcd_reference(f)
+                assert got[2] == k
 
 
 class TestMahler:
