@@ -89,10 +89,6 @@ def mul(x: Dyadic, y: Dyadic) -> Dyadic:
     return (xa * ya - xb * yb, xa * yb + xb * ya, xe + ye)
 
 
-def mul_int(x: Dyadic, k: int) -> Dyadic:
-    return (x[0] * k, x[1] * k, x[2])
-
-
 def is_zero(x: Dyadic) -> bool:
     return x[0] == 0 and x[1] == 0
 

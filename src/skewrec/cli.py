@@ -32,7 +32,7 @@ from .errors import (
     PolynomialError,
     PrecisionExhausted,
 )
-from .measure import measure
+from .measure import is_kronecker, measure
 from .poly import IntPoly, is_reciprocal, is_skew_reciprocal, parse_poly, poly_to_string
 from .roots import DEFAULT_MAX_BITS
 from .search import (
@@ -169,6 +169,14 @@ def _meta(args: argparse.Namespace, max_bits: int) -> dict:
     }
 
 
+def _is_skew(f: IntPoly) -> bool:
+    """is_skew_reciprocal, with the inputs it rejects (odd degree) as False."""
+    try:
+        return is_skew_reciprocal(f)
+    except PolynomialError:
+        return False
+
+
 def _parse_arg_poly(text: str) -> IntPoly:
     f = parse_poly(text)
     if f.degree < 0:
@@ -188,18 +196,12 @@ def _run(args: argparse.Namespace) -> dict:
 
     if args.command == "classify":
         f = _parse_arg_poly(args.poly)
-        try:
-            skew = is_skew_reciprocal(f)
-        except PolynomialError:
-            skew = False
-        from .measure import is_kronecker
-
         data = {
             "poly": poly_to_string(f),
             "degree": f.degree,
             "monic": f.is_monic(),
             "reciprocal": is_reciprocal(f),
-            "skew_reciprocal": skew,
+            "skew_reciprocal": _is_skew(f),
             "kronecker": is_kronecker(f) if f.is_monic() else None,
         }
         return {"meta": meta, "data": data}
@@ -217,19 +219,14 @@ def _run(args: argparse.Namespace) -> dict:
             b = companion_symplectic(f)
             data = {"kind": "symplectic", "size": b.size,
                     "matrix": b.to_json(), "form_check": is_symplectic(b)}
-        else:
-            try:
-                skew = is_skew_reciprocal(f)
-            except PolynomialError:
-                skew = False
-            if not skew:
-                raise PolynomialError(
-                    "companion needs a reciprocal or skew-reciprocal "
-                    "polynomial"
-                )
+        elif _is_skew(f):
             b = companion_anti_symplectic(f)
             data = {"kind": "anti_symplectic", "size": b.size,
                     "matrix": b.to_json(), "form_check": is_anti_symplectic(b)}
+        else:
+            raise PolynomialError(
+                "companion needs a reciprocal or skew-reciprocal polynomial"
+            )
         return {"meta": meta, "data": data}
 
     if args.command == "search":

@@ -11,8 +11,11 @@ any worker count:
 
   * phase 1 scans fixed chunks (one per value of the first free
     coefficient), excluding Kronecker members exactly and computing a
-    base enclosure per surviving member; chunks share no state, so the
-    schedule cannot influence anything;
+    base enclosure per remaining member; a chunk returns only its member
+    and Kronecker counts and the members whose lower bound is at most its
+    own best upper bound, since the search-wide best is never above any
+    chunk's best and phase 2 would drop every other member; chunks share
+    no state, so the schedule cannot influence anything;
   * phase 2 keeps every candidate whose certified lower bound does not
     exceed the smallest certified upper bound, then refines this set at
     progressively finer tolerances until a single witness remains or the
@@ -134,25 +137,33 @@ def enumerate_space(space: SearchSpace) -> Iterator[IntPoly]:
 
 # -- phase 1 -----------------------------------------------------------------
 
-# per-candidate record: (free, kronecker?, lower_bound_float|None,
-#                        (lo, hi, bits)|None)
-_Record = tuple[tuple[int, ...], bool, Optional[float], Optional[tuple]]
+
+def _lower(candidate) -> float:
+    """Certified lower bound of a (free, Enclosure, Graeffe bound) triple."""
+    _, enc, gb = candidate
+    return enc.lo if gb is None else max(enc.lo, gb)
 
 
-def _scan_chunk(args) -> list[_Record]:
+def _scan_chunk(args) -> tuple[int, int, list]:
+    """Phase 1 over one first coefficient: (scanned, kronecker, survivors).
+
+    Each survivor is a (free, Enclosure, gb) triple whose lower bound is
+    at most the chunk's final best upper bound.
+    """
     (kind, degree, height, first, quantity, tol0, prune, max_bits) = args
     space = SearchSpace(kind, degree, height)
-    records: list[_Record] = []
+    scanned = kron = 0
+    survivors = []
     best_hi: Optional[float] = None
     for free in space.free_vectors_with_first(first):
+        scanned += 1
         f = space.member(free)
         if is_kronecker(f):
-            records.append((free, True, None, None))
+            kron += 1
             continue
         if quantity == "mahler":
             gb = mahler_lower_bound(f)
             if prune and best_hi is not None and gb > best_hi:
-                records.append((free, False, gb, None))
                 continue
             enc = mahler(f, tol0, max_bits)
         else:
@@ -160,8 +171,11 @@ def _scan_chunk(args) -> list[_Record]:
             enc = house(f, tol0, max_bits)
         if best_hi is None or enc.hi < best_hi:
             best_hi = enc.hi
-        records.append((free, False, gb, (enc.lo, enc.hi, enc.bits)))
-    return records
+        # best_hi only falls, so a member above it now stays above it
+        candidate = (free, enc, gb)
+        if _lower(candidate) <= best_hi:
+            survivors.append(candidate)
+    return scanned, kron, [c for c in survivors if _lower(c) <= best_hi]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -215,33 +229,24 @@ def _min_search(
          prune, max_bits)
         for first in range(-space.height, space.height + 1)
     ]
-    if jobs <= 1 or space.half_degree == 0:
+    workers = min(jobs, len(chunk_args))
+    if workers <= 1:
         chunk_results = [_scan_chunk(a) for a in chunk_args]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk_results = list(pool.map(_scan_chunk, chunk_args))
-    records: list[_Record] = [r for chunk in chunk_results for r in chunk]
 
-    enumerated = len(records)
+    enumerated = sum(scanned for scanned, _, _ in chunk_results)
     assert enumerated == space.size
-    kron = sum(1 for r in records if r[1])
-    measured = [
-        (free, Enclosure(*enc), gb)
-        for free, is_kron, gb, enc in records
-        if enc is not None
-    ]
-    if not measured:
+    kron = sum(k for _, k, _ in chunk_results)
+    candidates = [c for _, _, survivors in chunk_results for c in survivors]
+    if not candidates:
         return SearchReport(space, quantity, tol, enumerated, kron, None,
                             (), (), 0, False)
 
     measure_fn = mahler if quantity == "mahler" else house
-
-    def lower(entry) -> float:
-        free, enc, gb = entry
-        return max(enc.lo, gb) if gb is not None else enc.lo
-
-    min_hi = min(enc.hi for _, enc, _ in measured)
-    active = [e for e in measured if lower(e) <= min_hi]
+    min_hi = min(enc.hi for _, enc, _ in candidates)
+    active = [c for c in candidates if _lower(c) <= min_hi]
 
     escalations = 0
     exhausted = False
@@ -256,7 +261,7 @@ def _min_search(
                 exhausted = True
             refined.append((free, enc, gb))
         min_hi = min(enc.hi for _, enc, _ in refined)
-        active = [e for e in refined if lower(e) <= min_hi]
+        active = [e for e in refined if _lower(e) <= min_hi]
         if len(active) <= 1 or escalations >= _ESCALATION_ROUNDS or exhausted:
             break
         escalations += 1
@@ -384,15 +389,15 @@ def sequence_table(
 
     Each row runs four searches (Mahler and house, both classes).  The
     telescoping product q_m multiplies the certified ratio enclosures
-    r_i/s_i row by row.  The work estimate for every row is checked
-    against the budget before anything runs.
+    r_i/s_i row by row.  Every row's space is validated and its size
+    checked against the budget before anything runs.
     """
     if max_i < 1:
         raise PolynomialError("max_i must be >= 1")
     if len(heights) != max_i:
         raise PolynomialError("need exactly one height per row")
-    for i in range(1, max_i + 1):
-        size = (2 * heights[i - 1] + 1) ** (2 ** (i - 1))
+    for i, height in enumerate(heights, start=1):
+        size = SearchSpace(RECIPROCAL, 2**i, height).size
         if size > budget:
             raise BudgetExceeded(f"table row i={i}", size, budget)
     log_breusch = log_of_fraction(Fraction(BREUSCH_BOUND))

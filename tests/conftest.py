@@ -196,3 +196,28 @@ def random_monic(rng: random.Random, max_degree: int, height: int) -> IntPoly:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260825)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list[int]:
+    """Run search pools in this process; the list gets each pool's max_workers.
+
+    No worker process starts, so a large --jobs can be tested safely.
+    """
+    sizes: list[int] = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr("skewrec.search.ProcessPoolExecutor", RecordingExecutor)
+    return sizes

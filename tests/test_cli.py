@@ -127,6 +127,14 @@ class TestSearchCommand:
             datas.append(json.dumps(json.loads(out)["data"], sort_keys=True))
         assert datas[0] == datas[1]
 
+    def test_pool_capped_and_requested_jobs_reported(self, capsys,
+                                                     pool_sizes):
+        code, out, _ = run_cli(
+            ["table", "--max-i", "1", "--heights", "1", "--jobs", "64"], capsys
+        )
+        assert code == 0 and json.loads(out)["meta"]["jobs"] == 64
+        assert pool_sizes == [3, 3, 3, 3]  # four searches of 3 chunks each
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(
             ["search", "--kind", "skew_reciprocal", "--degree", "8",
@@ -170,6 +178,25 @@ class TestTableCommand:
             ["table", "--max-i", "1", "--heights", "x"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("heights, extra", [
+        ("1,-1000", ["--budget", "1000"]),
+        ("3,2,-1", []),
+    ])
+    def test_negative_height_rejected_before_work(self, capsys, monkeypatch,
+                                                  heights, extra):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a search ran before the rows were checked")
+
+        monkeypatch.setattr("skewrec.search.min_mahler", no_work)
+        monkeypatch.setattr("skewrec.search.min_house", no_work)
+        max_i = str(len(heights.split(",")))
+        code, out, err = run_cli(
+            ["table", "--max-i", max_i, "--heights", heights] + extra, capsys
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "PolynomialError" and "height" in error["message"]
 
 
 class TestVerifyCommand:

@@ -7,10 +7,12 @@ import pytest
 
 from conftest import brute_mahler
 from skewrec.errors import BudgetExceeded, PolynomialError
-from skewrec.measure import is_kronecker, mahler
+from skewrec.measure import house, is_kronecker, mahler, mahler_lower_bound
 from skewrec.poly import IntPoly, is_reciprocal, is_skew_reciprocal
 from skewrec.search import (
     SearchSpace,
+    _lower,
+    _scan_chunk,
     enumerate_space,
     min_house,
     min_mahler,
@@ -115,18 +117,29 @@ class TestMinimumSearches:
         assert abs(rep.minimum.midpoint - brute) < 1e-6
 
     def test_prune_does_not_change_report(self):
-        space = SearchSpace("skew_reciprocal", 4, 2)
-        with_prune = min_mahler(space, tol=1e-10, prune=True)
-        without = min_mahler(space, tol=1e-10, prune=False)
-        assert json.dumps(with_prune.to_json()) == json.dumps(without.to_json())
+        for kind in ("reciprocal", "skew_reciprocal"):
+            space = SearchSpace(kind, 4, 2)
+            with_prune = min_mahler(space, tol=1e-10, prune=True)
+            without = min_mahler(space, tol=1e-10, prune=False)
+            assert json.dumps(with_prune.to_json()) == \
+                json.dumps(without.to_json())
 
     def test_jobs_do_not_change_report(self):
-        space = SearchSpace("skew_reciprocal", 4, 2)
-        reports = [
-            min_mahler(space, tol=1e-10, jobs=j).to_json() for j in (1, 2, 5)
-        ]
-        assert json.dumps(reports[0]) == json.dumps(reports[1])
-        assert json.dumps(reports[0]) == json.dumps(reports[2])
+        for kind in ("reciprocal", "skew_reciprocal"):
+            space = SearchSpace(kind, 4, 2)
+            for search in (min_mahler, min_house):
+                reports = [
+                    json.dumps(search(space, tol=1e-10, jobs=j).to_json())
+                    for j in (1, 2, 5)
+                ]
+                assert reports[0] == reports[1] == reports[2]
+
+    def test_pool_is_capped_at_the_chunk_count(self, pool_sizes):
+        space = SearchSpace("reciprocal", 4, 1)  # 3 chunks
+        assert min_mahler(space, jobs=64).to_json() == \
+            min_mahler(space).to_json()
+        assert min_house(space, jobs=2).to_json() == min_house(space).to_json()
+        assert pool_sizes == [3, 2]
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceeded) as err:
@@ -147,6 +160,34 @@ class TestMinimumSearches:
             "precision_escalations",
             "precision_exhausted",
         }
+
+
+class TestScanChunk:
+    @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
+    @pytest.mark.parametrize("quantity", ["mahler", "house"])
+    def test_returns_counts_and_only_possible_minimisers(self, kind, quantity):
+        tol0, height = 1e-6, 1
+        space = SearchSpace(kind, 8, height)
+        for first in range(-height, height + 1):
+            scanned, kron, survivors = _scan_chunk(
+                (kind, 8, height, first, quantity, tol0, True, 4096)
+            )
+            members = [space.member(free)
+                       for free in space.free_vectors_with_first(first)]
+            assert scanned == len(members) == (2 * height + 1) ** 3
+            assert kron == sum(1 for f in members if is_kronecker(f))
+            # every non-Kronecker member, enclosed as phase 1 encloses it
+            measure_fn = mahler if quantity == "mahler" else house
+            full = []
+            for f in members:
+                if not is_kronecker(f):
+                    gb = mahler_lower_bound(f) if quantity == "mahler" else None
+                    full.append((space.free_vector(f), measure_fn(f, tol0), gb))
+            best_hi = min(enc.hi for _, enc, _ in full)
+            assert all(_lower(c) <= best_hi for c in survivors)
+            assert [c[0] for c in survivors] == \
+                [c[0] for c in full if _lower(c) <= best_hi]
+            assert len(survivors) < len(full)
 
 
 class TestSequenceTable:
@@ -185,6 +226,20 @@ class TestSequenceTable:
             sequence_table(0, [])
         with pytest.raises(PolynomialError):
             sequence_table(2, [1])
+
+    @pytest.mark.parametrize("heights, budget", [
+        ([1, -1000], 1000),  # the old size formula read 3996001 > budget
+        ([3, 2, -1], 5_000_000),  # rows 1 and 2 used to run first
+    ])
+    def test_bad_height_rejected_before_any_search(self, monkeypatch,
+                                                   heights, budget):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a search ran before the rows were checked")
+
+        monkeypatch.setattr("skewrec.search.min_mahler", no_work)
+        monkeypatch.setattr("skewrec.search.min_house", no_work)
+        with pytest.raises(PolynomialError, match="height"):
+            sequence_table(len(heights), heights, budget=budget)
 
 
 class TestDecompositionSurvey:
