@@ -21,6 +21,7 @@ from .measure import (
     MeasureResult,
     graeffe,
     house,
+    house_lower_bound,
     is_kronecker,
     kronecker_free_part,
     mahler,
@@ -112,6 +113,7 @@ __all__ = [
     "float_below",
     "graeffe",
     "house",
+    "house_lower_bound",
     "is_anti_symplectic",
     "is_kronecker",
     "is_reciprocal",

@@ -138,7 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", choices=["mahler", "house"],
                    default="mahler")
     p.add_argument("--no-prune", action="store_true",
-                   help="disable lower-bound pruning (same results, slower)")
+                   help="enclose every non-Kronecker member instead of "
+                        "skipping those a Graeffe lower bound rules out "
+                        "(same results, slower)")
     add_common(p, jobs=True, budget=True)
 
     p = sub.add_parser("table", help="minima table over degrees 2**i")
@@ -231,13 +233,10 @@ def _run(args: argparse.Namespace) -> dict:
 
     if args.command == "search":
         space = SearchSpace(args.kind, args.degree, args.height)
-        if args.quantity == "mahler":
-            report = min_mahler(space, tol=args.tol, jobs=args.jobs,
-                                prune=not args.no_prune, max_bits=max_bits,
-                                budget=args.budget)
-        else:
-            report = min_house(space, tol=args.tol, jobs=args.jobs,
-                               max_bits=max_bits, budget=args.budget)
+        search = min_mahler if args.quantity == "mahler" else min_house
+        report = search(space, tol=args.tol, jobs=args.jobs,
+                        prune=not args.no_prune, max_bits=max_bits,
+                        budget=args.budget)
         return {"meta": meta, "data": report.to_json()}
 
     if args.command == "table":

@@ -45,6 +45,7 @@ __all__ = [
     "mahler",
     "house",
     "mahler_lower_bound",
+    "house_lower_bound",
     "MeasureResult",
     "measure",
 ]
@@ -302,6 +303,21 @@ def house(
     return enc
 
 
+def _graeffe_iterate(f: IntPoly, steps: int) -> IntPoly:
+    """The steps-th Graeffe iterate of f, whose roots are alpha**(2**steps)."""
+    g = f
+    for _ in range(steps):
+        g = graeffe(g)
+    return g
+
+
+def _log2_below(n: int) -> float:
+    """log2 of a positive integer, safe for huge n (mantissa truncated down)."""
+    bl = n.bit_length()
+    mant = n >> max(0, bl - 53)
+    return math.log2(mant) + max(0, bl - 53)
+
+
 def mahler_lower_bound(f: IntPoly, steps: int = 6) -> float:
     """A cheap certified lower bound for M(f), used to prune searches.
 
@@ -312,16 +328,39 @@ def mahler_lower_bound(f: IntPoly, steps: int = 6) -> float:
     """
     if not f.is_monic():
         raise PolynomialError("mahler_lower_bound requires monic input")
-    g = f
-    for _ in range(steps):
-        g = graeffe(g)
-    s = sum(c * c for c in g.coeffs)
+    g = _graeffe_iterate(f, steps)
     # log2 ||f_k||_2 = log2(s)/2, computed safely for huge integers
-    bl = s.bit_length()
-    mant = s >> max(0, bl - 53)
-    log2_s = math.log2(mant) + max(0, bl - 53)
+    log2_s = _log2_below(sum(c * c for c in g.coeffs))
     log2_bound = (log2_s / 2 - f.degree) / (1 << steps)
     return max(1.0, 2.0 ** (log2_bound - 1e-9))
+
+
+def house_lower_bound(f: IntPoly, steps: int = 6) -> float:
+    """A cheap certified lower bound for house(f), used to prune searches.
+
+    The k-th Graeffe iterate g_k of a monic f of degree n is monic with
+    roots alpha**(2**k), so its coefficient c_(n-j), an elementary
+    symmetric function of those roots up to sign, satisfies
+    |c_(n-j)| <= C(n, j) * house(f)**(j * 2**k).  Every nonzero c_(n-j)
+    therefore gives house(f) >= (|c_(n-j)| / C(n, j))**(1 / (j * 2**k)),
+    and the bound is the largest of these.  The coefficients are exact
+    integers; only the final root is taken in floats, rounded downward by
+    a generous margin.  A nonzero root makes the bound at least 1 (the
+    nonzero roots of monic integer f multiply to a nonzero integer); a
+    pure power of t, whose house is 0, gets 0.
+    """
+    if not f.is_monic():
+        raise PolynomialError("house_lower_bound requires monic input")
+    c = _graeffe_iterate(f, steps).coeffs
+    n = len(c) - 1
+    logs = [
+        (_log2_below(abs(c[n - j])) - math.log2(math.comb(n, j))) / (j << steps)
+        for j in range(1, n + 1)
+        if c[n - j]
+    ]
+    if not logs:  # f is a power of t
+        return 0.0
+    return max(1.0, 2.0 ** (max(logs) - 1e-9))
 
 
 # -- aggregate result -------------------------------------------------------

@@ -31,6 +31,7 @@ PrecisionExhausted rather than returning anything unsound.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import mpmath as mp
@@ -80,19 +81,34 @@ class _ExactDisk:
         return gap2 <= reach * reach
 
 
+@functools.lru_cache(maxsize=256)
+def _unit_angles(n: int, prec: int) -> tuple:
+    """(cos theta_k, sin theta_k) of the n start angles, at precision prec.
+
+    Bounded: a long run meets few distinct (degree, precision) pairs, but
+    nothing limits them.
+    """
+    with mp.workprec(prec):
+        out = []
+        for k in range(n):
+            theta = (2 * mp.pi * k + mp.mpf("0.7")) / n
+            out.append((mp.cos(theta), mp.sin(theta)))
+        return tuple(out)
+
+
 def _initial_points(coeffs, n: int):
     """Deterministic starting configuration on a Cauchy-bound circle.
 
     The radii carry a small index-dependent stagger so that symmetric
-    inputs do not lock the iteration into a symmetric stall.
+    inputs do not lock the iteration into a symmetric stall.  The angles
+    depend only on n and the working precision, so they are cached.
     """
     lc = abs(coeffs[-1])
     bound = 1.0 + max(abs(c) for c in coeffs[:-1]) / lc if n > 0 else 1.0
     pts = []
-    for k in range(n):
+    for k, (cos_k, sin_k) in enumerate(_unit_angles(n, mp.mp.prec)):
         r = bound * (1.0 + 0.041 * (k % 3) + 0.0127 * (k % 5))
-        theta = (2 * mp.pi * k + mp.mpf("0.7")) / n
-        pts.append(mp.mpc(r * mp.cos(theta), r * mp.sin(theta)))
+        pts.append(mp.mpc(r * cos_k, r * sin_k))
     return pts
 
 

@@ -21,8 +21,9 @@ any worker count:
     progressively finer tolerances until a single witness remains or the
     escalation budget is spent; unresolved ties are reported in full.
 
-For Mahler searches a cheap Graeffe-based lower bound participates in
-candidate elimination unconditionally; the prune flag only controls
+Both quantities have a cheap certified lower bound read from exact
+Graeffe iterates (mahler_lower_bound, house_lower_bound).  It participates
+in candidate elimination unconditionally; the prune flag only controls
 whether members disqualified by that bound alone skip the expensive
 enclosure computation.  Pruned or not, reports are identical.
 """
@@ -37,7 +38,13 @@ from typing import Iterator, Optional
 
 from .enclosure import Enclosure, log_of_fraction
 from .errors import BudgetExceeded, PolynomialError, PrecisionExhausted
-from .measure import house, is_kronecker, mahler, mahler_lower_bound
+from .measure import (
+    house,
+    house_lower_bound,
+    is_kronecker,
+    mahler,
+    mahler_lower_bound,
+)
 from .poly import BREUSCH_BOUND, IntPoly
 from .roots import DEFAULT_MAX_BITS
 from .structure import NonreciprocalWitness, decompose_skew_reciprocal
@@ -141,7 +148,7 @@ def enumerate_space(space: SearchSpace) -> Iterator[IntPoly]:
 def _lower(candidate) -> float:
     """Certified lower bound of a (free, Enclosure, Graeffe bound) triple."""
     _, enc, gb = candidate
-    return enc.lo if gb is None else max(enc.lo, gb)
+    return max(enc.lo, gb)
 
 
 def _scan_chunk(args) -> tuple[int, int, list]:
@@ -162,13 +169,12 @@ def _scan_chunk(args) -> tuple[int, int, list]:
             kron += 1
             continue
         if quantity == "mahler":
-            gb = mahler_lower_bound(f)
-            if prune and best_hi is not None and gb > best_hi:
-                continue
-            enc = mahler(f, tol0, max_bits)
+            gb, measure_fn = mahler_lower_bound(f), mahler
         else:
-            gb = None
-            enc = house(f, tol0, max_bits)
+            gb, measure_fn = house_lower_bound(f), house
+        if prune and best_hi is not None and gb > best_hi:
+            continue
+        enc = measure_fn(f, tol0, max_bits)
         if best_hi is None or enc.hi < best_hi:
             best_hi = enc.hi
         # best_hi only falls, so a member above it now stays above it
@@ -301,11 +307,17 @@ def min_house(
     space: SearchSpace,
     tol: float = 1e-10,
     jobs: int = 1,
+    prune: bool = True,
     max_bits: int = DEFAULT_MAX_BITS,
     budget: int = DEFAULT_BUDGET,
 ) -> SearchReport:
-    """Minimum house over the non-Kronecker members of the space."""
-    return _min_search(space, "house", tol, jobs, False, max_bits, budget)
+    """Minimum house over the non-Kronecker members of the space.
+
+    Certified in the same way as min_mahler, with house_lower_bound as the
+    pruning bound; results are identical for any jobs count and for prune
+    on/off.
+    """
+    return _min_search(space, "house", tol, jobs, prune, max_bits, budget)
 
 
 # -- sequence table ----------------------------------------------------------
@@ -446,9 +458,10 @@ class DecompositionSurvey:
     """Exhaustive decomposition of a skew-reciprocal space, with measure audit.
 
     Every non-Kronecker member decomposes into exactly one of the two
-    cases; for witness-case members the Mahler enclosure is checked
+    cases; for witness-case members the Mahler measure is checked
     against the nonreciprocal lower bound 1179/1000 (with a 1e-9 slack on
-    the certified side).  A DecompositionFalsified raised during the scan
+    the certified side), by its enclosure or, where that settles it, by a
+    Graeffe lower bound.  A DecompositionFalsified raised during the scan
     propagates: falsification is a diagnosis, not a report row.
     """
 
@@ -486,11 +499,23 @@ def verify_decomposition_over_space(
     max_bits: int = DEFAULT_MAX_BITS,
     budget: int = DEFAULT_BUDGET,
 ) -> DecompositionSurvey:
+    """Decompose every member of a skew-reciprocal space and audit witnesses.
+
+    A witness-case member after the first skips its Mahler enclosure when
+    its Graeffe lower bound b = mahler_lower_bound(f) exceeds both the
+    running minimum's hi and 1179/1000 - 1e-9 + 2*tol (compared as exact
+    rationals).  The skipped enclosure, at most tol wide, would contain
+    M(f) >= b: its hi would be above the running minimum's hi, and its lo
+    above the slack 1179/1000 - 1e-9 (the second tol absorbs the float
+    rounding of Enclosure.width).  So neither witnesses_below_bound nor
+    min_witness_mahler can change.
+    """
     if space.kind != SKEW:
         raise PolynomialError("decomposition survey needs a skew-reciprocal space")
     if space.size > budget:
         raise BudgetExceeded("decomposition survey", space.size, budget)
     slack = BREUSCH_BOUND - Fraction(1, 10**9)
+    skip_above = slack + 2 * Fraction(tol)
     kron = squares = witnesses = below = 0
     min_mahler_enc: Optional[Enclosure] = None
     for f in enumerate_space(space):
@@ -500,6 +525,10 @@ def verify_decomposition_over_space(
         outcome = decompose_skew_reciprocal(f)
         if isinstance(outcome, NonreciprocalWitness):
             witnesses += 1
+            if min_mahler_enc is not None:
+                bound = Fraction(mahler_lower_bound(f))
+                if bound > skip_above and bound > Fraction(min_mahler_enc.hi):
+                    continue
             enc = mahler(f, tol, max_bits)
             if Fraction(enc.lo) <= slack:
                 below += 1

@@ -127,6 +127,18 @@ class TestSearchCommand:
             datas.append(json.dumps(json.loads(out)["data"], sort_keys=True))
         assert datas[0] == datas[1]
 
+    @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
+    def test_house_search_no_prune_same_data(self, capsys, kind):
+        args = ["search", "--kind", kind, "--degree", "8", "--height", "1",
+                "--quantity", "house"]
+        docs = []
+        for extra in ([], ["--no-prune"]):
+            code, out, _ = run_cli(args + extra, capsys)
+            assert code == 0
+            docs.append(json.loads(out))
+        assert json.dumps(docs[0]["data"]) == json.dumps(docs[1]["data"])
+        assert [d["meta"]["prune"] for d in docs] == [True, False]
+
     def test_pool_capped_and_requested_jobs_reported(self, capsys,
                                                      pool_sizes):
         code, out, _ = run_cli(

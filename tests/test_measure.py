@@ -26,6 +26,7 @@ from skewrec.errors import PolynomialError, PrecisionExhausted
 from skewrec.measure import (
     graeffe,
     house,
+    house_lower_bound,
     is_kronecker,
     kronecker_free_part,
     mahler,
@@ -41,6 +42,7 @@ from skewrec.poly import (
     squarefree_decomposition,
     substitute_square,
 )
+from skewrec.search import SearchSpace, enumerate_space
 
 PHI = (1 + math.sqrt(5)) / 2  # golden ratio, house of t^2 - t - 1
 
@@ -313,6 +315,49 @@ class TestMahlerLowerBound:
     def test_requires_monic(self):
         with pytest.raises(PolynomialError):
             mahler_lower_bound(IntPoly([1, 2]))
+
+
+@st.composite
+def monic_polys_with_t_powers(draw):
+    """Monic integer polynomials of degree 1..14, possibly times t**k,
+    including pure powers of t."""
+    lower = draw(st.lists(st.integers(-4, 4), max_size=10))
+    shift = draw(st.integers(0 if lower else 1, 14 - len(lower)))
+    return IntPoly(lower + [1]).shift(shift)
+
+
+def _assert_house_bound_sound(f):
+    bound = house_lower_bound(f)
+    assert bound <= house(f, tol=1e-8).hi
+    assert bound <= brute_house(f) * (1 + 1e-9)
+
+
+class TestHouseLowerBound:
+    @given(monic_polys_with_t_powers())
+    @example(IntPoly([0, 0, 0, 1]))  # t**3, house 0
+    @example(IntPoly([-2, 1]) ** 3)  # every coefficient bound is attained
+    def test_below_true_house(self, f):
+        _assert_house_bound_sound(f)
+
+    @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
+    def test_below_true_house_on_every_search_member(self, kind):
+        for f in enumerate_space(SearchSpace(kind, 8, 1)):
+            _assert_house_bound_sound(f)
+
+    def test_power_of_t_has_bound_zero(self):
+        assert house_lower_bound(IntPoly([0, 0, 1])) == 0.0
+        assert house_lower_bound(IntPoly([1])) == 0.0
+
+    def test_at_least_one_with_a_nonzero_root(self):
+        assert house_lower_bound(cyclotomic(4).shift(2)) == 1.0
+
+    def test_close_to_true_house(self):
+        assert house_lower_bound(IntPoly([-1, -1, 1])) > 1.55  # phi = 1.618
+        assert house_lower_bound(IntPoly([-7, 1]) * IntPoly([5, 1])) > 6.9
+
+    def test_requires_monic(self):
+        with pytest.raises(PolynomialError):
+            house_lower_bound(IntPoly([1, 2]))
 
 
 class TestGraeffeOracle:

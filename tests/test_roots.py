@@ -21,6 +21,7 @@ from skewrec.roots import (
     _certified_disks,
     _certify,
     _ExactDisk,
+    _initial_points,
     _START_BITS,
     components,
     roots_certified,
@@ -210,6 +211,31 @@ class TestDoubleFastPath:
         assert len(disks) == 2 and all(d.radius <= tol for d in disks)
         assert bits > 53
         assert warms and warms[0] is not None
+
+
+def _direct_initial_points(coeffs, n):
+    """The start points with cos and sin evaluated afresh, at mp's precision."""
+    bound = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
+    pts = []
+    for k in range(n):
+        r = bound * (1.0 + 0.041 * (k % 3) + 0.0127 * (k % 5))
+        theta = (2 * mp.pi * k + mp.mpf("0.7")) / n
+        pts.append(mp.mpc(r * mp.cos(theta), r * mp.sin(theta)))
+    return pts
+
+
+class TestInitialPoints:
+    @pytest.mark.parametrize("prec", [53, 64, 128, 256])
+    def test_cached_angles_are_bit_identical(self, rng, prec):
+        for n in range(1, 40):
+            coeffs = [rng.randint(-9, 9) for _ in range(n)]
+            coeffs.append(rng.choice((1, 2, -3)))
+            with mp.workprec(prec):
+                for _ in range(2):  # the second call reads the cache
+                    got = _initial_points(coeffs, n)
+                    want = _direct_initial_points(coeffs, n)
+                    assert [(z.real._mpf_, z.imag._mpf_) for z in got] == \
+                        [(z.real._mpf_, z.imag._mpf_) for z in want]
 
 
 def _brute_components(disks):

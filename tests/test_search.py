@@ -2,12 +2,19 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from conftest import brute_mahler
 from skewrec.errors import BudgetExceeded, PolynomialError
-from skewrec.measure import house, is_kronecker, mahler, mahler_lower_bound
+from skewrec.measure import (
+    house,
+    house_lower_bound,
+    is_kronecker,
+    mahler,
+    mahler_lower_bound,
+)
 from skewrec.poly import IntPoly, is_reciprocal, is_skew_reciprocal
 from skewrec.search import (
     SearchSpace,
@@ -19,6 +26,7 @@ from skewrec.search import (
     sequence_table,
     verify_decomposition_over_space,
 )
+from skewrec.structure import NonreciprocalWitness, decompose_skew_reciprocal
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -119,10 +127,32 @@ class TestMinimumSearches:
     def test_prune_does_not_change_report(self):
         for kind in ("reciprocal", "skew_reciprocal"):
             space = SearchSpace(kind, 4, 2)
-            with_prune = min_mahler(space, tol=1e-10, prune=True)
-            without = min_mahler(space, tol=1e-10, prune=False)
-            assert json.dumps(with_prune.to_json()) == \
-                json.dumps(without.to_json())
+            for search in (min_mahler, min_house):
+                with_prune = search(space, tol=1e-10, prune=True)
+                without = search(space, tol=1e-10, prune=False)
+                assert json.dumps(with_prune.to_json()) == \
+                    json.dumps(without.to_json())
+
+    @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
+    def test_house_prune_skips_enclosures(self, monkeypatch, kind):
+        calls = []
+
+        def counting_house(f, tol=1e-10, max_bits=4096):
+            calls.append(f)
+            return house(f, tol, max_bits)
+
+        monkeypatch.setattr("skewrec.search.house", counting_house)
+        space = SearchSpace(kind, 8, 1)
+        non_kronecker = sum(1 for f in enumerate_space(space)
+                            if not is_kronecker(f))
+        enclosed = {}
+        for prune in (True, False):
+            calls.clear()
+            for first in (-1, 0, 1):
+                _scan_chunk((kind, 8, 1, first, "house", 1e-6, prune, 4096))
+            enclosed[prune] = len(calls)
+        assert enclosed[False] == non_kronecker
+        assert enclosed[True] < non_kronecker // 2
 
     def test_jobs_do_not_change_report(self):
         for kind in ("reciprocal", "skew_reciprocal"):
@@ -181,7 +211,8 @@ class TestScanChunk:
             full = []
             for f in members:
                 if not is_kronecker(f):
-                    gb = mahler_lower_bound(f) if quantity == "mahler" else None
+                    gb = (mahler_lower_bound(f) if quantity == "mahler"
+                          else house_lower_bound(f))
                     full.append((space.free_vector(f), measure_fn(f, tol0), gb))
             best_hi = min(enc.hi for _, enc, _ in full)
             assert all(_lower(c) <= best_hi for c in survivors)
@@ -269,6 +300,42 @@ class TestDecompositionSurvey:
             verify_decomposition_over_space(
                 SearchSpace("skew_reciprocal", 8, 3), budget=10
             )
+
+    @pytest.mark.parametrize("height", [1, 2])
+    def test_skipped_enclosures_change_nothing(self, monkeypatch, height):
+        space = SearchSpace("skew_reciprocal", 8, height)
+        tol = 1e-8
+        # reference: the audit with a Mahler enclosure of every witness
+        slack = Fraction(1179, 1000) - Fraction(1, 10**9)
+        kron = squares = witnesses = below = 0
+        least = None
+        for f in enumerate_space(space):
+            if is_kronecker(f):
+                kron += 1
+            elif isinstance(decompose_skew_reciprocal(f),
+                            NonreciprocalWitness):
+                witnesses += 1
+                enc = mahler(f, tol)
+                below += Fraction(enc.lo) <= slack
+                if least is None or enc.hi < least.hi:
+                    least = enc
+            else:
+                squares += 1
+
+        calls = []
+
+        def counting_mahler(f, tol=1e-10, max_bits=4096):
+            calls.append(f)
+            return mahler(f, tol, max_bits)
+
+        monkeypatch.setattr("skewrec.search.mahler", counting_mahler)
+        survey = verify_decomposition_over_space(space, tol=tol)
+        assert (survey.enumerated, survey.excluded_kronecker,
+                survey.square_substitution_count, survey.witness_count,
+                survey.witnesses_below_bound) == \
+            (space.size, kron, squares, witnesses, below)
+        assert survey.min_witness_mahler == least
+        assert 0 < len(calls) < witnesses // 2
 
     def test_json_shape(self):
         doc = verify_decomposition_over_space(
