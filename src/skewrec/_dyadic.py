@@ -89,10 +89,6 @@ def mul(x: Dyadic, y: Dyadic) -> Dyadic:
     return (xa * ya - xb * yb, xa * yb + xb * ya, xe + ye)
 
 
-def is_zero(x: Dyadic) -> bool:
-    return x[0] == 0 and x[1] == 0
-
-
 def eval_int_poly(coeffs, z: Dyadic) -> Dyadic:
     """Exact Horner evaluation of an integer-coefficient polynomial."""
     acc: Dyadic = ZERO

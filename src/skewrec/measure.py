@@ -30,6 +30,7 @@ from .enclosure import Enclosure
 from .errors import PolynomialError, PrecisionExhausted
 from .poly import (
     IntPoly,
+    _strip_t_powers,
     cyclotomic,
     divrem_exact,
     euler_phi,
@@ -90,15 +91,6 @@ def graeffe(f: IntPoly) -> IntPoly:
             f"{g.degree} with leading coefficient {g.leading}"
         )
     return g
-
-
-def _strip_t_powers(f: IntPoly) -> tuple[int, IntPoly]:
-    k = 0
-    coeffs = f.coeffs
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-        k += 1
-    return k, IntPoly(coeffs)
 
 
 def is_kronecker(f: IntPoly) -> bool:

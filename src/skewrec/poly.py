@@ -204,6 +204,15 @@ def _gcd_int(a: int, b: int) -> int:
 # -- structural operations ----------------------------------------------
 
 
+def _strip_t_powers(f: IntPoly) -> tuple[int, IntPoly]:
+    """(k, g) with f = t**k * g and g(0) != 0; (0, f) for f = 0."""
+    coeffs = f.coeffs
+    k = 0
+    while k < len(coeffs) and coeffs[k] == 0:
+        k += 1
+    return k, IntPoly(coeffs[k:])
+
+
 def reverse(f: IntPoly) -> IntPoly:
     """Coefficient reversal t**deg(f) * f(1/t).
 

@@ -1,11 +1,21 @@
 """Certified complex root enclosures for integer polynomials.
 
-The engine is a simultaneous (Aberth-Ehrlich) iteration, run first in
-hardware double precision and, only when those approximations do not
-certify at the requested tolerance, in multiprecision floating
-arithmetic warm-started from them.  Certification on top of it is exact:
-the approximations are dyadic rationals (doubles included), so the
-Weierstrass corrections
+The engine is one simultaneous (Aberth-Ehrlich) iteration, run up one
+ladder of working precisions: hardware doubles (Python complex over
+float coefficients) first, then mpmath multiprecision at p0, 2*p0, ...
+up to a configured bit cap, where p0 is the first of 64, 128, 256, ...
+with 2**-p0 <= tol.  Each multiprecision rung is warm-started from the
+previous rung's approximations.  At working precision prec the
+iteration stops once every relative correction satisfies
+|corr|**2 / (1 + |z|**2) < 2**(2*(10 - prec)).  A zero derivative or a
+collision at point i nudges it by 2**-(prec//2) * (1 + 1j) * (i + 1).
+A value that stops being finite, or a coefficient too large for a
+double, ends the rung with nothing, and the next rung cold-starts.
+Only the correctly rounded +, -, *, / touch the double iterates, so
+they are the same on every run and in every worker process.
+
+Certification on top of it is exact: the approximations are dyadic
+rationals (doubles included), so the Weierstrass corrections
 
     W_i = f(z_i) / (lc * prod_{j != i} (z_i - z_j))
 
@@ -21,11 +31,10 @@ radii r_i = n * max(|W_i|, |f(z_i)/f'(z_i)|):
   * each single disk contains at least one root, because the distance
     from any point z to the nearest root is at most n*|f(z)/f'(z)|.
 
-Soundness therefore never depends on which iteration produced the
-points.  If the radii do not certify, the multiprecision iteration
-doubles its precision, warm-starting from the previous approximations,
-until a configured bit cap; running past the cap raises
-PrecisionExhausted rather than returning anything unsound.
+Soundness therefore never depends on which rung produced the points.
+A rung whose radii do not certify passes its points to the next one;
+running past the cap raises PrecisionExhausted rather than returning
+anything unsound.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ import mpmath as mp
 from . import _dyadic as dy
 from .enclosure import float_above
 from .errors import PolynomialError, PrecisionExhausted
-from .poly import IntPoly, squarefree_decomposition
+from .poly import IntPoly, _strip_t_powers, squarefree_decomposition
 
 __all__ = ["RootDisk", "roots_certified", "DEFAULT_MAX_BITS"]
 
@@ -104,7 +113,11 @@ def _initial_points(coeffs, n: int):
     depend only on n and the working precision, so they are cached.
     """
     lc = abs(coeffs[-1])
-    bound = 1.0 + max(abs(c) for c in coeffs[:-1]) / lc if n > 0 else 1.0
+    top = max((abs(c) for c in coeffs[:-1]), default=0)
+    try:
+        bound = 1.0 + top / lc
+    except OverflowError:  # past the double range; mpf exponents are unbounded
+        bound = 1 + mp.mpf(top) / lc
     pts = []
     for k, (cos_k, sin_k) in enumerate(_unit_angles(n, mp.mp.prec)):
         r = bound * (1.0 + 0.041 * (k % 3) + 0.0127 * (k % 5))
@@ -113,118 +126,68 @@ def _initial_points(coeffs, n: int):
 
 
 def _aberth(coeffs, prec: int, warm):
-    """Run the simultaneous iteration at the given precision; returns mpc list."""
+    """The simultaneous iteration at one rung of the precision ladder.
+
+    At prec 53 it iterates Python complex numbers over float
+    coefficients, otherwise mpc over mpf coefficients under
+    mp.workprec(prec); the update rule and its arithmetic are the same.
+    Starts from warm, or from _initial_points when warm is None.
+    Returns the approximations, or None when a coefficient does not fit
+    the number type or a value stops being finite.
+    """
     n = len(coeffs) - 1
+    num, real = (complex, float) if prec == _DOUBLE_BITS else (mp.mpc, mp.mpf)
     with mp.workprec(prec):
-        cs = [mp.mpf(c) for c in coeffs]
-        dcs = [mp.mpf(i * c) for i, c in enumerate(coeffs) if i > 0]
-
-        def horner(values, z):
-            acc = mp.mpc(0)
-            for c in reversed(values):
-                acc = acc * z + c
-            return acc
-
-        if warm is None:
-            zs = _initial_points(coeffs, n)
-        else:
-            zs = [mp.mpc(w) for w in warm]
-        eps = mp.mpf(2) ** (-prec + 10)
+        try:
+            cs = [real(c) for c in coeffs]
+            dcs = [real(i * c) for i, c in enumerate(coeffs) if i > 0]
+        except OverflowError:
+            return None
+        zs = [num(z) for z in (_initial_points(coeffs, n) if warm is None
+                               else warm)]
+        eps2 = real(2) ** (2 * (10 - prec))
+        nudge = real(2) ** -(prec // 2)
+        zero = num(0)
         for _ in range(_MAX_ITER):
-            maxcorr = mp.mpf(0)
+            maxcorr2 = 0
             for i in range(n):
                 z = zs[i]
-                fz = horner(cs, z)
-                dfz = horner(dcs, z)
-                if dfz == 0:
-                    zs[i] = z + mp.mpf(2) ** (-prec // 2)
-                    maxcorr = mp.inf
+                fz = dfz = s = zero
+                for c in reversed(cs):
+                    fz = fz * z + c
+                for c in reversed(dcs):
+                    dfz = dfz * z + c
+                collided = False
+                for j in range(n):
+                    if j != i:
+                        diff = z - zs[j]
+                        if diff == 0:
+                            collided = True
+                            break
+                        s += 1 / diff
+                if collided or dfz == 0:
+                    zs[i] = z + nudge * (1 + 1j) * (i + 1)
+                    maxcorr2 = _INF
                     continue
                 w = fz / dfz
-                s = mp.mpc(0)
-                collision = False
-                for j in range(n):
-                    if j == i:
-                        continue
-                    diff = z - zs[j]
-                    if diff == 0:
-                        collision = True
-                        break
-                    s += 1 / diff
-                if collision:
-                    zs[i] = z + mp.mpf(2) ** (-prec // 2) * (1 + 1j) * (i + 1)
-                    maxcorr = mp.inf
-                    continue
                 denom = 1 - w * s
                 corr = w if denom == 0 else w / denom
                 zs[i] = z - corr
-                mc = abs(corr) / (1 + abs(z))
-                if mc > maxcorr:
-                    maxcorr = mc
-            if maxcorr < eps:
+                corr2 = corr.real * corr.real + corr.imag * corr.imag
+                z2 = z.real * z.real + z.imag * z.imag
+                if not (corr2 < _INF and z2 < _INF):
+                    return None
+                # (|corr| / (1 + |z|))**2 <= corr2 / (1 + z2) <= twice that
+                mc2 = corr2 / (1 + z2)
+                if mc2 > maxcorr2:
+                    maxcorr2 = mc2
+            if maxcorr2 < eps2:
                 break
         return zs
 
 
-def _aberth_float(coeffs):
-    """The iteration of _aberth in hardware doubles; a complex list or None.
-
-    Same update rule, iteration cap and starting points as _aberth, with
-    a convergence threshold of 2**(10 - 53) on the relative correction.
-    Only the correctly rounded +, -, *, / of Python complex arithmetic
-    touch the iterates (the convergence test compares squared moduli),
-    so the result is the same on every run and in every worker process.
-    Returns None when a coefficient is too large for a double, a value
-    stops being finite, a derivative vanishes or two points collide;
-    the caller then falls back to the multiprecision iteration.
-    """
-    n = len(coeffs) - 1
-    try:
-        cs = [float(c) for c in coeffs]
-        dcs = [float(i * c) for i, c in enumerate(coeffs) if i > 0]
-    except OverflowError:
-        return None
-    with mp.workprec(_DOUBLE_BITS):
-        zs = [complex(z) for z in _initial_points(coeffs, n)]
-    eps2 = 2.0 ** (2 * (10 - _DOUBLE_BITS))
-    for _ in range(_MAX_ITER):
-        maxcorr2 = 0.0
-        for i in range(n):
-            z = zs[i]
-            fz = 0j
-            for c in reversed(cs):
-                fz = fz * z + c
-            dfz = 0j
-            for c in reversed(dcs):
-                dfz = dfz * z + c
-            if dfz == 0:
-                return None
-            w = fz / dfz
-            s = 0j
-            for j in range(n):
-                if j != i:
-                    diff = z - zs[j]
-                    if diff == 0:
-                        return None
-                    s += 1 / diff
-            denom = 1 - w * s
-            corr = w if denom == 0 else w / denom
-            zs[i] = z - corr
-            corr2 = corr.real * corr.real + corr.imag * corr.imag
-            z2 = z.real * z.real + z.imag * z.imag
-            if not (corr2 < _INF and z2 < _INF):
-                return None
-            # (|corr| / (1 + |z|))**2 <= corr2 / (1 + z2) <= twice that
-            mc2 = corr2 / (1 + z2)
-            if mc2 > maxcorr2:
-                maxcorr2 = mc2
-        if maxcorr2 < eps2:
-            break
-    return zs
-
-
-def _certify(coeffs, zs_mpc, res_bits=0):
-    """Exact certification of a floating approximation set.
+def _certify(coeffs, points, res_bits=0):
+    """Exact certification of a set of complex or mpc approximations.
 
     Returns a list of _ExactDisk, or None when the configuration is
     degenerate at this precision (coincident points, or a vanishing
@@ -237,11 +200,10 @@ def _certify(coeffs, zs_mpc, res_bits=0):
     n = len(coeffs) - 1
     lc = coeffs[-1]
     deriv = [i * c for i, c in enumerate(coeffs) if i > 0]
-    zs = [dy.from_mpf_pair(z.real, z.imag) for z in zs_mpc]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dy.is_zero(dy.sub(zs[i], zs[j])):
-                return None
+    zs = [dy.from_mpf_pair(z.real, z.imag) for z in points]
+    # exact: from_mpf_pair gives each complex value exactly one triple
+    if len(set(zs)) < n:
+        return None
     n2 = Fraction(n * n)
     lc2 = Fraction(lc * lc)
     disks = []
@@ -280,9 +242,8 @@ def _certified_disks(
     """Certified disks for all roots of f (any nonzero f, roots of 0 excluded).
 
     The caller is responsible for stripping powers of t.  Returns the
-    disks together with the precision of the approximation they were
-    certified from: 53 when the hardware-double iteration already meets
-    tol, otherwise the multiprecision working precision.
+    disks together with the ladder rung they were certified from: 53
+    for hardware doubles, otherwise the multiprecision working precision.
     """
     coeffs = f.coeffs
     if f.degree <= 0:
@@ -290,26 +251,24 @@ def _certified_disks(
     if f.constant == 0:
         raise PolynomialError("internal: zero roots must be stripped first")
     tol2 = tol * tol
-    prec = _START_BITS
+    p0 = _START_BITS
     # start near the precision the tolerance itself demands
-    while Fraction(1, 1 << prec) > tol and prec < max_bits:
-        prec *= 2
-    warm = None
-    if prec <= max_bits:
-        warm = _aberth_float(coeffs)
-        if warm is not None:
-            # a double is a dyadic rational: _certify converts it exactly
-            disks = _certify(coeffs, warm, prec)
-            if disks is not None and all(d.radius * d.radius <= tol2
-                                         for d in disks):
-                return disks, _DOUBLE_BITS
+    while Fraction(1, 1 << p0) > tol and p0 < max_bits:
+        p0 *= 2
+    ladder = [_DOUBLE_BITS] if p0 <= max_bits else []
+    prec = p0
     while prec <= max_bits:
-        zs = _aberth(coeffs, prec, warm)
-        disks = _certify(coeffs, zs, prec)
+        ladder.append(prec)
+        prec *= 2
+    zs = None
+    for prec in ladder:
+        zs = _aberth(coeffs, prec, zs)
+        if zs is None:
+            continue
+        # the points are dyadic rationals: _certify converts them exactly
+        disks = _certify(coeffs, zs, max(prec, p0))
         if disks is not None and all(d.radius * d.radius <= tol2 for d in disks):
             return disks, prec
-        warm = zs
-        prec *= 2
     raise PrecisionExhausted(
         f"root certification for degree {f.degree} at tolerance {float(tol):.3g}",
         max_bits,
@@ -372,12 +331,8 @@ def roots_certified(
     if tol <= 0:
         raise PolynomialError("tolerance must be positive")
     tol_frac = Fraction(tol)
-    out: list[RootDisk] = []
-    k = 0
-    while f.constant == 0:
-        f = IntPoly(f.coeffs[1:])
-        k += 1
-    out.extend(RootDisk(0j, 0.0) for _ in range(k))
+    k, f = _strip_t_powers(f)
+    out = [RootDisk(0j, 0.0)] * k
     if f.degree <= 0:
         return out
     if f.is_monic():
@@ -388,7 +343,12 @@ def roots_certified(
         disks, _ = _certified_disks(p, tol_frac, max_bits)
         for d in disks:
             re, im = dy.to_fractions(d.center)
-            center = complex(float(re), float(im))
+            try:
+                center = complex(float(re), float(im))
+            except OverflowError:
+                raise PrecisionExhausted(
+                    "root disk centre beyond the double range", max_bits
+                ) from None
             # the rounding distance is at most |Re error| + |Im error|
             radius = float_above(d.radius + abs(re - Fraction(center.real))
                                  + abs(im - Fraction(center.imag)))

@@ -163,6 +163,11 @@ class TestSearchCommand:
         assert code == 3
         assert json.loads(err)["error"]["type"] == "PrecisionExhausted"
 
+    def test_coefficient_beyond_the_double_range_exit_code(self, capsys):
+        code, out, err = run_cli(["measure", f"[1,{10**400},1]"], capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "PrecisionExhausted"
+
 
 class TestTableCommand:
     def test_json_table(self, capsys):

@@ -16,6 +16,7 @@ from skewrec.poly import (
     T,
     ZERO,
     IntPoly,
+    _strip_t_powers,
     cyclotomic,
     div_exact,
     divrem_exact,
@@ -66,6 +67,12 @@ class TestBasics:
     def test_getitem_beyond_degree(self):
         f = IntPoly([3, 4])
         assert f[0] == 3 and f[1] == 4 and f[7] == 0
+
+    @given(nonzero_polys, st.integers(min_value=0, max_value=5))
+    def test_strip_t_powers(self, f, k):
+        j, g = _strip_t_powers(f.shift(k))
+        assert g.constant != 0 and g.shift(j) == f.shift(k)
+        assert _strip_t_powers(ZERO) == (0, ZERO)
 
     def test_iteration_matches_coeffs(self):
         assert list(IntPoly([1, 0, -2])) == [1, 0, -2]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import brute_house, brute_mahler, brute_roots, random_monic
 from skewrec import _dyadic as dy
 from skewrec.errors import PolynomialError, PrecisionExhausted
-from skewrec.measure import _house_bounds, _mahler_bounds
+from skewrec.measure import _house_bounds, _mahler_bounds, house, mahler, measure
 from skewrec.poly import LEHMER_POLY, IntPoly, squarefree_decomposition
 from skewrec.roots import (
     DEFAULT_MAX_BITS,
@@ -142,6 +142,13 @@ class TestErrors:
     def test_constant_polynomial_has_no_roots(self):
         assert roots_certified(IntPoly([7])) == []
 
+    @pytest.mark.parametrize("quantity", [roots_certified, mahler, house, measure],
+                             ids=lambda fn: fn.__name__)
+    def test_coefficients_beyond_the_double_range(self, quantity):
+        # a root near -10**400 has no double centre and no finite enclosure
+        with pytest.raises(PrecisionExhausted):
+            quantity(IntPoly([1, 10**400, 1]))
+
 
 class TestSerialization:
     def test_disk_json(self):
@@ -198,10 +205,10 @@ class TestDoubleFastPath:
     def test_fallback_is_warm_started(self, monkeypatch):
         module = importlib.import_module("skewrec.roots")
         original = module._aberth
-        warms = []
+        calls = []
 
         def recording(coeffs, prec, warm):
-            warms.append(warm)
+            calls.append((prec, warm))
             return original(coeffs, prec, warm)
 
         monkeypatch.setattr(module, "_aberth", recording)
@@ -210,7 +217,34 @@ class TestDoubleFastPath:
                                        DEFAULT_MAX_BITS)
         assert len(disks) == 2 and all(d.radius <= tol for d in disks)
         assert bits > 53
+        assert calls[0] == (53, None)
+        warms = [warm for prec, warm in calls if prec > 53]
         assert warms and warms[0] is not None
+
+    def test_double_rung_recovers_from_coincident_points(self):
+        # every pair collides at the start; the nudges must separate them
+        zs = _aberth(LEHMER_POLY.coeffs, 53, [1.5 + 0.5j] * 10)
+        assert zs is not None and all(type(z) is complex for z in zs)
+        disks = _certify(LEHMER_POLY.coeffs, zs, _START_BITS)
+        assert disks is not None
+        assert all(d.radius <= Fraction(1e-10) for d in disks)
+
+    def test_oversized_coefficients_skip_the_double_rung(self):
+        coeffs = (1, 10**400, 1)
+        assert _aberth(coeffs, 53, None) is None
+        disks, bits = _certified_disks(IntPoly(coeffs), Fraction(1e-10),
+                                       DEFAULT_MAX_BITS)
+        assert len(disks) == 2 and bits > 53
+
+
+class TestCertifyCoincidentPoints:
+    def test_equal_values_of_either_type_are_rejected(self):
+        coeffs = (1, -3, 1)
+        z = _aberth(coeffs, 53, None)[0]
+        assert _certify(coeffs, [z, mp.mpc(z)]) is None
+        assert _certify(coeffs, [mp.mpc(z), z]) is None
+        apart = complex(math.nextafter(z.real, math.inf), z.imag)
+        assert _certify(coeffs, [z, mp.mpc(apart)]) is not None
 
 
 def _direct_initial_points(coeffs, n):
