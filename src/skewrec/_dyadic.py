@@ -3,10 +3,10 @@
 A point is (a, b, e) meaning (a + b*i) * 2**e with unbounded integers
 a, b and integer exponent e.  Hardware doubles and multiprecision floats
 are dyadic rationals, so the approximate roots coming out of either
-floating iteration are exact rational points; evaluating an integer
-polynomial at them and comparing the resulting radii against a
-tolerance are therefore exact operations, with no rounding anywhere in
-the certificate.
+floating iteration are exact rational points, and evaluating an integer
+polynomial at them is exact integer arithmetic.  The only rounding in
+the certificate is the final square root, which sqrt_bounds rounds
+down and up onto an integer grid.
 """
 
 from __future__ import annotations
@@ -108,30 +108,23 @@ def to_fractions(x: Dyadic) -> tuple[Fraction, Fraction]:
     return Fraction(a, den), Fraction(b, den)
 
 
-def abs2(x: Dyadic) -> Fraction:
-    """|x|**2 as an exact rational."""
-    a, b, e = x
-    m = a * a + b * b
-    if e >= 0:
-        return Fraction(m << (2 * e))
-    return Fraction(m, 1 << (-2 * e))
+def le_scaled(x: int, ex: int, y: int, ey: int) -> bool:
+    """x * 2**ex <= y * 2**ey, by one shift of the side with the larger exponent."""
+    if ex >= ey:
+        return x << (ex - ey) <= y
+    return x <= y << (ey - ex)
 
 
-def sqrt_bounds(q: Fraction, min_den_bits: int = 0) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(q) <= hi for q >= 0, via integer square roots.
+def sqrt_bounds(num: int, den: int = 1) -> tuple[int, int]:
+    """floor(sqrt(num / den)) and ceil(sqrt(num / den)) for num >= 0, den > 0.
 
-    The bracket width is at most 1/denominator(q); pass min_den_bits to
-    force width <= 2**-min_den_bits regardless of how coarse q is (an
-    exact small-denominator q would otherwise pin the width, e.g.
-    sqrt_bounds(2) is [1, 2] but sqrt_bounds(2, 8) is 2**-8 wide).
+    One exact division and one integer square root: sqrt(num / den) lies
+    strictly between isqrt(q) and isqrt(q) + 1 unless the quotient q is
+    exact and a perfect square.  A caller that scales num by 2**(2R)
+    gets the square root rounded down and up onto the grid 2**-R.
     """
-    if q < 0:
+    if num < 0 or den <= 0:
         raise ValueError("sqrt of a negative rational")
-    num, den = q.numerator, q.denominator
-    k = max(0, min_den_bits - den.bit_length() + 1)
-    scaled = (num * den) << (2 * k)
-    s = isqrt(scaled)
-    out_den = den << k
-    lo = Fraction(s, out_den)
-    hi = lo if s * s == scaled else Fraction(s + 1, out_den)
-    return lo, hi
+    q, r = divmod(num, den)
+    lo = isqrt(q)
+    return lo, lo if r == 0 and lo * lo == q else lo + 1

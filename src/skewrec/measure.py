@@ -253,8 +253,9 @@ def mahler(
     M(f) is the product of max(1, |alpha|) over all roots.  Kronecker
     inputs return the exact point [1, 1].  Otherwise the cyclotomic part
     is stripped (factor exactly 1) and the remaining roots are enclosed by
-    certified disks (see _mahler_bounds).  All interval arithmetic is
-    exact rational until the final outward float conversion.
+    certified disks (see _mahler_bounds).  The disks' bounds are dyadic
+    rationals, already rounded outward by the certificate; products of
+    them are exact until the final outward float conversion.
     """
     if not f.is_monic():
         raise PolynomialError("mahler requires monic input")
@@ -390,6 +391,8 @@ def measure(
     which case the count is a certified lower bound and the certified
     flag is False.
     """
+    if f.degree < 1:
+        raise PolynomialError("measure requires degree >= 1")
     if not f.is_monic():
         raise PolynomialError("measure requires monic input")
     if is_kronecker(f):

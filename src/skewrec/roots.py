@@ -14,15 +14,20 @@ double, ends the rung with nothing, and the next rung cold-starts.
 Only the correctly rounded +, -, *, / touch the double iterates, so
 they are the same on every run and in every worker process.
 
-Certification on top of it is exact: the approximations are dyadic
-rationals (doubles included), so the Weierstrass corrections
+Certification on top of it uses no floating point: the approximations
+are dyadic rationals (doubles included), so the Weierstrass corrections
 
     W_i = f(z_i) / (lc * prod_{j != i} (z_i - z_j))
 
 and the Newton quotients f(z_i)/f'(z_i) are evaluated in exact integer
-arithmetic and compared against the tolerance as rationals.  Two classical
-facts turn them into a certificate, for pairwise distinct z_1..z_n and
-radii r_i = n * max(|W_i|, |f(z_i)/f'(z_i)|):
+arithmetic.  Each radius and each modulus bracket is then rounded
+outward onto the dyadic grid 2**-R, where R is _GUARD_BITS (64) finer
+than the finest of the points and of 2**-res_bits, the working
+precision (see _certify).  Carrying the exact quotients instead would
+give radii with thousands of denominator bits, and products of them
+in the Mahler bounds with tens of thousands.  Two classical facts turn
+the quotients into a certificate, for pairwise distinct z_1..z_n and
+radii r_i >= n * max(|W_i|, |f(z_i)/f'(z_i)|):
 
   * every root of f lies in the union of the closed disks D(z_i, r_i),
     and a connected component made of k disks contains exactly k roots
@@ -31,10 +36,11 @@ radii r_i = n * max(|W_i|, |f(z_i)/f'(z_i)|):
   * each single disk contains at least one root, because the distance
     from any point z to the nearest root is at most n*|f(z)/f'(z)|.
 
-Soundness therefore never depends on which rung produced the points.
-A rung whose radii do not certify passes its points to the next one;
-running past the cap raises PrecisionExhausted rather than returning
-anything unsound.
+Both facts hold for every choice of radii at or above these, which is
+why rounding them up is sound.  Soundness never depends on which rung
+produced the points.  A rung whose radii do not certify passes its
+points to the next one; running past the cap raises PrecisionExhausted
+rather than returning anything unsound.
 """
 
 from __future__ import annotations
@@ -56,6 +62,8 @@ DEFAULT_MAX_BITS = 4096
 _START_BITS = 64
 _MAX_ITER = 220
 _DOUBLE_BITS = 53
+# the certificate's grid is this many bits finer than its points
+_GUARD_BITS = 64
 _INF = float("inf")
 
 
@@ -76,18 +84,20 @@ class RootDisk:
 
 @dataclasses.dataclass(frozen=True)
 class _ExactDisk:
-    """Internal certified disk with exact center and bounds."""
+    """Internal certified disk: exact center, radius and bounds on a dyadic grid."""
 
     center: dy.Dyadic
     radius: Fraction
-    # rational bounds on the modulus of anything inside the disk
+    # bounds on the modulus of anything inside the disk
     mod_lo: Fraction
     mod_hi: Fraction
 
     def overlaps(self, other: "_ExactDisk") -> bool:
-        gap2 = dy.abs2(dy.sub(self.center, other.center))
+        a, b, e = dy.sub(self.center, other.center)
         reach = self.radius + other.radius
-        return gap2 <= reach * reach
+        # |gap|**2 <= reach**2, both sides times the denominator squared
+        return dy.le_scaled((a * a + b * b) * reach.denominator**2, 2 * e,
+                            reach.numerator**2, 0)
 
 
 @functools.lru_cache(maxsize=256)
@@ -187,50 +197,78 @@ def _aberth(coeffs, prec: int, warm):
 
 
 def _certify(coeffs, points, res_bits=0):
-    """Exact certification of a set of complex or mpc approximations.
+    """Certified disks for a set of complex or mpc approximations.
 
     Returns a list of _ExactDisk, or None when the configuration is
     degenerate at this precision (coincident points, or a vanishing
     derivative at a non-root), in which case the caller escalates.
-    res_bits forces the rational modulus brackets down to 2**-res_bits,
-    which matters when an approximation lands exactly on a root with a
-    small dyadic denominator (the brackets would otherwise stay coarse
-    no matter how far the caller escalates precision).
+
+    Radii and modulus brackets are multiples of 2**-R with
+    R = max(res_bits, -min_i e_i) + _GUARD_BITS, where e_i is the dyadic
+    exponent of point i.  The grid is thus never coarser than the points
+    themselves, so a root as small as 2**-600 keeps an exact bracket,
+    and never coarser than 2**-res_bits, so the brackets tighten as the
+    caller escalates precision even when a point lands exactly on a root
+    with a small dyadic denominator.  f(z_i), f'(z_i) and the Weierstrass
+    denominator lc * prod_{j != i} (z_i - z_j) are exact dyadics; the
+    larger of |W_i| and |f(z_i)/f'(z_i)| is the one with the smaller
+    denominator, chosen by integer cross-multiplication, and the radius
+    is the smallest grid multiple at or above n times it (one exact
+    ceiling division and one isqrt).  |z_i| is rounded down and up onto
+    the grid, and the bracket of the disk is that interval widened by
+    the radius, clamped below at 0.
+
+    Rounding outward is sound because every statement of the certificate
+    survives larger radii and wider brackets:
+
+      * the union of the larger disks still covers every root;
+      * each component of the exact disks is connected, so it lies in
+        one component of the larger disks, which is therefore a union
+        of exact components and holds exactly as many roots as disks;
+      * each larger disk contains its exact disk, hence a root;
+      * an interval containing a sound modulus bracket is sound.
     """
     n = len(coeffs) - 1
-    lc = coeffs[-1]
+    lc2 = coeffs[-1] ** 2
+    n2 = n * n
     deriv = [i * c for i, c in enumerate(coeffs) if i > 0]
     zs = [dy.from_mpf_pair(z.real, z.imag) for z in points]
     # exact: from_mpf_pair gives each complex value exactly one triple
     if len(set(zs)) < n:
         return None
-    n2 = Fraction(n * n)
-    lc2 = Fraction(lc * lc)
+    grid = max(res_bits, -min(e for _, _, e in zs)) + _GUARD_BITS
+    unit = 1 << grid
     disks = []
     for i, z in enumerate(zs):
-        f_at = dy.eval_int_poly(coeffs, z)
-        f2 = dy.abs2(f_at)
+        fa, fb, fe = dy.eval_int_poly(coeffs, z)
+        f2 = fa * fa + fb * fb
         if f2 == 0:
-            radius = Fraction(0)
+            r = 0
         else:
+            da, db, de = dy.eval_int_poly(deriv, z)
+            d2 = da * da + db * db
+            if d2 == 0:
+                return None
             prod = (1, 0, 0)
             for j, other in enumerate(zs):
                 if j != i:
                     prod = dy.mul(prod, dy.sub(z, other))
-            weier2 = n2 * f2 / (lc2 * dy.abs2(prod))
-            df_at = dy.eval_int_poly(deriv, z)
-            df2 = dy.abs2(df_at)
-            if df2 == 0:
-                return None
-            newton2 = n2 * f2 / df2
-            _, radius = dy.sqrt_bounds(max(weier2, newton2), res_bits)
-        m_lo, m_hi = dy.sqrt_bounds(dy.abs2(z), res_bits)
+            pa, pb, pe = prod
+            # |lc * prod|**2 = w2 * 4**pe and |f'(z)|**2 = d2 * 4**de
+            w2 = lc2 * (pa * pa + pb * pb)
+            q2, qe = (w2, pe) if dy.le_scaled(w2, 2 * pe, d2, 2 * de) else (d2, de)
+            # (r_i * 2**grid)**2 = n2 * f2 * 4**(fe + grid - qe) / q2
+            k = 2 * (fe + grid - qe)
+            num, den = (n2 * f2 << k, q2) if k >= 0 else (n2 * f2, q2 << -k)
+            _, r = dy.sqrt_bounds(num, den)
+        a, b, e = z
+        m_lo, m_hi = dy.sqrt_bounds((a * a + b * b) << 2 * (e + grid))
         disks.append(
             _ExactDisk(
                 center=z,
-                radius=radius,
-                mod_lo=max(Fraction(0), m_lo - radius),
-                mod_hi=m_hi + radius,
+                radius=Fraction(r, unit),
+                mod_lo=Fraction(max(0, m_lo - r), unit),
+                mod_hi=Fraction(m_hi + r, unit),
             )
         )
     return disks

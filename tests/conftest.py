@@ -7,18 +7,22 @@ iterate (sharing only the exact graeffe transform with the package,
 which tests/test_measure.py checks against the product f(t)*f(-t)),
 cyclotomic stripping from a gcd scan with t**N - 1, characteristic
 polynomials from naive cofactor expansion, and number theory from sympy.  Tests compare certified results against these
-independent implementations.
+independent implementations.  The root certificate is checked against
+certify_reference, the earlier certificate that carried every radius
+and bracket as an exact rational.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from skewrec import _dyadic as dy
 from skewrec.errors import PolynomialError
 from skewrec.measure import graeffe
 from skewrec.poly import (
@@ -30,6 +34,7 @@ from skewrec.poly import (
     euler_phi,
     gcd_primitive,
 )
+from skewrec.roots import _ExactDisk
 
 settings.register_profile(
     "ci",
@@ -128,6 +133,106 @@ def kronecker_free_part_gcd_reference(f: IntPoly) -> tuple[IntPoly, int, int]:
             u = div_exact(u, g)
             stripped += g.degree
     return u, stripped, k
+
+
+def _abs2(x) -> Fraction:
+    """|x|**2 as an exact rational."""
+    a, b, e = x
+    m = a * a + b * b
+    if e >= 0:
+        return Fraction(m << (2 * e))
+    return Fraction(m, 1 << (-2 * e))
+
+
+def _sqrt_bounds(q: Fraction, min_den_bits: int = 0) -> tuple[Fraction, Fraction]:
+    """Rational lo <= sqrt(q) <= hi for q >= 0, via integer square roots.
+
+    The bracket width is at most 1/denominator(q); pass min_den_bits to
+    force width <= 2**-min_den_bits regardless of how coarse q is (an
+    exact small-denominator q would otherwise pin the width, e.g.
+    sqrt_bounds(2) is [1, 2] but sqrt_bounds(2, 8) is 2**-8 wide).
+    """
+    if q < 0:
+        raise ValueError("sqrt of a negative rational")
+    num, den = q.numerator, q.denominator
+    k = max(0, min_den_bits - den.bit_length() + 1)
+    scaled = (num * den) << (2 * k)
+    s = math.isqrt(scaled)
+    out_den = den << k
+    lo = Fraction(s, out_den)
+    hi = lo if s * s == scaled else Fraction(s + 1, out_den)
+    return lo, hi
+
+
+def certify_reference(coeffs, points, res_bits=0):
+    """Exact certification of a set of complex or mpc approximations.
+
+    Returns a list of _ExactDisk, or None when the configuration is
+    degenerate at this precision (coincident points, or a vanishing
+    derivative at a non-root), in which case the caller escalates.
+    res_bits forces the rational modulus brackets down to 2**-res_bits,
+    which matters when an approximation lands exactly on a root with a
+    small dyadic denominator (the brackets would otherwise stay coarse
+    no matter how far the caller escalates precision).
+    """
+    n = len(coeffs) - 1
+    lc = coeffs[-1]
+    deriv = [i * c for i, c in enumerate(coeffs) if i > 0]
+    zs = [dy.from_mpf_pair(z.real, z.imag) for z in points]
+    # exact: from_mpf_pair gives each complex value exactly one triple
+    if len(set(zs)) < n:
+        return None
+    n2 = Fraction(n * n)
+    lc2 = Fraction(lc * lc)
+    disks = []
+    for i, z in enumerate(zs):
+        f_at = dy.eval_int_poly(coeffs, z)
+        f2 = _abs2(f_at)
+        if f2 == 0:
+            radius = Fraction(0)
+        else:
+            prod = (1, 0, 0)
+            for j, other in enumerate(zs):
+                if j != i:
+                    prod = dy.mul(prod, dy.sub(z, other))
+            weier2 = n2 * f2 / (lc2 * _abs2(prod))
+            df_at = dy.eval_int_poly(deriv, z)
+            df2 = _abs2(df_at)
+            if df2 == 0:
+                return None
+            newton2 = n2 * f2 / df2
+            _, radius = _sqrt_bounds(max(weier2, newton2), res_bits)
+        m_lo, m_hi = _sqrt_bounds(_abs2(z), res_bits)
+        disks.append(
+            _ExactDisk(
+                center=z,
+                radius=radius,
+                mod_lo=max(Fraction(0), m_lo - radius),
+                mod_hi=m_hi + radius,
+            )
+        )
+    return disks
+
+
+def exact_radius2(coeffs, zs, i: int) -> Fraction:
+    """n**2 * max(|W_i|**2, |f(z_i)/f'(z_i)|**2) as an exact rational.
+
+    zs are the dyadic points of a set certify_reference accepted, and
+    W_i = f(z_i) / (lc * prod_{j != i} (z_i - z_j)); this is the squared
+    radius that certify_reference rounds up.  A root gets 0.
+    """
+    z = zs[i]
+    f2 = _abs2(dy.eval_int_poly(coeffs, z))
+    if f2 == 0:
+        return Fraction(0)
+    prod = (1, 0, 0)
+    for j, other in enumerate(zs):
+        if j != i:
+            prod = dy.mul(prod, dy.sub(z, other))
+    deriv = [k * c for k, c in enumerate(coeffs) if k > 0]
+    denom2 = min(coeffs[-1] ** 2 * _abs2(prod),
+                 _abs2(dy.eval_int_poly(deriv, z)))
+    return (len(coeffs) - 1) ** 2 * f2 / denom2
 
 
 def charpoly_cofactor(m) -> IntPoly:

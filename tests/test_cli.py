@@ -47,6 +47,14 @@ class TestMeasureCommand:
         _, out2, _ = run_cli(["measure", "[1,-3,1]"], capsys)
         assert out1 == out2
 
+    @pytest.mark.parametrize("poly", ["1", "[1,0,0,0]", "-7"])
+    def test_constant_rejected_by_measure(self, capsys, poly):
+        code, out, err = run_cli(["measure", poly], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {"type": "PolynomialError",
+                         "message": "measure requires degree >= 1"}
+
 
 class TestClassifyAndDecompose:
     def test_classify(self, capsys):

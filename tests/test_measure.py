@@ -397,6 +397,18 @@ class TestMeasureDriver:
         assert r.root_count_outside_unit_circle == 2
         assert r.mahler.contains(6.0)
 
+    @pytest.mark.parametrize("f", [IntPoly([1]), IntPoly([0]), IntPoly([3])],
+                             ids=str)
+    def test_degree_below_one_rejected_first(self, f, monkeypatch):
+        def fail(*args):
+            raise AssertionError("measure ran work on a constant")
+
+        module = importlib.import_module("skewrec.measure")
+        monkeypatch.setattr(module, "is_kronecker", fail)
+        monkeypatch.setattr(module, "house", fail)
+        with pytest.raises(PolynomialError, match="measure requires degree >= 1"):
+            measure(f)
+
     def test_kronecker_summary(self):
         r = measure(cyclotomic(8))
         assert r.is_kronecker

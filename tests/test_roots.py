@@ -7,10 +7,17 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_house, brute_mahler, brute_roots, random_monic
+from conftest import (
+    brute_house,
+    brute_mahler,
+    brute_roots,
+    certify_reference,
+    exact_radius2,
+    random_monic,
+)
 from skewrec import _dyadic as dy
 from skewrec.errors import PolynomialError, PrecisionExhausted
 from skewrec.measure import _house_bounds, _mahler_bounds, house, mahler, measure
@@ -21,6 +28,7 @@ from skewrec.roots import (
     _certified_disks,
     _certify,
     _ExactDisk,
+    _GUARD_BITS,
     _initial_points,
     _START_BITS,
     components,
@@ -245,6 +253,84 @@ class TestCertifyCoincidentPoints:
         assert _certify(coeffs, [mp.mpc(z), z]) is None
         apart = complex(math.nextafter(z.real, math.inf), z.imag)
         assert _certify(coeffs, [z, mp.mpc(apart)]) is not None
+
+
+@st.composite
+def certify_cases(draw):
+    """(coeffs, prec, res_bits): an integer polynomial of degree 1-20 with
+    a nonzero constant term, monic or not, a ladder rung and a grid floor."""
+    degree = draw(st.integers(1, 20))
+    height = draw(st.sampled_from([1, 4, 1000]))
+    lower = draw(st.lists(st.integers(-height, height), min_size=degree,
+                          max_size=degree).filter(lambda cs: cs[0] != 0))
+    lc = draw(st.one_of(st.just(1), st.integers(-7, 7).filter(bool)))
+    return (tuple(lower) + (lc,), draw(st.sampled_from([53, 64])),
+            draw(st.sampled_from([0, 64])))
+
+
+def _modulus2(z):
+    a, b, e = z
+    return Fraction(a * a + b * b) * Fraction(2) ** (2 * e)
+
+
+class TestDyadicCertificate:
+    """The grid certificate against the exact-rational reference.
+
+    Every grid value must contain the exact certificate: radii at or
+    above the exact n * max(|W|, |f/f'|) and at most one grid step above
+    the reference's, and modulus brackets around |z| widened by at least
+    the radius.
+    """
+
+    def check(self, coeffs, points, res_bits):
+        got = _certify(coeffs, points, res_bits)
+        want = certify_reference(coeffs, points, res_bits)
+        assert (got is None) == (want is None)
+        if got is None:
+            return
+        zs = [d.center for d in want]
+        assert [d.center for d in got] == zs
+        grid = max(res_bits, -min(e for _, _, e in zs)) + _GUARD_BITS
+        step = Fraction(1, 1 << grid)
+        for i, (d, ref) in enumerate(zip(got, want)):
+            assert d.radius ** 2 >= exact_radius2(coeffs, zs, i)
+            assert d.radius <= ref.radius + step
+            mod2 = _modulus2(d.center)
+            assert d.mod_lo >= 0
+            assert d.mod_lo == 0 or (d.mod_lo + d.radius) ** 2 <= mod2
+            assert mod2 <= (d.mod_hi - d.radius) ** 2
+
+    @settings(max_examples=80)
+    @given(certify_cases())
+    def test_contains_the_reference_certificate(self, case):
+        coeffs, prec, res_bits = case
+        points = _aberth(coeffs, prec, None)
+        assume(points is not None)
+        self.check(coeffs, points, res_bits)
+
+    @pytest.mark.parametrize("coeffs, points", [
+        ((-1, 0, 1), [0j, 3 + 0j]),  # f'(0) = 0 at a non-root
+        ((-1, 0, 1), [1 + 0j, -1 + 0j]),  # both points are roots
+        ((2, -3, 1), [1.5 + 0j, mp.mpc(1.5)]),  # coincident points
+        ((-1, 2**600), [2.0**-600]),  # an exact root far below 1
+    ])
+    @pytest.mark.parametrize("res_bits", [0, 64])
+    def test_degenerate_and_exact_points(self, coeffs, points, res_bits):
+        self.check(coeffs, points, res_bits)
+
+
+class TestRelativeGrid:
+    """The grid follows the points: a tiny exact root keeps an exact bracket."""
+
+    F = IntPoly([-1, 2**600])
+
+    def test_house_stays_an_exact_point(self):
+        enc = house(self.F)
+        assert (enc.lo, enc.hi, enc.bits) == (2.0**-600, 2.0**-600, 53)
+
+    def test_roots_certify_at_a_tiny_tolerance(self):
+        (disk,) = roots_certified(self.F, tol=1e-200)
+        assert disk.center == 2.0**-600 and disk.radius <= 1e-200
 
 
 def _direct_initial_points(coeffs, n):
