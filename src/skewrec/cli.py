@@ -20,6 +20,7 @@ Errors print a JSON {"error": {"type", "message"}} document to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -87,7 +88,14 @@ def _check_run_options(args: argparse.Namespace) -> None:
         raise ParseError(f"--jobs must be >= 1, got {jobs}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it.
+
+    parse_args leaves the parser unchanged, so in-process callers of
+    main() pay for building it once, and importing the module builds
+    nothing.
+    """
     parser = argparse.ArgumentParser(
         prog="skewrec",
         description="Certified Mahler measure, house, and structure tools "
@@ -262,8 +270,7 @@ def _run(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         payload = _run(args)
     except (ParseError, PolynomialError, ValueError) as exc:

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from fractions import Fraction
+from typing import Optional
 
 from .enclosure import Enclosure
 from .errors import PolynomialError, PrecisionExhausted
@@ -50,6 +52,13 @@ __all__ = [
     "MeasureResult",
     "measure",
 ]
+
+
+# Iterates kept by _graeffe_iterate.  A search member's chain is at most
+# six steps (its Kronecker walk on the spaces up to degree 16, and the
+# bounds' steps=6), so this holds dozens of whole chains, and memory stays
+# bounded for any input.
+_CHAIN_CACHE_SIZE = 256
 
 
 def _square(a: tuple[int, ...]) -> list[int]:
@@ -93,6 +102,22 @@ def graeffe(f: IntPoly) -> IntPoly:
     return g
 
 
+@functools.lru_cache(maxsize=_CHAIN_CACHE_SIZE)
+def _graeffe_iterate(f: IntPoly, steps: int) -> IntPoly:
+    """The steps-th Graeffe iterate of f, whose roots are alpha**(2**steps).
+
+    Memoized per (f, steps) in a bounded LRU cache, so one polynomial's
+    chain is computed once however many callers walk it: is_kronecker
+    walks it step by step, and the Graeffe lower bounds taken next on
+    the same member read the iterates it already made.  A missing step
+    is one call of the module's graeffe (with its degree and leading
+    coefficient check) on the cached step before it.
+    """
+    if steps == 0:
+        return f
+    return graeffe(_graeffe_iterate(f, steps - 1))
+
+
 def is_kronecker(f: IntPoly) -> bool:
     """Exact decision: are all roots of f in {0} union the unit circle?
 
@@ -105,21 +130,27 @@ def is_kronecker(f: IntPoly) -> bool:
     lies off the circle, the measure of the iterates grows like M**(2**k),
     which forces a coefficient past the bound (answer: no).  Either way
     the loop terminates, with no floating arithmetic anywhere.
+
+    The iterates are read from the shared chain cache _graeffe_iterate,
+    so a Graeffe lower bound taken next on the same f (with no t-power
+    factor, as for every search member) continues this chain instead of
+    starting it again.
     """
     if f.is_zero():
         raise PolynomialError("is_kronecker of the zero polynomial")
     if not f.is_monic():
         raise PolynomialError("is_kronecker requires monic input")
-    _, g = _strip_t_powers(f)
-    if g.degree == 0:
+    _, g0 = _strip_t_powers(f)
+    if g0.degree == 0:
         return True
-    d = g.degree
+    d = g0.degree
     bound = math.comb(d, d // 2)
+    g = g0
     seen = {g.coeffs}
-    while True:
+    for k in itertools.count(1):
         if any(abs(c) > bound for c in g.coeffs):
             return False
-        g = graeffe(g)
+        g = _graeffe_iterate(g0, k)
         if g.coeffs in seen:
             return True
         seen.add(g.coeffs)
@@ -296,14 +327,6 @@ def house(
     return enc
 
 
-def _graeffe_iterate(f: IntPoly, steps: int) -> IntPoly:
-    """The steps-th Graeffe iterate of f, whose roots are alpha**(2**steps)."""
-    g = f
-    for _ in range(steps):
-        g = graeffe(g)
-    return g
-
-
 def _log2_below(n: int) -> float:
     """log2 of a positive integer, safe for huge n (mantissa truncated down)."""
     bl = n.bit_length()
@@ -311,21 +334,43 @@ def _log2_below(n: int) -> float:
     return math.log2(mant) + max(0, bl - 53)
 
 
-def mahler_lower_bound(f: IntPoly, steps: int = 6) -> float:
+def _log2_norm_bound(f: IntPoly, k: int) -> float:
+    """(log2 ||g_k||_2 - deg f) / 2**k for the k-th Graeffe iterate g_k of f."""
+    # log2 ||g_k||_2 = log2(s)/2, computed safely for huge integers
+    log2_s = _log2_below(sum(c * c for c in _graeffe_iterate(f, k).coeffs))
+    return (log2_s / 2 - f.degree) / (1 << k)
+
+
+def mahler_lower_bound(
+    f: IntPoly, steps: int = 6, *, above: Optional[float] = None
+) -> float:
     """A cheap certified lower bound for M(f), used to prune searches.
 
     After k Graeffe steps, M(f)**(2**k) = M(f_k) >= ||f_k||_2 / 2**d
     (coefficient j of f_k is at most C(d, j) * M(f_k) in absolute value),
     so the 2**k-th root of that quotient bounds M(f) from below.  The
     float evaluation rounds downward by a generous margin.
+
+    With a positive above given, the bound may stop at an earlier step
+    k (2 <= k < steps) and return that step's bound, but only once it
+    proves that the full bound exceeds above.  Write b_k for log2 of the step-k
+    bound.  Landau's inequality ||f_s||_2 >= M(f_s) = M(f)**(2**s) (f
+    monic, s = steps) gives b_s >= log2 M(f) - d / 2**s >= b_k - d / 2**s,
+    so b_k - d / 2**s > log2(above) + 1e-6 forces b_s > log2(above) with
+    room to spare: the 1e-6 margin covers the downward 1e-9 and every
+    float rounding in computing b_k and b_s.  So the result exceeds
+    above exactly when the full bound does, and whenever it does not,
+    the result is the full bound itself.
     """
     if not f.is_monic():
         raise PolynomialError("mahler_lower_bound requires monic input")
-    g = _graeffe_iterate(f, steps)
-    # log2 ||f_k||_2 = log2(s)/2, computed safely for huge integers
-    log2_s = _log2_below(sum(c * c for c in g.coeffs))
-    log2_bound = (log2_s / 2 - f.degree) / (1 << steps)
-    return max(1.0, 2.0 ** (log2_bound - 1e-9))
+    if above is not None:
+        stop = math.log2(above) + f.degree / (1 << steps) + 1e-6
+        for k in range(2, steps):
+            log2_bound = _log2_norm_bound(f, k)
+            if log2_bound > stop:
+                return max(1.0, 2.0 ** (log2_bound - 1e-9))
+    return max(1.0, 2.0 ** (_log2_norm_bound(f, steps) - 1e-9))
 
 
 def house_lower_bound(f: IntPoly, steps: int = 6) -> float:

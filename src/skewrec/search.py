@@ -20,16 +20,26 @@ any worker count:
     exceed the smallest certified upper bound, then refines this set at
     progressively finer tolerances until a single witness remains or the
     escalation budget is spent; unresolved ties are reported in full.
+    Each round maps its candidates over the phase-1 worker pool, which
+    stays open for it, and reads the enclosures back in candidate order
+    (a candidate past the precision cap keeps its previous enclosure and
+    marks the report exhausted), so the round's outcome does not depend
+    on the worker count.  With one worker everything runs in-process.
 
 Both quantities have a cheap certified lower bound read from exact
 Graeffe iterates (mahler_lower_bound, house_lower_bound).  It participates
 in candidate elimination unconditionally; the prune flag only controls
 whether members disqualified by that bound alone skip the expensive
-enclosure computation.  Pruned or not, reports are identical.
+enclosure computation.  Pruned or not, reports are identical.  The
+Kronecker test and the bound walk one cached Graeffe chain per member,
+and a pruning Mahler scan lets the bound stop at an earlier step once
+it provably exceeds the chunk's best upper bound (the member is pruned
+either way, and the bound of every member kept is the full one).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 from concurrent.futures import ProcessPoolExecutor
@@ -169,7 +179,9 @@ def _scan_chunk(args) -> tuple[int, int, list]:
             kron += 1
             continue
         if quantity == "mahler":
-            gb, measure_fn = mahler_lower_bound(f), mahler
+            # the early stop changes gb only for members it prunes
+            above = best_hi if prune else None
+            gb, measure_fn = mahler_lower_bound(f, above=above), mahler
         else:
             gb, measure_fn = house_lower_bound(f), house
         if prune and best_hi is not None and gb > best_hi:
@@ -182,6 +194,16 @@ def _scan_chunk(args) -> tuple[int, int, list]:
         if _lower(candidate) <= best_hi:
             survivors.append(candidate)
     return scanned, kron, [c for c in survivors if _lower(c) <= best_hi]
+
+
+def _enclose(args) -> Optional[Enclosure]:
+    """Phase 2 for one candidate: its enclosure, or None past max_bits."""
+    quantity, f, tol, max_bits = args
+    measure_fn = mahler if quantity == "mahler" else house
+    try:
+        return measure_fn(f, tol, max_bits)
+    except PrecisionExhausted:
+        return None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -236,42 +258,42 @@ def _min_search(
         for first in range(-space.height, space.height + 1)
     ]
     workers = min(jobs, len(chunk_args))
-    if workers <= 1:
-        chunk_results = [_scan_chunk(a) for a in chunk_args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(pool.map(_scan_chunk, chunk_args))
+    pool = (ProcessPoolExecutor(max_workers=workers) if workers > 1
+            else contextlib.nullcontext())
+    with pool:
+        pool_map = pool.map if workers > 1 else map
+        chunk_results = list(pool_map(_scan_chunk, chunk_args))
 
-    enumerated = sum(scanned for scanned, _, _ in chunk_results)
-    assert enumerated == space.size
-    kron = sum(k for _, k, _ in chunk_results)
-    candidates = [c for _, _, survivors in chunk_results for c in survivors]
-    if not candidates:
-        return SearchReport(space, quantity, tol, enumerated, kron, None,
-                            (), (), 0, False)
+        enumerated = sum(scanned for scanned, _, _ in chunk_results)
+        assert enumerated == space.size
+        kron = sum(k for _, k, _ in chunk_results)
+        candidates = [c for _, _, survivors in chunk_results for c in survivors]
+        if not candidates:
+            return SearchReport(space, quantity, tol, enumerated, kron, None,
+                                (), (), 0, False)
 
-    measure_fn = mahler if quantity == "mahler" else house
-    min_hi = min(enc.hi for _, enc, _ in candidates)
-    active = [c for c in candidates if _lower(c) <= min_hi]
+        min_hi = min(enc.hi for _, enc, _ in candidates)
+        active = [c for c in candidates if _lower(c) <= min_hi]
 
-    escalations = 0
-    exhausted = False
-    cur_tol = tol
-    while True:
-        refined = []
-        for free, enc, gb in active:
-            f = space.member(free)
-            try:
-                enc = measure_fn(f, cur_tol, max_bits)
-            except PrecisionExhausted:
-                exhausted = True
-            refined.append((free, enc, gb))
-        min_hi = min(enc.hi for _, enc, _ in refined)
-        active = [e for e in refined if _lower(e) <= min_hi]
-        if len(active) <= 1 or escalations >= _ESCALATION_ROUNDS or exhausted:
-            break
-        escalations += 1
-        cur_tol /= 16
+        escalations = 0
+        exhausted = False
+        cur_tol = tol
+        while True:
+            args = [(quantity, space.member(free), cur_tol, max_bits)
+                    for free, _, _ in active]
+            refined = []
+            for (free, enc, gb), new in zip(active, pool_map(_enclose, args)):
+                if new is None:
+                    exhausted = True
+                else:
+                    enc = new
+                refined.append((free, enc, gb))
+            min_hi = min(enc.hi for _, enc, _ in refined)
+            active = [e for e in refined if _lower(e) <= min_hi]
+            if len(active) <= 1 or escalations >= _ESCALATION_ROUNDS or exhausted:
+                break
+            escalations += 1
+            cur_tol /= 16
     minimum = Enclosure(
         min(enc.lo for _, enc, _ in active),
         min_hi,

@@ -99,6 +99,14 @@ def mahler_graeffe_oracle(f: IntPoly, iterations: int = 8) -> float:
     return math.exp(max(0.0, mean_log) / (1 << iterations))
 
 
+def graeffe_iterate_reference(f: IntPoly, steps: int) -> IntPoly:
+    """The steps-th Graeffe iterate by a plain loop, with nothing memoized."""
+    g = f
+    for _ in range(steps):
+        g = graeffe(g)
+    return g
+
+
 def kronecker_free_part_gcd_reference(f: IntPoly) -> tuple[IntPoly, int, int]:
     """Reference for skewrec.measure.kronecker_free_part: (u, stripped, k).
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import skewrec
-from skewrec.cli import main
+from skewrec.cli import _build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -154,6 +154,17 @@ class TestSearchCommand:
         )
         assert code == 0 and json.loads(out)["meta"]["jobs"] == 64
         assert pool_sizes == [3, 3, 3, 3]  # four searches of 3 chunks each
+
+    def test_exhausted_phase_two_same_data_across_jobs(self, capsys):
+        args = ["search", "--kind", "skew_reciprocal", "--degree", "6",
+                "--height", "1", "--tol", "1e-30", "--max-bits", "64"]
+        results = []
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(args + ["--jobs", jobs], capsys)
+            results.append((code, json.dumps(json.loads(out)["data"])))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+        assert json.loads(results[0][1])["precision_exhausted"] is True
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -375,6 +386,45 @@ def run_in_checkout(command):
 def run_console_script(args):
     """Run the console script as a separate process on this checkout."""
     return run_in_checkout(console_script_command() + args)
+
+
+class TestParserReuse:
+    SEQUENCE = (
+        ["measure", "[1,-3,1]"],
+        ["search", "--kind", "skew_reciprocal", "--degree", "4",
+         "--height", "1"],
+        ["search", "--kind", "reciprocal", "--degree", "4"],  # no --height
+    )
+
+    @staticmethod
+    def run(args, capsys):
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse reports usage errors this way
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_one_parser_serves_every_call(self, capsys):
+        fresh = []
+        for args in self.SEQUENCE:
+            _build_parser.cache_clear()
+            fresh.append(self.run(args, capsys))
+        _build_parser.cache_clear()
+        reused = [self.run(args, capsys) for args in self.SEQUENCE]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 2]
+        assert "the following arguments are required: --height" in reused[2][2]
+        assert _build_parser.cache_info().misses == 1
+
+    def test_import_builds_no_parser(self):
+        proc = run_in_checkout([
+            sys.executable,
+            "-c",
+            "import skewrec.cli as c; print(c._build_parser.cache_info().misses)",
+        ])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 class TestConsoleScript:

@@ -17,6 +17,7 @@ from conftest import (
     brute_house,
     brute_mahler,
     cyclotomic_products,
+    graeffe_iterate_reference,
     kronecker_free_part_gcd_reference,
     mahler_graeffe_oracle,
     random_monic,
@@ -24,6 +25,7 @@ from conftest import (
 from skewrec.enclosure import Enclosure
 from skewrec.errors import PolynomialError, PrecisionExhausted
 from skewrec.measure import (
+    _graeffe_iterate,
     graeffe,
     house,
     house_lower_bound,
@@ -315,6 +317,86 @@ class TestMahlerLowerBound:
     def test_requires_monic(self):
         with pytest.raises(PolynomialError):
             mahler_lower_bound(IntPoly([1, 2]))
+
+
+def _non_kronecker_members(kind, degree, height):
+    return [f for f in enumerate_space(SearchSpace(kind, degree, height))
+            if not is_kronecker(f)]
+
+
+class TestGraeffeChain:
+    """is_kronecker and the lower bounds share one memoized chain."""
+
+    @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
+    def test_kronecker_test_then_bound_walk_one_chain(self, monkeypatch, kind):
+        calls = []
+
+        def counting_graeffe(f):
+            calls.append(f)
+            return graeffe(f)
+
+        # the package attribute skewrec.measure is the measure() function
+        monkeypatch.setattr(importlib.import_module("skewrec.measure"),
+                            "graeffe", counting_graeffe)
+        for f in _non_kronecker_members(kind, 8, 1):
+            # the Kronecker walk stops at the first iterate past the bound
+            bound = math.comb(f.degree, f.degree // 2)
+            k_kron = 0
+            while max(map(abs, graeffe_iterate_reference(f, k_kron).coeffs)) <= bound:
+                k_kron += 1
+            _graeffe_iterate.cache_clear()
+            calls.clear()
+            assert not is_kronecker(f)
+            mahler_lower_bound(f)
+            assert len(calls) == max(k_kron, 6)
+
+    @given(
+        st.lists(st.integers(-5, 5), min_size=1, max_size=12).filter(
+            lambda c: c[-1] != 0),
+        st.integers(0, 3),
+        st.integers(0, 6),
+    )
+    @example([-1, -1, 1], 0, 6)  # even degree, monic
+    @example([3, 0, 0, 2], 1, 5)  # odd degree, non-monic, a multiple of t
+    def test_matches_the_unmemoized_iteration(self, coeffs, shift, steps):
+        f = IntPoly(coeffs).shift(shift)
+        expected = graeffe_iterate_reference(f, steps)
+        assert _graeffe_iterate(f, steps) == expected
+        assert _graeffe_iterate(f, steps) == expected  # now from the cache
+        assert all(_graeffe_iterate(f, k) == graeffe_iterate_reference(f, k)
+                   for k in range(steps, -1, -1))
+
+    def test_cache_is_bounded(self):
+        maxsize = _graeffe_iterate.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 10**6
+
+
+# a threshold the early stop is checked against, besides each member's own
+# full bound, its float neighbours and 1e-7 relative either side
+EARLY_STOP_THRESHOLDS = (1.0, 1.05, 1.1762808, 1.3, 1.618, 2.0, 3.0)
+
+
+class TestMahlerLowerBoundEarlyStop:
+    @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
+    @pytest.mark.parametrize("degree,height", [(8, 2), (10, 2), (12, 1), (6, 3)])
+    def test_prune_decision_is_the_full_bounds(self, kind, degree, height):
+        early = 0
+        for f in _non_kronecker_members(kind, degree, height):
+            full = mahler_lower_bound(f)
+            oracle = brute_mahler(f) * (1 + ORACLE_SLACK)
+            assert full <= oracle
+            thresholds = EARLY_STOP_THRESHOLDS + (
+                full, math.nextafter(full, 0.0), math.nextafter(full, math.inf),
+                full * (1 - 1e-7), full * (1 + 1e-7),
+            )
+            for a in thresholds:
+                bound = mahler_lower_bound(f, above=a)
+                assert (bound > a) == (full > a), (f, a, bound, full)
+                assert bound <= oracle
+                if bound != full:
+                    early += 1
+                    assert bound > a
+        assert early > 0
 
 
 @st.composite

@@ -171,6 +171,51 @@ class TestMinimumSearches:
         assert min_house(space, jobs=2).to_json() == min_house(space).to_json()
         assert pool_sizes == [3, 2]
 
+    def test_phase_two_runs_on_the_phase_one_pool(self, monkeypatch):
+        mapped = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                mapped.append("closed")
+                return False
+
+            def map(self, fn, iterable):
+                mapped.append(fn.__name__)
+                return map(fn, iterable)
+
+        monkeypatch.setattr("skewrec.search.ProcessPoolExecutor",
+                            RecordingExecutor)
+        space = SearchSpace("skew_reciprocal", 8, 2)
+        report = min_mahler(space, jobs=2)
+        rounds = report.precision_escalations + 1
+        assert mapped == ["_scan_chunk"] + ["_enclose"] * rounds + ["closed"]
+        assert report.to_json() == min_mahler(space).to_json()
+
+    def test_pooled_phase_two_matches_serial(self):
+        # 3 escalation rounds over 8 tied witnesses, on 1, 2 and 3 workers
+        space = SearchSpace("skew_reciprocal", 8, 2)
+        docs = [json.dumps(min_mahler(space, jobs=j).to_json())
+                for j in (1, 2, 3)]
+        assert docs[0] == docs[1] == docs[2]
+        doc = json.loads(docs[0])
+        assert doc["precision_escalations"] == 3
+        assert len(doc["witnesses"]) == 8
+
+    @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
+    @pytest.mark.parametrize("search", [min_mahler, min_house])
+    def test_pooled_phase_two_records_exhaustion_as_serial(self, kind, search):
+        space = SearchSpace(kind, 6, 1)
+        docs = [search(space, tol=1e-30, jobs=j, max_bits=64).to_json()
+                for j in (1, 2)]
+        assert json.dumps(docs[0]) == json.dumps(docs[1])
+        assert docs[0]["precision_exhausted"] is True
+
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceeded) as err:
             min_mahler(SearchSpace("skew_reciprocal", 8, 2), budget=100)
