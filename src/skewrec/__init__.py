@@ -22,10 +22,12 @@ from .measure import (
     graeffe,
     house,
     house_lower_bound,
+    house_upper_bound,
     is_kronecker,
     kronecker_free_part,
     mahler,
     mahler_lower_bound,
+    mahler_upper_bound,
     measure,
 )
 from .poly import (
@@ -114,6 +116,7 @@ __all__ = [
     "graeffe",
     "house",
     "house_lower_bound",
+    "house_upper_bound",
     "is_anti_symplectic",
     "is_kronecker",
     "is_reciprocal",
@@ -122,6 +125,7 @@ __all__ = [
     "kronecker_free_part",
     "mahler",
     "mahler_lower_bound",
+    "mahler_upper_bound",
     "measure",
     "min_house",
     "min_mahler",

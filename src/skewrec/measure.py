@@ -49,6 +49,8 @@ __all__ = [
     "house",
     "mahler_lower_bound",
     "house_lower_bound",
+    "mahler_upper_bound",
+    "house_upper_bound",
     "MeasureResult",
     "measure",
 ]
@@ -399,6 +401,83 @@ def house_lower_bound(f: IntPoly, steps: int = 6) -> float:
     if not logs:  # f is a power of t
         return 0.0
     return max(1.0, 2.0 ** (max(logs) - 1e-9))
+
+
+def _log2_above(n: int) -> float:
+    """log2 of a positive integer, safe for huge n (mantissa rounded up)."""
+    shift = max(0, n.bit_length() - 53)
+    return math.log2(-(-n >> shift)) + shift
+
+
+def _pow2_above(x: float) -> float:
+    """2**x rounded upward for a float x >= 0; inf past the float range.
+
+    x carries the relative error of a few float roundings (each at most
+    2**-52) from the way the upper bounds compute it, so the exponent is
+    raised by 2**-40 relative before 1e-9 absolute, which in turn
+    exceeds the one-ulp relative error of the float power
+    (2**1e-9 - 1 is about 6.9e-10, an ulp about 2.2e-16).
+    """
+    try:
+        return 2.0 ** (x + x * 2.0**-40 + 1e-9)
+    except OverflowError:
+        return math.inf
+
+
+def mahler_upper_bound(f: IntPoly, steps: int = 6) -> float:
+    """A cheap certified upper bound for M(f), used to cap search chunks.
+
+    The k-th Graeffe iterate g_k of a monic f is monic with
+    M(g_k) = M(f)**(2**k), and Landau's inequality M(g) <= ||g||_2
+    (Mignotte, "Some useful bounds", 1982) gives
+    log2 M(f) <= log2(||g_k||_2**2) / 2**(k+1).
+
+    It rounds upward where mahler_lower_bound rounds downward.  log2
+    of the integer ||g_k||_2**2 is taken from its top 53 bits rounded
+    up (ceil(n / 2**s) * 2**s >= n), the division by 2**(k+1) is exact,
+    and _pow2_above covers the float error of log2, of adding s and of
+    the final power.  The exponent is nonnegative (||g_k||_2 >= 1), so
+    the result is at least 1.
+
+    The iterate is read from the chain cache: after
+    mahler_lower_bound(f) on the same f this makes no Graeffe step.
+    """
+    if not f.is_monic():
+        raise PolynomialError("mahler_upper_bound requires monic input")
+    s = sum(c * c for c in _graeffe_iterate(f, steps).coeffs)
+    return _pow2_above(_log2_above(s) / (2 << steps))
+
+
+def house_upper_bound(f: IntPoly, steps: int = 6) -> float:
+    """A cheap certified upper bound for house(f), used to cap search chunks.
+
+    Fujiwara's bound (Tohoku Math. J. 10, 1916): every root z of a
+    monic g = t**n + c_(n-1) t**(n-1) + ... + c_0 satisfies
+    |z| <= 2 * R with R = max_j |c_(n-j)|**(1/j).  (If |z| > 2R, then
+    |c_(n-j) z**(n-j)| <= R**j |z|**(n-j) < 2**-j |z|**n, and these
+    terms sum to less than |z|**n, so g(z) != 0.)  The k-th Graeffe
+    iterate g_k of a monic f has house(g_k) = house(f)**(2**k), so
+    log2 house(f) <= (1 + max_j log2|c_(n-j)| / j) / 2**k.
+
+    It rounds upward where house_lower_bound rounds downward: each
+    log2 |c_(n-j)| comes from the top 53 bits rounded up, the division
+    by 2**k is exact, and _pow2_above covers the float error of log2,
+    of the division by j, of the sums and of the final power.  Every
+    nonzero integer coefficient has |c| >= 1, so the exponent is at
+    least 1 / 2**k and the result above 1 whenever f has a nonzero
+    root; a pure power of t, whose house is 0, gets 0.
+
+    The iterate is read from the chain cache: after
+    house_lower_bound(f) on the same f this makes no Graeffe step.
+    """
+    if not f.is_monic():
+        raise PolynomialError("house_upper_bound requires monic input")
+    c = _graeffe_iterate(f, steps).coeffs
+    n = len(c) - 1
+    logs = [_log2_above(abs(c[n - j])) / j for j in range(1, n + 1) if c[n - j]]
+    if not logs:  # f is a power of t
+        return 0.0
+    return _pow2_above((1 + max(logs)) / (1 << steps))
 
 
 # -- aggregate result -------------------------------------------------------

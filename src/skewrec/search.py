@@ -15,7 +15,11 @@ any worker count:
     and Kronecker counts and the members whose lower bound is at most its
     own best upper bound, since the search-wide best is never above any
     chunk's best and phase 2 would drop every other member; chunks share
-    no state, so the schedule cannot influence anything;
+    no state, so the schedule cannot influence anything.  A pruning
+    chunk caps itself before it encloses anything: a first pass takes
+    every member's Graeffe lower and upper bounds, and only the members
+    whose lower bound stays under the smallest upper bound seen so far
+    are enclosed in a second pass (see _scan_chunk);
   * phase 2 keeps every candidate whose certified lower bound does not
     exceed the smallest certified upper bound, then refines this set at
     progressively finer tolerances until a single witness remains or the
@@ -26,15 +30,16 @@ any worker count:
     marks the report exhausted), so the round's outcome does not depend
     on the worker count.  With one worker everything runs in-process.
 
-Both quantities have a cheap certified lower bound read from exact
-Graeffe iterates (mahler_lower_bound, house_lower_bound).  It participates
+Both quantities have cheap certified lower and upper bounds read from
+exact Graeffe iterates (mahler_lower_bound, house_lower_bound,
+mahler_upper_bound, house_upper_bound).  The lower bound participates
 in candidate elimination unconditionally; the prune flag only controls
-whether members disqualified by that bound alone skip the expensive
+whether members disqualified by the bounds alone skip the expensive
 enclosure computation.  Pruned or not, reports are identical.  The
-Kronecker test and the bound walk one cached Graeffe chain per member,
-and a pruning Mahler scan lets the bound stop at an earlier step once
-it provably exceeds the chunk's best upper bound (the member is pruned
-either way, and the bound of every member kept is the full one).
+Kronecker test and the bounds walk one cached Graeffe chain per member,
+and a pruning Mahler scan lets the lower bound stop at an earlier step
+once it provably exceeds the chunk's cap (the member is pruned either
+way, and the bound of every member kept is the full one).
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import math
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -51,9 +56,11 @@ from .errors import BudgetExceeded, PolynomialError, PrecisionExhausted
 from .measure import (
     house,
     house_lower_bound,
+    house_upper_bound,
     is_kronecker,
     mahler,
     mahler_lower_bound,
+    mahler_upper_bound,
 )
 from .poly import BREUSCH_BOUND, IntPoly
 from .roots import DEFAULT_MAX_BITS
@@ -166,34 +173,92 @@ def _scan_chunk(args) -> tuple[int, int, list]:
 
     Each survivor is a (free, Enclosure, gb) triple whose lower bound is
     at most the chunk's final best upper bound.
+
+    When pruning, the chunk is scanned twice.  Pass A streams every
+    member: the Kronecker test, then the Graeffe lower bound gb (a
+    Mahler bound may stop early above the cap, see mahler_lower_bound),
+    and a member with gb above the cap is pruned.  Every other member
+    lowers the cap to its Graeffe upper bound (mahler_upper_bound,
+    house_upper_bound) plus 2*tol0 and is kept as (free, gb).  Pass B
+    encloses the kept members in scan order, with its best upper bound
+    starting at the final cap, and prunes and filters as the
+    single-pass scan does.  This leaves phase 2 the candidates a scan
+    capped by enclosures alone would give it, in the same order:
+
+      * take m, the smallest hi of the tol0 enclosures of all
+        non-Kronecker members of the space, and a member x that set the
+        cap to ub(x) + 2*tol0.  x's tol0 enclosure, made or not,
+        contains x's value, which is at most ub(x), and is at most tol0
+        wide (the second tol0 absorbs the float rounding of
+        Enclosure.width and of the sum, as in
+        verify_decomposition_over_space), so every cap the chunk ever
+        holds is at least hi(x) >= m, and so is every best upper bound
+        pass B holds;
+      * so every member whose lower bound max(lo, gb) is at most m
+        passes both prunes, is enclosed, and survives the final
+        filter, with the full gb (the early stop changes gb only for
+        members it prunes); every member pruned or filtered out has a
+        lower bound above m;
+      * phase 2's first filter keeps exactly the candidates whose
+        lower bound is at most the smallest candidate hi, which is m
+        (the member attaining it is a candidate), so it keeps the same
+        candidates, with the same enclosures, in the same order.
+
+    Without pruning nothing is deferred: each member is enclosed as
+    pass A reaches it, so retained memory is the survivors, not the
+    chunk.
     """
     (kind, degree, height, first, quantity, tol0, prune, max_bits) = args
     space = SearchSpace(kind, degree, height)
+    if quantity == "mahler":
+        upper_bound, measure_fn = mahler_upper_bound, mahler
+    else:
+        upper_bound, measure_fn = house_upper_bound, house
     scanned = kron = 0
+    cap = math.inf
+
+    def pass_a():
+        nonlocal scanned, kron, cap
+        for free in space.free_vectors_with_first(first):
+            scanned += 1
+            f = space.member(free)
+            if is_kronecker(f):
+                kron += 1
+                continue
+            if quantity == "mahler":
+                gb = mahler_lower_bound(f, above=cap if prune else None)
+            else:
+                gb = house_lower_bound(f)
+            if not prune:
+                yield free, gb
+            elif gb <= cap:
+                cap = min(cap, upper_bound(f) + 2 * tol0)
+                yield free, gb
+
+    kept = list(pass_a()) if prune else pass_a()
+    best_hi = cap
     survivors = []
-    best_hi: Optional[float] = None
-    for free in space.free_vectors_with_first(first):
-        scanned += 1
-        f = space.member(free)
-        if is_kronecker(f):
-            kron += 1
+    for free, gb in kept:
+        if prune and gb > best_hi:
             continue
-        if quantity == "mahler":
-            # the early stop changes gb only for members it prunes
-            above = best_hi if prune else None
-            gb, measure_fn = mahler_lower_bound(f, above=above), mahler
-        else:
-            gb, measure_fn = house_lower_bound(f), house
-        if prune and best_hi is not None and gb > best_hi:
-            continue
-        enc = measure_fn(f, tol0, max_bits)
-        if best_hi is None or enc.hi < best_hi:
-            best_hi = enc.hi
+        enc = measure_fn(space.member(free), tol0, max_bits)
+        best_hi = min(best_hi, enc.hi)
         # best_hi only falls, so a member above it now stays above it
         candidate = (free, enc, gb)
         if _lower(candidate) <= best_hi:
             survivors.append(candidate)
     return scanned, kron, [c for c in survivors if _lower(c) <= best_hi]
+
+
+def _process_pool(workers: int):
+    """A pool of worker processes, imported only when a search starts one.
+
+    concurrent.futures.process loads multiprocessing, which commands
+    that never start a pool (every --jobs 1 run) should not pay for.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _enclose(args) -> Optional[Enclosure]:
@@ -258,8 +323,7 @@ def _min_search(
         for first in range(-space.height, space.height + 1)
     ]
     workers = min(jobs, len(chunk_args))
-    pool = (ProcessPoolExecutor(max_workers=workers) if workers > 1
-            else contextlib.nullcontext())
+    pool = _process_pool(workers) if workers > 1 else contextlib.nullcontext()
     with pool:
         pool_map = pool.map if workers > 1 else map
         chunk_results = list(pool_map(_scan_chunk, chunk_args))

@@ -332,5 +332,5 @@ def pool_sizes(monkeypatch) -> list[int]:
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr("skewrec.search.ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr("skewrec.search._process_pool", RecordingExecutor)
     return sizes

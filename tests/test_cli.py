@@ -453,3 +453,14 @@ class TestImportHygiene:
         ])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        # only a search that starts more than one worker imports the pool
+        proc = run_in_checkout([
+            sys.executable,
+            "-c",
+            "import sys, skewrec.cli; print(sorted({'multiprocessing', "
+            "'concurrent.futures.process'} & set(sys.modules)))",
+        ])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

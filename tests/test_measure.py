@@ -29,10 +29,12 @@ from skewrec.measure import (
     graeffe,
     house,
     house_lower_bound,
+    house_upper_bound,
     is_kronecker,
     kronecker_free_part,
     mahler,
     mahler_lower_bound,
+    mahler_upper_bound,
     measure,
 )
 from skewrec.poly import (
@@ -440,6 +442,72 @@ class TestHouseLowerBound:
     def test_requires_monic(self):
         with pytest.raises(PolynomialError):
             house_lower_bound(IntPoly([1, 2]))
+
+
+def _assert_upper_bounds_sound(f):
+    """Both upper bounds against a 1e-12 enclosure, the oracle and the lower bound."""
+    result = measure(f, tol=1e-12)
+    for upper, lower, enc, oracle in (
+        (mahler_upper_bound, mahler_lower_bound, result.mahler, brute_mahler),
+        (house_upper_bound, house_lower_bound, result.house, brute_house),
+    ):
+        bound = upper(f)
+        assert bound >= enc.lo, (f, upper.__name__, bound, enc)
+        assert bound >= oracle(f) * (1 - ORACLE_SLACK), (f, upper.__name__)
+        assert bound >= lower(f), (f, upper.__name__)
+
+
+class TestUpperBounds:
+    @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
+    def test_above_true_values_on_every_search_member(self, kind):
+        for degree in (2, 4, 6, 8):
+            for f in _non_kronecker_members(kind, degree, 2):
+                _assert_upper_bounds_sound(f)
+
+    def test_above_true_values_on_randoms(self, rng):
+        for _ in range(60):
+            _assert_upper_bounds_sound(random_monic(rng, 10, 5))
+
+    def test_at_least_one_on_kronecker_input(self):
+        for f in cyclotomic_products(6):
+            assert mahler_upper_bound(f) >= 1.0
+            assert house_upper_bound(f) >= 1.0
+
+    def test_power_of_t(self):
+        assert mahler_upper_bound(IntPoly([0, 0, 1])) >= 1.0
+        assert house_upper_bound(IntPoly([0, 0, 1])) == 0.0
+
+    def test_close_to_true_values(self):
+        # Landau is exact for a single root, Fujiwara within 2**(1/64)
+        assert mahler_upper_bound(IntPoly([-7, 1]) * IntPoly([5, 1])) < 35.001
+        assert house_upper_bound(IntPoly([-1, -1, 1])) < 1.01 * 2 ** (1 / 64) * PHI
+
+    def test_read_the_cached_iterate(self, monkeypatch):
+        calls = []
+
+        def counting_graeffe(f):
+            calls.append(f)
+            return graeffe(f)
+
+        monkeypatch.setattr(importlib.import_module("skewrec.measure"),
+                            "graeffe", counting_graeffe)
+        for f in _non_kronecker_members("skew_reciprocal", 8, 1):
+            mahler_lower_bound(f)
+            house_lower_bound(f)
+            calls.clear()
+            mahler_upper_bound(f)
+            house_upper_bound(f)
+            assert calls == []
+
+    def test_huge_coefficients_give_infinity(self):
+        f = IntPoly([-(10**400), 1])
+        assert mahler_upper_bound(f) == math.inf
+        assert house_upper_bound(f) == math.inf
+
+    def test_requires_monic(self):
+        for upper in (mahler_upper_bound, house_upper_bound):
+            with pytest.raises(PolynomialError):
+                upper(IntPoly([1, 2]))
 
 
 class TestGraeffeOracle:

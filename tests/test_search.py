@@ -154,6 +154,33 @@ class TestMinimumSearches:
         assert enclosed[False] == non_kronecker
         assert enclosed[True] < non_kronecker // 2
 
+    @staticmethod
+    def phase_one_enclosures(monkeypatch, kind, degree, height, quantity,
+                             prune=True):
+        """Enclosures phase 1 makes over the space's chunks."""
+        calls = []
+        measure_fn = mahler if quantity == "mahler" else house
+
+        def counting(f, tol=1e-10, max_bits=4096):
+            calls.append(f)
+            return measure_fn(f, tol, max_bits)
+
+        monkeypatch.setattr(f"skewrec.search.{quantity}", counting)
+        for first in range(-height, height + 1):
+            _scan_chunk((kind, degree, height, first, quantity, 1e-6, prune,
+                         4096))
+        return len(calls)
+
+    def test_upper_bound_cap_skips_mahler_enclosures(self, monkeypatch):
+        # 68 before chunks were capped by Graeffe upper bounds
+        assert self.phase_one_enclosures(
+            monkeypatch, "skew_reciprocal", 8, 2, "mahler") <= 34
+
+    def test_upper_bound_cap_skips_house_enclosures(self, monkeypatch):
+        # 16 before chunks were capped by Graeffe upper bounds
+        assert self.phase_one_enclosures(
+            monkeypatch, "reciprocal", 8, 1, "house") <= 8
+
     def test_jobs_do_not_change_report(self):
         for kind in ("reciprocal", "skew_reciprocal"):
             space = SearchSpace(kind, 4, 2)
@@ -189,7 +216,7 @@ class TestMinimumSearches:
                 mapped.append(fn.__name__)
                 return map(fn, iterable)
 
-        monkeypatch.setattr("skewrec.search.ProcessPoolExecutor",
+        monkeypatch.setattr("skewrec.search._process_pool",
                             RecordingExecutor)
         space = SearchSpace("skew_reciprocal", 8, 2)
         report = min_mahler(space, jobs=2)
@@ -241,29 +268,60 @@ class TestScanChunk:
     @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
     @pytest.mark.parametrize("quantity", ["mahler", "house"])
     def test_returns_counts_and_only_possible_minimisers(self, kind, quantity):
-        tol0, height = 1e-6, 1
-        space = SearchSpace(kind, 8, height)
-        for first in range(-height, height + 1):
-            scanned, kron, survivors = _scan_chunk(
-                (kind, 8, height, first, quantity, tol0, True, 4096)
-            )
-            members = [space.member(free)
-                       for free in space.free_vectors_with_first(first)]
-            assert scanned == len(members) == (2 * height + 1) ** 3
-            assert kron == sum(1 for f in members if is_kronecker(f))
-            # every non-Kronecker member, enclosed as phase 1 encloses it
-            measure_fn = mahler if quantity == "mahler" else house
-            full = []
-            for f in members:
-                if not is_kronecker(f):
-                    gb = (mahler_lower_bound(f) if quantity == "mahler"
-                          else house_lower_bound(f))
-                    full.append((space.free_vector(f), measure_fn(f, tol0), gb))
-            best_hi = min(enc.hi for _, enc, _ in full)
-            assert all(_lower(c) <= best_hi for c in survivors)
-            assert [c[0] for c in survivors] == \
-                [c[0] for c in full if _lower(c) <= best_hi]
-            assert len(survivors) < len(full)
+        tol0 = 1e-6
+        measure_fn = mahler if quantity == "mahler" else house
+        for height in (1, 2):
+            space = SearchSpace(kind, 8, height)
+            for first in range(-height, height + 1):
+                members = [space.member(free)
+                           for free in space.free_vectors_with_first(first)]
+                # every non-Kronecker member, enclosed as phase 1 encloses it
+                full = []
+                for f in members:
+                    if not is_kronecker(f):
+                        gb = (mahler_lower_bound(f) if quantity == "mahler"
+                              else house_lower_bound(f))
+                        full.append((space.free_vector(f), measure_fn(f, tol0),
+                                     gb))
+                best_hi = min(enc.hi for _, enc, _ in full)
+                for prune in (True, False):
+                    scanned, kron, survivors = _scan_chunk(
+                        (kind, 8, height, first, quantity, tol0, prune, 4096)
+                    )
+                    assert scanned == len(members) == (2 * height + 1) ** 3
+                    assert kron == sum(1 for f in members if is_kronecker(f))
+                    assert all(_lower(c) <= best_hi for c in survivors)
+                    assert [c[0] for c in survivors] == \
+                        [c[0] for c in full if _lower(c) <= best_hi]
+                    assert len(survivors) < len(full)
+
+    @pytest.mark.parametrize("quantity", ["mahler", "house"])
+    def test_only_a_pruning_scan_defers_enclosures(self, monkeypatch, quantity):
+        events = []
+        measure_fn = mahler if quantity == "mahler" else house
+
+        def recording_kronecker(f):
+            events.append(("scan", f))
+            return is_kronecker(f)
+
+        def recording_measure(f, tol=1e-10, max_bits=4096):
+            events.append(("enclose", f))
+            return measure_fn(f, tol, max_bits)
+
+        monkeypatch.setattr("skewrec.search.is_kronecker", recording_kronecker)
+        monkeypatch.setattr(f"skewrec.search.{quantity}", recording_measure)
+        args = ("skew_reciprocal", 8, 2, 0, quantity, 1e-6)
+        _scan_chunk(args + (False, 4096))
+        # without pruning, each member is enclosed as soon as it is scanned
+        for i, (kind, f) in enumerate(events):
+            if kind == "enclose":
+                assert events[i - 1] == ("scan", f)
+        events.clear()
+        _scan_chunk(args + (True, 4096))
+        kinds = [kind for kind, _ in events]
+        first_enclosure = kinds.index("enclose")
+        assert kinds[first_enclosure:] == ["enclose"] * (len(kinds) - first_enclosure)
+        assert first_enclosure == 125
 
 
 class TestSequenceTable:
