@@ -58,9 +58,14 @@ __all__ = [
 
 # Iterates kept by _graeffe_iterate.  A search member's chain is at most
 # six steps (its Kronecker walk on the spaces up to degree 16, and the
-# bounds' steps=6), so this holds dozens of whole chains, and memory stays
-# bounded for any input.
+# bounds' _BOUND_STEPS), so this holds dozens of whole chains, and memory
+# stays bounded for any input.
 _CHAIN_CACHE_SIZE = 256
+
+# The Graeffe step the search bounds read.  The upper bounds read the
+# same iterate as the lower bounds' defaults, so after a lower bound on f
+# they make no Graeffe step.
+_BOUND_STEPS = 6
 
 
 def _square(a: tuple[int, ...]) -> list[int]:
@@ -344,7 +349,7 @@ def _log2_norm_bound(f: IntPoly, k: int) -> float:
 
 
 def mahler_lower_bound(
-    f: IntPoly, steps: int = 6, *, above: Optional[float] = None
+    f: IntPoly, steps: int = _BOUND_STEPS, *, above: Optional[float] = None
 ) -> float:
     """A cheap certified lower bound for M(f), used to prune searches.
 
@@ -375,7 +380,7 @@ def mahler_lower_bound(
     return max(1.0, 2.0 ** (_log2_norm_bound(f, steps) - 1e-9))
 
 
-def house_lower_bound(f: IntPoly, steps: int = 6) -> float:
+def house_lower_bound(f: IntPoly, steps: int = _BOUND_STEPS) -> float:
     """A cheap certified lower bound for house(f), used to prune searches.
 
     The k-th Graeffe iterate g_k of a monic f of degree n is monic with
@@ -424,7 +429,7 @@ def _pow2_above(x: float) -> float:
         return math.inf
 
 
-def mahler_upper_bound(f: IntPoly, steps: int = 6) -> float:
+def mahler_upper_bound(f: IntPoly) -> float:
     """A cheap certified upper bound for M(f), used to cap search chunks.
 
     The k-th Graeffe iterate g_k of a monic f is monic with
@@ -439,16 +444,17 @@ def mahler_upper_bound(f: IntPoly, steps: int = 6) -> float:
     the final power.  The exponent is nonnegative (||g_k||_2 >= 1), so
     the result is at least 1.
 
-    The iterate is read from the chain cache: after
-    mahler_lower_bound(f) on the same f this makes no Graeffe step.
+    It reads g_k at k = _BOUND_STEPS, the iterate mahler_lower_bound(f)
+    reads by default, from the chain cache: after that lower bound on
+    the same f this makes no Graeffe step.
     """
     if not f.is_monic():
         raise PolynomialError("mahler_upper_bound requires monic input")
-    s = sum(c * c for c in _graeffe_iterate(f, steps).coeffs)
-    return _pow2_above(_log2_above(s) / (2 << steps))
+    s = sum(c * c for c in _graeffe_iterate(f, _BOUND_STEPS).coeffs)
+    return _pow2_above(_log2_above(s) / (2 << _BOUND_STEPS))
 
 
-def house_upper_bound(f: IntPoly, steps: int = 6) -> float:
+def house_upper_bound(f: IntPoly) -> float:
     """A cheap certified upper bound for house(f), used to cap search chunks.
 
     Fujiwara's bound (Tohoku Math. J. 10, 1916): every root z of a
@@ -467,17 +473,18 @@ def house_upper_bound(f: IntPoly, steps: int = 6) -> float:
     least 1 / 2**k and the result above 1 whenever f has a nonzero
     root; a pure power of t, whose house is 0, gets 0.
 
-    The iterate is read from the chain cache: after
-    house_lower_bound(f) on the same f this makes no Graeffe step.
+    It reads g_k at k = _BOUND_STEPS, the iterate house_lower_bound(f)
+    reads by default, from the chain cache: after that lower bound on
+    the same f this makes no Graeffe step.
     """
     if not f.is_monic():
         raise PolynomialError("house_upper_bound requires monic input")
-    c = _graeffe_iterate(f, steps).coeffs
+    c = _graeffe_iterate(f, _BOUND_STEPS).coeffs
     n = len(c) - 1
     logs = [_log2_above(abs(c[n - j])) / j for j in range(1, n + 1) if c[n - j]]
     if not logs:  # f is a power of t
         return 0.0
-    return _pow2_above((1 + max(logs)) / (1 << steps))
+    return _pow2_above((1 + max(logs)) / (1 << _BOUND_STEPS))
 
 
 # -- aggregate result -------------------------------------------------------

@@ -153,33 +153,23 @@ class TestMinimumSearches:
             enclosed[prune] = len(calls)
         assert enclosed[False] == non_kronecker
         assert enclosed[True] < non_kronecker // 2
-
-    @staticmethod
-    def phase_one_enclosures(monkeypatch, kind, degree, height, quantity,
-                             prune=True):
-        """Enclosures phase 1 makes over the space's chunks."""
-        calls = []
-        measure_fn = mahler if quantity == "mahler" else house
-
-        def counting(f, tol=1e-10, max_bits=4096):
-            calls.append(f)
-            return measure_fn(f, tol, max_bits)
-
-        monkeypatch.setattr(f"skewrec.search.{quantity}", counting)
-        for first in range(-height, height + 1):
-            _scan_chunk((kind, degree, height, first, quantity, 1e-6, prune,
-                         4096))
-        return len(calls)
+        if kind == "reciprocal":
+            # 16 before chunks were capped by Graeffe upper bounds
+            assert enclosed[True] <= 8
 
     def test_upper_bound_cap_skips_mahler_enclosures(self, monkeypatch):
-        # 68 before chunks were capped by Graeffe upper bounds
-        assert self.phase_one_enclosures(
-            monkeypatch, "skew_reciprocal", 8, 2, "mahler") <= 34
+        calls = []
 
-    def test_upper_bound_cap_skips_house_enclosures(self, monkeypatch):
-        # 16 before chunks were capped by Graeffe upper bounds
-        assert self.phase_one_enclosures(
-            monkeypatch, "reciprocal", 8, 1, "house") <= 8
+        def counting_mahler(f, tol=1e-10, max_bits=4096):
+            calls.append(f)
+            return mahler(f, tol, max_bits)
+
+        monkeypatch.setattr("skewrec.search.mahler", counting_mahler)
+        for first in range(-2, 3):
+            _scan_chunk(("skew_reciprocal", 8, 2, first, "mahler", 1e-6, True,
+                         4096))
+        # 68 before chunks were capped by Graeffe upper bounds
+        assert len(calls) <= 34
 
     def test_jobs_do_not_change_report(self):
         for kind in ("reciprocal", "skew_reciprocal"):
