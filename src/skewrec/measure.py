@@ -56,11 +56,12 @@ __all__ = [
 ]
 
 
-# Iterates kept by _graeffe_iterate.  A search member's chain is at most
-# six steps (its Kronecker walk on the spaces up to degree 16, and the
-# bounds' _BOUND_STEPS), so this holds dozens of whole chains, and memory
-# stays bounded for any input.
-_CHAIN_CACHE_SIZE = 256
+# Polynomials whose chains _graeffe_iterate keeps.  A search member and
+# its t -> -t partner, scanned next to it, take two keys for one chain of
+# at most a few steps (its Kronecker walk on the spaces up to degree 16,
+# and the bounds' _BOUND_STEPS), so this holds dozens of whole orbits,
+# and memory stays bounded for any input.
+_CHAIN_CACHE_SIZE = 64
 
 # The Graeffe step the search bounds read.  The upper bounds read the
 # same iterate as the lower bounds' defaults, so after a lower bound on f
@@ -109,20 +110,116 @@ def graeffe(f: IntPoly) -> IntPoly:
     return g
 
 
-@functools.lru_cache(maxsize=_CHAIN_CACHE_SIZE)
-def _graeffe_iterate(f: IntPoly, steps: int) -> IntPoly:
-    """The steps-th Graeffe iterate of f, whose roots are alpha**(2**steps).
+class _Chain:
+    """The Graeffe iterates shared by g and g(-t), and what is read from them.
 
-    Memoized per (f, steps) in a bounded LRU cache, so one polynomial's
-    chain is computed once however many callers walk it: is_kronecker
-    walks it step by step, and the Graeffe lower bounds taken next on
-    the same member read the iterates it already made.  A missing step
-    is one call of the module's graeffe (with its degree and leading
-    coefficient check) on the cached step before it.
+    graeffe(g(-t)) = graeffe(g): both come from the product
+    g(t) * g(-t), normalized to the same leading coefficient lc(g)**2.
+    So the iterates from step 1 on are the same for g and g(-t), and so
+    is every result read from them alone.  iterates[0] is whichever of
+    the two was seen first; _graeffe_iterate never returns it for the
+    other (step 0 is always the argument itself), and the readers below
+    take only absolute values of coefficients, which t -> -t keeps.
+
+    The Kronecker decision is shared too: t -> -t negates every root,
+    so it keeps every root modulus, and with it the answer.
     """
-    if steps == 0:
-        return f
-    return graeffe(_graeffe_iterate(f, steps - 1))
+
+    __slots__ = ("iterates", "kronecker", "reads")
+
+    def __init__(self, g: IntPoly):
+        self.iterates = [g]
+        self.kronecker: Optional[bool] = None
+        self.reads: dict = {}  # (reader, k) -> reader(g_k, k)
+
+    def iterate(self, k: int) -> IntPoly:
+        """g_k, each missing step one call of the module's graeffe."""
+        iterates = self.iterates
+        while len(iterates) <= k:
+            iterates.append(graeffe(iterates[-1]))
+        return iterates[k]
+
+    def read(self, reader, k: int) -> float:
+        """reader(g_k, k), computed once per chain."""
+        key = (reader, k)
+        value = self.reads.get(key)
+        if value is None:
+            value = self.reads[key] = reader(self.iterate(k), k)
+        return value
+
+
+class _CacheInfo:
+    """The cache counts, named as functools.lru_cache names them.
+
+    A plain class, since a dataclass here would add about a millisecond
+    to every import of the package.
+    """
+
+    __slots__ = ("hits", "misses", "maxsize", "currsize")
+
+    def __init__(self, hits: int, misses: int, maxsize: int, currsize: int):
+        self.hits, self.misses = hits, misses
+        self.maxsize, self.currsize = maxsize, currsize
+
+
+class _ChainCache:
+    """A bounded map from polynomials to their shared Graeffe chains.
+
+    A lookup of g that misses tries g(-t) before it builds a chain, and
+    on a hit there files g under the same chain, so a search member and
+    its partner, scanned one after the other, share all of their exact
+    Graeffe work.  A representative's own lookup costs one dict probe,
+    plus one negation and one more probe on its first miss.  The oldest
+    key is dropped once maxsize keys are held.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.chains: dict[tuple[int, ...], _Chain] = {}
+        self.hits = self.misses = 0
+
+    def chain(self, g: IntPoly) -> _Chain:
+        chains = self.chains
+        key = g.coeffs
+        chain = chains.get(key)
+        if chain is not None:
+            self.hits += 1
+            return chain
+        self.misses += 1
+        partner = list(key)
+        partner[1::2] = [-c for c in key[1::2]]
+        chain = chains.get(tuple(partner))
+        if chain is None:
+            chain = _Chain(g)
+        if len(chains) >= self.maxsize:
+            del chains[next(iter(chains))]
+        chains[key] = chain
+        return chain
+
+    def __call__(self, f: IntPoly, steps: int) -> IntPoly:
+        """The steps-th Graeffe iterate of f, whose roots are alpha**(2**steps).
+
+        Step 0 is f itself.  Every later step comes from the chain f
+        shares with f(-t): is_kronecker walks it step by step, the
+        Graeffe bounds taken next on f or on f(-t) read the iterates it
+        already made, and a missing step is one call of the module's
+        graeffe (with its degree and leading coefficient check) on the
+        step before it.
+        """
+        if steps == 0:
+            return f
+        return self.chain(f).iterate(steps)
+
+    def cache_clear(self) -> None:
+        self.chains.clear()
+        self.hits = self.misses = 0
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, self.maxsize,
+                          len(self.chains))
+
+
+_graeffe_iterate = _ChainCache(_CHAIN_CACHE_SIZE)
 
 
 def is_kronecker(f: IntPoly) -> bool:
@@ -138,18 +235,28 @@ def is_kronecker(f: IntPoly) -> bool:
     which forces a coefficient past the bound (answer: no).  Either way
     the loop terminates, with no floating arithmetic anywhere.
 
-    The iterates are read from the shared chain cache _graeffe_iterate,
-    so a Graeffe lower bound taken next on the same f (with no t-power
-    factor, as for every search member) continues this chain instead of
-    starting it again.
+    The walk runs on the chain cache behind _graeffe_iterate, and its
+    decision is kept on the chain.  f(-t) has the same roots up to sign,
+    and from step 1 on the same iterates, so it shares both: its own
+    test is a cache hit, as are the Graeffe bounds taken next on f or
+    on f(-t) (with no t-power factor, as for every search member), which
+    continue this chain instead of starting it again.
     """
     if f.is_zero():
         raise PolynomialError("is_kronecker of the zero polynomial")
     if not f.is_monic():
         raise PolynomialError("is_kronecker requires monic input")
-    _, g0 = _strip_t_powers(f)
+    g0 = f if f.coeffs[0] else _strip_t_powers(f)[1]
     if g0.degree == 0:
         return True
+    chain = _graeffe_iterate.chain(g0)
+    if chain.kronecker is None:
+        chain.kronecker = _kronecker_walk(g0, chain)
+    return chain.kronecker
+
+
+def _kronecker_walk(g0: IntPoly, chain: _Chain) -> bool:
+    """is_kronecker's decision for g0 (g0(0) != 0), walking its chain."""
     d = g0.degree
     bound = math.comb(d, d // 2)
     g = g0
@@ -157,7 +264,7 @@ def is_kronecker(f: IntPoly) -> bool:
     for k in itertools.count(1):
         if any(abs(c) > bound for c in g.coeffs):
             return False
-        g = _graeffe_iterate(g0, k)
+        g = chain.iterate(k)
         if g.coeffs in seen:
             return True
         seen.add(g.coeffs)
@@ -341,11 +448,15 @@ def _log2_below(n: int) -> float:
     return math.log2(mant) + max(0, bl - 53)
 
 
-def _log2_norm_bound(f: IntPoly, k: int) -> float:
-    """(log2 ||g_k||_2 - deg f) / 2**k for the k-th Graeffe iterate g_k of f."""
-    # log2 ||g_k||_2 = log2(s)/2, computed safely for huge integers
-    log2_s = _log2_below(sum(c * c for c in _graeffe_iterate(f, k).coeffs))
-    return (log2_s / 2 - f.degree) / (1 << k)
+def _log2_norm_bound(g: IntPoly, k: int) -> float:
+    """(log2 ||g||_2 - deg g) / 2**k, for g the k-th Graeffe iterate of f.
+
+    g has the degree of f.  A chain reader, as are the four below that
+    compute each bound from its iterate.
+    """
+    # log2 ||g||_2 = log2(s)/2, computed safely for huge integers
+    log2_s = _log2_below(sum(c * c for c in g.coeffs))
+    return (log2_s / 2 - g.degree) / (1 << k)
 
 
 def mahler_lower_bound(
@@ -368,16 +479,21 @@ def mahler_lower_bound(
     float rounding in computing b_k and b_s.  So the result exceeds
     above exactly when the full bound does, and whenever it does not,
     the result is the full bound itself.
+
+    Each b_k is read once per chain, which f shares with f(-t): the
+    bound of f(-t), with any above, is a cache hit on the steps already
+    read, and equals that of f.
     """
     if not f.is_monic():
         raise PolynomialError("mahler_lower_bound requires monic input")
+    chain = _graeffe_iterate.chain(f)
     if above is not None:
         stop = math.log2(above) + f.degree / (1 << steps) + 1e-6
         for k in range(2, steps):
-            log2_bound = _log2_norm_bound(f, k)
+            log2_bound = chain.read(_log2_norm_bound, k)
             if log2_bound > stop:
                 return max(1.0, 2.0 ** (log2_bound - 1e-9))
-    return max(1.0, 2.0 ** (_log2_norm_bound(f, steps) - 1e-9))
+    return max(1.0, 2.0 ** (chain.read(_log2_norm_bound, steps) - 1e-9))
 
 
 def house_lower_bound(f: IntPoly, steps: int = _BOUND_STEPS) -> float:
@@ -393,10 +509,16 @@ def house_lower_bound(f: IntPoly, steps: int = _BOUND_STEPS) -> float:
     a generous margin.  A nonzero root makes the bound at least 1 (the
     nonzero roots of monic integer f multiply to a nonzero integer); a
     pure power of t, whose house is 0, gets 0.
+
+    It is read once per chain, which f shares with f(-t).
     """
     if not f.is_monic():
         raise PolynomialError("house_lower_bound requires monic input")
-    c = _graeffe_iterate(f, steps).coeffs
+    return _graeffe_iterate.chain(f).read(_house_lower_bound, steps)
+
+
+def _house_lower_bound(g: IntPoly, steps: int) -> float:
+    c = g.coeffs
     n = len(c) - 1
     logs = [
         (_log2_below(abs(c[n - j])) - math.log2(math.comb(n, j))) / (j << steps)
@@ -446,12 +568,17 @@ def mahler_upper_bound(f: IntPoly) -> float:
 
     It reads g_k at k = _BOUND_STEPS, the iterate mahler_lower_bound(f)
     reads by default, from the chain cache: after that lower bound on
-    the same f this makes no Graeffe step.
+    f or on f(-t) this makes no Graeffe step, and the bound itself is
+    read once per chain.
     """
     if not f.is_monic():
         raise PolynomialError("mahler_upper_bound requires monic input")
-    s = sum(c * c for c in _graeffe_iterate(f, _BOUND_STEPS).coeffs)
-    return _pow2_above(_log2_above(s) / (2 << _BOUND_STEPS))
+    return _graeffe_iterate.chain(f).read(_mahler_upper_bound, _BOUND_STEPS)
+
+
+def _mahler_upper_bound(g: IntPoly, k: int) -> float:
+    s = sum(c * c for c in g.coeffs)
+    return _pow2_above(_log2_above(s) / (2 << k))
 
 
 def house_upper_bound(f: IntPoly) -> float:
@@ -475,16 +602,21 @@ def house_upper_bound(f: IntPoly) -> float:
 
     It reads g_k at k = _BOUND_STEPS, the iterate house_lower_bound(f)
     reads by default, from the chain cache: after that lower bound on
-    the same f this makes no Graeffe step.
+    f or on f(-t) this makes no Graeffe step, and the bound itself is
+    read once per chain.
     """
     if not f.is_monic():
         raise PolynomialError("house_upper_bound requires monic input")
-    c = _graeffe_iterate(f, _BOUND_STEPS).coeffs
+    return _graeffe_iterate.chain(f).read(_house_upper_bound, _BOUND_STEPS)
+
+
+def _house_upper_bound(g: IntPoly, k: int) -> float:
+    c = g.coeffs
     n = len(c) - 1
     logs = [_log2_above(abs(c[n - j])) / j for j in range(1, n + 1) if c[n - j]]
     if not logs:  # f is a power of t
         return 0.0
-    return _pow2_above((1 + max(logs)) / (1 << _BOUND_STEPS))
+    return _pow2_above((1 + max(logs)) / (1 << k))
 
 
 # -- aggregate result -------------------------------------------------------

@@ -9,12 +9,19 @@ c_k = (-1)**(d+k) * c_(2d-k)).  Enumeration size is exactly (2H+1)**d.
 Minimum searches run in two phases so that results are bit-identical for
 any worker count:
 
-  * phase 1 scans fixed chunks (one per value of the first free
-    coefficient), excluding Kronecker members exactly and computing a
-    base enclosure per remaining member; a chunk returns only its member
-    and Kronecker counts and the members whose lower bound is at most its
-    own best upper bound, since the search-wide best is never above any
-    chunk's best and phase 2 would drop every other member; chunks share
+  * phase 1 scans 2H+1 fixed chunks of whole t -> -t orbits (both
+    classes are closed under f(t) -> f(-t)): chunk a holds the orbits
+    whose representative, the lexicographically smaller free vector,
+    has first free coefficient a, each representative followed by its
+    partner (see SearchSpace.orbit_chunk; for odd d the chunks a > 0
+    are empty).  A partner's Kronecker test and Graeffe bounds are hits
+    on the chain cache it shares with its representative.  Phase 1
+    excludes Kronecker members exactly and computes a base enclosure
+    per remaining member; a chunk returns only its member and Kronecker
+    counts and, sorted by free vector, the members whose lower bound is
+    at most its own best upper bound, since the search-wide best is
+    never above any chunk's best and phase 2 would drop every other
+    member; the parent sorts all of them before phase 2.  Chunks share
     no state, so the schedule cannot influence anything.  A pruning
     chunk caps itself before it encloses anything: a first pass takes
     every member's Graeffe lower and upper bounds, and only the members
@@ -36,7 +43,7 @@ mahler_upper_bound, house_upper_bound).  The lower bound participates
 in candidate elimination unconditionally; the prune flag only controls
 whether members disqualified by the bounds alone skip the expensive
 enclosure computation.  Pruned or not, reports are identical.  The
-Kronecker test and the bounds walk one cached Graeffe chain per member,
+Kronecker test and the bounds walk one cached Graeffe chain per orbit,
 and a pruning Mahler scan lets the lower bound stop at an earlier step
 once it provably exceeds the chunk's cap (the member is pruned either
 way, and the bound of every member kept is the full one).
@@ -149,6 +156,36 @@ class SearchSpace:
         rest = itertools.product(rng, repeat=self.half_degree - 1)
         return ((first,) + tail for tail in rest)
 
+    def partner(self, free: tuple[int, ...]) -> tuple[int, ...]:
+        """The free vector of f(-t), for f the member with this one.
+
+        t -> -t multiplies c_k by (-1)**k and keeps both classes (their
+        identities pair c_k with c_(2d-k), of the same parity), so it
+        negates free coefficient i exactly when d + i is odd.
+        """
+        d = self.half_degree
+        return tuple(-c if (d + i) % 2 else c for i, c in enumerate(free))
+
+    def orbit_chunk(self, first: int) -> Iterator[tuple[int, ...]]:
+        """The free vectors of the t -> -t orbits whose representative starts with first.
+
+        An orbit's representative is the lexicographically smaller of
+        its two free vectors; each is followed directly by its partner
+        (a member equal to its own partner appears once).  For even d
+        the partner keeps the first coefficient, so this chunk holds
+        exactly the free vectors starting with first.  For odd d it
+        negates it: a chunk first < 0 holds the free vectors starting
+        with first or -first, chunk 0 its own orbits, and a chunk
+        first > 0 is empty.
+        """
+        for free in self.free_vectors_with_first(first):
+            partner = self.partner(free)
+            if free < partner:
+                yield free
+                yield partner
+            elif free == partner:
+                yield free
+
     def to_json(self) -> dict:
         return {"kind": self.kind, "degree": self.degree, "height": self.height}
 
@@ -169,10 +206,14 @@ def _lower(candidate) -> float:
 
 
 def _scan_chunk(args) -> tuple[int, int, list]:
-    """Phase 1 over one first coefficient: (scanned, kronecker, survivors).
+    """Phase 1 over one orbit chunk: (scanned, kronecker, survivors).
 
-    Each survivor is a (free, Enclosure, gb) triple whose lower bound is
-    at most the chunk's final best upper bound.
+    The chunk is SearchSpace.orbit_chunk(first): whole t -> -t orbits,
+    each representative followed directly by its partner, whose
+    Kronecker test and Graeffe bounds are then hits on the chain cache
+    the two share (see is_kronecker).  Each survivor is a (free,
+    Enclosure, gb) triple whose lower bound is at most the chunk's final
+    best upper bound, and survivors are returned sorted by free.
 
     When pruning, the chunk is scanned twice.  Pass A streams every
     member: the Kronecker test, then the Graeffe lower bound gb (a
@@ -204,6 +245,15 @@ def _scan_chunk(args) -> tuple[int, int, list]:
         (the member attaining it is a candidate), so it keeps the same
         candidates, with the same enclosures, in the same order.
 
+    The same argument makes phase 2 independent of the chunk layout and
+    of the scan order within a chunk.  m, every member's tol0 enclosure
+    and its full gb do not depend on them, and every member whose lower
+    bound is at most m survives its chunk, whichever chunk holds it; the
+    other survivors are dropped by the first filter.  So the parent,
+    which sorts all candidates by free before that filter, gives phase 2
+    the members whose lower bound is at most m in lexicographic order,
+    as a scan of the space in that order would.
+
     Without pruning nothing is deferred: each member is enclosed as
     pass A reaches it, so retained memory is the survivors, not the
     chunk.
@@ -219,7 +269,7 @@ def _scan_chunk(args) -> tuple[int, int, list]:
 
     def pass_a():
         nonlocal scanned, kron, cap
-        for free in space.free_vectors_with_first(first):
+        for free in space.orbit_chunk(first):
             scanned += 1
             f = space.member(free)
             if is_kronecker(f):
@@ -247,7 +297,14 @@ def _scan_chunk(args) -> tuple[int, int, list]:
         candidate = (free, enc, gb)
         if _lower(candidate) <= best_hi:
             survivors.append(candidate)
-    return scanned, kron, [c for c in survivors if _lower(c) <= best_hi]
+    survivors = [c for c in survivors if _lower(c) <= best_hi]
+    survivors.sort(key=_free)
+    return scanned, kron, survivors
+
+
+def _free(candidate) -> tuple[int, ...]:
+    """The free vector of a (free, Enclosure, gb) triple, its sort key."""
+    return candidate[0]
 
 
 def _process_pool(workers: int):
@@ -331,7 +388,9 @@ def _min_search(
         enumerated = sum(scanned for scanned, _, _ in chunk_results)
         assert enumerated == space.size
         kron = sum(k for _, k, _ in chunk_results)
-        candidates = [c for _, _, survivors in chunk_results for c in survivors]
+        candidates = sorted(
+            (c for _, _, survivors in chunk_results for c in survivors),
+            key=_free)
         if not candidates:
             return SearchReport(space, quantity, tol, enumerated, kron, None,
                                 (), (), 0, False)

@@ -373,6 +373,64 @@ class TestGraeffeChain:
         assert maxsize is not None and 0 < maxsize < 10**6
 
 
+# every chain reader search.py calls, each with the arguments it passes
+ORBIT_READERS = {
+    "is_kronecker": is_kronecker,
+    "mahler_lower_bound": mahler_lower_bound,
+    "mahler_lower_bound above 1.2": lambda f: mahler_lower_bound(f, above=1.2),
+    "mahler_lower_bound above 2": lambda f: mahler_lower_bound(f, above=2.0),
+    "house_lower_bound": house_lower_bound,
+    "mahler_upper_bound": mahler_upper_bound,
+    "house_upper_bound": house_upper_bound,
+}
+
+
+class TestOrbitChain:
+    """f and f(-t) share one Graeffe chain and everything read from it."""
+
+    @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
+    def test_partner_results_are_equal_and_cached(self, monkeypatch, kind):
+        calls = []
+
+        def counting_graeffe(f):
+            calls.append(f)
+            return graeffe(f)
+
+        monkeypatch.setattr(importlib.import_module("skewrec.measure"),
+                            "graeffe", counting_graeffe)
+        partners = 0
+        for degree in (2, 4, 6, 8):
+            for f in enumerate_space(SearchSpace(kind, degree, 2)):
+                g = negate_variable(f)
+                partners += g != f
+                for name, read in ORBIT_READERS.items():
+                    _graeffe_iterate.cache_clear()
+                    alone = read(f)
+                    _graeffe_iterate.cache_clear()
+                    assert read(g) == alone, (f, name)
+                    for first, second in ((f, g), (g, f)):
+                        _graeffe_iterate.cache_clear()
+                        read(first)
+                        calls.clear()
+                        assert read(second) == alone, (f, name)
+                        assert calls == [], (f, name)
+        assert partners > 0
+
+    @given(f=integer_polys(), steps=st.integers(0, 6))
+    @example(f=IntPoly([0, 5, 0, 1]), steps=3)  # odd degree, monic, times t
+    @example(f=IntPoly([1, 0, -1, 0, 1]), steps=2)  # even: its own partner
+    def test_negated_variable_shares_the_iterates(self, f, steps):
+        g = negate_variable(f)
+        for first, second in ((f, g), (g, f)):
+            _graeffe_iterate.cache_clear()
+            _graeffe_iterate(first, steps)
+            assert _graeffe_iterate(second, 0) is second
+            for k in range(1, steps + 1):
+                expected = graeffe_iterate_reference(first, k)
+                assert _graeffe_iterate(second, k) == expected
+                assert _graeffe_iterate(first, k) == expected
+
+
 # a threshold the early stop is checked against, besides each member's own
 # full bound, its float neighbours and 1e-7 relative either side
 EARLY_STOP_THRESHOLDS = (1.0, 1.05, 1.1762808, 1.3, 1.618, 2.0, 3.0)

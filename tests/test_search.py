@@ -1,5 +1,6 @@
 """Height-bounded spaces, deterministic searches, tables, and the survey."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -15,7 +16,12 @@ from skewrec.measure import (
     mahler,
     mahler_lower_bound,
 )
-from skewrec.poly import IntPoly, is_reciprocal, is_skew_reciprocal
+from skewrec.poly import (
+    IntPoly,
+    is_reciprocal,
+    is_skew_reciprocal,
+    negate_variable,
+)
 from skewrec.search import (
     SearchSpace,
     _lower,
@@ -60,6 +66,37 @@ class TestSearchSpace:
             for f in enumerate_space(SearchSpace("reciprocal", 4, 1))
         ]
         assert frees == sorted(frees)
+
+    def test_orbit_chunks_partition_the_space(self, monkeypatch):
+        chunks = []
+
+        def recording_scan(args):
+            kind, degree, height, first = args[:4]
+            chunk = list(SearchSpace(kind, degree, height).orbit_chunk(first))
+            chunks.append(chunk)
+            return len(chunk), 0, []
+
+        monkeypatch.setattr("skewrec.search._scan_chunk", recording_scan)
+        for kind in ("reciprocal", "skew_reciprocal"):
+            for degree, height in itertools.product((2, 4, 6, 8, 10), range(4)):
+                space = SearchSpace(kind, degree, height)
+                chunks.clear()
+                assert min_mahler(space).minimum is None
+                assert len(chunks) == 2 * height + 1
+                scanned = [free for chunk in chunks for free in chunk]
+                assert sorted(scanned) == list(space.free_vectors())
+                for chunk in chunks:
+                    i = 0
+                    while i < len(chunk):
+                        free = chunk[i]
+                        partner = space.partner(free)
+                        assert space.member(partner) == \
+                            negate_variable(space.member(free))
+                        assert free <= partner
+                        if free != partner:
+                            assert chunk[i + 1] == partner
+                            i += 1
+                        i += 1
 
     def test_height_zero_allowed(self):
         members = list(enumerate_space(SearchSpace("skew_reciprocal", 4, 0)))
@@ -125,8 +162,11 @@ class TestMinimumSearches:
         assert abs(rep.minimum.midpoint - brute) < 1e-6
 
     def test_prune_does_not_change_report(self):
-        for kind in ("reciprocal", "skew_reciprocal"):
-            space = SearchSpace(kind, 4, 2)
+        # degree 6 has an odd number of free coefficients, so its orbit
+        # chunks hold first coefficients +-a together
+        for kind, degree in itertools.product(("reciprocal", "skew_reciprocal"),
+                                              (4, 6)):
+            space = SearchSpace(kind, degree, 2)
             for search in (min_mahler, min_house):
                 with_prune = search(space, tol=1e-10, prune=True)
                 without = search(space, tol=1e-10, prune=False)
@@ -172,14 +212,17 @@ class TestMinimumSearches:
         assert len(calls) <= 34
 
     def test_jobs_do_not_change_report(self):
-        for kind in ("reciprocal", "skew_reciprocal"):
-            space = SearchSpace(kind, 4, 2)
+        for kind, degree in itertools.product(("reciprocal", "skew_reciprocal"),
+                                              (4, 6)):
+            space = SearchSpace(kind, degree, 2)
             for search in (min_mahler, min_house):
-                reports = [
-                    json.dumps(search(space, tol=1e-10, jobs=j).to_json())
-                    for j in (1, 2, 5)
-                ]
-                assert reports[0] == reports[1] == reports[2]
+                for prune in (True, False):
+                    reports = [
+                        json.dumps(search(space, tol=1e-10, jobs=j,
+                                          prune=prune).to_json())
+                        for j in (1, 2, 5)
+                    ]
+                    assert reports[0] == reports[1] == reports[2]
 
     def test_pool_is_capped_at_the_chunk_count(self, pool_sizes):
         space = SearchSpace("reciprocal", 4, 1)  # 3 chunks
