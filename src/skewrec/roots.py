@@ -41,13 +41,28 @@ why rounding them up is sound.  Soundness never depends on which rung
 produced the points.  A rung whose radii do not certify passes its
 points to the next one; running past the cap raises PrecisionExhausted
 rather than returning anything unsound.
+
+Within one operation the ladder is resumed, not restarted.  Inside
+memo_scope() a bounded memo keeps, per (part, p0), every rung already
+run: its points, which warm-start the next rung, and its disks (or
+None).  A later certification of the same part at the same p0, at a
+tighter tolerance or a higher cap, reads those rungs back and runs
+_aberth and _certify only past them, as MPSolve carries its
+approximations up its precision ladder (Bini & Fiorentino, Numer.
+Algorithms 23, 2000).  Rung i is a pure function of (coefficients, p0,
+i), so a resumed ladder returns every bit a fresh one would.  Searches,
+the decomposition survey, measure() and each refinement loop open the
+scope; outside it nothing is kept, so no operation reads another's
+work.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 from fractions import Fraction
+from typing import Optional
 
 import mpmath as mp
 
@@ -65,6 +80,10 @@ _DOUBLE_BITS = 53
 # the certificate's grid is this many bits finer than its points
 _GUARD_BITS = 64
 _INF = float("inf")
+# Keys each scoped memo holds, oldest dropped first: a search's phase-2
+# candidates and their phase-1 enclosures fit, and a --no-prune scan of
+# millions of members stays bounded.
+_MEMO_SIZE = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,6 +293,90 @@ def _certify(coeffs, points, res_bits=0):
     return disks
 
 
+class _CacheInfo:
+    """The cache counts, named as functools.lru_cache names them.
+
+    A plain class, since a dataclass here would add about a millisecond
+    to every import of the package.
+    """
+
+    __slots__ = ("hits", "misses", "maxsize", "currsize")
+
+    def __init__(self, hits: int, misses: int, maxsize: int, currsize: int):
+        self.hits, self.misses = hits, misses
+        self.maxsize, self.currsize = maxsize, currsize
+
+
+_MEMOS: list["_ScopedMemo"] = []
+
+
+class _ScopedMemo:
+    """A bounded map that keeps entries only while a memo scope is open.
+
+    Outside memo_scope() every lookup misses and nothing is kept.  Inside
+    it, the oldest key is dropped once maxsize keys are held.  hits and
+    misses count lookups over all scopes.
+    """
+
+    def __init__(self):
+        self.maxsize = _MEMO_SIZE
+        self.entries: Optional[dict] = None
+        self.hits = self.misses = 0
+        _MEMOS.append(self)
+
+    def get(self, key, make):
+        """The entry kept for key; on a miss make() builds it, kept in a scope."""
+        entries = self.entries
+        if entries is not None:
+            value = entries.get(key)
+            if value is not None:
+                self.hits += 1
+                return value
+        self.misses += 1
+        value = make()
+        if entries is not None:
+            if len(entries) >= self.maxsize:
+                del entries[next(iter(entries))]
+            entries[key] = value
+        return value
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, self.maxsize,
+                          len(self.entries or ()))
+
+
+# (coefficients, p0) -> the ladder's rungs so far, each (points, disks)
+_ladders = _ScopedMemo()
+
+
+@contextlib.contextmanager
+def memo_scope():
+    """Keep every scoped memo's entries until the outermost scope closes.
+
+    A scope opened inside another is part of it.  The memos are bounded,
+    and their entries go when the outermost scope closes, so work done
+    for one operation never serves another.
+    """
+    if _ladders.entries is not None:
+        yield
+        return
+    _open_memos()
+    try:
+        yield
+    finally:
+        for memo in _MEMOS:
+            memo.entries = None
+
+
+def _open_memos() -> None:
+    """Open a scope that is never closed, for a process that lives one operation.
+
+    A search's pool workers run it as their initializer.
+    """
+    for memo in _MEMOS:
+        memo.entries = {}
+
+
 def _certified_disks(
     f: IntPoly, tol: Fraction, max_bits: int
 ) -> tuple[list[_ExactDisk], int]:
@@ -282,6 +385,17 @@ def _certified_disks(
     The caller is responsible for stripping powers of t.  Returns the
     disks together with the ladder rung they were certified from: 53
     for hardware doubles, otherwise the multiprecision working precision.
+
+    Given p0, the ladder [53, p0, 2*p0, ...] depends on nothing else:
+    max_bits only truncates it.  Rung i runs _aberth from rung i-1's
+    points (a cold start after a rung that gave none) and certifies
+    them at grid max(prec, p0), so its points and disks are a pure
+    function of (coefficients, p0, i).  Inside memo_scope() the rungs
+    already run for (coefficients, p0) are read back from _ladders, and
+    only the rest are run and kept.  Each rung, read or run, takes the
+    same tolerance test, so the result is the one a fresh ladder gives,
+    and the returned disks are shared with the memo: callers only read
+    them.
     """
     coeffs = f.coeffs
     if f.degree <= 0:
@@ -298,13 +412,16 @@ def _certified_disks(
     while prec <= max_bits:
         ladder.append(prec)
         prec *= 2
+    rungs = _ladders.get((coeffs, p0), list)
     zs = None
-    for prec in ladder:
-        zs = _aberth(coeffs, prec, zs)
-        if zs is None:
-            continue
-        # the points are dyadic rationals: _certify converts them exactly
-        disks = _certify(coeffs, zs, max(prec, p0))
+    for i, prec in enumerate(ladder):
+        if i < len(rungs):
+            zs, disks = rungs[i]
+        else:
+            zs = _aberth(coeffs, prec, zs)
+            # the points are dyadic rationals: _certify converts them exactly
+            disks = None if zs is None else _certify(coeffs, zs, max(prec, p0))
+            rungs.append((zs, disks))
         if disks is not None and all(d.radius * d.radius <= tol2 for d in disks):
             return disks, prec
     raise PrecisionExhausted(

@@ -35,7 +35,16 @@ any worker count:
     stays open for it, and reads the enclosures back in candidate order
     (a candidate past the precision cap keeps its previous enclosure and
     marks the report exhausted), so the round's outcome does not depend
-    on the worker count.  With one worker everything runs in-process.
+    on the worker count.  A round goes to the pool as one contiguous
+    batch of ceil(n / workers) candidates per worker: a round trip per
+    batch, not per candidate.  With one worker everything runs
+    in-process.  The search runs in one memo scope, and each pool
+    worker opens one for its life (see roots.memo_scope).  So a round
+    reads each candidate's squarefree parts back and resumes each
+    part's root-certification ladder where its phase-1 enclosure or
+    the round before left it, instead of rerunning the Aberth
+    iteration and the exact certificate from the start; a resumed
+    ladder returns the bits a fresh one would.
 
 Both quantities have cheap certified lower and upper bounds read from
 exact Graeffe iterates (mahler_lower_bound, house_lower_bound,
@@ -70,7 +79,7 @@ from .measure import (
     mahler_upper_bound,
 )
 from .poly import BREUSCH_BOUND, IntPoly
-from .roots import DEFAULT_MAX_BITS
+from .roots import DEFAULT_MAX_BITS, _open_memos, memo_scope
 from .structure import NonreciprocalWitness, decompose_skew_reciprocal
 
 __all__ = [
@@ -312,10 +321,12 @@ def _process_pool(workers: int):
 
     concurrent.futures.process loads multiprocessing, which commands
     that never start a pool (every --jobs 1 run) should not pay for.
+    A pool serves one search, so each worker opens a memo scope for its
+    whole life (see roots.memo_scope).
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=workers)
+    return ProcessPoolExecutor(max_workers=workers, initializer=_open_memos)
 
 
 def _enclose(args) -> Optional[Enclosure]:
@@ -381,7 +392,7 @@ def _min_search(
     ]
     workers = min(jobs, len(chunk_args))
     pool = _process_pool(workers) if workers > 1 else contextlib.nullcontext()
-    with pool:
+    with memo_scope(), pool:
         pool_map = pool.map if workers > 1 else map
         chunk_results = list(pool_map(_scan_chunk, chunk_args))
 
@@ -404,8 +415,14 @@ def _min_search(
         while True:
             args = [(quantity, space.member(free), cur_tol, max_bits)
                     for free, _, _ in active]
+            if workers > 1:
+                # one contiguous batch per worker: neighbours share parts
+                batch = -(-len(args) // workers)
+                encs = pool.map(_enclose, args, chunksize=batch)
+            else:
+                encs = map(_enclose, args)
             refined = []
-            for (free, enc, gb), new in zip(active, pool_map(_enclose, args)):
+            for (free, enc, gb), new in zip(active, encs):
                 if new is None:
                     exhausted = True
                 else:
@@ -663,24 +680,26 @@ def verify_decomposition_over_space(
     skip_above = slack + 2 * Fraction(tol)
     kron = squares = witnesses = below = 0
     min_mahler_enc: Optional[Enclosure] = None
-    for f in enumerate_space(space):
-        if is_kronecker(f):
-            kron += 1
-            continue
-        outcome = decompose_skew_reciprocal(f)
-        if isinstance(outcome, NonreciprocalWitness):
-            witnesses += 1
-            if min_mahler_enc is not None:
-                bound = Fraction(mahler_lower_bound(f))
-                if bound > skip_above and bound > Fraction(min_mahler_enc.hi):
-                    continue
-            enc = mahler(f, tol, max_bits)
-            if Fraction(enc.lo) <= slack:
-                below += 1
-            if min_mahler_enc is None or enc.hi < min_mahler_enc.hi:
-                min_mahler_enc = enc
-        else:
-            squares += 1
+    with memo_scope():
+        for f in enumerate_space(space):
+            if is_kronecker(f):
+                kron += 1
+                continue
+            outcome = decompose_skew_reciprocal(f)
+            if isinstance(outcome, NonreciprocalWitness):
+                witnesses += 1
+                if min_mahler_enc is not None:
+                    bound = Fraction(mahler_lower_bound(f))
+                    if (bound > skip_above
+                            and bound > Fraction(min_mahler_enc.hi)):
+                        continue
+                enc = mahler(f, tol, max_bits)
+                if Fraction(enc.lo) <= slack:
+                    below += 1
+                if min_mahler_enc is None or enc.hi < min_mahler_enc.hi:
+                    min_mahler_enc = enc
+            else:
+                squares += 1
     return DecompositionSurvey(
         space, space.size, kron, squares, witnesses, min_mahler_enc, below
     )

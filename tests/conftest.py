@@ -329,7 +329,7 @@ def pool_sizes(monkeypatch) -> list[int]:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable):
+        def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
     monkeypatch.setattr("skewrec.search._process_pool", RecordingExecutor)

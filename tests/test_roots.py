@@ -30,8 +30,10 @@ from skewrec.roots import (
     _ExactDisk,
     _GUARD_BITS,
     _initial_points,
+    _ladders,
     _START_BITS,
     components,
+    memo_scope,
     roots_certified,
 )
 
@@ -243,6 +245,72 @@ class TestDoubleFastPath:
         disks, bits = _certified_disks(IntPoly(coeffs), Fraction(1e-10),
                                        DEFAULT_MAX_BITS)
         assert len(disks) == 2 and bits > 53
+
+
+def _certified_or_exhausted(p, tol, max_bits):
+    try:
+        return _certified_disks(p, tol, max_bits)
+    except PrecisionExhausted:
+        return "exhausted"
+
+
+class TestLadderMemo:
+    """Resumed precision ladders return exactly what fresh ones do."""
+
+    # p0 is 64 for the first three and 128 for the last two
+    TOLS = [Fraction(1e-8), Fraction(1e-15), Fraction(1e-19),
+            Fraction(1e-25), Fraction(1e-33)]
+
+    @settings(max_examples=30)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=9)
+           .filter(lambda cs: cs[0] != 0),
+           st.lists(st.tuples(st.sampled_from(TOLS),
+                              st.sampled_from([64, DEFAULT_MAX_BITS])),
+                    min_size=2, max_size=6))
+    def test_resumed_ladders_match_fresh_ones(self, coeffs, calls):
+        parts = [p for p, _ in squarefree_decomposition(IntPoly(coeffs + [1]))]
+        fresh = [_certified_or_exhausted(p, tol, bits)
+                 for tol, bits in calls for p in parts]
+        with memo_scope():
+            resumed = [_certified_or_exhausted(p, tol, bits)
+                       for tol, bits in calls for p in parts]
+        assert resumed == fresh
+
+    def test_exhaustion_then_success_gives_the_fresh_result(self, monkeypatch):
+        f, tol = IntPoly([1, -3, 1]), Fraction(1, 1 << 64)  # p0 = 64
+        fresh = _certified_disks(f, tol, DEFAULT_MAX_BITS)
+        module = importlib.import_module("skewrec.roots")
+        original = module._aberth
+        precs = []
+
+        def recording(coeffs, prec, warm):
+            precs.append(prec)
+            return original(coeffs, prec, warm)
+
+        monkeypatch.setattr(module, "_aberth", recording)
+        with memo_scope():
+            with pytest.raises(PrecisionExhausted):
+                _certified_disks(f, tol, 64)
+            assert precs == [53, 64]
+            assert _certified_disks(f, tol, DEFAULT_MAX_BITS) == fresh
+        # the second call ran only the rung past the cap
+        assert precs == [53, 64, 128] and fresh[1] == 128
+
+    def test_nothing_is_kept_outside_a_scope(self):
+        f, tol = IntPoly([1, -3, 1]), Fraction(1e-12)
+        before = _ladders.cache_info()
+        _certified_disks(f, tol, DEFAULT_MAX_BITS)
+        _certified_disks(f, tol, DEFAULT_MAX_BITS)
+        after = _ladders.cache_info()
+        assert (after.hits, after.currsize) == (before.hits, 0)
+        assert after.misses == before.misses + 2
+        with memo_scope():
+            _certified_disks(f, tol, DEFAULT_MAX_BITS)
+            with memo_scope():  # an inner scope is part of the outer one
+                _certified_disks(f, tol, DEFAULT_MAX_BITS)
+            assert _ladders.cache_info().currsize == 1
+        info = _ladders.cache_info()
+        assert (info.hits, info.currsize) == (after.hits + 1, 0)
 
 
 class TestCertifyCoincidentPoints:

@@ -1,5 +1,6 @@
 """Height-bounded spaces, deterministic searches, tables, and the survey."""
 
+import importlib
 import itertools
 import json
 import math
@@ -22,6 +23,7 @@ from skewrec.poly import (
     is_skew_reciprocal,
     negate_variable,
 )
+from skewrec.roots import _ladders
 from skewrec.search import (
     SearchSpace,
     _lower,
@@ -233,6 +235,7 @@ class TestMinimumSearches:
 
     def test_phase_two_runs_on_the_phase_one_pool(self, monkeypatch):
         mapped = []
+        batches = []  # (candidates, chunksize) of each phase-2 round
 
         class RecordingExecutor:
             def __init__(self, max_workers):
@@ -245,9 +248,12 @@ class TestMinimumSearches:
                 mapped.append("closed")
                 return False
 
-            def map(self, fn, iterable):
+            def map(self, fn, iterable, chunksize=1):
                 mapped.append(fn.__name__)
-                return map(fn, iterable)
+                items = list(iterable)
+                if fn.__name__ == "_enclose":
+                    batches.append((len(items), chunksize))
+                return map(fn, items)
 
         monkeypatch.setattr("skewrec.search._process_pool",
                             RecordingExecutor)
@@ -255,6 +261,8 @@ class TestMinimumSearches:
         report = min_mahler(space, jobs=2)
         rounds = report.precision_escalations + 1
         assert mapped == ["_scan_chunk"] + ["_enclose"] * rounds + ["closed"]
+        # each round goes out as one contiguous batch per worker (2 here)
+        assert batches and all(size == -(-n // 2) for n, size in batches)
         assert report.to_json() == min_mahler(space).to_json()
 
     def test_pooled_phase_two_matches_serial(self):
@@ -295,6 +303,58 @@ class TestMinimumSearches:
             "precision_escalations",
             "precision_exhausted",
         }
+
+
+class TestMemoScope:
+    """A search resumes root certifications within itself, never across."""
+
+    @staticmethod
+    def count_aberth(monkeypatch, record):
+        module = importlib.import_module("skewrec.roots")
+        original = module._aberth
+
+        def counting(coeffs, prec, warm):
+            record()
+            return original(coeffs, prec, warm)
+
+        monkeypatch.setattr(module, "_aberth", counting)
+
+    def test_nothing_carries_across_searches(self, monkeypatch):
+        calls = []
+        self.count_aberth(monkeypatch, lambda: calls.append(1))
+        space = SearchSpace("skew_reciprocal", 6, 1)
+        counts = []
+        for _ in range(2):
+            before = len(calls)
+            min_mahler(space, jobs=1)
+            counts.append(len(calls) - before)
+        assert counts[0] == counts[1] > 0
+        assert _ladders.cache_info().currsize == 0
+
+    def test_memo_stays_within_its_cap(self, monkeypatch):
+        sizes = []
+        self.count_aberth(monkeypatch, lambda: sizes.append(
+            _ladders.cache_info().currsize))
+        min_mahler(SearchSpace("skew_reciprocal", 8, 2), prune=False)
+        # about 600 members are enclosed, so the cap is reached and held
+        assert max(sizes) == _ladders.maxsize
+        assert _ladders.cache_info().currsize == 0
+
+    def test_phase_two_rounds_hit_the_memo(self, monkeypatch):
+        module = importlib.import_module("skewrec.search")
+        original = module._enclose
+        hits = []
+
+        def recording(args):
+            before = _ladders.cache_info().hits
+            enc = original(args)
+            hits.append(_ladders.cache_info().hits - before)
+            return enc
+
+        monkeypatch.setattr(module, "_enclose", recording)
+        report = min_mahler(SearchSpace("skew_reciprocal", 8, 2), jobs=1)
+        assert report.precision_escalations == 3
+        assert sum(hits) > 0
 
 
 class TestScanChunk:
