@@ -39,14 +39,7 @@ from .poly import (
     gcd_primitive,  # not called here; perfbench/tracer.py wraps this name
     squarefree_decomposition,
 )
-from .roots import (
-    DEFAULT_MAX_BITS,
-    _CacheInfo,
-    _certified_disks,
-    _ScopedMemo,
-    components,
-    memo_scope,
-)
+from .roots import DEFAULT_MAX_BITS, _CacheInfo, _certified_disks, components
 
 __all__ = [
     "graeffe",
@@ -295,25 +288,6 @@ def kronecker_free_part(f: IntPoly) -> tuple[IntPoly, int, int]:
 # -- certified enclosures --------------------------------------------------
 
 
-# f.coeffs -> (squarefree parts of f's cyclotomic-free part, stripped degree)
-_free_parts_memo = _ScopedMemo()
-
-
-def _free_parts(f: IntPoly) -> tuple[list[tuple[IntPoly, int]], int]:
-    """What root finding on monic f needs, kept in the open memo scope.
-
-    Returns the squarefree decomposition of the cyclotomic-free part u
-    of f (kronecker_free_part), empty when u = 1, and the degree of the
-    cyclotomic part stripped.  A search encloses each phase-2 candidate
-    once per round, and this splits it once per search and process.
-    """
-    def split():
-        u, stripped, _ = kronecker_free_part(f)
-        return (squarefree_decomposition(u) if u.degree else []), stripped
-
-    return _free_parts_memo.get(f.coeffs, split)
-
-
 def _disk_data(parts, tol: Fraction, max_bits: int):
     """Certified disks for each (factor, multiplicity) pair of parts.
 
@@ -364,10 +338,8 @@ def _refine(parts, tol: float, root_tol: Fraction, max_bits: int, readers):
     """Certify disks for parts until every reader's enclosure is at most tol wide.
 
     Each reader maps the disk data to rational (lo, hi) bounds.  The root
-    tolerance starts at root_tol and shrinks 16-fold per round, and each
-    round resumes every part's precision ladder where the round before
-    left it (see roots.memo_scope).  Returns the enclosures in reader
-    order and the disk data they were read from.
+    tolerance starts at root_tol and shrinks 16-fold per round.  Returns
+    the enclosures in reader order and the disk data they were read from.
 
     Enclosures carry float endpoints, so their width can never drop below
     about one ulp of the value.  If an exact interval is already four
@@ -375,23 +347,22 @@ def _refine(parts, tol: float, root_tol: Fraction, max_bits: int, readers):
     further refinement cannot help, and PrecisionExhausted is raised
     instead of looping forever.
     """
-    with memo_scope():
-        while True:
-            disk_data, bits = _disk_data(parts, root_tol, max_bits)
-            encs = []
-            for read in readers:
-                lo, hi = read(disk_data)
-                enc = Enclosure.from_bounds(lo, hi, bits)
-                if enc.width > tol and hi - lo <= Fraction(tol) / 4:
-                    raise PrecisionExhausted(
-                        f"enclosure width {enc.width:.3g} cannot reach "
-                        f"{tol:.3g} with float endpoints",
-                        max_bits,
-                    )
-                encs.append(enc)
-            if all(enc.width <= tol for enc in encs):
-                return encs, disk_data
-            root_tol /= 16
+    while True:
+        disk_data, bits = _disk_data(parts, root_tol, max_bits)
+        encs = []
+        for read in readers:
+            lo, hi = read(disk_data)
+            enc = Enclosure.from_bounds(lo, hi, bits)
+            if enc.width > tol and hi - lo <= Fraction(tol) / 4:
+                raise PrecisionExhausted(
+                    f"enclosure width {enc.width:.3g} cannot reach {tol:.3g} "
+                    "with float endpoints",
+                    max_bits,
+                )
+            encs.append(enc)
+        if all(enc.width <= tol for enc in encs):
+            return encs, disk_data
+        root_tol /= 16
 
 
 def _mahler_root_tol(f: IntPoly, tol: float) -> Fraction:
@@ -419,11 +390,11 @@ def mahler(
     """
     if not f.is_monic():
         raise PolynomialError("mahler requires monic input")
-    parts, _ = _free_parts(f)
-    if not parts:  # f is Kronecker
+    u, _, _ = kronecker_free_part(f)
+    if u.degree == 0:  # f is Kronecker
         return Enclosure(1.0, 1.0, 0)
-    (enc,), _ = _refine(parts, tol, _mahler_root_tol(f, tol), max_bits,
-                        (_mahler_bounds,))
+    (enc,), _ = _refine(squarefree_decomposition(u), tol,
+                        _mahler_root_tol(f, tol), max_bits, (_mahler_bounds,))
     return enc
 
 
@@ -441,11 +412,11 @@ def house(
     if f.is_zero() or f.degree < 1:
         raise PolynomialError("house requires degree >= 1")
     if f.is_monic():
-        parts, stripped = _free_parts(f)
-        if not parts:
+        u, stripped, _ = kronecker_free_part(f)
+        if u.degree == 0:
             return Enclosure(1.0, 1.0, 0) if stripped else Enclosure(0.0, 0.0, 0)
         # monic with a nonzero root forces house >= 1
-        floor = Fraction(1)
+        parts, floor = squarefree_decomposition(u), Fraction(1)
     else:
         _, u = _strip_t_powers(f)
         if u.degree == 0:
@@ -673,16 +644,15 @@ def measure(
         raise PolynomialError("measure requires degree >= 1")
     if not f.is_monic():
         raise PolynomialError("measure requires monic input")
-    with memo_scope():
-        if is_kronecker(f):
-            return MeasureResult(Enclosure(1.0, 1.0, 0),
-                                 house(f, tol, max_bits), True, 0, True)
-        parts, _ = _free_parts(f)
-        # the count needs disks no coarser than 1e-6
-        root_tol = min(_mahler_root_tol(f, tol), Fraction(min(tol, 1e-6)))
-        readers = (_mahler_bounds,
-                   functools.partial(_house_bounds, Fraction(1)))
-        (m, h), disk_data = _refine(parts, tol, root_tol, max_bits, readers)
+    if is_kronecker(f):
+        return MeasureResult(Enclosure(1.0, 1.0, 0), house(f, tol, max_bits),
+                             True, 0, True)
+    u, _, _ = kronecker_free_part(f)
+    # the count needs disks no coarser than 1e-6
+    root_tol = min(_mahler_root_tol(f, tol), Fraction(min(tol, 1e-6)))
+    readers = (_mahler_bounds, functools.partial(_house_bounds, Fraction(1)))
+    (m, h), disk_data = _refine(squarefree_decomposition(u), tol, root_tol,
+                                max_bits, readers)
     outside = 0
     certified = True
     for disks, mult in disk_data:

@@ -50,10 +50,9 @@ tighter tolerance or a higher cap, reads those rungs back and runs
 _aberth and _certify only past them, as MPSolve carries its
 approximations up its precision ladder (Bini & Fiorentino, Numer.
 Algorithms 23, 2000).  Rung i is a pure function of (coefficients, p0,
-i), so a resumed ladder returns every bit a fresh one would.  Searches,
-the decomposition survey, measure() and each refinement loop open the
-scope; outside it nothing is kept, so no operation reads another's
-work.
+i), so a resumed ladder returns every bit a fresh one would.  A search
+opens the scope for its phase-2 rounds; outside it nothing is kept, so
+no operation reads another's work.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ _DOUBLE_BITS = 53
 # the certificate's grid is this many bits finer than its points
 _GUARD_BITS = 64
 _INF = float("inf")
-# Keys each scoped memo holds, oldest dropped first: a search's phase-2
+# Keys the ladder memo holds, oldest dropped first: a search's phase-2
 # candidates and their phase-1 enclosures fit, and a --no-prune scan of
 # millions of members stays bounded.
 _MEMO_SIZE = 256
@@ -307,9 +306,6 @@ class _CacheInfo:
         self.maxsize, self.currsize = maxsize, currsize
 
 
-_MEMOS: list["_ScopedMemo"] = []
-
-
 class _ScopedMemo:
     """A bounded map that keeps entries only while a memo scope is open.
 
@@ -322,7 +318,6 @@ class _ScopedMemo:
         self.maxsize = _MEMO_SIZE
         self.entries: Optional[dict] = None
         self.hits = self.misses = 0
-        _MEMOS.append(self)
 
     def get(self, key, make):
         """The entry kept for key; on a miss make() builds it, kept in a scope."""
@@ -351,30 +346,28 @@ _ladders = _ScopedMemo()
 
 @contextlib.contextmanager
 def memo_scope():
-    """Keep every scoped memo's entries until the outermost scope closes.
+    """Keep the ladder memo's entries until the outermost scope closes.
 
-    A scope opened inside another is part of it.  The memos are bounded,
-    and their entries go when the outermost scope closes, so work done
-    for one operation never serves another.
+    A scope opened inside another is part of it.  The memo is bounded,
+    and its entries go when the outermost scope closes, so work done for
+    one operation never serves another.
     """
     if _ladders.entries is not None:
         yield
         return
-    _open_memos()
+    _open_memo()
     try:
         yield
     finally:
-        for memo in _MEMOS:
-            memo.entries = None
+        _ladders.entries = None
 
 
-def _open_memos() -> None:
+def _open_memo() -> None:
     """Open a scope that is never closed, for a process that lives one operation.
 
     A search's pool workers run it as their initializer.
     """
-    for memo in _MEMOS:
-        memo.entries = {}
+    _ladders.entries = {}
 
 
 def _certified_disks(

@@ -40,11 +40,11 @@ any worker count:
     batch, not per candidate.  With one worker everything runs
     in-process.  The search runs in one memo scope, and each pool
     worker opens one for its life (see roots.memo_scope).  So a round
-    reads each candidate's squarefree parts back and resumes each
-    part's root-certification ladder where its phase-1 enclosure or
-    the round before left it, instead of rerunning the Aberth
-    iteration and the exact certificate from the start; a resumed
-    ladder returns the bits a fresh one would.
+    resumes each part's root-certification ladder where its phase-1
+    enclosure or the round before left it (in a pool, when the same
+    worker ran that one), instead of rerunning the Aberth iteration and
+    the exact certificate from the start; a resumed ladder returns the
+    bits a fresh one would.
 
 Both quantities have cheap certified lower and upper bounds read from
 exact Graeffe iterates (mahler_lower_bound, house_lower_bound,
@@ -79,7 +79,7 @@ from .measure import (
     mahler_upper_bound,
 )
 from .poly import BREUSCH_BOUND, IntPoly
-from .roots import DEFAULT_MAX_BITS, _open_memos, memo_scope
+from .roots import DEFAULT_MAX_BITS, _open_memo, memo_scope
 from .structure import NonreciprocalWitness, decompose_skew_reciprocal
 
 __all__ = [
@@ -326,7 +326,7 @@ def _process_pool(workers: int):
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=workers, initializer=_open_memos)
+    return ProcessPoolExecutor(max_workers=workers, initializer=_open_memo)
 
 
 def _enclose(args) -> Optional[Enclosure]:
@@ -416,7 +416,7 @@ def _min_search(
             args = [(quantity, space.member(free), cur_tol, max_bits)
                     for free, _, _ in active]
             if workers > 1:
-                # one contiguous batch per worker: neighbours share parts
+                # one batch per worker: a round trip per batch, not per candidate
                 batch = -(-len(args) // workers)
                 encs = pool.map(_enclose, args, chunksize=batch)
             else:
@@ -680,26 +680,24 @@ def verify_decomposition_over_space(
     skip_above = slack + 2 * Fraction(tol)
     kron = squares = witnesses = below = 0
     min_mahler_enc: Optional[Enclosure] = None
-    with memo_scope():
-        for f in enumerate_space(space):
-            if is_kronecker(f):
-                kron += 1
-                continue
-            outcome = decompose_skew_reciprocal(f)
-            if isinstance(outcome, NonreciprocalWitness):
-                witnesses += 1
-                if min_mahler_enc is not None:
-                    bound = Fraction(mahler_lower_bound(f))
-                    if (bound > skip_above
-                            and bound > Fraction(min_mahler_enc.hi)):
-                        continue
-                enc = mahler(f, tol, max_bits)
-                if Fraction(enc.lo) <= slack:
-                    below += 1
-                if min_mahler_enc is None or enc.hi < min_mahler_enc.hi:
-                    min_mahler_enc = enc
-            else:
-                squares += 1
+    for f in enumerate_space(space):
+        if is_kronecker(f):
+            kron += 1
+            continue
+        outcome = decompose_skew_reciprocal(f)
+        if isinstance(outcome, NonreciprocalWitness):
+            witnesses += 1
+            if min_mahler_enc is not None:
+                bound = Fraction(mahler_lower_bound(f))
+                if bound > skip_above and bound > Fraction(min_mahler_enc.hi):
+                    continue
+            enc = mahler(f, tol, max_bits)
+            if Fraction(enc.lo) <= slack:
+                below += 1
+            if min_mahler_enc is None or enc.hi < min_mahler_enc.hi:
+                min_mahler_enc = enc
+        else:
+            squares += 1
     return DecompositionSurvey(
         space, space.size, kron, squares, witnesses, min_mahler_enc, below
     )
