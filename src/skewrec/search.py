@@ -14,7 +14,7 @@ any worker count:
     whose representative, the lexicographically smaller free vector,
     has first free coefficient a, each representative followed by its
     partner (see SearchSpace.orbit_chunk; for odd d the chunks a > 0
-    are empty).  A partner's Kronecker test and Graeffe bounds are hits
+    would be empty, so only a <= 0 are built).  A partner's Kronecker test and Graeffe bounds are hits
     on the chain cache it shares with its representative.  Phase 1
     excludes Kronecker members exactly and computes a base enclosure
     per remaining member; a chunk returns only its member and Kronecker
@@ -29,8 +29,18 @@ any worker count:
     are enclosed in a second pass (see _scan_chunk);
   * phase 2 keeps every candidate whose certified lower bound does not
     exceed the smallest certified upper bound, then refines this set at
-    progressively finer tolerances until a single witness remains or the
-    escalation budget is spent; unresolved ties are reported in full.
+    progressively finer tolerances until a single witness remains, the
+    escalation budget is spent, or every candidate left has the same
+    exact tie-class key (see _tie_key); unresolved ties are reported in
+    full.  Equal keys prove equal values: each candidate's enclosure
+    then contains the common value v, and its Graeffe bound is at most
+    v, so every lower bound is at most v, which is at most the smallest
+    upper bound.  No later round could drop a candidate, and the
+    witnesses are the ones every round would give; only the
+    enclosures, still at most tol wide, precision_escalations, and
+    precision_exhausted (had a later round passed max_bits) can
+    differ.  The keys are computed in the parent, once per candidate,
+    and only when a round leaves more than one candidate.
     Each round maps its candidates over the phase-1 worker pool, which
     stays open for it, and reads the enclosures back in candidate order
     (a candidate past the precision cap keeps its previous enclosure and
@@ -74,11 +84,18 @@ from .measure import (
     house_lower_bound,
     house_upper_bound,
     is_kronecker,
+    kronecker_free_part,
     mahler,
     mahler_lower_bound,
     mahler_upper_bound,
 )
-from .poly import BREUSCH_BOUND, IntPoly
+from .poly import (
+    BREUSCH_BOUND,
+    IntPoly,
+    negate_variable,
+    reverse,
+    squarefree_decomposition,
+)
 from .roots import DEFAULT_MAX_BITS, _open_memo, memo_scope
 from .structure import NonreciprocalWitness, decompose_skew_reciprocal
 
@@ -339,6 +356,42 @@ def _enclose(args) -> Optional[Enclosure]:
         return None
 
 
+def _tie_key(quantity: str, f: IntPoly) -> tuple:
+    """An exact tie-class key of a monic f: equal keys prove equal values.
+
+    Write f = t**k * (cyclotomic part) * u with u cyclotomic-free
+    (kronecker_free_part) and u = prod p**m (squarefree_decomposition).
+    The t**k and cyclotomic factors have measure 1, so M(f) =
+    prod M(p)**m; and when u is not constant, house(f) = max house(p),
+    which is above 1.  The key is the sorted (_tie_form(p), m) pairs, and
+    each form keeps its part's value, so two members with one key have
+    one value, exactly.
+    """
+    u, _, _ = kronecker_free_part(f)
+    return tuple(sorted((_tie_form(quantity, p), m)
+                        for p, m in squarefree_decomposition(u)))
+
+
+def _tie_form(quantity: str, p: IntPoly) -> tuple[int, ...]:
+    """A canonical coefficient tuple of a part p (p(0) != 0) that keeps its value.
+
+    Both: the smallest of +-p(t), +-p(-t) with a positive leading
+    coefficient; t -> -t only negates the roots.  Mahler first deflates,
+    p(t) = q(t**g) with g the gcd of p's exponents (the roots of p are
+    the g-th roots of q's, so M(p) = M(q)), and also takes reverse(q),
+    whose roots are the inverses of q's: M(reverse q) = M(q).  House does
+    neither, since both change the largest root modulus.
+    """
+    if quantity == "mahler":
+        g = math.gcd(*(k for k, c in enumerate(p.coeffs) if c))
+        p = IntPoly(p.coeffs[::g])
+        forms = (p, reverse(p))
+    else:
+        forms = (p,)
+    return min((h if h.leading > 0 else -h).coeffs
+               for q in forms for h in (q, negate_variable(q)))
+
+
 @dataclasses.dataclass(frozen=True)
 class SearchReport:
     """Outcome of a minimum search, deterministic for a given configuration."""
@@ -385,10 +438,12 @@ def _min_search(
             budget,
         )
     tol0 = max(tol, 1e-6)
+    # for odd d the orbit chunks first > 0 are empty
+    last_first = 0 if space.half_degree % 2 else space.height
     chunk_args = [
         (space.kind, space.degree, space.height, first, quantity, tol0,
          prune, max_bits)
-        for first in range(-space.height, space.height + 1)
+        for first in range(-space.height, last_first + 1)
     ]
     workers = min(jobs, len(chunk_args))
     pool = _process_pool(workers) if workers > 1 else contextlib.nullcontext()
@@ -412,6 +467,7 @@ def _min_search(
         escalations = 0
         exhausted = False
         cur_tol = tol
+        keys = {}
         while True:
             args = [(quantity, space.member(free), cur_tol, max_bits)
                     for free, _, _ in active]
@@ -431,6 +487,12 @@ def _min_search(
             min_hi = min(enc.hi for _, enc, _ in refined)
             active = [e for e in refined if _lower(e) <= min_hi]
             if len(active) <= 1 or escalations >= _ESCALATION_ROUNDS or exhausted:
+                break
+            # one exact tie class: no round can shrink the active set
+            for free, _, _ in active:
+                if free not in keys:
+                    keys[free] = _tie_key(quantity, space.member(free))
+            if len({keys[free] for free, _, _ in active}) == 1:
                 break
             escalations += 1
             cur_tol /= 16

@@ -153,7 +153,8 @@ class TestSearchCommand:
             ["table", "--max-i", "1", "--heights", "1", "--jobs", "64"], capsys
         )
         assert code == 0 and json.loads(out)["meta"]["jobs"] == 64
-        assert pool_sizes == [3, 3, 3, 3]  # four searches of 3 chunks each
+        # four searches of 2 chunks each: d = 1 is odd, so only first <= 0
+        assert pool_sizes == [2, 2, 2, 2]
 
     def test_exhausted_phase_two_same_data_across_jobs(self, capsys):
         args = ["search", "--kind", "skew_reciprocal", "--degree", "6",

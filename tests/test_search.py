@@ -7,27 +7,36 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import brute_mahler
 from skewrec.errors import BudgetExceeded, PolynomialError
 from skewrec.measure import (
+    _disk_data,
+    _mahler_bounds,
+    _mahler_root_tol,
     house,
     house_lower_bound,
     is_kronecker,
+    kronecker_free_part,
     mahler,
     mahler_lower_bound,
+    squarefree_decomposition,
 )
 from skewrec.poly import (
     IntPoly,
+    cyclotomic,
     is_reciprocal,
     is_skew_reciprocal,
     negate_variable,
 )
-from skewrec.roots import _ladders
+from skewrec.roots import DEFAULT_MAX_BITS, _ladders
 from skewrec.search import (
     SearchSpace,
     _lower,
     _scan_chunk,
+    _tie_key,
     enumerate_space,
     min_house,
     min_mahler,
@@ -37,6 +46,14 @@ from skewrec.search import (
 from skewrec.structure import NonreciprocalWitness, decompose_skew_reciprocal
 
 PHI = (1 + math.sqrt(5)) / 2
+LEHMER = IntPoly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+GOLDEN = IntPoly([-1, -1, 1])  # t^2 - t - 1, roots phi and -1/phi
+
+
+def one_key_per_candidate(monkeypatch):
+    """Give every phase-2 candidate its own tie class, so no round stops early."""
+    monkeypatch.setattr("skewrec.search._tie_key",
+                        lambda quantity, f: f.coeffs)
 
 
 class TestSearchSpace:
@@ -84,7 +101,9 @@ class TestSearchSpace:
                 space = SearchSpace(kind, degree, height)
                 chunks.clear()
                 assert min_mahler(space).minimum is None
-                assert len(chunks) == 2 * height + 1
+                # for odd d the chunks first > 0 would be empty
+                odd = space.half_degree % 2
+                assert len(chunks) == (height + 1 if odd else 2 * height + 1)
                 scanned = [free for chunk in chunks for free in chunk]
                 assert sorted(scanned) == list(space.free_vectors())
                 for chunk in chunks:
@@ -265,8 +284,9 @@ class TestMinimumSearches:
         assert batches and all(size == -(-n // 2) for n, size in batches)
         assert report.to_json() == min_mahler(space).to_json()
 
-    def test_pooled_phase_two_matches_serial(self):
+    def test_pooled_phase_two_matches_serial(self, monkeypatch):
         # 3 escalation rounds over 8 tied witnesses, on 1, 2 and 3 workers
+        one_key_per_candidate(monkeypatch)
         space = SearchSpace("skew_reciprocal", 8, 2)
         docs = [json.dumps(min_mahler(space, jobs=j).to_json())
                 for j in (1, 2, 3)]
@@ -274,6 +294,22 @@ class TestMinimumSearches:
         doc = json.loads(docs[0])
         assert doc["precision_escalations"] == 3
         assert len(doc["witnesses"]) == 8
+
+    @pytest.mark.parametrize("search", [min_mahler, min_house])
+    def test_tie_class_stop_changes_only_enclosures(self, monkeypatch, search):
+        space = SearchSpace("skew_reciprocal", 8, 2)
+        stopped = search(space)
+        one_key_per_candidate(monkeypatch)
+        full = search(space)
+        assert stopped.witnesses == full.witnesses
+        assert len(stopped.witnesses) > 1
+        assert stopped.precision_escalations == 0
+        assert full.precision_escalations == 3
+        pairs = zip(stopped.witness_enclosures + (stopped.minimum,),
+                    full.witness_enclosures + (full.minimum,))
+        for enc, ref in pairs:
+            assert enc.lo <= ref.hi and ref.lo <= enc.hi
+            assert enc.width <= stopped.tol
 
     @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
     @pytest.mark.parametrize("search", [min_mahler, min_house])
@@ -352,9 +388,113 @@ class TestMemoScope:
             return enc
 
         monkeypatch.setattr(module, "_enclose", recording)
+        one_key_per_candidate(monkeypatch)
         report = min_mahler(SearchSpace("skew_reciprocal", 8, 2), jobs=1)
         assert report.precision_escalations == 3
         assert sum(hits) > 0
+
+
+@st.composite
+def tie_class_polys(draw):
+    """Monic t**k * Phi_n**e * a * b**2 with a, b monic of constant +-1."""
+    def factor():
+        middle = draw(st.lists(st.integers(-2, 2), max_size=3))
+        return IntPoly([draw(st.sampled_from((-1, 1)))] + middle + [1])
+
+    a, b = factor(), factor()
+    phi = cyclotomic(draw(st.integers(1, 12))) ** draw(st.integers(0, 2))
+    return (a * b * b * phi).shift(draw(st.integers(0, 2)))
+
+
+def sign_normalised(f: IntPoly) -> IntPoly:
+    return f if f.leading > 0 else -f
+
+
+def substitute_power(f: IntPoly, k: int) -> IntPoly:
+    """f(t**k)."""
+    coeffs = [0] * (k * f.degree + 1)
+    coeffs[::k] = f.coeffs
+    return IntPoly(coeffs)
+
+
+def reversed_part(f: IntPoly) -> IntPoly:
+    """The reversal of f with its factor t**k dropped."""
+    k = next(i for i, c in enumerate(f.coeffs) if c)
+    return IntPoly(tuple(reversed(f.coeffs[k:])))
+
+
+def exact_mahler_bounds(f: IntPoly, width: float) -> tuple[Fraction, Fraction]:
+    """Rational bounds on M(f) at most width apart, read from certified disks.
+
+    Float enclosures cannot be narrower than an ulp, so this reads the
+    exact bounds the enclosure is rounded from.
+    """
+    u, _, _ = kronecker_free_part(f)
+    parts = squarefree_decomposition(u)
+    root_tol = _mahler_root_tol(f, width)
+    while True:
+        disk_data, _ = _disk_data(parts, root_tol, DEFAULT_MAX_BITS)
+        lo, hi = _mahler_bounds(disk_data)
+        if hi - lo <= Fraction(width):
+            return lo, hi
+        root_tol /= 16
+
+
+class TestTieKey:
+    """Phase 2 stops once every candidate has one key: equal keys, equal values."""
+
+    @given(tie_class_polys())
+    def test_value_preserving_maps_keep_the_key(self, f):
+        key = _tie_key("mahler", f)
+        assert _tie_key("mahler", sign_normalised(negate_variable(f))) == key
+        assert _tie_key("mahler", sign_normalised(reversed_part(f))) == key
+        assert _tie_key("mahler", substitute_power(f, 2)) == key
+        assert _tie_key("mahler", substitute_power(f, 3)) == key
+        assert _tie_key("house", sign_normalised(negate_variable(f))) == \
+            _tie_key("house", f)
+
+    def test_skew_degree_ten_witnesses_are_one_class(self):
+        report = min_mahler(SearchSpace("skew_reciprocal", 10, 2))
+        assert len(report.witnesses) == 34
+        assert len({_tie_key("mahler", w) for w in report.witnesses}) == 1
+        bounds = [exact_mahler_bounds(w, 1e-20) for w in report.witnesses]
+        # intervals intersect pairwise exactly when the largest lo is at
+        # most the smallest hi
+        assert max(lo for lo, _ in bounds) <= min(hi for _, hi in bounds)
+
+    @pytest.mark.parametrize("quantity", ["mahler", "house"])
+    def test_lehmer_and_golden_ratio_differ(self, quantity):
+        assert _tie_key(quantity, LEHMER) != _tie_key(quantity, GOLDEN)
+
+    def test_house_key_does_not_deflate(self):
+        squared = substitute_power(GOLDEN, 2)  # house sqrt(phi), not phi
+        assert house(squared).hi < house(GOLDEN).lo
+        assert _tie_key("house", squared) != _tie_key("house", GOLDEN)
+        assert _tie_key("mahler", squared) == _tie_key("mahler", GOLDEN)
+
+    def test_house_key_does_not_reverse(self):
+        plastic = IntPoly([-1, -1, 0, 1])  # t^3 - t - 1, house about 1.325
+        inverse = IntPoly([-1, 0, 1, 1])  # its sign-normalised reverse
+        assert house(inverse).hi < house(plastic).lo
+        assert _tie_key("house", inverse) != _tie_key("house", plastic)
+        assert _tie_key("mahler", inverse) == _tie_key("mahler", plastic)
+
+    def test_multiplicities_are_kept(self):
+        square = GOLDEN * GOLDEN  # measure phi**2, not phi
+        assert mahler(GOLDEN).hi < mahler(square).lo
+        assert _tie_key("mahler", square) != _tie_key("mahler", GOLDEN)
+
+    @pytest.mark.parametrize("quantity", ["mahler", "house"])
+    def test_members_with_one_key_have_one_value(self, quantity):
+        measure_fn = mahler if quantity == "mahler" else house
+        classes = {}
+        for f in enumerate_space(SearchSpace("skew_reciprocal", 6, 2)):
+            if not is_kronecker(f):
+                classes.setdefault(_tie_key(quantity, f), []).append(
+                    measure_fn(f, 1e-12))
+        assert len(classes) > 1
+        for encs in classes.values():
+            assert max(e.lo for e in encs) <= min(e.hi for e in encs)
 
 
 class TestScanChunk:
