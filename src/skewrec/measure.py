@@ -17,6 +17,13 @@ numerically.  Instead:
 Roots of a Salem-type factor still sit on the circle; the disk product
 remains a sound enclosure for them because max(1, .) is applied to the
 whole modulus interval of each disk component.
+
+The Graeffe chains that is_kronecker and the search bounds walk are
+memoized under the package's one rule for per-input work (see
+roots.memo_scope): they are kept only inside a memo scope, which a
+search or a decomposition survey opens, so no operation reads another's
+work.  measure(), mahler() and house() walk no chain at all: they read
+the Kronecker decision from the exact cyclotomic stripping.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .poly import (
     gcd_primitive,  # not called here; perfbench/tracer.py wraps this name
     squarefree_decomposition,
 )
-from .roots import DEFAULT_MAX_BITS, _CacheInfo, _certified_disks, components
+from .roots import DEFAULT_MAX_BITS, _ScopedMemo, _certified_disks, components
 
 __all__ = [
     "graeffe",
@@ -56,16 +63,16 @@ __all__ = [
 ]
 
 
-# Polynomials whose chains _graeffe_iterate keeps.  A search member and
-# its t -> -t partner, scanned next to it, take two keys for one chain of
-# at most a few steps (its Kronecker walk on the spaces up to degree 16,
-# and the bounds' _BOUND_STEPS), so this holds dozens of whole orbits,
-# and memory stays bounded for any input.
-_CHAIN_CACHE_SIZE = 64
+# Polynomials whose chains the chain memo keeps in a scope.  A search
+# member and its t -> -t partner, scanned next to it, take two keys for
+# one chain of at most a few steps (its Kronecker walk on the spaces up
+# to degree 16, and the bounds' _BOUND_STEPS), so this holds dozens of
+# whole orbits, and memory stays bounded for any input.
+_CHAIN_MEMO_SIZE = 64
 
 # The Graeffe step the search bounds read.  The upper bounds read the
-# same iterate as the lower bounds' defaults, so after a lower bound on f
-# they make no Graeffe step.
+# same iterate as the lower bounds, so after a lower bound on f they
+# make no Graeffe step.
 _BOUND_STEPS = 6
 
 
@@ -117,9 +124,8 @@ class _Chain:
     g(t) * g(-t), normalized to the same leading coefficient lc(g)**2.
     So the iterates from step 1 on are the same for g and g(-t), and so
     is every result read from them alone.  iterates[0] is whichever of
-    the two was seen first; _graeffe_iterate never returns it for the
-    other (step 0 is always the argument itself), and the readers below
-    take only absolute values of coefficients, which t -> -t keeps.
+    the two was seen first; every reader below reads a step k >= 2 and
+    takes only absolute values of its coefficients, which t -> -t keeps.
 
     The Kronecker decision is shared too: t -> -t negates every root,
     so it keeps every root modulus, and with it the answer.
@@ -148,64 +154,30 @@ class _Chain:
         return value
 
 
-class _ChainCache:
-    """A bounded map from polynomials to their shared Graeffe chains.
+# coefficients -> the _Chain they share with their t -> -t partner
+_chains = _ScopedMemo(_CHAIN_MEMO_SIZE)
 
-    A lookup of g that misses tries g(-t) before it builds a chain, and
-    on a hit there files g under the same chain, so a search member and
-    its partner, scanned one after the other, share all of their exact
-    Graeffe work.  A representative's own lookup costs one dict probe,
-    plus one negation and one more probe on its first miss.  The oldest
-    key is dropped once maxsize keys are held.
+
+def _chain(g: IntPoly) -> _Chain:
+    """The Graeffe chain of g, kept only inside a memo scope.
+
+    In a scope, a lookup of g that misses tries g(-t) before it builds a
+    chain, and on a hit there files g under the same chain, so a search
+    member and its partner, scanned one after the other, share all of
+    their exact Graeffe work.  Outside a scope every lookup builds a
+    fresh chain.
     """
 
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.chains: dict[tuple[int, ...], _Chain] = {}
-        self.hits = self.misses = 0
+    def make() -> _Chain:
+        if _chains.entries is not None:
+            partner = list(g.coeffs)
+            partner[1::2] = [-c for c in partner[1::2]]
+            chain = _chains.entries.get(tuple(partner))
+            if chain is not None:
+                return chain
+        return _Chain(g)
 
-    def chain(self, g: IntPoly) -> _Chain:
-        chains = self.chains
-        key = g.coeffs
-        chain = chains.get(key)
-        if chain is not None:
-            self.hits += 1
-            return chain
-        self.misses += 1
-        partner = list(key)
-        partner[1::2] = [-c for c in key[1::2]]
-        chain = chains.get(tuple(partner))
-        if chain is None:
-            chain = _Chain(g)
-        if len(chains) >= self.maxsize:
-            del chains[next(iter(chains))]
-        chains[key] = chain
-        return chain
-
-    def __call__(self, f: IntPoly, steps: int) -> IntPoly:
-        """The steps-th Graeffe iterate of f, whose roots are alpha**(2**steps).
-
-        Step 0 is f itself.  Every later step comes from the chain f
-        shares with f(-t): is_kronecker walks it step by step, the
-        Graeffe bounds taken next on f or on f(-t) read the iterates it
-        already made, and a missing step is one call of the module's
-        graeffe (with its degree and leading coefficient check) on the
-        step before it.
-        """
-        if steps == 0:
-            return f
-        return self.chain(f).iterate(steps)
-
-    def cache_clear(self) -> None:
-        self.chains.clear()
-        self.hits = self.misses = 0
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, self.maxsize,
-                          len(self.chains))
-
-
-_graeffe_iterate = _ChainCache(_CHAIN_CACHE_SIZE)
+    return _chains.get(g.coeffs, make)
 
 
 def is_kronecker(f: IntPoly) -> bool:
@@ -221,11 +193,14 @@ def is_kronecker(f: IntPoly) -> bool:
     which forces a coefficient past the bound (answer: no).  Either way
     the loop terminates, with no floating arithmetic anywhere.
 
-    The walk runs on the chain cache behind _graeffe_iterate, and its
-    decision is kept on the chain.  f(-t) has the same roots up to sign,
-    and from step 1 on the same iterates, so it shares both: its own
-    test is a cache hit, as are the Graeffe bounds taken next on f or
-    on f(-t) (with no t-power factor, as for every search member), which
+    The walk runs on f's Graeffe chain (see _chain), and its decision is
+    kept on the chain.  Like every memo of per-input work, the chain is
+    kept only inside a memo scope (roots.memo_scope), which a search or
+    a decomposition survey opens; outside one, each call walks a fresh
+    chain and keeps nothing.  In a scope, f(-t), with the same roots up
+    to sign and from step 1 on the same iterates, shares both: its own
+    test is a memo hit, as are the Graeffe bounds taken next on f or on
+    f(-t) (with no t-power factor, as for every search member), which
     continue this chain instead of starting it again.
     """
     if f.is_zero():
@@ -235,7 +210,7 @@ def is_kronecker(f: IntPoly) -> bool:
     g0 = f if f.coeffs[0] else _strip_t_powers(f)[1]
     if g0.degree == 0:
         return True
-    chain = _graeffe_iterate.chain(g0)
+    chain = _chain(g0)
     if chain.kronecker is None:
         chain.kronecker = _kronecker_walk(g0, chain)
     return chain.kronecker
@@ -283,6 +258,16 @@ def kronecker_free_part(f: IntPoly) -> tuple[IntPoly, int, int]:
             u = q
             stripped += phi.degree
     return u, stripped, k
+
+
+def _free_parts(f: IntPoly) -> tuple[list[tuple[IntPoly, int]], int]:
+    """The squarefree parts of monic f's cyclotomic-free part, and its stripped degree.
+
+    kronecker_free_part, then squarefree_decomposition of what is left.
+    No parts means f is Kronecker: t**k times a product of cyclotomics.
+    """
+    u, stripped, _ = kronecker_free_part(f)
+    return squarefree_decomposition(u), stripped
 
 
 # -- certified enclosures --------------------------------------------------
@@ -390,11 +375,11 @@ def mahler(
     """
     if not f.is_monic():
         raise PolynomialError("mahler requires monic input")
-    u, _, _ = kronecker_free_part(f)
-    if u.degree == 0:  # f is Kronecker
+    parts, _ = _free_parts(f)
+    if not parts:  # f is Kronecker
         return Enclosure(1.0, 1.0, 0)
-    (enc,), _ = _refine(squarefree_decomposition(u), tol,
-                        _mahler_root_tol(f, tol), max_bits, (_mahler_bounds,))
+    (enc,), _ = _refine(parts, tol, _mahler_root_tol(f, tol), max_bits,
+                        (_mahler_bounds,))
     return enc
 
 
@@ -412,11 +397,11 @@ def house(
     if f.is_zero() or f.degree < 1:
         raise PolynomialError("house requires degree >= 1")
     if f.is_monic():
-        u, stripped, _ = kronecker_free_part(f)
-        if u.degree == 0:
+        parts, stripped = _free_parts(f)
+        if not parts:
             return Enclosure(1.0, 1.0, 0) if stripped else Enclosure(0.0, 0.0, 0)
         # monic with a nonzero root forces house >= 1
-        parts, floor = squarefree_decomposition(u), Fraction(1)
+        floor = Fraction(1)
     else:
         _, u = _strip_t_powers(f)
         if u.degree == 0:
@@ -445,34 +430,35 @@ def _log2_norm_bound(g: IntPoly, k: int) -> float:
     return (log2_s / 2 - g.degree) / (1 << k)
 
 
-def mahler_lower_bound(
-    f: IntPoly, steps: int = _BOUND_STEPS, *, above: Optional[float] = None
-) -> float:
+def mahler_lower_bound(f: IntPoly, *, above: Optional[float] = None) -> float:
     """A cheap certified lower bound for M(f), used to prune searches.
 
     After k Graeffe steps, M(f)**(2**k) = M(f_k) >= ||f_k||_2 / 2**d
     (coefficient j of f_k is at most C(d, j) * M(f_k) in absolute value),
-    so the 2**k-th root of that quotient bounds M(f) from below.  The
-    float evaluation rounds downward by a generous margin.
+    so the 2**k-th root of that quotient bounds M(f) from below, here at
+    k = _BOUND_STEPS.  The float evaluation rounds downward by a generous
+    margin.
 
     With a positive above given, the bound may stop at an earlier step
-    k (2 <= k < steps) and return that step's bound, but only once it
-    proves that the full bound exceeds above.  Write b_k for log2 of the step-k
-    bound.  Landau's inequality ||f_s||_2 >= M(f_s) = M(f)**(2**s) (f
-    monic, s = steps) gives b_s >= log2 M(f) - d / 2**s >= b_k - d / 2**s,
+    k (2 <= k < s, s = _BOUND_STEPS) and return that step's bound, but
+    only once it proves that the full bound exceeds above.  Write b_k for
+    log2 of the step-k bound.  Landau's inequality
+    ||f_s||_2 >= M(f_s) = M(f)**(2**s) (f monic) gives
+    b_s >= log2 M(f) - d / 2**s >= b_k - d / 2**s,
     so b_k - d / 2**s > log2(above) + 1e-6 forces b_s > log2(above) with
     room to spare: the 1e-6 margin covers the downward 1e-9 and every
     float rounding in computing b_k and b_s.  So the result exceeds
     above exactly when the full bound does, and whenever it does not,
     the result is the full bound itself.
 
-    Each b_k is read once per chain, which f shares with f(-t): the
-    bound of f(-t), with any above, is a cache hit on the steps already
-    read, and equals that of f.
+    Each b_k is read once per chain, which f shares with f(-t) inside a
+    memo scope: the bound of f(-t), with any above, is then a memo hit
+    on the steps already read, and equals that of f.
     """
     if not f.is_monic():
         raise PolynomialError("mahler_lower_bound requires monic input")
-    chain = _graeffe_iterate.chain(f)
+    chain = _chain(f)
+    steps = _BOUND_STEPS
     if above is not None:
         stop = math.log2(above) + f.degree / (1 << steps) + 1e-6
         for k in range(2, steps):
@@ -482,7 +468,7 @@ def mahler_lower_bound(
     return max(1.0, 2.0 ** (chain.read(_log2_norm_bound, steps) - 1e-9))
 
 
-def house_lower_bound(f: IntPoly, steps: int = _BOUND_STEPS) -> float:
+def house_lower_bound(f: IntPoly) -> float:
     """A cheap certified lower bound for house(f), used to prune searches.
 
     The k-th Graeffe iterate g_k of a monic f of degree n is monic with
@@ -490,17 +476,18 @@ def house_lower_bound(f: IntPoly, steps: int = _BOUND_STEPS) -> float:
     symmetric function of those roots up to sign, satisfies
     |c_(n-j)| <= C(n, j) * house(f)**(j * 2**k).  Every nonzero c_(n-j)
     therefore gives house(f) >= (|c_(n-j)| / C(n, j))**(1 / (j * 2**k)),
-    and the bound is the largest of these.  The coefficients are exact
-    integers; only the final root is taken in floats, rounded downward by
-    a generous margin.  A nonzero root makes the bound at least 1 (the
-    nonzero roots of monic integer f multiply to a nonzero integer); a
-    pure power of t, whose house is 0, gets 0.
+    and the bound is the largest of these, at k = _BOUND_STEPS.  The
+    coefficients are exact integers; only the final root is taken in
+    floats, rounded downward by a generous margin.  A nonzero root makes
+    the bound at least 1 (the nonzero roots of monic integer f multiply
+    to a nonzero integer); a pure power of t, whose house is 0, gets 0.
 
-    It is read once per chain, which f shares with f(-t).
+    It is read once per chain, which f shares with f(-t) inside a memo
+    scope.
     """
     if not f.is_monic():
         raise PolynomialError("house_lower_bound requires monic input")
-    return _graeffe_iterate.chain(f).read(_house_lower_bound, steps)
+    return _chain(f).read(_house_lower_bound, _BOUND_STEPS)
 
 
 def _house_lower_bound(g: IntPoly, steps: int) -> float:
@@ -553,13 +540,13 @@ def mahler_upper_bound(f: IntPoly) -> float:
     the result is at least 1.
 
     It reads g_k at k = _BOUND_STEPS, the iterate mahler_lower_bound(f)
-    reads by default, from the chain cache: after that lower bound on
-    f or on f(-t) this makes no Graeffe step, and the bound itself is
+    reads, from f's chain: inside a memo scope, after that lower bound
+    on f or on f(-t) this makes no Graeffe step, and the bound itself is
     read once per chain.
     """
     if not f.is_monic():
         raise PolynomialError("mahler_upper_bound requires monic input")
-    return _graeffe_iterate.chain(f).read(_mahler_upper_bound, _BOUND_STEPS)
+    return _chain(f).read(_mahler_upper_bound, _BOUND_STEPS)
 
 
 def _mahler_upper_bound(g: IntPoly, k: int) -> float:
@@ -587,13 +574,13 @@ def house_upper_bound(f: IntPoly) -> float:
     root; a pure power of t, whose house is 0, gets 0.
 
     It reads g_k at k = _BOUND_STEPS, the iterate house_lower_bound(f)
-    reads by default, from the chain cache: after that lower bound on
-    f or on f(-t) this makes no Graeffe step, and the bound itself is
+    reads, from f's chain: inside a memo scope, after that lower bound
+    on f or on f(-t) this makes no Graeffe step, and the bound itself is
     read once per chain.
     """
     if not f.is_monic():
         raise PolynomialError("house_upper_bound requires monic input")
-    return _graeffe_iterate.chain(f).read(_house_upper_bound, _BOUND_STEPS)
+    return _chain(f).read(_house_upper_bound, _BOUND_STEPS)
 
 
 def _house_upper_bound(g: IntPoly, k: int) -> float:
@@ -633,26 +620,26 @@ def measure(
 ) -> MeasureResult:
     """Certified Mahler/house enclosures plus exact classification data.
 
-    Both enclosures and the root count are read from one set of certified
-    disks, refined until both enclosures meet tol.  The root count outside
-    the unit circle is exact whenever every disk is resolved against the
-    circle; Salem-type roots on the circle leave straddling disks, in
-    which case the count is a certified lower bound and the certified
-    flag is False.
+    The Kronecker decision is exact, read from the cyclotomic stripping
+    as mahler() reads it, so no Graeffe chain is walked.  Both enclosures
+    and the root count are read from one set of certified disks, refined
+    until both enclosures meet tol.  The root count outside the unit
+    circle is exact whenever every disk is resolved against the circle;
+    Salem-type roots on the circle leave straddling disks, in which case
+    the count is a certified lower bound and the certified flag is False.
     """
     if f.degree < 1:
         raise PolynomialError("measure requires degree >= 1")
     if not f.is_monic():
         raise PolynomialError("measure requires monic input")
-    if is_kronecker(f):
+    parts, _ = _free_parts(f)
+    if not parts:  # f is Kronecker
         return MeasureResult(Enclosure(1.0, 1.0, 0), house(f, tol, max_bits),
                              True, 0, True)
-    u, _, _ = kronecker_free_part(f)
     # the count needs disks no coarser than 1e-6
     root_tol = min(_mahler_root_tol(f, tol), Fraction(min(tol, 1e-6)))
     readers = (_mahler_bounds, functools.partial(_house_bounds, Fraction(1)))
-    (m, h), disk_data = _refine(squarefree_decomposition(u), tol, root_tol,
-                                max_bits, readers)
+    (m, h), disk_data = _refine(parts, tol, root_tol, max_bits, readers)
     outside = 0
     certified = True
     for disks, mult in disk_data:

@@ -50,9 +50,16 @@ tighter tolerance or a higher cap, reads those rungs back and runs
 _aberth and _certify only past them, as MPSolve carries its
 approximations up its precision ladder (Bini & Fiorentino, Numer.
 Algorithms 23, 2000).  Rung i is a pure function of (coefficients, p0,
-i), so a resumed ladder returns every bit a fresh one would.  A search
-opens the scope for its phase-2 rounds; outside it nothing is kept, so
-no operation reads another's work.
+i), so a resumed ladder returns every bit a fresh one would.
+
+One rule holds for every memo of per-input work in the package, this
+one and the Graeffe chains of measure.py alike: it is a _ScopedMemo,
+and it keeps entries only inside memo_scope(), which opens and closes
+all of them together.  A search and a decomposition survey each run in
+one scope, and each search pool worker opens one for its life; outside
+a scope nothing is kept, so no operation reads another's work.  Only
+tables that depend on small integers alone (the start angles here,
+cyclotomic polynomials) live as long as the process.
 """
 
 from __future__ import annotations
@@ -292,18 +299,8 @@ def _certify(coeffs, points, res_bits=0):
     return disks
 
 
-class _CacheInfo:
-    """The cache counts, named as functools.lru_cache names them.
-
-    A plain class, since a dataclass here would add about a millisecond
-    to every import of the package.
-    """
-
-    __slots__ = ("hits", "misses", "maxsize", "currsize")
-
-    def __init__(self, hits: int, misses: int, maxsize: int, currsize: int):
-        self.hits, self.misses = hits, misses
-        self.maxsize, self.currsize = maxsize, currsize
+# Every _ScopedMemo; memo_scope() opens and closes them together.
+_memos: list[_ScopedMemo] = []
 
 
 class _ScopedMemo:
@@ -314,10 +311,11 @@ class _ScopedMemo:
     misses count lookups over all scopes.
     """
 
-    def __init__(self):
-        self.maxsize = _MEMO_SIZE
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
         self.entries: Optional[dict] = None
         self.hits = self.misses = 0
+        _memos.append(self)
 
     def get(self, key, make):
         """The entry kept for key; on a miss make() builds it, kept in a scope."""
@@ -335,22 +333,18 @@ class _ScopedMemo:
             entries[key] = value
         return value
 
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, self.maxsize,
-                          len(self.entries or ()))
-
 
 # (coefficients, p0) -> the ladder's rungs so far, each (points, disks)
-_ladders = _ScopedMemo()
+_ladders = _ScopedMemo(_MEMO_SIZE)
 
 
 @contextlib.contextmanager
 def memo_scope():
-    """Keep the ladder memo's entries until the outermost scope closes.
+    """Keep every memo's entries until the outermost scope closes.
 
-    A scope opened inside another is part of it.  The memo is bounded,
-    and its entries go when the outermost scope closes, so work done for
-    one operation never serves another.
+    A scope opened inside another is part of it.  The memos are bounded,
+    and their entries go when the outermost scope closes, so work done
+    for one operation never serves another.
     """
     if _ladders.entries is not None:
         yield
@@ -359,7 +353,8 @@ def memo_scope():
     try:
         yield
     finally:
-        _ladders.entries = None
+        for memo in _memos:
+            memo.entries = None
 
 
 def _open_memo() -> None:
@@ -367,7 +362,8 @@ def _open_memo() -> None:
 
     A search's pool workers run it as their initializer.
     """
-    _ladders.entries = {}
+    for memo in _memos:
+        memo.entries = {}
 
 
 def _certified_disks(

@@ -9,13 +9,14 @@ c_k = (-1)**(d+k) * c_(2d-k)).  Enumeration size is exactly (2H+1)**d.
 Minimum searches run in two phases so that results are bit-identical for
 any worker count:
 
-  * phase 1 scans 2H+1 fixed chunks of whole t -> -t orbits (both
-    classes are closed under f(t) -> f(-t)): chunk a holds the orbits
-    whose representative, the lexicographically smaller free vector,
-    has first free coefficient a, each representative followed by its
-    partner (see SearchSpace.orbit_chunk; for odd d the chunks a > 0
-    would be empty, so only a <= 0 are built).  A partner's Kronecker test and Graeffe bounds are hits
-    on the chain cache it shares with its representative.  Phase 1
+  * phase 1 scans fixed chunks of whole t -> -t orbits (both classes
+    are closed under f(t) -> f(-t)): chunk a holds the orbits whose
+    representative, the lexicographically smaller free vector, has
+    first free coefficient a, each representative followed by its
+    partner (see SearchSpace.orbit_chunk).  There are 2H+1 chunks for
+    even d and H+1 for odd d, whose chunks a > 0 would be empty and are
+    not built.  A partner's Kronecker test and Graeffe bounds are hits
+    on the Graeffe chain it shares with its representative.  Phase 1
     excludes Kronecker members exactly and computes a base enclosure
     per remaining member; a chunk returns only its member and Kronecker
     counts and, sorted by free vector, the members whose lower bound is
@@ -49,12 +50,13 @@ any worker count:
     batch of ceil(n / workers) candidates per worker: a round trip per
     batch, not per candidate.  With one worker everything runs
     in-process.  The search runs in one memo scope, and each pool
-    worker opens one for its life (see roots.memo_scope).  So a round
-    resumes each part's root-certification ladder where its phase-1
-    enclosure or the round before left it (in a pool, when the same
-    worker ran that one), instead of rerunning the Aberth iteration and
-    the exact certificate from the start; a resumed ladder returns the
-    bits a fresh one would.
+    worker opens one for its life (see roots.memo_scope); outside a
+    scope no memo keeps anything, so one search never reads another's
+    Graeffe chains or ladders.  So a round resumes each part's
+    root-certification ladder where its phase-1 enclosure or the round
+    before left it (in a pool, when the same worker ran that one),
+    instead of rerunning the Aberth iteration and the exact certificate
+    from the start; a resumed ladder returns the bits a fresh one would.
 
 Both quantities have cheap certified lower and upper bounds read from
 exact Graeffe iterates (mahler_lower_bound, house_lower_bound,
@@ -62,7 +64,7 @@ mahler_upper_bound, house_upper_bound).  The lower bound participates
 in candidate elimination unconditionally; the prune flag only controls
 whether members disqualified by the bounds alone skip the expensive
 enclosure computation.  Pruned or not, reports are identical.  The
-Kronecker test and the bounds walk one cached Graeffe chain per orbit,
+Kronecker test and the bounds walk one memoized Graeffe chain per orbit,
 and a pruning Mahler scan lets the lower bound stop at an earlier step
 once it provably exceeds the chunk's cap (the member is pruned either
 way, and the bound of every member kept is the full one).
@@ -80,22 +82,16 @@ from typing import Iterator, Optional
 from .enclosure import Enclosure, log_of_fraction
 from .errors import BudgetExceeded, PolynomialError, PrecisionExhausted
 from .measure import (
+    _free_parts,
     house,
     house_lower_bound,
     house_upper_bound,
     is_kronecker,
-    kronecker_free_part,
     mahler,
     mahler_lower_bound,
     mahler_upper_bound,
 )
-from .poly import (
-    BREUSCH_BOUND,
-    IntPoly,
-    negate_variable,
-    reverse,
-    squarefree_decomposition,
-)
+from .poly import BREUSCH_BOUND, IntPoly, negate_variable, reverse
 from .roots import DEFAULT_MAX_BITS, _open_memo, memo_scope
 from .structure import NonreciprocalWitness, decompose_skew_reciprocal
 
@@ -236,7 +232,7 @@ def _scan_chunk(args) -> tuple[int, int, list]:
 
     The chunk is SearchSpace.orbit_chunk(first): whole t -> -t orbits,
     each representative followed directly by its partner, whose
-    Kronecker test and Graeffe bounds are then hits on the chain cache
+    Kronecker test and Graeffe bounds are then hits on the chain memo
     the two share (see is_kronecker).  Each survivor is a (free,
     Enclosure, gb) triple whose lower bound is at most the chunk's final
     best upper bound, and survivors are returned sorted by free.
@@ -359,17 +355,16 @@ def _enclose(args) -> Optional[Enclosure]:
 def _tie_key(quantity: str, f: IntPoly) -> tuple:
     """An exact tie-class key of a monic f: equal keys prove equal values.
 
-    Write f = t**k * (cyclotomic part) * u with u cyclotomic-free
-    (kronecker_free_part) and u = prod p**m (squarefree_decomposition).
-    The t**k and cyclotomic factors have measure 1, so M(f) =
-    prod M(p)**m; and when u is not constant, house(f) = max house(p),
-    which is above 1.  The key is the sorted (_tie_form(p), m) pairs, and
-    each form keeps its part's value, so two members with one key have
-    one value, exactly.
+    Write f = t**k * (cyclotomic part) * u with u cyclotomic-free and
+    u = prod p**m (measure._free_parts gives the pairs (p, m)).  The
+    t**k and cyclotomic factors have measure 1, so M(f) = prod M(p)**m;
+    and when u is not constant, house(f) = max house(p), which is above
+    1.  The key is the sorted (_tie_form(p), m) pairs, and each form
+    keeps its part's value, so two members with one key have one value,
+    exactly.
     """
-    u, _, _ = kronecker_free_part(f)
-    return tuple(sorted((_tie_form(quantity, p), m)
-                        for p, m in squarefree_decomposition(u)))
+    parts, _ = _free_parts(f)
+    return tuple(sorted((_tie_form(quantity, p), m) for p, m in parts))
 
 
 def _tie_form(quantity: str, p: IntPoly) -> tuple[int, ...]:
@@ -733,6 +728,10 @@ def verify_decomposition_over_space(
     above the slack 1179/1000 - 1e-9 (the second tol absorbs the float
     rounding of Enclosure.width).  So neither witnesses_below_bound nor
     min_witness_mahler can change.
+
+    The survey runs in one memo scope (see roots.memo_scope), so the
+    Kronecker test here, the one decompose_skew_reciprocal repeats, and
+    the Mahler lower bound walk one Graeffe chain per member.
     """
     if space.kind != SKEW:
         raise PolynomialError("decomposition survey needs a skew-reciprocal space")
@@ -742,24 +741,25 @@ def verify_decomposition_over_space(
     skip_above = slack + 2 * Fraction(tol)
     kron = squares = witnesses = below = 0
     min_mahler_enc: Optional[Enclosure] = None
-    for f in enumerate_space(space):
-        if is_kronecker(f):
-            kron += 1
-            continue
-        outcome = decompose_skew_reciprocal(f)
-        if isinstance(outcome, NonreciprocalWitness):
-            witnesses += 1
-            if min_mahler_enc is not None:
-                bound = Fraction(mahler_lower_bound(f))
-                if bound > skip_above and bound > Fraction(min_mahler_enc.hi):
-                    continue
-            enc = mahler(f, tol, max_bits)
-            if Fraction(enc.lo) <= slack:
-                below += 1
-            if min_mahler_enc is None or enc.hi < min_mahler_enc.hi:
-                min_mahler_enc = enc
-        else:
-            squares += 1
+    with memo_scope():
+        for f in enumerate_space(space):
+            if is_kronecker(f):
+                kron += 1
+                continue
+            outcome = decompose_skew_reciprocal(f)
+            if isinstance(outcome, NonreciprocalWitness):
+                witnesses += 1
+                if min_mahler_enc is not None:
+                    bound = Fraction(mahler_lower_bound(f))
+                    if bound > skip_above and bound > Fraction(min_mahler_enc.hi):
+                        continue
+                enc = mahler(f, tol, max_bits)
+                if Fraction(enc.lo) <= slack:
+                    below += 1
+                if min_mahler_enc is None or enc.hi < min_mahler_enc.hi:
+                    min_mahler_enc = enc
+            else:
+                squares += 1
     return DecompositionSurvey(
         space, space.size, kron, squares, witnesses, min_mahler_enc, below
     )

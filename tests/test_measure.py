@@ -25,7 +25,8 @@ from conftest import (
 from skewrec.enclosure import Enclosure
 from skewrec.errors import PolynomialError, PrecisionExhausted
 from skewrec.measure import (
-    _graeffe_iterate,
+    _chain,
+    _chains,
     graeffe,
     house,
     house_lower_bound,
@@ -46,6 +47,7 @@ from skewrec.poly import (
     squarefree_decomposition,
     substitute_square,
 )
+from skewrec.roots import _ladders, memo_scope
 from skewrec.search import SearchSpace, enumerate_space
 
 PHI = (1 + math.sqrt(5)) / 2  # golden ratio, house of t^2 - t - 1
@@ -326,30 +328,41 @@ def _non_kronecker_members(kind, degree, height):
             if not is_kronecker(f)]
 
 
+def graeffe_iterate(f, steps):
+    """The steps-th Graeffe iterate of f from its chain; step 0 is f itself."""
+    return f if steps == 0 else _chain(f).iterate(steps)
+
+
+def count_graeffe(monkeypatch):
+    """A list that records every call of the measure module's graeffe."""
+    calls = []
+
+    def counting_graeffe(f):
+        calls.append(f)
+        return graeffe(f)
+
+    # the package attribute skewrec.measure is the measure() function
+    monkeypatch.setattr(importlib.import_module("skewrec.measure"),
+                        "graeffe", counting_graeffe)
+    return calls
+
+
 class TestGraeffeChain:
-    """is_kronecker and the lower bounds share one memoized chain."""
+    """In a memo scope, is_kronecker and the lower bounds share one chain."""
 
     @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
     def test_kronecker_test_then_bound_walk_one_chain(self, monkeypatch, kind):
-        calls = []
-
-        def counting_graeffe(f):
-            calls.append(f)
-            return graeffe(f)
-
-        # the package attribute skewrec.measure is the measure() function
-        monkeypatch.setattr(importlib.import_module("skewrec.measure"),
-                            "graeffe", counting_graeffe)
+        calls = count_graeffe(monkeypatch)
         for f in _non_kronecker_members(kind, 8, 1):
             # the Kronecker walk stops at the first iterate past the bound
             bound = math.comb(f.degree, f.degree // 2)
             k_kron = 0
             while max(map(abs, graeffe_iterate_reference(f, k_kron).coeffs)) <= bound:
                 k_kron += 1
-            _graeffe_iterate.cache_clear()
             calls.clear()
-            assert not is_kronecker(f)
-            mahler_lower_bound(f)
+            with memo_scope():
+                assert not is_kronecker(f)
+                mahler_lower_bound(f)
             assert len(calls) == max(k_kron, 6)
 
     @given(
@@ -363,14 +376,34 @@ class TestGraeffeChain:
     def test_matches_the_unmemoized_iteration(self, coeffs, shift, steps):
         f = IntPoly(coeffs).shift(shift)
         expected = graeffe_iterate_reference(f, steps)
-        assert _graeffe_iterate(f, steps) == expected
-        assert _graeffe_iterate(f, steps) == expected  # now from the cache
-        assert all(_graeffe_iterate(f, k) == graeffe_iterate_reference(f, k)
-                   for k in range(steps, -1, -1))
+        assert graeffe_iterate(f, steps) == expected  # outside a scope
+        with memo_scope():
+            assert graeffe_iterate(f, steps) == expected
+            assert graeffe_iterate(f, steps) == expected  # now from the memo
+            assert all(graeffe_iterate(f, k) == graeffe_iterate_reference(f, k)
+                       for k in range(steps, -1, -1))
 
     def test_cache_is_bounded(self):
-        maxsize = _graeffe_iterate.cache_info().maxsize
+        maxsize = _chains.maxsize
         assert maxsize is not None and 0 < maxsize < 10**6
+
+    def test_nothing_is_kept_outside_a_scope(self, monkeypatch):
+        calls = count_graeffe(monkeypatch)
+        f = LEHMER_POLY
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert not is_kronecker(f)
+            counts.append(len(calls))
+            assert _chains.entries is None
+        assert counts[0] == counts[1] > 0
+        with memo_scope():
+            calls.clear()
+            is_kronecker(f)
+            is_kronecker(f)
+            assert len(calls) == counts[0]
+            assert len(_chains.entries) == 1
+        assert _chains.entries is None and _ladders.entries is None
 
 
 # every chain reader search.py calls, each with the arguments it passes
@@ -390,30 +423,22 @@ class TestOrbitChain:
 
     @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
     def test_partner_results_are_equal_and_cached(self, monkeypatch, kind):
-        calls = []
-
-        def counting_graeffe(f):
-            calls.append(f)
-            return graeffe(f)
-
-        monkeypatch.setattr(importlib.import_module("skewrec.measure"),
-                            "graeffe", counting_graeffe)
+        calls = count_graeffe(monkeypatch)
         partners = 0
         for degree in (2, 4, 6, 8):
             for f in enumerate_space(SearchSpace(kind, degree, 2)):
                 g = negate_variable(f)
                 partners += g != f
                 for name, read in ORBIT_READERS.items():
-                    _graeffe_iterate.cache_clear()
+                    # outside a scope each read walks a fresh chain
                     alone = read(f)
-                    _graeffe_iterate.cache_clear()
                     assert read(g) == alone, (f, name)
                     for first, second in ((f, g), (g, f)):
-                        _graeffe_iterate.cache_clear()
-                        read(first)
-                        calls.clear()
-                        assert read(second) == alone, (f, name)
-                        assert calls == [], (f, name)
+                        with memo_scope():
+                            read(first)
+                            calls.clear()
+                            assert read(second) == alone, (f, name)
+                            assert calls == [], (f, name)
         assert partners > 0
 
     @given(f=integer_polys(), steps=st.integers(0, 6))
@@ -422,13 +447,13 @@ class TestOrbitChain:
     def test_negated_variable_shares_the_iterates(self, f, steps):
         g = negate_variable(f)
         for first, second in ((f, g), (g, f)):
-            _graeffe_iterate.cache_clear()
-            _graeffe_iterate(first, steps)
-            assert _graeffe_iterate(second, 0) is second
-            for k in range(1, steps + 1):
-                expected = graeffe_iterate_reference(first, k)
-                assert _graeffe_iterate(second, k) == expected
-                assert _graeffe_iterate(first, k) == expected
+            with memo_scope():
+                graeffe_iterate(first, steps)
+                assert graeffe_iterate(second, 0) is second
+                for k in range(1, steps + 1):
+                    expected = graeffe_iterate_reference(first, k)
+                    assert graeffe_iterate(second, k) == expected
+                    assert graeffe_iterate(first, k) == expected
 
 
 # a threshold the early stop is checked against, besides each member's own
@@ -541,20 +566,15 @@ class TestUpperBounds:
         assert house_upper_bound(IntPoly([-1, -1, 1])) < 1.01 * 2 ** (1 / 64) * PHI
 
     def test_read_the_cached_iterate(self, monkeypatch):
-        calls = []
 
-        def counting_graeffe(f):
-            calls.append(f)
-            return graeffe(f)
-
-        monkeypatch.setattr(importlib.import_module("skewrec.measure"),
-                            "graeffe", counting_graeffe)
+        calls = count_graeffe(monkeypatch)
         for f in _non_kronecker_members("skew_reciprocal", 8, 1):
-            mahler_lower_bound(f)
-            house_lower_bound(f)
-            calls.clear()
-            mahler_upper_bound(f)
-            house_upper_bound(f)
+            with memo_scope():
+                mahler_lower_bound(f)
+                house_lower_bound(f)
+                calls.clear()
+                mahler_upper_bound(f)
+                house_upper_bound(f)
             assert calls == []
 
     def test_huge_coefficients_give_infinity(self):
@@ -612,8 +632,8 @@ class TestMeasureDriver:
             raise AssertionError("measure ran work on a constant")
 
         module = importlib.import_module("skewrec.measure")
-        monkeypatch.setattr(module, "is_kronecker", fail)
-        monkeypatch.setattr(module, "house", fail)
+        for name in ("is_kronecker", "kronecker_free_part", "house"):
+            monkeypatch.setattr(module, name, fail)
         with pytest.raises(PolynomialError, match="measure requires degree >= 1"):
             measure(f)
 
@@ -623,6 +643,20 @@ class TestMeasureDriver:
         assert r.root_count_outside_unit_circle == 0
         assert r.root_count_certified is True
         assert r.mahler == Enclosure(1.0, 1.0, 0)
+
+    @pytest.mark.parametrize(
+        "f",
+        [LEHMER_POLY, SQUARED_WITH_CYCLOTOMIC, cyclotomic(8),
+         cyclotomic(3).shift(2), IntPoly([0, 0, 0, 1])],
+        ids=str,
+    )
+    def test_walks_no_graeffe_chain(self, f, monkeypatch):
+        # the Kronecker decision comes from the cyclotomic stripping
+        calls = count_graeffe(monkeypatch)
+        r = measure(f, tol=1e-10)
+        assert calls == []
+        assert _chains.entries is None and _ladders.entries is None
+        assert r.is_kronecker == is_kronecker(f)
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-3])
     @pytest.mark.parametrize(

@@ -298,19 +298,17 @@ class TestLadderMemo:
 
     def test_nothing_is_kept_outside_a_scope(self):
         f, tol = IntPoly([1, -3, 1]), Fraction(1e-12)
-        before = _ladders.cache_info()
+        hits, misses = _ladders.hits, _ladders.misses
         _certified_disks(f, tol, DEFAULT_MAX_BITS)
         _certified_disks(f, tol, DEFAULT_MAX_BITS)
-        after = _ladders.cache_info()
-        assert (after.hits, after.currsize) == (before.hits, 0)
-        assert after.misses == before.misses + 2
+        assert (_ladders.hits, _ladders.entries) == (hits, None)
+        assert _ladders.misses == misses + 2
         with memo_scope():
             _certified_disks(f, tol, DEFAULT_MAX_BITS)
             with memo_scope():  # an inner scope is part of the outer one
                 _certified_disks(f, tol, DEFAULT_MAX_BITS)
-            assert _ladders.cache_info().currsize == 1
-        info = _ladders.cache_info()
-        assert (info.hits, info.currsize) == (after.hits + 1, 0)
+            assert len(_ladders.entries) == 1
+        assert (_ladders.hits, _ladders.entries) == (hits + 1, None)
 
 
 class TestCertifyCoincidentPoints:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import brute_mahler
 from skewrec.errors import BudgetExceeded, PolynomialError
 from skewrec.measure import (
+    _chains,
     _disk_data,
     _mahler_bounds,
     _mahler_root_tol,
@@ -22,6 +23,7 @@ from skewrec.measure import (
     kronecker_free_part,
     mahler,
     mahler_lower_bound,
+    measure,
     squarefree_decomposition,
 )
 from skewrec.poly import (
@@ -341,8 +343,20 @@ class TestMinimumSearches:
         }
 
 
+# every kind of operation that opens a memo scope, and measure(), which
+# runs outside one
+SCOPED_RUNS = {
+    "mahler search": lambda: min_mahler(SearchSpace("skew_reciprocal", 6, 1)),
+    "house search": lambda: min_house(SearchSpace("reciprocal", 6, 2)),
+    "survey": lambda: verify_decomposition_over_space(
+        SearchSpace("skew_reciprocal", 8, 1)),
+    "table": lambda: sequence_table(2, [1, 1]),
+    "measure": lambda: measure(LEHMER),
+}
+
+
 class TestMemoScope:
-    """A search resumes root certifications within itself, never across."""
+    """Operations reuse per-input work within themselves, never across."""
 
     @staticmethod
     def count_aberth(monkeypatch, record):
@@ -365,16 +379,58 @@ class TestMemoScope:
             min_mahler(space, jobs=1)
             counts.append(len(calls) - before)
         assert counts[0] == counts[1] > 0
-        assert _ladders.cache_info().currsize == 0
+        assert _ladders.entries is None
 
     def test_memo_stays_within_its_cap(self, monkeypatch):
         sizes = []
         self.count_aberth(monkeypatch, lambda: sizes.append(
-            _ladders.cache_info().currsize))
+            len(_ladders.entries)))
         min_mahler(SearchSpace("skew_reciprocal", 8, 2), prune=False)
         # about 600 members are enclosed, so the cap is reached and held
         assert max(sizes) == _ladders.maxsize
-        assert _ladders.cache_info().currsize == 0
+        assert _ladders.entries is None
+
+    @pytest.mark.parametrize("name", SCOPED_RUNS)
+    def test_repeats_do_the_same_work(self, monkeypatch, name):
+        counts = {"graeffe": 0, "aberth": 0}
+
+        def bump(key):
+            counts[key] += 1
+
+        self.count_aberth(monkeypatch, lambda: bump("aberth"))
+        module = importlib.import_module("skewrec.measure")
+        original = module.graeffe
+        monkeypatch.setattr(module, "graeffe",
+                            lambda f: bump("graeffe") or original(f))
+        work = []
+        for _ in range(2):
+            before = dict(counts)
+            SCOPED_RUNS[name]()
+            work.append({k: counts[k] - before[k] for k in counts})
+            assert _ladders.entries is None and _chains.entries is None
+        assert work[0] == work[1] and work[0]["aberth"] > 0
+        assert (work[0]["graeffe"] > 0) == (name != "measure")
+
+    def test_survey_walks_one_chain_per_member(self, monkeypatch):
+        # decompose_skew_reciprocal repeats the survey's Kronecker test
+        module = importlib.import_module("skewrec.measure")
+        original_graeffe = module.graeffe
+        calls = []
+        monkeypatch.setattr(module, "graeffe",
+                            lambda f: calls.append(f) or original_graeffe(f))
+        structure = importlib.import_module("skewrec.structure")
+        original = structure.is_kronecker
+        repeated = []
+
+        def recording(f):
+            before = len(calls)
+            result = original(f)
+            repeated.append(len(calls) - before)
+            return result
+
+        monkeypatch.setattr(structure, "is_kronecker", recording)
+        verify_decomposition_over_space(SearchSpace("skew_reciprocal", 8, 1))
+        assert repeated and set(repeated) == {0} and calls
 
     def test_phase_two_rounds_hit_the_memo(self, monkeypatch):
         module = importlib.import_module("skewrec.search")
@@ -382,9 +438,9 @@ class TestMemoScope:
         hits = []
 
         def recording(args):
-            before = _ladders.cache_info().hits
+            before = _ladders.hits
             enc = original(args)
-            hits.append(_ladders.cache_info().hits - before)
+            hits.append(_ladders.hits - before)
             return enc
 
         monkeypatch.setattr(module, "_enclose", recording)
