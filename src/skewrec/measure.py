@@ -64,10 +64,11 @@ __all__ = [
 
 
 # Polynomials whose chains the chain memo keeps in a scope.  A search
-# member and its t -> -t partner, scanned next to it, take two keys for
-# one chain of at most a few steps (its Kronecker walk on the spaces up
-# to degree 16, and the bounds' _BOUND_STEPS), so this holds dozens of
-# whole orbits, and memory stays bounded for any input.
+# scan takes each leaf of its power-sum tree and then the leaf's
+# t -> -t partner: two keys for one chain of at most a few steps (its
+# Kronecker walk on the spaces up to degree 16, and the bounds'
+# _BOUND_STEPS), read back-to-back and never again, so this holds
+# dozens of such pairs, and memory stays bounded for any input.
 _CHAIN_MEMO_SIZE = 64
 
 # The Graeffe step the search bounds read.  The upper bounds read the
@@ -145,6 +146,23 @@ class _Chain:
             iterates.append(graeffe(iterates[-1]))
         return iterates[k]
 
+    def is_kronecker(self) -> bool:
+        """is_kronecker's decision for iterates[0] (nonzero at 0), walked once."""
+        if self.kronecker is None:
+            g = self.iterates[0]
+            bound = math.comb(g.degree, g.degree // 2)
+            seen = {g.coeffs}
+            for k in itertools.count(1):
+                if any(abs(c) > bound for c in g.coeffs):
+                    self.kronecker = False
+                    break
+                g = self.iterate(k)
+                if g.coeffs in seen:
+                    self.kronecker = True
+                    break
+                seen.add(g.coeffs)
+        return self.kronecker
+
     def read(self, reader, k: int) -> float:
         """reader(g_k, k), computed once per chain."""
         key = (reader, k)
@@ -210,25 +228,7 @@ def is_kronecker(f: IntPoly) -> bool:
     g0 = f if f.coeffs[0] else _strip_t_powers(f)[1]
     if g0.degree == 0:
         return True
-    chain = _chain(g0)
-    if chain.kronecker is None:
-        chain.kronecker = _kronecker_walk(g0, chain)
-    return chain.kronecker
-
-
-def _kronecker_walk(g0: IntPoly, chain: _Chain) -> bool:
-    """is_kronecker's decision for g0 (g0(0) != 0), walking its chain."""
-    d = g0.degree
-    bound = math.comb(d, d // 2)
-    g = g0
-    seen = {g.coeffs}
-    for k in itertools.count(1):
-        if any(abs(c) > bound for c in g.coeffs):
-            return False
-        g = chain.iterate(k)
-        if g.coeffs in seen:
-            return True
-        seen.add(g.coeffs)
+    return _chain(g0).is_kronecker()
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,25 +9,21 @@ c_k = (-1)**(d+k) * c_(2d-k)).  Enumeration size is exactly (2H+1)**d.
 Minimum searches run in two phases so that results are bit-identical for
 any worker count:
 
-  * phase 1 scans fixed chunks of whole t -> -t orbits (both classes
-    are closed under f(t) -> f(-t)): chunk a holds the orbits whose
-    representative, the lexicographically smaller free vector, has
-    first free coefficient a, each representative followed by its
-    partner (see SearchSpace.orbit_chunk).  There are 2H+1 chunks for
-    even d and H+1 for odd d, whose chunks a > 0 would be empty and are
-    not built.  A partner's Kronecker test and Graeffe bounds are hits
-    on the Graeffe chain it shares with its representative.  Phase 1
-    excludes Kronecker members exactly and computes a base enclosure
-    per remaining member; a chunk returns only its member and Kronecker
-    counts and, sorted by free vector, the members whose lower bound is
-    at most its own best upper bound, since the search-wide best is
-    never above any chunk's best and phase 2 would drop every other
-    member; the parent sorts all of them before phase 2.  Chunks share
-    no state, so the schedule cannot influence anything.  A pruning
-    chunk caps itself before it encloses anything: a first pass takes
-    every member's Graeffe lower and upper bounds, and only the members
-    whose lower bound stays under the smallest upper bound seen so far
-    are enclosed in a second pass (see _scan_chunk);
+  * phase 1 walks, per chunk, a tree over the top coefficients
+    c_(2d-1), ..., c_d whose nodes are cut by Newton power sums against
+    a cap on the quantity (see _PowerSumTree): one chunk per value
+    c_(2d-1) = 0, -1, ..., -H, each leaf followed by its t -> -t
+    partner.  The parent seeds every chunk with one cap before any
+    runs (see _seed_cap).  Phase 1 excludes Kronecker members exactly
+    (the tree never cuts one) and computes a base enclosure per
+    remaining member; a chunk returns only its member, cut and
+    Kronecker counts and, sorted by free vector, the members whose
+    lower bound is at most its own best upper bound, since the
+    search-wide best is never above any chunk's best and phase 2 would
+    drop every other member; the parent sorts all of them before phase
+    2.  Chunks share no state, so the schedule cannot influence
+    anything.  A pruning chunk lowers its cap before it encloses
+    anything (see _scan_chunk);
   * phase 2 keeps every candidate whose certified lower bound does not
     exceed the smallest certified upper bound, then refines this set at
     progressively finer tolerances until a single witness remains, the
@@ -62,12 +58,14 @@ Both quantities have cheap certified lower and upper bounds read from
 exact Graeffe iterates (mahler_lower_bound, house_lower_bound,
 mahler_upper_bound, house_upper_bound).  The lower bound participates
 in candidate elimination unconditionally; the prune flag only controls
-whether members disqualified by the bounds alone skip the expensive
-enclosure computation.  Pruned or not, reports are identical.  The
-Kronecker test and the bounds walk one memoized Graeffe chain per orbit,
-and a pruning Mahler scan lets the lower bound stop at an earlier step
-once it provably exceeds the chunk's cap (the member is pruned either
-way, and the bound of every member kept is the full one).
+whether members disqualified by the cap alone are cut from the tree or
+skip the expensive enclosure computation.  Pruned or not, reports are
+identical.  The Kronecker test and the bounds walk one memoized Graeffe
+chain per leaf and partner, and a pruning Mahler scan lets the lower
+bound stop at an earlier step once it provably exceeds the chunk's cap
+(the member is pruned either way, and the bound of every member kept is
+the full one).  enumerated is the space size, the members reached plus
+those cut.
 """
 
 from __future__ import annotations
@@ -76,12 +74,14 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Optional
 
 from .enclosure import Enclosure, log_of_fraction
 from .errors import BudgetExceeded, PolynomialError, PrecisionExhausted
 from .measure import (
+    _chain,
     _free_parts,
     house,
     house_lower_bound,
@@ -173,11 +173,6 @@ class SearchSpace:
         rng = range(-self.height, self.height + 1)
         return itertools.product(rng, repeat=self.half_degree)
 
-    def free_vectors_with_first(self, first: int) -> Iterator[tuple[int, ...]]:
-        rng = range(-self.height, self.height + 1)
-        rest = itertools.product(rng, repeat=self.half_degree - 1)
-        return ((first,) + tail for tail in rest)
-
     def partner(self, free: tuple[int, ...]) -> tuple[int, ...]:
         """The free vector of f(-t), for f the member with this one.
 
@@ -187,26 +182,6 @@ class SearchSpace:
         """
         d = self.half_degree
         return tuple(-c if (d + i) % 2 else c for i, c in enumerate(free))
-
-    def orbit_chunk(self, first: int) -> Iterator[tuple[int, ...]]:
-        """The free vectors of the t -> -t orbits whose representative starts with first.
-
-        An orbit's representative is the lexicographically smaller of
-        its two free vectors; each is followed directly by its partner
-        (a member equal to its own partner appears once).  For even d
-        the partner keeps the first coefficient, so this chunk holds
-        exactly the free vectors starting with first.  For odd d it
-        negates it: a chunk first < 0 holds the free vectors starting
-        with first or -first, chunk 0 its own orbits, and a chunk
-        first > 0 is empty.
-        """
-        for free in self.free_vectors_with_first(first):
-            partner = self.partner(free)
-            if free < partner:
-                yield free
-                yield partner
-            elif free == partner:
-                yield free
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "degree": self.degree, "height": self.height}
@@ -221,54 +196,228 @@ def enumerate_space(space: SearchSpace) -> Iterator[IntPoly]:
 # -- phase 1 -----------------------------------------------------------------
 
 
+class _PowerSumTree:
+    """One chunk's depth-first walk over c_(2d-1) = first, c_(2d-2), ..., c_d.
+
+    Write n = 2d, a_k = c_(n-k) (a_0 = 1) and s_k for the k-th power sum
+    of a member's roots.  Newton's identities
+    s_k + a_1 s_(k-1) + ... + a_(k-1) s_1 + k a_k = 0 (k <= n) fix s_k
+    from a_1..a_k, so the node that picks a_k knows s_k exactly, as an
+    integer.  The free coefficients are a_1..a_d, and a leaf's low
+    coefficients a_(d+1)..a_n mirror a_(d-1)..a_0 by the class identity,
+    giving s_(d+1)..s_n.
+
+    Both classes pair the roots as alpha and +-1/alpha, so the moduli
+    pair as r and 1/r.  If M(f) <= B, write r_i = e**(x_i) >= 1 for the
+    n/2 pairs: sum x_i <= log B, and x -> e**(kx) + e**(-kx) - 2 is
+    convex and 0 at 0, so superadditive on x >= 0, which gives
+    |s_k| <= sum |alpha|**k <= n - 2 + B**k + B**-k.  If house(f) <= h,
+    every pair has r <= h, so |s_k| <= (n/2) * (h**k + h**-k).  A node
+    whose |s_k| breaks the bound is cut with its whole subtree, and a
+    leaf whose s_(d+1)..s_n break it is cut too; every member cut has a
+    value above the cap (see set_cap).  A Kronecker member has
+    |s_k| <= n, within every bound, so it is never cut.
+
+    f(t) -> f(-t) negates a_k for odd k and keeps both classes; it maps
+    s_k to (-1)**k s_k, so a member and its partner are cut together.
+    The walk takes only one member of each pair: the one whose first
+    nonzero odd-indexed a_k is negative (a member with none is its own
+    partner).  So first <= 0, and until such an a_k is picked, odd-
+    indexed coefficients take values <= 0 only.  Each leaf is followed
+    by its partner.  Values are tried small-first (0, -1, 1, -2, 2, ...),
+    which reaches the members of small value, and so a low cap, early.
+
+    cut counts the members, partners included, in the subtrees cut so
+    far, so the members walked plus cut are the chunk: the 2 * (2H+1)**(d-1)
+    members with c_(2d-1) = +-first, or the (2H+1)**(d-1) with
+    c_(2d-1) = 0.
+    """
+
+    def __init__(self, space: SearchSpace, quantity: str, first: int):
+        self.space = space
+        self.quantity = quantity
+        self.first = first
+        self.limits: Optional[list[int]] = None  # limits[k] bounds |s_k|
+        self.cut = 0
+
+    def set_cap(self, cap: float) -> None:
+        """Cut from now on the members whose value is above cap (inf: none).
+
+        The bound of the class docstring is taken at B = cap * (1 + 2**-40),
+        an exact rational, and floored to an integer limit per k: the
+        integer |s_k| is at most the bound exactly when it is at most the
+        limit, so every member of value at most B is walked.  The margin
+        absorbs the float rounding that _scan_chunk's proof allows for.
+        A lower cap only lowers the limits, so the subtrees cut before
+        stay cut soundly.
+        """
+        if cap == math.inf:
+            self.limits = None
+            return
+        num, den = cap.as_integer_ratio()
+        top, bottom = num * ((1 << 40) + 1), den << 40  # B = top / bottom
+        n = self.space.degree
+        limits = [0]
+        p = q = 1
+        for _ in range(n):
+            p, q = p * top, q * bottom  # B**k + B**-k = (p*p + q*q) / (p*q)
+            if self.quantity == "mahler":
+                limits.append(n - 2 + (p * p + q * q) // (p * q))
+            else:
+                limits.append(n * (p * p + q * q) // (2 * p * q))
+        self.limits = limits
+
+    def members(self) -> Iterator[tuple[int, ...]]:
+        """The free vectors walked, in walk order, each leaf then its partner."""
+        space = self.space
+        n, d, height = space.degree, space.half_degree, space.height
+        if space.kind == RECIPROCAL:
+            sign = [1] * (n + 1)
+        else:
+            sign = [(-1) ** (d + k) for k in range(n + 1)]
+        any_sign = sorted(range(-height, height + 1), key=lambda v: (abs(v), v))
+        nonpositive = tuple(range(0, -height - 1, -1))
+        width = 2 * height + 1
+        a = [1] + [0] * n
+        s = [0] * (n + 1)
+
+        def leaf_passes(limits) -> bool:
+            for k in range(d + 1, n + 1):
+                a[k] = sign[k] * a[n - k]
+                sk = -(k * a[k] + sum(map(operator.mul, a[1:k], s[k - 1:0:-1])))
+                if abs(sk) > limits[k]:
+                    return False
+                s[k] = sk
+            return True
+
+        def visit(k: int, paired: bool) -> Iterator[tuple[int, ...]]:
+            # a_1..a_(k-1) and s_1..s_(k-1) are set; this node picks a_k
+            rest = sum(map(operator.mul, a[1:k], s[k - 1:0:-1]))
+            if k == 1:
+                values = (self.first,)
+            elif paired or k % 2 == 0:
+                values = any_sign
+            else:
+                values = nonpositive
+            for v in values:
+                sk = -(k * v + rest)
+                pair = paired or (k % 2 == 1 and v != 0)
+                limits = self.limits
+                if limits is not None and abs(sk) > limits[k]:
+                    self.cut += width ** (d - k) << pair
+                    continue
+                a[k], s[k] = v, sk
+                if k < d:
+                    yield from visit(k + 1, pair)
+                elif limits is None or leaf_passes(limits):
+                    free = tuple(a[d:0:-1])
+                    yield free
+                    if pair:
+                        yield space.partner(free)
+                else:
+                    self.cut += 1 << pair
+
+        yield from visit(1, False)
+
+
+def _chunk_firsts(space: SearchSpace) -> range:
+    """The chunks' values of c_(2d-1): 0, -1, ..., -H."""
+    return range(0, -space.height - 1, -1)
+
+
+# The non-Kronecker members whose Graeffe upper bounds seed the cap.
+_SEED_MEMBERS = 32
+
+
+def _seed_cap(space: SearchSpace, quantity: str, tol0: float) -> float:
+    """The smallest ub(x) + 2*tol0 over the first non-Kronecker members x.
+
+    The members are the first _SEED_MEMBERS in walk order, from chunk
+    c_(2d-1) = 0 on, and the walk cuts against the cap found so far, as
+    a chunk's does; inf when the space has none.  _scan_chunk's proof
+    lets any non-Kronecker member of the space set a chunk's cap, so
+    every chunk starts from this one.  The Kronecker tests read the
+    members' chains directly, so is_kronecker stays one call per member
+    a chunk walks.
+    """
+    upper_bound = mahler_upper_bound if quantity == "mahler" else house_upper_bound
+    cap = math.inf
+    seen = 0
+    for first in _chunk_firsts(space):
+        tree = _PowerSumTree(space, quantity, first)
+        tree.set_cap(cap)
+        for free in tree.members():
+            f = space.member(free)
+            if _chain(f).is_kronecker():
+                continue
+            ub = upper_bound(f) + 2 * tol0
+            if ub < cap:
+                cap = ub
+                tree.set_cap(cap)
+            seen += 1
+            if seen == _SEED_MEMBERS:
+                return cap
+    return cap
+
+
 def _lower(candidate) -> float:
     """Certified lower bound of a (free, Enclosure, Graeffe bound) triple."""
     _, enc, gb = candidate
     return max(enc.lo, gb)
 
 
-def _scan_chunk(args) -> tuple[int, int, list]:
-    """Phase 1 over one orbit chunk: (scanned, kronecker, survivors).
+def _scan_chunk(args) -> tuple[int, int, int, list]:
+    """Phase 1 over one chunk: (scanned, cut, kronecker, survivors).
 
-    The chunk is SearchSpace.orbit_chunk(first): whole t -> -t orbits,
-    each representative followed directly by its partner, whose
-    Kronecker test and Graeffe bounds are then hits on the chain memo
-    the two share (see is_kronecker).  Each survivor is a (free,
-    Enclosure, gb) triple whose lower bound is at most the chunk's final
-    best upper bound, and survivors are returned sorted by free.
+    The chunk is the _PowerSumTree with c_(2d-1) = first: scanned
+    counts the members it walks, cut those it cuts.  Each leaf is
+    followed directly by its partner, whose Kronecker test and Graeffe
+    bounds are then hits on the chain memo the two share (see
+    is_kronecker).  Each survivor is a (free, Enclosure, gb) triple
+    whose lower bound is at most the chunk's final best upper bound,
+    and survivors are returned sorted by free.
 
-    When pruning, the chunk is scanned twice.  Pass A streams every
-    member: the Kronecker test, then the Graeffe lower bound gb (a
-    Mahler bound may stop early above the cap, see mahler_lower_bound),
-    and a member with gb above the cap is pruned.  Every other member
-    lowers the cap to its Graeffe upper bound (mahler_upper_bound,
-    house_upper_bound) plus 2*tol0 and is kept as (free, gb).  Pass B
-    encloses the kept members in scan order, with its best upper bound
-    starting at the final cap, and prunes and filters as the
-    single-pass scan does.  This leaves phase 2 the candidates a scan
-    capped by enclosures alone would give it, in the same order:
+    When pruning, the chunk starts from the given cap and is scanned
+    twice.  Pass A walks the tree, which cuts against the live cap:
+    each member walked takes the Kronecker test, then the Graeffe lower
+    bound gb (a Mahler bound may stop early above the cap, see
+    mahler_lower_bound), and a member with gb above the cap is pruned.
+    Every other member lowers the cap to its Graeffe upper bound
+    (mahler_upper_bound, house_upper_bound) plus 2*tol0 and is kept as
+    (free, gb); the tree's limits are recomputed only when the cap
+    falls.  Pass B encloses the kept members in scan order, with its
+    best upper bound starting at the final cap, and prunes and filters
+    as the single-pass scan does.  This leaves phase 2 the candidates a
+    full scan capped by enclosures alone would give it, in the same
+    order:
 
       * take m, the smallest hi of the tol0 enclosures of all
         non-Kronecker members of the space, and a member x that set the
-        cap to ub(x) + 2*tol0.  x's tol0 enclosure, made or not,
-        contains x's value, which is at most ub(x), and is at most tol0
-        wide (the second tol0 absorbs the float rounding of
-        Enclosure.width and of the sum, as in
-        verify_decomposition_over_space), so every cap the chunk ever
-        holds is at least hi(x) >= m, and so is every best upper bound
-        pass B holds;
-      * so every member whose lower bound max(lo, gb) is at most m
-        passes both prunes, is enclosed, and survives the final
+        cap to ub(x) + 2*tol0: a member of the chunk, or the parent's
+        seed (see _seed_cap), any non-Kronecker member of the space.
+        x's tol0 enclosure, made or not, contains x's value, which is
+        at most ub(x), and is at most tol0 wide (the second tol0
+        absorbs the float rounding of Enclosure.width and of the sum,
+        as in verify_decomposition_over_space), so every cap the chunk
+        ever holds is at least hi(x) >= m, and so is every best upper
+        bound pass B holds;
+      * a member y whose lower bound max(lo, gb) is at most m has value
+        at most hi(y) <= m + tol0 <= hi(x) + tol0 <= ub(x) + 2*tol0,
+        up to the float rounding of two widths and of the cap's sum,
+        a relative error below 2**-50 of the cap (which is above 1 and
+        above tol0).  So its value is at most cap * (1 + 2**-40) for
+        every cap held, the tree walks it (see _PowerSumTree.set_cap),
+        and it passes both prunes, is enclosed, and survives the final
         filter, with the full gb (the early stop changes gb only for
-        members it prunes); every member pruned or filtered out has a
-        lower bound above m;
+        members it prunes); every member cut, pruned or filtered out
+        has a lower bound above m;
       * phase 2's first filter keeps exactly the candidates whose
         lower bound is at most the smallest candidate hi, which is m
         (the member attaining it is a candidate), so it keeps the same
         candidates, with the same enclosures, in the same order.
 
     The same argument makes phase 2 independent of the chunk layout and
-    of the scan order within a chunk.  m, every member's tol0 enclosure
+    of the walk order within a chunk.  m, every member's tol0 enclosure
     and its full gb do not depend on them, and every member whose lower
     bound is at most m survives its chunk, whichever chunk holds it; the
     other survivors are dropped by the first filter.  So the parent,
@@ -276,22 +425,25 @@ def _scan_chunk(args) -> tuple[int, int, list]:
     the members whose lower bound is at most m in lexicographic order,
     as a scan of the space in that order would.
 
-    Without pruning nothing is deferred: each member is enclosed as
-    pass A reaches it, so retained memory is the survivors, not the
-    chunk.
+    Without pruning the cap is ignored, the tree cuts nothing and
+    nothing is deferred: each member is enclosed as pass A reaches it,
+    so retained memory is the survivors, not the chunk.
     """
-    (kind, degree, height, first, quantity, tol0, prune, max_bits) = args
+    (kind, degree, height, first, quantity, tol0, prune, max_bits, cap) = args
     space = SearchSpace(kind, degree, height)
     if quantity == "mahler":
         upper_bound, measure_fn = mahler_upper_bound, mahler
     else:
         upper_bound, measure_fn = house_upper_bound, house
+    if not prune:
+        cap = math.inf
+    tree = _PowerSumTree(space, quantity, first)
+    tree.set_cap(cap)
     scanned = kron = 0
-    cap = math.inf
 
     def pass_a():
         nonlocal scanned, kron, cap
-        for free in space.orbit_chunk(first):
+        for free in tree.members():
             scanned += 1
             f = space.member(free)
             if is_kronecker(f):
@@ -304,7 +456,10 @@ def _scan_chunk(args) -> tuple[int, int, list]:
             if not prune:
                 yield free, gb
             elif gb <= cap:
-                cap = min(cap, upper_bound(f) + 2 * tol0)
+                ub = upper_bound(f) + 2 * tol0
+                if ub < cap:
+                    cap = ub
+                    tree.set_cap(cap)
                 yield free, gb
 
     kept = list(pass_a()) if prune else pass_a()
@@ -321,7 +476,7 @@ def _scan_chunk(args) -> tuple[int, int, list]:
             survivors.append(candidate)
     survivors = [c for c in survivors if _lower(c) <= best_hi]
     survivors.sort(key=_free)
-    return scanned, kron, survivors
+    return scanned, tree.cut, kron, survivors
 
 
 def _free(candidate) -> tuple[int, ...]:
@@ -367,24 +522,23 @@ def _tie_key(quantity: str, f: IntPoly) -> tuple:
     return tuple(sorted((_tie_form(quantity, p), m) for p, m in parts))
 
 
-def _tie_form(quantity: str, p: IntPoly) -> tuple[int, ...]:
-    """A canonical coefficient tuple of a part p (p(0) != 0) that keeps its value.
+def _tie_form(quantity: str, p: IntPoly) -> tuple:
+    """A canonical form of a part p (p(0) != 0) that keeps its value.
 
-    Both: the smallest of +-p(t), +-p(-t) with a positive leading
-    coefficient; t -> -t only negates the roots.  Mahler first deflates,
-    p(t) = q(t**g) with g the gcd of p's exponents (the roots of p are
-    the g-th roots of q's, so M(p) = M(q)), and also takes reverse(q),
-    whose roots are the inverses of q's: M(reverse q) = M(q).  House does
-    neither, since both change the largest root modulus.
+    Both deflate, p(t) = q(s) with s = t**g and g the gcd of p's
+    exponents: the roots of p are the g-th roots of q's, so M(p) = M(q)
+    and house(p) = house(q)**(1/g).  Both then take the smallest of
+    +-q(s), +-q(-s) with a positive leading coefficient; s -> -s only
+    negates the roots.  Mahler also takes reverse(q), whose roots are
+    the inverses of q's: M(reverse q) = M(q).  House does not, since
+    that changes the largest root modulus, and its form keeps g.
     """
-    if quantity == "mahler":
-        g = math.gcd(*(k for k, c in enumerate(p.coeffs) if c))
-        p = IntPoly(p.coeffs[::g])
-        forms = (p, reverse(p))
-    else:
-        forms = (p,)
-    return min((h if h.leading > 0 else -h).coeffs
-               for q in forms for h in (q, negate_variable(q)))
+    g = math.gcd(*(k for k, c in enumerate(p.coeffs) if c))
+    q = IntPoly(p.coeffs[::g])
+    forms = (q, reverse(q)) if quantity == "mahler" else (q,)
+    form = min((h if h.leading > 0 else -h).coeffs
+               for r in forms for h in (r, negate_variable(r)))
+    return form if quantity == "mahler" else (g, form)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -433,24 +587,25 @@ def _min_search(
             budget,
         )
     tol0 = max(tol, 1e-6)
-    # for odd d the orbit chunks first > 0 are empty
-    last_first = 0 if space.half_degree % 2 else space.height
-    chunk_args = [
-        (space.kind, space.degree, space.height, first, quantity, tol0,
-         prune, max_bits)
-        for first in range(-space.height, last_first + 1)
-    ]
-    workers = min(jobs, len(chunk_args))
+    firsts = _chunk_firsts(space)
+    workers = min(jobs, len(firsts))
     pool = _process_pool(workers) if workers > 1 else contextlib.nullcontext()
     with memo_scope(), pool:
+        cap = _seed_cap(space, quantity, tol0) if prune else math.inf
+        chunk_args = [
+            (space.kind, space.degree, space.height, first, quantity, tol0,
+             prune, max_bits, cap)
+            for first in firsts
+        ]
         pool_map = pool.map if workers > 1 else map
         chunk_results = list(pool_map(_scan_chunk, chunk_args))
 
-        enumerated = sum(scanned for scanned, _, _ in chunk_results)
-        assert enumerated == space.size
-        kron = sum(k for _, k, _ in chunk_results)
+        enumerated = space.size
+        assert sum(scanned + cut for scanned, cut, _, _ in chunk_results) \
+            == enumerated
+        kron = sum(k for _, _, k, _ in chunk_results)
         candidates = sorted(
-            (c for _, _, survivors in chunk_results for c in survivors),
+            (c for *_, survivors in chunk_results for c in survivors),
             key=_free)
         if not candidates:
             return SearchReport(space, quantity, tol, enumerated, kron, None,

@@ -153,7 +153,7 @@ class TestSearchCommand:
             ["table", "--max-i", "1", "--heights", "1", "--jobs", "64"], capsys
         )
         assert code == 0 and json.loads(out)["meta"]["jobs"] == 64
-        # four searches of 2 chunks each: d = 1 is odd, so only first <= 0
+        # four searches of H+1 = 2 chunks each (c_1 = 0 and -1)
         assert pool_sizes == [2, 2, 2, 2]
 
     def test_exhausted_phase_two_same_data_across_jobs(self, capsys):

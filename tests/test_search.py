@@ -1,5 +1,6 @@
 """Height-bounded spaces, deterministic searches, tables, and the survey."""
 
+import functools
 import importlib
 import itertools
 import json
@@ -7,10 +8,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_mahler
+from conftest import brute_house, brute_mahler
 from skewrec.errors import BudgetExceeded, PolynomialError
 from skewrec.measure import (
     _chains,
@@ -36,8 +37,11 @@ from skewrec.poly import (
 from skewrec.roots import DEFAULT_MAX_BITS, _ladders
 from skewrec.search import (
     SearchSpace,
+    _chunk_firsts,
     _lower,
+    _PowerSumTree,
     _scan_chunk,
+    _seed_cap,
     _tie_key,
     enumerate_space,
     min_house,
@@ -56,6 +60,14 @@ def one_key_per_candidate(monkeypatch):
     """Give every phase-2 candidate its own tie class, so no round stops early."""
     monkeypatch.setattr("skewrec.search._tie_key",
                         lambda quantity, f: f.coeffs)
+
+
+def scan_space(space, quantity, prune, tol0=1e-6):
+    """Phase 1 over every chunk of the space, seeded as a search seeds it."""
+    cap = _seed_cap(space, quantity, tol0) if prune else math.inf
+    return [_scan_chunk((space.kind, space.degree, space.height, first,
+                         quantity, tol0, prune, 4096, cap))
+            for first in _chunk_firsts(space)]
 
 
 class TestSearchSpace:
@@ -89,37 +101,49 @@ class TestSearchSpace:
         assert frees == sorted(frees)
 
     def test_orbit_chunks_partition_the_space(self, monkeypatch):
-        chunks = []
+        chunks = []  # (chunk args, members walked, members cut)
 
         def recording_scan(args):
-            kind, degree, height, first = args[:4]
-            chunk = list(SearchSpace(kind, degree, height).orbit_chunk(first))
-            chunks.append(chunk)
-            return len(chunk), 0, []
+            kind, degree, height, first, quantity = args[:5]
+            tree = _PowerSumTree(SearchSpace(kind, degree, height), quantity,
+                                 first)
+            tree.set_cap(args[-1])
+            chunk = list(tree.members())
+            chunks.append((args, chunk, tree.cut))
+            return len(chunk), tree.cut, 0, []
 
         monkeypatch.setattr("skewrec.search._scan_chunk", recording_scan)
         for kind in ("reciprocal", "skew_reciprocal"):
             for degree, height in itertools.product((2, 4, 6, 8, 10), range(4)):
                 space = SearchSpace(kind, degree, height)
-                chunks.clear()
-                assert min_mahler(space).minimum is None
-                # for odd d the chunks first > 0 would be empty
-                odd = space.half_degree % 2
-                assert len(chunks) == (height + 1 if odd else 2 * height + 1)
-                scanned = [free for chunk in chunks for free in chunk]
-                assert sorted(scanned) == list(space.free_vectors())
-                for chunk in chunks:
-                    i = 0
-                    while i < len(chunk):
-                        free = chunk[i]
-                        partner = space.partner(free)
-                        assert space.member(partner) == \
-                            negate_variable(space.member(free))
-                        assert free <= partner
-                        if free != partner:
-                            assert chunk[i + 1] == partner
+                for prune in (False, True):
+                    chunks.clear()
+                    assert min_mahler(space, prune=prune).minimum is None
+                    # one chunk per c_(2d-1) = 0, -1, ..., -H
+                    assert [args[3] for args, _, _ in chunks] == \
+                        list(range(0, -height - 1, -1))
+                    walked = [free for _, chunk, _ in chunks for free in chunk]
+                    assert len(set(walked)) == len(walked)
+                    assert len(walked) + sum(cut for *_, cut in chunks) == \
+                        space.size
+                    if not prune:
+                        assert sorted(walked) == list(space.free_vectors())
+                    for _, chunk, _ in chunks:
+                        i = 0
+                        while i < len(chunk):
+                            free = chunk[i]
+                            partner = space.partner(free)
+                            assert space.member(partner) == \
+                                negate_variable(space.member(free))
+                            # the leaf: c_(2d-1) <= 0, and its first nonzero
+                            # odd-indexed coefficient is negative
+                            odd = [c for j, c in enumerate(free)
+                                   if (space.half_degree - j) % 2]
+                            assert next((c for c in reversed(odd) if c), 0) <= 0
+                            if free != partner:
+                                assert chunk[i + 1] == partner
+                                i += 1
                             i += 1
-                        i += 1
 
     def test_height_zero_allowed(self):
         members = list(enumerate_space(SearchSpace("skew_reciprocal", 4, 0)))
@@ -185,8 +209,6 @@ class TestMinimumSearches:
         assert abs(rep.minimum.midpoint - brute) < 1e-6
 
     def test_prune_does_not_change_report(self):
-        # degree 6 has an odd number of free coefficients, so its orbit
-        # chunks hold first coefficients +-a together
         for kind, degree in itertools.product(("reciprocal", "skew_reciprocal"),
                                               (4, 6)):
             space = SearchSpace(kind, degree, 2)
@@ -211,14 +233,12 @@ class TestMinimumSearches:
         enclosed = {}
         for prune in (True, False):
             calls.clear()
-            for first in (-1, 0, 1):
-                _scan_chunk((kind, 8, 1, first, "house", 1e-6, prune, 4096))
+            scan_space(space, "house", prune)
             enclosed[prune] = len(calls)
         assert enclosed[False] == non_kronecker
-        assert enclosed[True] < non_kronecker // 2
-        if kind == "reciprocal":
-            # 16 before chunks were capped by Graeffe upper bounds
-            assert enclosed[True] <= 8
+        # 16 (reciprocal) before chunks were capped by Graeffe upper
+        # bounds; 6 and 10 before the power-sum tree, which encloses 4 and 8
+        assert enclosed[True] <= (6 if kind == "reciprocal" else 10)
 
     def test_upper_bound_cap_skips_mahler_enclosures(self, monkeypatch):
         calls = []
@@ -228,11 +248,10 @@ class TestMinimumSearches:
             return mahler(f, tol, max_bits)
 
         monkeypatch.setattr("skewrec.search.mahler", counting_mahler)
-        for first in range(-2, 3):
-            _scan_chunk(("skew_reciprocal", 8, 2, first, "mahler", 1e-6, True,
-                         4096))
-        # 68 before chunks were capped by Graeffe upper bounds
-        assert len(calls) <= 34
+        scan_space(SearchSpace("skew_reciprocal", 8, 2), "mahler", True)
+        # 68 before chunks were capped by Graeffe upper bounds, 26 before
+        # the power-sum tree, which encloses 15
+        assert len(calls) <= 26
 
     def test_jobs_do_not_change_report(self):
         for kind, degree in itertools.product(("reciprocal", "skew_reciprocal"),
@@ -248,7 +267,7 @@ class TestMinimumSearches:
                     assert reports[0] == reports[1] == reports[2]
 
     def test_pool_is_capped_at_the_chunk_count(self, pool_sizes):
-        space = SearchSpace("reciprocal", 4, 1)  # 3 chunks
+        space = SearchSpace("reciprocal", 4, 2)  # 3 chunks
         assert min_mahler(space, jobs=64).to_json() == \
             min_mahler(space).to_json()
         assert min_house(space, jobs=2).to_json() == min_house(space).to_json()
@@ -523,10 +542,29 @@ class TestTieKey:
         assert _tie_key(quantity, LEHMER) != _tie_key(quantity, GOLDEN)
 
     def test_house_key_does_not_deflate(self):
+        # the house form deflates, but keeps the exponent gcd with it
         squared = substitute_power(GOLDEN, 2)  # house sqrt(phi), not phi
         assert house(squared).hi < house(GOLDEN).lo
         assert _tie_key("house", squared) != _tie_key("house", GOLDEN)
         assert _tie_key("mahler", squared) == _tie_key("mahler", GOLDEN)
+
+    def test_house_key_sees_t_to_i_t(self):
+        # F(t**2) and F(-t**2), F = s^8 - s^5 + s^4 - s^3 + 1: their roots
+        # differ by a factor i, so their houses are equal; both are
+        # witnesses of the reciprocal degree-16 height-2 house search
+        def poly(terms):
+            coeffs = [0] * 17
+            for k, c in terms.items():
+                coeffs[k] = c
+            return IntPoly(coeffs)
+
+        first = poly({16: 1, 10: -1, 8: 1, 6: -1, 0: 1})
+        second = poly({16: 1, 10: 1, 8: 1, 6: 1, 0: 1})
+        assert second == substitute_power(negate_variable(
+            IntPoly(first.coeffs[::2])), 2)
+        assert _tie_key("house", first) == _tie_key("house", second)
+        encs = [house(first, 1e-12), house(second, 1e-12)]
+        assert max(e.lo for e in encs) <= min(e.hi for e in encs)
 
     def test_house_key_does_not_reverse(self):
         plastic = IntPoly([-1, -1, 0, 1])  # t^3 - t - 1, house about 1.325
@@ -561,28 +599,44 @@ class TestScanChunk:
         measure_fn = mahler if quantity == "mahler" else house
         for height in (1, 2):
             space = SearchSpace(kind, 8, height)
-            for first in range(-height, height + 1):
-                members = [space.member(free)
-                           for free in space.free_vectors_with_first(first)]
-                # every non-Kronecker member, enclosed as phase 1 encloses it
-                full = []
-                for f in members:
-                    if not is_kronecker(f):
-                        gb = (mahler_lower_bound(f) if quantity == "mahler"
-                              else house_lower_bound(f))
-                        full.append((space.free_vector(f), measure_fn(f, tol0),
-                                     gb))
-                best_hi = min(enc.hi for _, enc, _ in full)
-                for prune in (True, False):
-                    scanned, kron, survivors = _scan_chunk(
-                        (kind, 8, height, first, quantity, tol0, prune, 4096)
-                    )
-                    assert scanned == len(members) == (2 * height + 1) ** 3
-                    assert kron == sum(1 for f in members if is_kronecker(f))
+            # every non-Kronecker member, enclosed as phase 1 encloses it
+            full = {}
+            for f in enumerate_space(space):
+                if not is_kronecker(f):
+                    gb = (mahler_lower_bound(f) if quantity == "mahler"
+                          else house_lower_bound(f))
+                    free = space.free_vector(f)
+                    full[free] = (free, measure_fn(f, tol0), gb)
+            m = min(enc.hi for _, enc, _ in full.values())
+            for prune in (True, False):
+                seeded = scan_space(space, quantity, prune, tol0)
+                for first, (scanned, cut, kron, survivors) in zip(
+                        _chunk_firsts(space), seeded):
+                    # the chunk: the members with c_7 = +-first
+                    members = [free for free in space.free_vectors()
+                               if abs(free[-1]) == -first]
+                    chunk = [full[free] for free in members if free in full]
+                    best_hi = min(enc.hi for _, enc, _ in chunk)
+                    assert scanned + cut == len(members)
+                    assert prune or cut == 0
+                    assert kron == len(members) - len(chunk)
                     assert all(_lower(c) <= best_hi for c in survivors)
+                    assert len(survivors) < len(chunk)
+                    # unseeded, the survivors are exactly the chunk's own
+                    # possible minimisers
+                    args = (kind, 8, height, first, quantity, tol0, prune,
+                            4096, math.inf)
+                    scanned, cut, kron, survivors = _scan_chunk(args)
+                    assert scanned + cut == len(members)
+                    assert kron == len(members) - len(chunk)
                     assert [c[0] for c in survivors] == \
-                        [c[0] for c in full if _lower(c) <= best_hi]
-                    assert len(survivors) < len(full)
+                        [c[0] for c in chunk if _lower(c) <= best_hi]
+                assert (sum(cut for _, cut, _, _ in seeded) > 0) == prune
+                # seeded, the candidates phase 2 keeps are the space's
+                candidates = sorted((c for *_, survivors in seeded
+                                     for c in survivors), key=lambda c: c[0])
+                assert [c[0] for c in candidates if _lower(c) <= m] == \
+                    [free for free in sorted(full) if _lower(full[free]) <= m]
 
     @pytest.mark.parametrize("quantity", ["mahler", "house"])
     def test_only_a_pruning_scan_defers_enclosures(self, monkeypatch, quantity):
@@ -599,18 +653,66 @@ class TestScanChunk:
 
         monkeypatch.setattr("skewrec.search.is_kronecker", recording_kronecker)
         monkeypatch.setattr(f"skewrec.search.{quantity}", recording_measure)
+        space = SearchSpace("skew_reciprocal", 8, 2)
         args = ("skew_reciprocal", 8, 2, 0, quantity, 1e-6)
-        _scan_chunk(args + (False, 4096))
+        scanned, cut, _, _ = _scan_chunk(args + (False, 4096, math.inf))
+        assert (scanned, cut) == (125, 0)
         # without pruning, each member is enclosed as soon as it is scanned
         for i, (kind, f) in enumerate(events):
             if kind == "enclose":
                 assert events[i - 1] == ("scan", f)
         events.clear()
-        _scan_chunk(args + (True, 4096))
+        cap = _seed_cap(space, quantity, 1e-6)
+        scanned, cut, _, _ = _scan_chunk(args + (True, 4096, cap))
         kinds = [kind for kind, _ in events]
         first_enclosure = kinds.index("enclose")
         assert kinds[first_enclosure:] == ["enclose"] * (len(kinds) - first_enclosure)
-        assert first_enclosure == 125
+        # every member walked is scanned before the first enclosure; the
+        # chunk c_7 = 0 holds 125 members
+        assert first_enclosure == scanned
+        assert scanned + cut == 125 and cut > 0
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_values(kind, degree, height, quantity):
+    """free -> (the conftest oracle's value, is Kronecker), over the space."""
+    space = SearchSpace(kind, degree, height)
+    oracle = brute_mahler if quantity == "mahler" else brute_house
+    return {space.free_vector(f): (oracle(f), is_kronecker(f))
+            for f in enumerate_space(space)}
+
+
+class TestPowerSumTree:
+    @settings(max_examples=200)
+    @given(kind=st.sampled_from(["reciprocal", "skew_reciprocal"]),
+           degree=st.sampled_from([2, 4, 6, 8]),
+           height=st.integers(0, 2),
+           quantity=st.sampled_from(["mahler", "house"]),
+           cap=st.floats(1.0, 3.0))
+    # t^2 - 3t + 1, of Mahler measure and house 2.618..., meets both
+    # bounds at k = 1: s_1 = 3 = B + 1/B
+    @example(kind="reciprocal", degree=2, height=3, quantity="mahler",
+             cap=2.62)
+    @example(kind="reciprocal", degree=2, height=3, quantity="house",
+             cap=2.62)
+    def test_cuts_only_members_above_the_cap(self, kind, degree, height,
+                                             quantity, cap):
+        space = SearchSpace(kind, degree, height)
+        values = oracle_values(kind, degree, height, quantity)
+        walked = []
+        cut = 0
+        for first in _chunk_firsts(space):
+            tree = _PowerSumTree(space, quantity, first)
+            tree.set_cap(cap)
+            walked += tree.members()
+            cut += tree.cut
+        assert len(set(walked)) == len(walked)
+        assert len(walked) + cut == space.size
+        assert {free for free, (value, _) in values.items()
+                if value <= cap} <= set(walked)
+        # the Kronecker count of the walk is that of a full enumeration
+        assert sum(values[free][1] for free in walked) == \
+            sum(kron for _, kron in values.values())
 
 
 class TestSequenceTable:

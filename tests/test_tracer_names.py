@@ -4,7 +4,8 @@ perfbench/tracer.py rebinds every (module, attribute) in its WRAPPED list
 to a timing wrapper when a traced pass starts.  A renamed or removed
 attribute makes `perfbench/run.py --trace 1` crash before any work, so
 this checks the list against the package, and a traced search checks
-that the counts the tracer derives from those names still add up.  The
+that the counts the tracer derives from those names, with the members
+the search's power-sum tree cuts, still add up.  The
 tracer is loaded by path and left unmodified; perfbench is not on the
 test path.
 """
@@ -36,15 +37,28 @@ def test_every_wrapped_name_resolves():
     assert missing == []
 
 
-def test_search_counters_add_up(capsys):
-    # members == Kronecker + pruned + phase-1 enclosures holds only while
-    # search.py calls is_kronecker, mahler_lower_bound and mahler by name
-    # once per member, which the shared Graeffe chain must keep true
+def test_search_counters_add_up(capsys, monkeypatch):
+    # phase 1 walks a power-sum tree: each member it reaches takes one
+    # is_kronecker call and, unless Kronecker, one mahler_lower_bound and
+    # then a phase-1 enclosure or nothing (pruned); the members it cuts
+    # take neither, and _scan_chunk returns their count
     import skewrec.cli
+    import skewrec.search
 
+    cuts = []
+    scan = skewrec.search._scan_chunk
+
+    def recording_scan(args):
+        result = scan(args)
+        cuts.append(result[1])
+        return result
+
+    monkeypatch.setattr(skewrec.search, "_scan_chunk", recording_scan)
     tracing = load_tracer()
     tracer = tracing.Tracer()
-    argv = ["search", "--quantity", "mahler", "--kind", "reciprocal",
+    # skew, since in the reciprocal space the tree cuts every member
+    # that a Graeffe bound would prune
+    argv = ["search", "--quantity", "mahler", "--kind", "skew_reciprocal",
             "--degree", "6", "--height", "1"]
     with tracer.installed():
         before = tracer.snapshot()
@@ -53,7 +67,8 @@ def test_search_counters_add_up(capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)["data"]
     delta = defaultdict(int, {k: after[k] - before[k] for k in after})
-    assert tracing.search_invariants(delta, data) == []
     pruned, p1 = tracing.search_counts(delta, data)
-    assert pruned > 0 and p1 > 0
-    assert delta["measure.kronecker.calls"] == data["enumerated"]
+    walked = delta["measure.kronecker.calls"]
+    assert data["enumerated"] == sum(cuts) + walked
+    assert walked == data["excluded_kronecker"] + pruned + p1
+    assert pruned > 0 and sum(cuts) > 0
