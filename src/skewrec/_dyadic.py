@@ -1,4 +1,4 @@
-"""Exact complex dyadic arithmetic for root certification.
+"""Exact dyadic points and integer square roots for root certification.
 
 A point is (a, b, e) meaning (a + b*i) * 2**e with unbounded integers
 a, b and integer exponent e.  Hardware doubles and multiprecision floats
@@ -11,7 +11,6 @@ down and up onto an integer grid.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import frexp, isfinite, isqrt
 
 Dyadic = tuple[int, int, int]
@@ -62,50 +61,6 @@ def _to_int_exp(x) -> tuple[int, int]:
             raise ValueError("non-finite float in certification")
         return 0, 0
     return (-man if sign else man), exp
-
-
-def add(x: Dyadic, y: Dyadic) -> Dyadic:
-    xa, xb, xe = x
-    ya, yb, ye = y
-    if xa == 0 and xb == 0:
-        return y
-    if ya == 0 and yb == 0:
-        return x
-    if xe < ye:
-        shift = ye - xe
-        return (xa + (ya << shift), xb + (yb << shift), xe)
-    shift = xe - ye
-    return ((xa << shift) + ya, (xb << shift) + yb, ye)
-
-
-def sub(x: Dyadic, y: Dyadic) -> Dyadic:
-    ya, yb, ye = y
-    return add(x, (-ya, -yb, ye))
-
-
-def mul(x: Dyadic, y: Dyadic) -> Dyadic:
-    xa, xb, xe = x
-    ya, yb, ye = y
-    return (xa * ya - xb * yb, xa * yb + xb * ya, xe + ye)
-
-
-def eval_int_poly(coeffs, z: Dyadic) -> Dyadic:
-    """Exact Horner evaluation of an integer-coefficient polynomial."""
-    acc: Dyadic = ZERO
-    for c in reversed(coeffs):
-        acc = mul(acc, z)
-        if c:
-            acc = add(acc, (c, 0, 0))
-    return acc
-
-
-def to_fractions(x: Dyadic) -> tuple[Fraction, Fraction]:
-    """The real and imaginary parts of x as exact rationals."""
-    a, b, e = x
-    if e >= 0:
-        return Fraction(a << e), Fraction(b << e)
-    den = 1 << -e
-    return Fraction(a, den), Fraction(b, den)
 
 
 def le_scaled(x: int, ex: int, y: int, ey: int) -> bool:

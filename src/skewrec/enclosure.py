@@ -20,8 +20,6 @@ import dataclasses
 import math
 from fractions import Fraction
 
-import mpmath as mp
-
 __all__ = ["Enclosure", "float_below", "float_above"]
 
 _INF = math.inf
@@ -161,6 +159,8 @@ class Enclosure:
         """Outward natural log of a strictly positive enclosure."""
         if self.lo <= 0:
             raise ValueError("log of a nonpositive enclosure")
+        import mpmath as mp
+
         with mp.workprec(96):
             lo = _down(_down(float(mp.log(mp.mpf(self.lo)))))
             hi = _up(_up(float(mp.log(mp.mpf(self.hi)))))
@@ -180,6 +180,8 @@ def log_of_fraction(q: Fraction) -> Enclosure:
     """Outward enclosure of log(q) for a positive rational q."""
     if q <= 0:
         raise ValueError("log of a nonpositive rational")
+    import mpmath as mp
+
     with mp.workprec(96):
         v = mp.log(mp.mpf(q.numerator) / mp.mpf(q.denominator))
         lo = _down(_down(float(v)))

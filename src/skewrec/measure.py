@@ -12,7 +12,14 @@ numerically.  Instead:
     dividing by each cyclotomic polynomial Phi_N, for the finitely many
     N whose totient fits the degree, as often as it divides.  The
     factors that would pin root disks onto the unit circle are gone and
-    contribute their exact factor 1.
+    contribute their exact factor 1.  A division is tried only when the
+    input vanishes at an element w of order N modulo a prime p = 1
+    (mod N), because Phi_N(w) = 0 (mod p) (see kronecker_free_part), so
+    a nonzero residue proves Phi_N does not divide; this is the modular
+    form of the cyclotomic tests of Bradford and Davenport (ISSAC 1988).
+
+The enclosure readers work on the certified disks' integer numerators
+(see roots._ExactDisk) and build one Fraction per bound at the end.
 
 Roots of a Salem-type factor still sit on the circle; the disk product
 remains a sound enclosure for them because max(1, .) is applied to the
@@ -237,6 +244,24 @@ def _cyclotomic_orders(d: int) -> tuple[int, ...]:
     return tuple(n for n in range(1, 2 * d * d + 1) if euler_phi(n) <= d)
 
 
+@functools.lru_cache(maxsize=None)
+def _root_of_unity_mod(n: int) -> tuple[int, int]:
+    """(p, w): the least prime p = 1 (mod n) and an element w of order n mod p.
+
+    The multiplicative group mod p is cyclic of order p - 1, which n
+    divides, so g**((p - 1) / n) has order exactly n for a generator g.
+    """
+    p = n + 1
+    while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        p += n
+    divisors = [d for d in range(1, n) if n % d == 0]
+    for g in range(1, p):
+        w = pow(g, (p - 1) // n, p)
+        if all(pow(w, d, p) != 1 for d in divisors):
+            return p, w
+    raise AssertionError(f"no element of order {n} mod {p}")
+
+
 def kronecker_free_part(f: IntPoly) -> tuple[IntPoly, int, int]:
     """Split monic f into t**k * (cyclotomic product) * u with u cyclotomic-free.
 
@@ -244,6 +269,13 @@ def kronecker_free_part(f: IntPoly) -> tuple[IntPoly, int, int]:
     of f is some Phi_N with euler_phi(N) <= deg f, so dividing f exactly by
     each such monic Phi_N for as long as the remainder is zero removes
     every cyclotomic factor including multiplicities.
+
+    A division is tried only when u(w) = 0 (mod p) for the (p, w) of
+    _root_of_unity_mod(N), since a nonzero residue proves Phi_N does not
+    divide u.  Proof: w has order N, so it is a root of
+    t**N - 1 = prod_{d | N} Phi_d(t) in the field Z/p, but of no t**d - 1,
+    hence of no Phi_d, with d | N and d < N; so Phi_N(w) = 0, and
+    u = Phi_N * q forces u(w) = Phi_N(w) * q(w) = 0 (mod p).
     """
     if not f.is_monic():
         raise PolynomialError("kronecker_free_part requires monic input")
@@ -251,7 +283,13 @@ def kronecker_free_part(f: IntPoly) -> tuple[IntPoly, int, int]:
     stripped = 0
     for n in _cyclotomic_orders(u.degree):
         phi = cyclotomic(n)
+        p, w = _root_of_unity_mod(n)
         while phi.degree <= u.degree:
+            residue = 0
+            for c in reversed(u.coeffs):
+                residue = (residue * w + c) % p
+            if residue:
+                break
             q, r = divrem_exact(u, phi)
             if not r.is_zero():
                 break
@@ -293,30 +331,47 @@ def _mahler_bounds(disk_data) -> tuple[Fraction, Fraction]:
     Overlapping disks are grouped into components; a component of k disks
     holds exactly k roots, so it contributes its modulus interval, clamped
     below at 1, to the k-th power.  This keeps the product sound even when
-    disks cannot be told apart.
+    disks cannot be told apart.  Each bound is carried as an integer
+    numerator and a power-of-two exponent, with one Fraction at the end.
     """
-    lo, hi = Fraction(1), Fraction(1)
+    lo = hi = 1  # the bounds are lo * 2**-lo_exp and hi * 2**-hi_exp
+    lo_exp = hi_exp = 0
     for disks, mult in disk_data:
         for group in components(disks):
-            g_lo = max(Fraction(1), min(disks[i].mod_lo for i in group))
-            g_hi = max(Fraction(1), max(disks[i].mod_hi for i in group))
-            lo *= (g_lo ** len(group)) ** mult
-            hi *= (g_hi ** len(group)) ** mult
-    return lo, hi
+            grid = disks[group[0]].grid
+            unit = 1 << grid
+            k = len(group) * mult
+            g_lo = min(disks[i].lo for i in group)
+            if g_lo > unit:
+                lo *= g_lo ** k
+                lo_exp += grid * k
+            g_hi = max(disks[i].hi for i in group)
+            if g_hi > unit:
+                hi *= g_hi ** k
+                hi_exp += grid * k
+    return Fraction(lo, 1 << lo_exp), Fraction(hi, 1 << hi_exp)
 
 
-def _house_bounds(floor: Fraction, disk_data) -> tuple[Fraction, Fraction]:
-    """Rational bounds on max(floor, largest root modulus).
+def _house_bounds(floor: int, disk_data) -> tuple[Fraction, Fraction]:
+    """Rational bounds on max(floor, largest root modulus), for an integer floor.
 
     The lower bound uses the fact that each certified disk contains at
-    least one root.
+    least one root.  The maxima are taken on integers: each part's on
+    its grid, then across parts by cross-shifting.
     """
-    lo = hi = floor
+    lo = hi = floor  # the bounds are lo * 2**-lo_grid and hi * 2**-hi_grid
+    lo_grid = hi_grid = 0
     for disks, _ in disk_data:
-        for d in disks:
-            lo = max(lo, d.mod_lo)
-            hi = max(hi, d.mod_hi)
-    return lo, hi
+        if not disks:
+            continue
+        grid = disks[0].grid
+        part_lo = max(d.lo for d in disks)
+        if part_lo << lo_grid > lo << grid:
+            lo, lo_grid = part_lo, grid
+        part_hi = max(d.hi for d in disks)
+        if part_hi << hi_grid > hi << grid:
+            hi, hi_grid = part_hi, grid
+    return Fraction(lo, 1 << lo_grid), Fraction(hi, 1 << hi_grid)
 
 
 def _refine(parts, tol: float, root_tol: Fraction, max_bits: int, readers):
@@ -369,9 +424,10 @@ def mahler(
     M(f) is the product of max(1, |alpha|) over all roots.  Kronecker
     inputs return the exact point [1, 1].  Otherwise the cyclotomic part
     is stripped (factor exactly 1) and the remaining roots are enclosed by
-    certified disks (see _mahler_bounds).  The disks' bounds are dyadic
-    rationals, already rounded outward by the certificate; products of
-    them are exact until the final outward float conversion.
+    certified disks (see _mahler_bounds).  The disks' bounds are integer
+    numerators on a dyadic grid, already rounded outward by the
+    certificate; products of them are exact until the final outward
+    float conversion.
     """
     if not f.is_monic():
         raise PolynomialError("mahler requires monic input")
@@ -401,12 +457,12 @@ def house(
         if not parts:
             return Enclosure(1.0, 1.0, 0) if stripped else Enclosure(0.0, 0.0, 0)
         # monic with a nonzero root forces house >= 1
-        floor = Fraction(1)
+        floor = 1
     else:
         _, u = _strip_t_powers(f)
         if u.degree == 0:
             return Enclosure(0.0, 0.0, 0)
-        parts, floor = [(u, 1)], Fraction(0)
+        parts, floor = [(u, 1)], 0
     (enc,), _ = _refine(parts, tol, Fraction(min(tol, 1.0)) / 4, max_bits,
                         (functools.partial(_house_bounds, floor),))
     return enc
@@ -638,14 +694,15 @@ def measure(
                              True, 0, True)
     # the count needs disks no coarser than 1e-6
     root_tol = min(_mahler_root_tol(f, tol), Fraction(min(tol, 1e-6)))
-    readers = (_mahler_bounds, functools.partial(_house_bounds, Fraction(1)))
+    readers = (_mahler_bounds, functools.partial(_house_bounds, 1))
     (m, h), disk_data = _refine(parts, tol, root_tol, max_bits, readers)
     outside = 0
     certified = True
     for disks, mult in disk_data:
         for d in disks:
-            if d.mod_lo > 1:
+            unit = 1 << d.grid
+            if d.lo > unit:
                 outside += mult
-            elif not d.mod_hi < 1:
+            elif not d.hi < unit:
                 certified = False
     return MeasureResult(m, h, False, outside, certified)

@@ -25,7 +25,11 @@ outward onto the dyadic grid 2**-R, where R is _GUARD_BITS (64) finer
 than the finest of the points and of 2**-res_bits, the working
 precision (see _certify).  Carrying the exact quotients instead would
 give radii with thousands of denominator bits, and products of them
-in the Mahler bounds with tens of thousands.  Two classical facts turn
+in the Mahler bounds with tens of thousands.  A certified disk keeps
+its centre, radius and modulus bracket as plain integer numerators on
+that grid, so grouping disks into components and reading enclosures
+from them compare and multiply integers; measure.py builds one
+Fraction per enclosure bound at the end.  Two classical facts turn
 the quotients into a certificate, for pairwise distinct z_1..z_n and
 radii r_i >= n * max(|W_i|, |f(z_i)/f'(z_i)|):
 
@@ -67,10 +71,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import math
 from fractions import Fraction
 from typing import Optional
-
-import mpmath as mp
 
 from . import _dyadic as dy
 from .enclosure import float_above
@@ -109,20 +112,19 @@ class RootDisk:
 
 @dataclasses.dataclass(frozen=True)
 class _ExactDisk:
-    """Internal certified disk: exact center, radius and bounds on a dyadic grid."""
+    """Internal certified disk, every field a numerator on the grid 2**-grid.
 
-    center: dy.Dyadic
-    radius: Fraction
-    # bounds on the modulus of anything inside the disk
-    mod_lo: Fraction
-    mod_hi: Fraction
+    (re + i*im) * 2**-grid is the exact centre and r * 2**-grid the
+    radius; [lo, hi] * 2**-grid bounds the modulus of anything inside
+    the disk.  All disks of one _certify call share one grid.
+    """
 
-    def overlaps(self, other: "_ExactDisk") -> bool:
-        a, b, e = dy.sub(self.center, other.center)
-        reach = self.radius + other.radius
-        # |gap|**2 <= reach**2, both sides times the denominator squared
-        return dy.le_scaled((a * a + b * b) * reach.denominator**2, 2 * e,
-                            reach.numerator**2, 0)
+    re: int
+    im: int
+    r: int
+    lo: int
+    hi: int
+    grid: int
 
 
 @functools.lru_cache(maxsize=256)
@@ -132,6 +134,8 @@ def _unit_angles(n: int, prec: int) -> tuple:
     Bounded: a long run meets few distinct (degree, precision) pairs, but
     nothing limits them.
     """
+    import mpmath as mp
+
     with mp.workprec(prec):
         out = []
         for k in range(n):
@@ -147,6 +151,8 @@ def _initial_points(coeffs, n: int):
     inputs do not lock the iteration into a symmetric stall.  The angles
     depend only on n and the working precision, so they are cached.
     """
+    import mpmath as mp
+
     lc = abs(coeffs[-1])
     top = max((abs(c) for c in coeffs[:-1]), default=0)
     try:
@@ -170,6 +176,8 @@ def _aberth(coeffs, prec: int, warm):
     Returns the approximations, or None when a coefficient does not fit
     the number type or a value stops being finite.
     """
+    import mpmath as mp
+
     n = len(coeffs) - 1
     num, real = (complex, float) if prec == _DOUBLE_BITS else (mp.mpc, mp.mpf)
     with mp.workprec(prec):
@@ -193,13 +201,12 @@ def _aberth(coeffs, prec: int, warm):
                 for c in reversed(dcs):
                     dfz = dfz * z + c
                 collided = False
-                for j in range(n):
-                    if j != i:
-                        diff = z - zs[j]
-                        if diff == 0:
-                            collided = True
-                            break
-                        s += 1 / diff
+                for other in zs[:i] + zs[i + 1:]:
+                    diff = z - other
+                    if diff == 0:
+                        collided = True
+                        break
+                    s += 1 / diff
                 if collided or dfz == 0:
                     zs[i] = z + nudge * (1 + 1j) * (i + 1)
                     maxcorr2 = _INF
@@ -221,6 +228,23 @@ def _aberth(coeffs, prec: int, warm):
         return zs
 
 
+def _eval_scaled(coeffs, s: int, x: int, y: int) -> tuple[int, int, int, int]:
+    """p and p' at z = (x + i*y) / 2**s, scaled to Gaussian integers.
+
+    p has the integer coefficients coeffs and degree n.  Returns the real
+    and imaginary parts of 2**(s*n) * p(z) and then of
+    2**(s*(n-1)) * p'(z).  This is homogeneous Horner in plain integers:
+    each step is acc * (x + i*y) + c_j * 2**(s*(n - j)), and the
+    derivative's accumulator takes acc, as in Horner's scheme for p'.
+    """
+    n = len(coeffs) - 1
+    fa, fb, da, db = coeffs[n], 0, 0, 0
+    for j in range(n - 1, -1, -1):
+        da, db = da * x - db * y + fa, da * y + db * x + fb
+        fa, fb = fa * x - fb * y + (coeffs[j] << s * (n - j)), fa * y + fb * x
+    return fa, fb, da, db
+
+
 def _certify(coeffs, points, res_bits=0):
     """Certified disks for a set of complex or mpc approximations.
 
@@ -234,14 +258,29 @@ def _certify(coeffs, points, res_bits=0):
     themselves, so a root as small as 2**-600 keeps an exact bracket,
     and never coarser than 2**-res_bits, so the brackets tighten as the
     caller escalates precision even when a point lands exactly on a root
-    with a small dyadic denominator.  f(z_i), f'(z_i) and the Weierstrass
-    denominator lc * prod_{j != i} (z_i - z_j) are exact dyadics; the
-    larger of |W_i| and |f(z_i)/f'(z_i)| is the one with the smaller
-    denominator, chosen by integer cross-multiplication, and the radius
-    is the smallest grid multiple at or above n times it (one exact
-    ceiling division and one isqrt).  |z_i| is rounded down and up onto
-    the grid, and the bracket of the disk is that interval widened by
-    the radius, clamped below at 0.
+    with a small dyadic denominator.
+
+    Everything is plain integer arithmetic.  Point i is
+    z_i = Z_i / 2**s_i for a Gaussian integer Z_i and s_i = max(0, -e_i),
+    and R >= s_i + 64, so each centre is an exact integer on the grid.
+    f(z_i) * 2**(s_i*n) and f'(z_i) * 2**(s_i*(n-1)) are Gaussian
+    integers (_eval_scaled).  The n(n-1)/2 squared distances
+    |z_i - z_j|**2, each an integer over 4**max(s_i, s_j), are computed
+    once, and since |prod w|**2 = prod |w|**2, the squared Weierstrass
+    denominator |lc * prod_{j != i} (z_i - z_j)|**2 is lc**2 times their
+    product over j: an integer over a power of 4.  The larger of |W_i|
+    and |f(z_i)/f'(z_i)| is the one with the smaller denominator, chosen
+    by one shifted integer comparison, and the radius is the smallest
+    grid multiple at or above n times it (one exact ceiling division and
+    one isqrt).  |z_i| is rounded down and up onto the grid, and the
+    bracket of the disk is that interval widened by the radius, clamped
+    below at 0.
+
+    Each point keeps its own exponent, not the least one: a near-real
+    point with a tiny imaginary part (a double such as 1.18 + 2.9e-47i)
+    has an exponent far below the others', and shifting every point onto
+    it would make all of the integers, and Horner's accumulators most,
+    that much longer.
 
     Rounding outward is sound because every statement of the certificate
     survives larger radii and wider brackets:
@@ -254,48 +293,56 @@ def _certify(coeffs, points, res_bits=0):
       * an interval containing a sound modulus bracket is sound.
     """
     n = len(coeffs) - 1
-    lc2 = coeffs[-1] ** 2
-    n2 = n * n
-    deriv = [i * c for i, c in enumerate(coeffs) if i > 0]
     zs = [dy.from_mpf_pair(z.real, z.imag) for z in points]
     # exact: from_mpf_pair gives each complex value exactly one triple
     if len(set(zs)) < n:
         return None
     grid = max(res_bits, -min(e for _, _, e in zs)) + _GUARD_BITS
-    unit = 1 << grid
+    # z_i = (xs[i] + i*ys[i]) / 2**ss[i]
+    ss = [max(0, -e) for _, _, e in zs]
+    xs = [a << max(0, e) for a, _, e in zs]
+    ys = [b << max(0, e) for _, b, e in zs]
+    # |z_i - z_j|**2 = dist2[i][j] / 4**max(ss[i], ss[j]); scale[i] sums
+    # those exponents over j != i
+    dist2 = [[0] * n for _ in range(n)]
+    scale = [0] * n
+    for i in range(n):
+        x, y, s, row = xs[i], ys[i], ss[i], dist2[i]
+        for j in range(i + 1, n):
+            k = s - ss[j]
+            if k >= 0:
+                a, b, t = x - (xs[j] << k), y - (ys[j] << k), s
+            else:
+                a, b, t = (x << -k) - xs[j], (y << -k) - ys[j], ss[j]
+            row[j] = dist2[j][i] = a * a + b * b
+            scale[i] += t
+            scale[j] += t
+    lc2 = coeffs[-1] ** 2
+    n2 = n * n
     disks = []
-    for i, z in enumerate(zs):
-        fa, fb, fe = dy.eval_int_poly(coeffs, z)
+    for i in range(n):
+        x, y, s = xs[i], ys[i], ss[i]
+        fa, fb, da, db = _eval_scaled(coeffs, s, x, y)
         f2 = fa * fa + fb * fb
         if f2 == 0:
             r = 0
         else:
-            da, db, de = dy.eval_int_poly(deriv, z)
             d2 = da * da + db * db
             if d2 == 0:
                 return None
-            prod = (1, 0, 0)
-            for j, other in enumerate(zs):
-                if j != i:
-                    prod = dy.mul(prod, dy.sub(z, other))
-            pa, pb, pe = prod
-            # |lc * prod|**2 = w2 * 4**pe and |f'(z)|**2 = d2 * 4**de
-            w2 = lc2 * (pa * pa + pb * pb)
-            q2, qe = (w2, pe) if dy.le_scaled(w2, 2 * pe, d2, 2 * de) else (d2, de)
-            # (r_i * 2**grid)**2 = n2 * f2 * 4**(fe + grid - qe) / q2
-            k = 2 * (fe + grid - qe)
+            row = dist2[i]
+            # |lc * prod|**2 = w2 / 4**scale[i] and |f'(z)|**2 = d2 / 4**de
+            w2 = lc2 * math.prod(row[:i] + row[i + 1:])
+            de = s * (n - 1)
+            q2, qe = ((w2, scale[i]) if dy.le_scaled(w2, -2 * scale[i], d2, -2 * de)
+                      else (d2, de))
+            # (r * 2**grid)**2 = n2 * f2 * 4**(grid - s*n + qe) / q2
+            k = 2 * (grid - s * n + qe)
             num, den = (n2 * f2 << k, q2) if k >= 0 else (n2 * f2, q2 << -k)
             _, r = dy.sqrt_bounds(num, den)
-        a, b, e = z
-        m_lo, m_hi = dy.sqrt_bounds((a * a + b * b) << 2 * (e + grid))
-        disks.append(
-            _ExactDisk(
-                center=z,
-                radius=Fraction(r, unit),
-                mod_lo=Fraction(max(0, m_lo - r), unit),
-                mod_hi=Fraction(m_hi + r, unit),
-            )
-        )
+        up = grid - s
+        m_lo, m_hi = dy.sqrt_bounds((x * x + y * y) << 2 * up)
+        disks.append(_ExactDisk(x << up, y << up, r, max(0, m_lo - r), m_hi + r, grid))
     return disks
 
 
@@ -391,7 +438,6 @@ def _certified_disks(
         return [], 0
     if f.constant == 0:
         raise PolynomialError("internal: zero roots must be stripped first")
-    tol2 = tol * tol
     p0 = _START_BITS
     # start near the precision the tolerance itself demands
     while Fraction(1, 1 << p0) > tol and p0 < max_bits:
@@ -411,7 +457,9 @@ def _certified_disks(
             # the points are dyadic rationals: _certify converts them exactly
             disks = None if zs is None else _certify(coeffs, zs, max(prec, p0))
             rungs.append((zs, disks))
-        if disks is not None and all(d.radius * d.radius <= tol2 for d in disks):
+        # r * 2**-grid <= tol, with r an integer
+        if disks is not None and max(d.r for d in disks) <= (
+                tol.numerator << disks[0].grid) // tol.denominator:
             return disks, prec
     raise PrecisionExhausted(
         f"root certification for degree {f.degree} at tolerance {float(tol):.3g}",
@@ -426,7 +474,8 @@ def components(disks: list[_ExactDisk]) -> list[list[int]]:
     (with multiplicity), which is what makes products over root moduli
     sound even when disks overlap.  Overlapping (or tangent) disks have
     meeting real extents [Re c - r, Re c + r], so a sweep over the disks
-    sorted by left end tests only those pairs for overlap.
+    sorted by left end tests only those pairs for overlap.  The disks
+    share one grid, so every test compares integers.
     """
     n = len(disks)
     parent = list(range(n))
@@ -437,16 +486,15 @@ def components(disks: list[_ExactDisk]) -> list[list[int]]:
             x = parent[x]
         return x
 
-    extents = []
-    for i, d in enumerate(disks):
-        re, _ = dy.to_fractions(d.center)
-        extents.append((re - d.radius, re + d.radius, i))
-    extents.sort()
-    active: list[tuple[Fraction, int]] = []  # (right end, index)
+    extents = sorted((d.re - d.r, d.re + d.r, i) for i, d in enumerate(disks))
+    active: list[tuple[int, int]] = []  # (right end, index)
     for left, right, i in extents:
         active = [(r, j) for r, j in active if r >= left]
+        d = disks[i]
         for _, j in active:
-            if disks[i].overlaps(disks[j]):
+            other = disks[j]
+            a, b, reach = d.re - other.re, d.im - other.im, d.r + other.r
+            if a * a + b * b <= reach * reach:
                 parent[find(i)] = find(j)
         active.append((right, i))
     groups: dict[int, list[int]] = {}
@@ -486,7 +534,8 @@ def roots_certified(
     for p, mult in parts:
         disks, _ = _certified_disks(p, tol_frac, max_bits)
         for d in disks:
-            re, im = dy.to_fractions(d.center)
+            unit = 1 << d.grid
+            re, im = Fraction(d.re, unit), Fraction(d.im, unit)
             try:
                 center = complex(float(re), float(im))
             except OverflowError:
@@ -494,7 +543,7 @@ def roots_certified(
                     "root disk centre beyond the double range", max_bits
                 ) from None
             # the rounding distance is at most |Re error| + |Im error|
-            radius = float_above(d.radius + abs(re - Fraction(center.real))
+            radius = float_above(Fraction(d.r, unit) + abs(re - Fraction(center.real))
                                  + abs(im - Fraction(center.imag)))
             if radius > tol:
                 raise PrecisionExhausted(

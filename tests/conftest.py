@@ -9,7 +9,9 @@ cyclotomic stripping from a gcd scan with t**N - 1, characteristic
 polynomials from naive cofactor expansion, and number theory from sympy.  Tests compare certified results against these
 independent implementations.  The root certificate is checked against
 certify_reference, the earlier certificate that carried every radius
-and bracket as an exact rational.
+and bracket as an exact rational, on its own copy of the exact complex
+dyadic arithmetic (_dy_add, _dy_mul, dyadic_eval), which the package no
+longer uses.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -34,7 +37,6 @@ from skewrec.poly import (
     euler_phi,
     gcd_primitive,
 )
-from skewrec.roots import _ExactDisk
 
 settings.register_profile(
     "ci",
@@ -143,6 +145,118 @@ def kronecker_free_part_gcd_reference(f: IntPoly) -> tuple[IntPoly, int, int]:
     return u, stripped, k
 
 
+def kronecker_free_part_division_reference(f: IntPoly) -> tuple[IntPoly, int, int]:
+    """Reference for skewrec.measure.kronecker_free_part by exact division alone.
+
+    The package's loop with no residue filter: divide by each Phi_N with
+    euler_phi(N) <= deg u for as long as the remainder is zero.
+    """
+    k = 0
+    coeffs = f.coeffs
+    while coeffs and coeffs[0] == 0:
+        coeffs = coeffs[1:]
+        k += 1
+    u = IntPoly(coeffs)
+    stripped = 0
+    d = u.degree
+    for n in (n for n in range(1, 2 * d * d + 1) if euler_phi(n) <= d):
+        phi = cyclotomic(n)
+        while phi.degree <= u.degree:
+            q, r = divrem_exact(u, phi)
+            if not r.is_zero():
+                break
+            u = q
+            stripped += phi.degree
+    return u, stripped, k
+
+
+def _dy_add(x, y):
+    """x + y for exact dyadic points (a, b, e) = (a + b*i) * 2**e."""
+    xa, xb, xe = x
+    ya, yb, ye = y
+    if xe < ye:
+        shift = ye - xe
+        return (xa + (ya << shift), xb + (yb << shift), xe)
+    shift = xe - ye
+    return ((xa << shift) + ya, (xb << shift) + yb, ye)
+
+
+def _dy_sub(x, y):
+    ya, yb, ye = y
+    return _dy_add(x, (-ya, -yb, ye))
+
+
+def _dy_mul(x, y):
+    xa, xb, xe = x
+    ya, yb, ye = y
+    return (xa * ya - xb * yb, xa * yb + xb * ya, xe + ye)
+
+
+def dyadic_eval(coeffs, z):
+    """Exact Horner evaluation of an integer polynomial at a dyadic point."""
+    acc = (0, 0, 0)
+    for c in reversed(coeffs):
+        acc = _dy_add(_dy_mul(acc, z), (c, 0, 0))
+    return acc
+
+
+def dyadic_fractions(x) -> tuple[Fraction, Fraction]:
+    """The real and imaginary parts of a dyadic point as exact rationals."""
+    a, b, e = x
+    scale = Fraction(2) ** e
+    return a * scale, b * scale
+
+
+def disk_fractions(d) -> tuple[Fraction, ...]:
+    """(Re centre, Im centre, radius, modulus lo, modulus hi) of an _ExactDisk."""
+    unit = 1 << d.grid
+    return tuple(Fraction(v, unit) for v in (d.re, d.im, d.r, d.lo, d.hi))
+
+
+def disks_overlap(d, other) -> bool:
+    """Closed _ExactDisks meet: |centre gap| <= sum of radii, in exact rationals."""
+    x0, y0, r0, _, _ = disk_fractions(d)
+    x1, y1, r1, _, _ = disk_fractions(other)
+    return (x0 - x1) ** 2 + (y0 - y1) ** 2 <= (r0 + r1) ** 2
+
+
+def brute_components(disks) -> list[list[int]]:
+    """All-pairs grouping of overlapping disks, in the order components() promises."""
+    n = len(disks)
+    label = list(range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if disks_overlap(disks[i], disks[j]):
+                old, new = label[j], label[i]
+                label = [new if x == old else x for x in label]
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(label[i], []).append(i)
+    return list(groups.values())
+
+
+def mahler_bounds_reference(disk_data) -> tuple[Fraction, Fraction]:
+    """_mahler_bounds in plain Fractions over brute_components."""
+    lo = hi = Fraction(1)
+    for disks, mult in disk_data:
+        exact = [disk_fractions(d) for d in disks]
+        for group in brute_components(disks):
+            k = len(group) * mult
+            lo *= max(Fraction(1), min(exact[i][3] for i in group)) ** k
+            hi *= max(Fraction(1), max(exact[i][4] for i in group)) ** k
+    return lo, hi
+
+
+def house_bounds_reference(floor, disk_data) -> tuple[Fraction, Fraction]:
+    """_house_bounds in plain Fractions."""
+    lo = hi = Fraction(floor)
+    for disks, _ in disk_data:
+        for d in disks:
+            _, _, _, d_lo, d_hi = disk_fractions(d)
+            lo, hi = max(lo, d_lo), max(hi, d_hi)
+    return lo, hi
+
+
 def _abs2(x) -> Fraction:
     """|x|**2 as an exact rational."""
     a, b, e = x
@@ -172,10 +286,17 @@ def _sqrt_bounds(q: Fraction, min_den_bits: int = 0) -> tuple[Fraction, Fraction
     return lo, hi
 
 
+class ReferenceDisk(NamedTuple):
+    center: tuple[int, int, int]  # a dyadic point (a, b, e)
+    radius: Fraction
+    mod_lo: Fraction
+    mod_hi: Fraction
+
+
 def certify_reference(coeffs, points, res_bits=0):
     """Exact certification of a set of complex or mpc approximations.
 
-    Returns a list of _ExactDisk, or None when the configuration is
+    Returns a list of ReferenceDisk, or None when the configuration is
     degenerate at this precision (coincident points, or a vanishing
     derivative at a non-root), in which case the caller escalates.
     res_bits forces the rational modulus brackets down to 2**-res_bits,
@@ -194,7 +315,7 @@ def certify_reference(coeffs, points, res_bits=0):
     lc2 = Fraction(lc * lc)
     disks = []
     for i, z in enumerate(zs):
-        f_at = dy.eval_int_poly(coeffs, z)
+        f_at = dyadic_eval(coeffs, z)
         f2 = _abs2(f_at)
         if f2 == 0:
             radius = Fraction(0)
@@ -202,9 +323,9 @@ def certify_reference(coeffs, points, res_bits=0):
             prod = (1, 0, 0)
             for j, other in enumerate(zs):
                 if j != i:
-                    prod = dy.mul(prod, dy.sub(z, other))
+                    prod = _dy_mul(prod, _dy_sub(z, other))
             weier2 = n2 * f2 / (lc2 * _abs2(prod))
-            df_at = dy.eval_int_poly(deriv, z)
+            df_at = dyadic_eval(deriv, z)
             df2 = _abs2(df_at)
             if df2 == 0:
                 return None
@@ -212,7 +333,7 @@ def certify_reference(coeffs, points, res_bits=0):
             _, radius = _sqrt_bounds(max(weier2, newton2), res_bits)
         m_lo, m_hi = _sqrt_bounds(_abs2(z), res_bits)
         disks.append(
-            _ExactDisk(
+            ReferenceDisk(
                 center=z,
                 radius=radius,
                 mod_lo=max(Fraction(0), m_lo - radius),
@@ -230,16 +351,16 @@ def exact_radius2(coeffs, zs, i: int) -> Fraction:
     radius that certify_reference rounds up.  A root gets 0.
     """
     z = zs[i]
-    f2 = _abs2(dy.eval_int_poly(coeffs, z))
+    f2 = _abs2(dyadic_eval(coeffs, z))
     if f2 == 0:
         return Fraction(0)
     prod = (1, 0, 0)
     for j, other in enumerate(zs):
         if j != i:
-            prod = dy.mul(prod, dy.sub(z, other))
+            prod = _dy_mul(prod, _dy_sub(z, other))
     deriv = [k * c for k, c in enumerate(coeffs) if k > 0]
     denom2 = min(coeffs[-1] ** 2 * _abs2(prod),
-                 _abs2(dy.eval_int_poly(deriv, z)))
+                 _abs2(dyadic_eval(deriv, z)))
     return (len(coeffs) - 1) ** 2 * f2 / denom2
 
 

@@ -455,6 +455,28 @@ class TestImportHygiene:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_cli_import_leaves_mpmath_unloaded(self):
+        # mpmath is imported by the root finder and the logs that use it
+        proc = run_in_checkout([
+            sys.executable,
+            "-c",
+            "import sys, skewrec.cli; print('mpmath' in sys.modules)",
+        ])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_classify_leaves_mpmath_unloaded(self):
+        # an exact command finds no roots, so it never loads mpmath
+        proc = run_in_checkout([
+            sys.executable,
+            "-c",
+            "import sys; from skewrec.cli import main; "
+            "code = main(['classify', '[1,1,1]']); "
+            "print(code, 'mpmath' in sys.modules)",
+        ])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
     def test_cli_import_leaves_the_process_pool_unloaded(self):
         # only a search that starts more than one worker imports the pool
         proc = run_in_checkout([

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -18,7 +19,10 @@ from conftest import (
     brute_mahler,
     cyclotomic_products,
     graeffe_iterate_reference,
+    house_bounds_reference,
+    kronecker_free_part_division_reference,
     kronecker_free_part_gcd_reference,
+    mahler_bounds_reference,
     mahler_graeffe_oracle,
     random_monic,
 )
@@ -27,6 +31,10 @@ from skewrec.errors import PolynomialError, PrecisionExhausted
 from skewrec.measure import (
     _chain,
     _chains,
+    _cyclotomic_orders,
+    _house_bounds,
+    _mahler_bounds,
+    _root_of_unity_mod,
     graeffe,
     house,
     house_lower_bound,
@@ -47,7 +55,7 @@ from skewrec.poly import (
     squarefree_decomposition,
     substitute_square,
 )
-from skewrec.roots import _ladders, memo_scope
+from skewrec.roots import _ExactDisk, _ladders, memo_scope
 from skewrec.search import SearchSpace, enumerate_space
 
 PHI = (1 + math.sqrt(5)) / 2  # golden ratio, house of t^2 - t - 1
@@ -202,6 +210,68 @@ class TestKroneckerFreePart:
                 got = kronecker_free_part(f)
                 assert got == kronecker_free_part_gcd_reference(f)
                 assert got[2] == k
+
+
+# orders N with euler_phi(N) <= 12
+SMALL_ORDERS = [n for n in range(1, 289) if euler_phi(n) <= 12]
+
+
+class TestCyclotomicResidueFilter:
+    """The mod-p filter in front of each division by Phi_N."""
+
+    def test_root_of_unity_tables(self):
+        for n in _cyclotomic_orders(30):
+            p, w = _root_of_unity_mod(n)
+            assert sympy.isprime(p) and (p - 1) % n == 0
+            assert not any(sympy.isprime(q) for q in range(n + 1, p, n))
+            assert sympy.n_order(w, p) == n
+            assert cyclotomic(n)(w) % p == 0
+
+    @given(st.lists(st.tuples(st.sampled_from(SMALL_ORDERS), st.integers(1, 3)),
+                    max_size=3),
+           st.lists(st.integers(-3, 3), max_size=8),
+           st.integers(0, 2))
+    def test_matches_division_only_reference(self, factors, lower, k):
+        f = IntPoly(lower + [1]).shift(k)
+        for n, mult in factors:
+            f = f * cyclotomic(n) ** mult
+        assert kronecker_free_part(f) == kronecker_free_part_division_reference(f)
+
+
+@st.composite
+def disk_data(draw):
+    """(disks, multiplicity) parts of integer disks, each part on its own grid.
+
+    Centres lie within three units of 0 and radii reach one unit, so
+    disks overlap into components of several disks, and modulus bounds
+    fall on both sides of 1.
+    """
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        grid = draw(st.sampled_from([0, 3, 8]))
+        unit = 1 << grid
+        disks = []
+        for _ in range(draw(st.integers(1, 8))):
+            re = draw(st.integers(-3 * unit, 3 * unit))
+            im = draw(st.integers(-3 * unit, 3 * unit))
+            r = draw(st.integers(0, unit))
+            m_lo = math.isqrt(re * re + im * im)
+            m_hi = m_lo + (m_lo * m_lo != re * re + im * im)
+            disks.append(_ExactDisk(re, im, r, max(0, m_lo - r), m_hi + r, grid))
+        parts.append((disks, draw(st.integers(1, 3))))
+    return parts
+
+
+class TestIntegerBounds:
+    """The enclosure readers equal their plain-Fraction references."""
+
+    @given(disk_data())
+    def test_mahler_bounds(self, data):
+        assert _mahler_bounds(data) == mahler_bounds_reference(data)
+
+    @given(st.sampled_from([0, 1]), disk_data())
+    def test_house_bounds(self, floor, data):
+        assert _house_bounds(floor, data) == house_bounds_reference(floor, data)
 
 
 class TestMahler:

@@ -11,10 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_components,
     brute_house,
     brute_mahler,
     brute_roots,
     certify_reference,
+    disk_fractions,
+    dyadic_eval,
+    dyadic_fractions,
     exact_radius2,
     random_monic,
 )
@@ -27,6 +31,7 @@ from skewrec.roots import (
     _aberth,
     _certified_disks,
     _certify,
+    _eval_scaled,
     _ExactDisk,
     _GUARD_BITS,
     _initial_points,
@@ -191,10 +196,10 @@ class TestDoubleFastPath:
         for data in (fast, forced):
             for disks, _ in data:
                 assert disks is not None
-                assert all(d.radius <= self.TOL for d in disks)
+                assert all(disk_fractions(d)[2] <= self.TOL for d in disks)
         slack = 1e-9  # the oracle is float root finding
         for read, oracle in ((_mahler_bounds, brute_mahler(f)),
-                             (lambda data: _house_bounds(Fraction(0), data),
+                             (lambda data: _house_bounds(0, data),
                               brute_house(f))):
             (lo1, hi1), (lo2, hi2) = read(fast), read(forced)
             assert max(lo1, lo2) <= min(hi1, hi2)
@@ -225,7 +230,7 @@ class TestDoubleFastPath:
         tol = Fraction(1e-20)  # out of reach of double approximations
         disks, bits = _certified_disks(IntPoly([1, -3, 1]), tol,
                                        DEFAULT_MAX_BITS)
-        assert len(disks) == 2 and all(d.radius <= tol for d in disks)
+        assert len(disks) == 2 and all(disk_fractions(d)[2] <= tol for d in disks)
         assert bits > 53
         assert calls[0] == (53, None)
         warms = [warm for prec, warm in calls if prec > 53]
@@ -237,7 +242,7 @@ class TestDoubleFastPath:
         assert zs is not None and all(type(z) is complex for z in zs)
         disks = _certify(LEHMER_POLY.coeffs, zs, _START_BITS)
         assert disks is not None
-        assert all(d.radius <= Fraction(1e-10) for d in disks)
+        assert all(disk_fractions(d)[2] <= Fraction(1e-10) for d in disks)
 
     def test_oversized_coefficients_skip_the_double_rung(self):
         coeffs = (1, 10**400, 1)
@@ -355,16 +360,18 @@ class TestDyadicCertificate:
         if got is None:
             return
         zs = [d.center for d in want]
-        assert [d.center for d in got] == zs
         grid = max(res_bits, -min(e for _, _, e in zs)) + _GUARD_BITS
+        assert all(d.grid == grid for d in got)
         step = Fraction(1, 1 << grid)
         for i, (d, ref) in enumerate(zip(got, want)):
-            assert d.radius ** 2 >= exact_radius2(coeffs, zs, i)
-            assert d.radius <= ref.radius + step
-            mod2 = _modulus2(d.center)
-            assert d.mod_lo >= 0
-            assert d.mod_lo == 0 or (d.mod_lo + d.radius) ** 2 <= mod2
-            assert mod2 <= (d.mod_hi - d.radius) ** 2
+            re, im, radius, mod_lo, mod_hi = disk_fractions(d)
+            assert (re, im) == dyadic_fractions(ref.center)
+            assert radius ** 2 >= exact_radius2(coeffs, zs, i)
+            assert radius <= ref.radius + step
+            mod2 = _modulus2(ref.center)
+            assert mod_lo >= 0
+            assert mod_lo == 0 or (mod_lo + radius) ** 2 <= mod2
+            assert mod2 <= (mod_hi - radius) ** 2
 
     @settings(max_examples=80)
     @given(certify_cases())
@@ -383,6 +390,25 @@ class TestDyadicCertificate:
     @pytest.mark.parametrize("res_bits", [0, 64])
     def test_degenerate_and_exact_points(self, coeffs, points, res_bits):
         self.check(coeffs, points, res_bits)
+
+
+class TestHomogeneousHorner:
+    """_eval_scaled against exact dyadic evaluation of f and f'."""
+
+    @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=12),
+           st.integers(-9, 9).filter(bool),
+           st.integers(-2**70, 2**70), st.integers(-2**70, 2**70),
+           st.integers(0, 80))
+    def test_matches_dyadic_evaluation(self, lower, lc, x, y, s):
+        coeffs = tuple(lower) + (lc,)
+        n = len(coeffs) - 1
+        deriv = [k * c for k, c in enumerate(coeffs) if k > 0]
+        fa, fb, da, db = _eval_scaled(coeffs, s, x, y)
+        scale = Fraction(1, 1 << s)
+        want_f = dyadic_fractions(dyadic_eval(coeffs, (x, y, -s)))
+        want_df = dyadic_fractions(dyadic_eval(deriv, (x, y, -s)))
+        assert (fa * scale ** n, fb * scale ** n) == want_f
+        assert (da * scale ** (n - 1), db * scale ** (n - 1)) == want_df
 
 
 class TestRelativeGrid:
@@ -424,23 +450,12 @@ class TestInitialPoints:
                         [(z.real._mpf_, z.imag._mpf_) for z in want]
 
 
-def _brute_components(disks):
-    """All-pairs grouping, in the order components() promises."""
-    n = len(disks)
-    label = list(range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if disks[i].overlaps(disks[j]):
-                old, new = label[j], label[i]
-                label = [new if x == old else x for x in label]
-    groups = {}
-    for i in range(n):
-        groups.setdefault(label[i], []).append(i)
-    return list(groups.values())
-
-
 def _disk(a, b, e, radius):
-    return _ExactDisk((a, b, e), Fraction(radius), Fraction(0), Fraction(0))
+    """The disk about (a + b*i) * 2**e, on the grid 2**-8 that all of them share."""
+    grid = 8
+    r = Fraction(radius) * (1 << grid)
+    assert r.denominator == 1 and e + grid >= 0
+    return _ExactDisk(a << (e + grid), b << (e + grid), int(r), 0, 0, grid)
 
 
 class TestComponents:
@@ -451,7 +466,7 @@ class TestComponents:
         a = 5 if b == 0 else 3
         tangent = [_disk(0, 0, 0, 2), _disk(a, b, 0, 3)]
         assert components(tangent) == [[0, 1]]
-        apart = [_disk(0, 0, 0, 2), _disk(a, b, 0, Fraction(299, 100))]
+        apart = [_disk(0, 0, 0, 2), _disk(a, b, 0, 3 - Fraction(1, 256))]
         assert components(apart) == [[0], [1]]
 
     def test_conjugate_pairs(self):
@@ -471,7 +486,7 @@ class TestComponents:
                 if rng.random() < 0.3:
                     disks.append(_disk(a, -b, e, radius))
             rng.shuffle(disks)
-            assert components(disks) == _brute_components(disks)
+            assert components(disks) == brute_components(disks)
 
 
 class TestFloatToDyadic:
@@ -488,7 +503,7 @@ class TestFloatToDyadic:
     def test_matches_mpmath_normal_form(self, x):
         assert dy.from_float(x) == dy._to_int_exp(mp.mpf(x))
         point = dy.from_mpf_pair(x, -x)
-        assert dy.to_fractions(point) == (Fraction(x), Fraction(-x))
+        assert dyadic_fractions(point) == (Fraction(x), Fraction(-x))
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, x):
