@@ -8,8 +8,11 @@ anti-symplectic companion matrices, and deterministic height-bounded
 minimum searches.
 """
 
+import importlib
+
 from .enclosure import Enclosure, float_above, float_below
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     DecompositionFalsified,
     ParseError,
@@ -46,37 +49,60 @@ from .poly import (
     squarefree_decomposition,
 )
 from .roots import DEFAULT_MAX_BITS, RootDisk, roots_certified
-from .search import (
-    DEFAULT_BUDGET,
-    DecompositionSurvey,
-    SearchReport,
-    SearchSpace,
-    SequenceRow,
-    SequenceTable,
-    enumerate_space,
-    min_house,
-    min_mahler,
-    sequence_table,
-    verify_decomposition_over_space,
-)
-from .structure import (
-    NonreciprocalWitness,
-    SquareSubstitution,
-    decompose_skew_reciprocal,
-    strip_linear_root_one,
-)
-from .symplectic import (
-    IntMatrix,
-    charpoly,
-    companion_anti_symplectic,
-    companion_symplectic,
-    is_anti_symplectic,
-    is_symplectic,
-    omega,
-    random_anti_symplectic,
-    random_symplectic,
-    reversal,
-)
+
+# The search, structure and symplectic layers load on first use (PEP 562),
+# so a command that only measures or classifies does not compile them.
+# The measure chain above stays eager: the package attribute `measure` is
+# the measure() function, and importing the submodule would rebind it.
+_LAZY = {
+    "search": (
+        "DecompositionSurvey",
+        "SearchReport",
+        "SearchSpace",
+        "SequenceRow",
+        "SequenceTable",
+        "enumerate_space",
+        "min_house",
+        "min_mahler",
+        "sequence_table",
+        "verify_decomposition_over_space",
+    ),
+    "structure": (
+        "NonreciprocalWitness",
+        "SquareSubstitution",
+        "decompose_skew_reciprocal",
+        "strip_linear_root_one",
+    ),
+    "symplectic": (
+        "IntMatrix",
+        "charpoly",
+        "companion_anti_symplectic",
+        "companion_symplectic",
+        "is_anti_symplectic",
+        "is_symplectic",
+        "omega",
+        "random_anti_symplectic",
+        "random_symplectic",
+        "reversal",
+    ),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a lazy layer, or the module holding a lazy name, on first use."""
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY_HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_HOME))
+
 
 __version__ = "0.1.0"
 

@@ -1,8 +1,12 @@
 """Exception hierarchy shared by the whole package.
 
 Every failure a caller can act on maps to one of these classes; the CLI
-translates them to stable process exit codes (see skewrec.cli).
+translates them to stable process exit codes (see skewrec.cli).  The
+default enumeration budget lives beside BudgetExceeded, so the CLI can
+offer it without loading the search layer.
 """
+
+DEFAULT_BUDGET = 5_000_000
 
 
 class SkewrecError(Exception):

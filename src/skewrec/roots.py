@@ -144,26 +144,50 @@ def _unit_angles(n: int, prec: int) -> tuple:
         return tuple(out)
 
 
-def _initial_points(coeffs, n: int):
-    """Deterministic starting configuration on a Cauchy-bound circle.
+def _start_radii(coeffs, n: int) -> list:
+    """The n start radii: a Cauchy-bound circle with a small stagger.
 
-    The radii carry a small index-dependent stagger so that symmetric
-    inputs do not lock the iteration into a symmetric stall.  The angles
-    depend only on n and the working precision, so they are cached.
+    The stagger depends on the index, so that symmetric inputs do not
+    lock the iteration into a symmetric stall.  Doubles, unless the
+    bound is past the double range (mpf exponents are unbounded).
     """
-    import mpmath as mp
-
     lc = abs(coeffs[-1])
     top = max((abs(c) for c in coeffs[:-1]), default=0)
     try:
         bound = 1.0 + top / lc
-    except OverflowError:  # past the double range; mpf exponents are unbounded
+    except OverflowError:
+        import mpmath as mp
+
         bound = 1 + mp.mpf(top) / lc
-    pts = []
-    for k, (cos_k, sin_k) in enumerate(_unit_angles(n, mp.mp.prec)):
-        r = bound * (1.0 + 0.041 * (k % 3) + 0.0127 * (k % 5))
-        pts.append(mp.mpc(r * cos_k, r * sin_k))
-    return pts
+    return [bound * (1.0 + 0.041 * (k % 3) + 0.0127 * (k % 5)) for k in range(n)]
+
+
+def _initial_points(coeffs, n: int):
+    """Deterministic starting configuration at mp's working precision.
+
+    The angles depend only on n and the working precision, so they are
+    cached.
+    """
+    import mpmath as mp
+
+    return [mp.mpc(r * cos_k, r * sin_k) for r, (cos_k, sin_k)
+            in zip(_start_radii(coeffs, n), _unit_angles(n, mp.mp.prec))]
+
+
+@functools.lru_cache(maxsize=256)
+def _double_angles(n: int) -> tuple:
+    """_unit_angles(n, 53) as doubles, which hold each 53-bit mpf exactly."""
+    return tuple((float(c), float(s)) for c, s in _unit_angles(n, _DOUBLE_BITS))
+
+
+def _double_initial_points(coeffs, n: int) -> list:
+    """_initial_points at 53 bits as Python complex numbers, bit for bit.
+
+    A 53-bit mpf product of a double radius and a 53-bit cosine rounds to
+    nearest, ties to even, as the IEEE product of the two doubles does.
+    """
+    return [complex(r * cos_k, r * sin_k) for r, (cos_k, sin_k)
+            in zip(_start_radii(coeffs, n), _double_angles(n))]
 
 
 def _aberth(coeffs, prec: int, warm):
@@ -172,7 +196,8 @@ def _aberth(coeffs, prec: int, warm):
     At prec 53 it iterates Python complex numbers over float
     coefficients, otherwise mpc over mpf coefficients under
     mp.workprec(prec); the update rule and its arithmetic are the same.
-    Starts from warm, or from _initial_points when warm is None.
+    Starts from warm, or from _initial_points (_double_initial_points at
+    53 bits) when warm is None.
     Returns the approximations, or None when a coefficient does not fit
     the number type or a value stops being finite.
     """
@@ -186,8 +211,12 @@ def _aberth(coeffs, prec: int, warm):
             dcs = [real(i * c) for i, c in enumerate(coeffs) if i > 0]
         except OverflowError:
             return None
-        zs = [num(z) for z in (_initial_points(coeffs, n) if warm is None
-                               else warm)]
+        if warm is not None:
+            zs = [num(z) for z in warm]
+        elif prec == _DOUBLE_BITS:
+            zs = _double_initial_points(coeffs, n)
+        else:
+            zs = [num(z) for z in _initial_points(coeffs, n)]
         eps2 = real(2) ** (2 * (10 - prec))
         nudge = real(2) ** -(prec // 2)
         zero = num(0)

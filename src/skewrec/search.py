@@ -21,9 +21,11 @@ any worker count:
     lower bound is at most its own best upper bound, since the
     search-wide best is never above any chunk's best and phase 2 would
     drop every other member; the parent sorts all of them before phase
-    2.  Chunks share no state, so the schedule cannot influence
-    anything.  A pruning chunk lowers its cap before it encloses
-    anything (see _scan_chunk);
+    2.  With one worker the chunks run in turn and each starts from the
+    cap the one before ended at; in a pool they share nothing.  Either
+    way phase 2 gets the same candidates (see _scan_chunk), so the
+    schedule cannot influence anything.  A pruning chunk lowers its cap
+    before it encloses anything (see _scan_chunk);
   * phase 2 keeps every candidate whose certified lower bound does not
     exceed the smallest certified upper bound, then refines this set at
     progressively finer tolerances until a single witness remains, the
@@ -79,7 +81,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .enclosure import Enclosure, log_of_fraction
-from .errors import BudgetExceeded, PolynomialError, PrecisionExhausted
+from .errors import DEFAULT_BUDGET, BudgetExceeded, PolynomialError, PrecisionExhausted
 from .measure import (
     _chain,
     _free_parts,
@@ -109,7 +111,6 @@ __all__ = [
     "DEFAULT_BUDGET",
 ]
 
-DEFAULT_BUDGET = 5_000_000
 _ESCALATION_ROUNDS = 3
 
 RECIPROCAL = "reciprocal"
@@ -366,8 +367,8 @@ def _lower(candidate) -> float:
     return max(enc.lo, gb)
 
 
-def _scan_chunk(args) -> tuple[int, int, int, list]:
-    """Phase 1 over one chunk: (scanned, cut, kronecker, survivors).
+def _scan_chunk(args) -> tuple[int, int, int, list, float]:
+    """Phase 1 over one chunk: (scanned, cut, kronecker, survivors, cap).
 
     The chunk is the _PowerSumTree with c_(2d-1) = first: scanned
     counts the members it walks, cut those it cuts.  Each leaf is
@@ -375,7 +376,8 @@ def _scan_chunk(args) -> tuple[int, int, int, list]:
     bounds are then hits on the chain memo the two share (see
     is_kronecker).  Each survivor is a (free, Enclosure, gb) triple
     whose lower bound is at most the chunk's final best upper bound,
-    and survivors are returned sorted by free.
+    and survivors are returned sorted by free.  cap is pass A's final
+    cap (inf without pruning), from which the next chunk may start.
 
     When pruning, the chunk starts from the given cap and is scanned
     twice.  Pass A walks the tree, which cuts against the live cap:
@@ -393,8 +395,9 @@ def _scan_chunk(args) -> tuple[int, int, int, list]:
 
       * take m, the smallest hi of the tol0 enclosures of all
         non-Kronecker members of the space, and a member x that set the
-        cap to ub(x) + 2*tol0: a member of the chunk, or the parent's
-        seed (see _seed_cap), any non-Kronecker member of the space.
+        cap to ub(x) + 2*tol0: a member of the chunk, or of the parent's
+        seed (see _seed_cap) or an earlier chunk's pass A, any
+        non-Kronecker member of the space.
         x's tol0 enclosure, made or not, contains x's value, which is
         at most ub(x), and is at most tol0 wide (the second tol0
         absorbs the float rounding of Enclosure.width and of the sum,
@@ -416,8 +419,10 @@ def _scan_chunk(args) -> tuple[int, int, int, list]:
         (the member attaining it is a candidate), so it keeps the same
         candidates, with the same enclosures, in the same order.
 
-    The same argument makes phase 2 independent of the chunk layout and
-    of the walk order within a chunk.  m, every member's tol0 enclosure
+    The same argument makes phase 2 independent of the chunk layout, of
+    the walk order within a chunk and of the cap a chunk starts from (the
+    seed, or the cap an earlier chunk's pass A ended at, whichever the
+    schedule gives it).  m, every member's tol0 enclosure
     and its full gb do not depend on them, and every member whose lower
     bound is at most m survives its chunk, whichever chunk holds it; the
     other survivors are dropped by the first filter.  So the parent,
@@ -476,7 +481,7 @@ def _scan_chunk(args) -> tuple[int, int, int, list]:
             survivors.append(candidate)
     survivors = [c for c in survivors if _lower(c) <= best_hi]
     survivors.sort(key=_free)
-    return scanned, tree.cut, kron, survivors
+    return scanned, tree.cut, kron, survivors, cap
 
 
 def _free(candidate) -> tuple[int, ...]:
@@ -592,20 +597,26 @@ def _min_search(
     pool = _process_pool(workers) if workers > 1 else contextlib.nullcontext()
     with memo_scope(), pool:
         cap = _seed_cap(space, quantity, tol0) if prune else math.inf
-        chunk_args = [
-            (space.kind, space.degree, space.height, first, quantity, tol0,
-             prune, max_bits, cap)
-            for first in firsts
-        ]
-        pool_map = pool.map if workers > 1 else map
-        chunk_results = list(pool_map(_scan_chunk, chunk_args))
+
+        def chunk_args(first):
+            return (space.kind, space.degree, space.height, first, quantity,
+                    tol0, prune, max_bits, cap)
+
+        if workers > 1:
+            chunk_results = list(pool.map(_scan_chunk, map(chunk_args, firsts)))
+        else:
+            # in turn, each chunk from the pass-A cap the one before ended at
+            chunk_results = []
+            for first in firsts:
+                chunk_results.append(_scan_chunk(chunk_args(first)))
+                cap = chunk_results[-1][4]
 
         enumerated = space.size
-        assert sum(scanned + cut for scanned, cut, _, _ in chunk_results) \
+        assert sum(scanned + cut for scanned, cut, *_ in chunk_results) \
             == enumerated
-        kron = sum(k for _, _, k, _ in chunk_results)
+        kron = sum(k for _, _, k, _, _ in chunk_results)
         candidates = sorted(
-            (c for *_, survivors in chunk_results for c in survivors),
+            (c for _, _, _, survivors, _ in chunk_results for c in survivors),
             key=_free)
         if not candidates:
             return SearchReport(space, quantity, tol, enumerated, kron, None,

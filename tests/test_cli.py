@@ -13,6 +13,8 @@ import skewrec
 from skewrec.cli import _build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+# the layers skewrec.cli loads only for the commands that run them
+LAZY_LAYERS = {"skewrec.search", "skewrec.structure", "skewrec.symplectic"}
 
 
 def run_cli(args, capsys):
@@ -487,3 +489,97 @@ class TestImportHygiene:
         ])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_leaves_the_lazy_layers_unloaded(self):
+        proc = run_in_checkout([
+            sys.executable,
+            "-c",
+            f"import sys, skewrec.cli; print(sorted({LAZY_LAYERS!r} & set(sys.modules)))",
+        ])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv, layers", [
+        (["classify", "[1,1,1]"], LAZY_LAYERS),
+        (["measure", "t^10+t^9-t^7-t^6-t^5-t^4-t^3+t+1"], LAZY_LAYERS),
+        (["companion", "[1,-3,1]"], {"skewrec.search"}),
+    ], ids=["classify", "measure", "companion"])
+    def test_one_shot_commands_leave_their_unused_layers_unloaded(self, argv, layers):
+        # only search, table and verify load search; only decompose (and
+        # search) loads structure; only companion loads symplectic
+        proc = run_in_checkout([
+            sys.executable,
+            "-c",
+            f"import sys; from skewrec.cli import main; code = main({argv!r}); "
+            f"print(code, sorted({layers!r} & set(sys.modules)))",
+        ])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+# Run in a fresh interpreter after importing the module named by argv[1]:
+# the names dir() lists that are missing from it, the names of __all__ that
+# are not the object their defining module holds, and whether
+# `from skewrec import measure` gives the measure() function.
+PUBLIC_API_PROBE = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+import skewrec
+listed = set(dir(skewrec))
+from skewrec import measure
+homes = {}
+for name in ("enclosure", "poly", "roots", "measure", "search", "structure",
+             "symplectic"):
+    module = importlib.import_module("skewrec." + name)
+    homes.update(dict.fromkeys(module.__all__, module))
+wrong = []
+for name in skewrec.__all__:
+    obj = getattr(skewrec, name)
+    home = homes.get(name) or sys.modules[obj.__module__]  # or an error class
+    if getattr(home, name) is not obj:
+        wrong.append(name)
+print(sorted(set(skewrec.__all__) - listed), wrong,
+      measure is sys.modules["skewrec.measure"].measure)
+"""
+
+
+class TestLazyPublicApi:
+    @pytest.mark.parametrize("first", ["skewrec", "skewrec.search",
+                                       "skewrec.structure"])
+    def test_every_public_name_is_its_modules_object(self, first):
+        proc = run_in_checkout([sys.executable, "-c", PUBLIC_API_PROBE, first])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[] [] True"
+
+    def test_the_lazy_layers_are_package_attributes(self):
+        proc = run_in_checkout([
+            sys.executable,
+            "-c",
+            "import skewrec; print(skewrec.symplectic.omega is skewrec.omega, "
+            "skewrec.search.__name__)",
+        ])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True skewrec.search"
+
+    def test_unknown_names_still_raise(self):
+        with pytest.raises(AttributeError, match="no attribute 'spooky'"):
+            skewrec.spooky
+
+
+class TestTracedCommands:
+    @pytest.mark.parametrize("argv", [
+        ["search", "--kind", "skew_reciprocal", "--degree", "6",
+         "--height", "1"],
+        ["verify", "--degree", "4", "--height", "1"],
+    ], ids=["search", "verify"])
+    def test_search_layer_time_is_charged_to_its_span(self, capsys, argv):
+        # the layer tracer wraps the CLI's search entry points, which load
+        # the search layer on their first call
+        from test_tracer_names import load_tracer
+
+        tracer = load_tracer().Tracer()
+        with tracer.installed():
+            code = tracer.root(skewrec.cli.main)(argv)
+        assert code == 0
+        capsys.readouterr()
+        assert tracer.calls["search"] >= 1 and tracer.self_s["search"] > 0

@@ -31,6 +31,7 @@ from skewrec.roots import (
     _aberth,
     _certified_disks,
     _certify,
+    _double_initial_points,
     _eval_scaled,
     _ExactDisk,
     _GUARD_BITS,
@@ -448,6 +449,20 @@ class TestInitialPoints:
                     want = _direct_initial_points(coeffs, n)
                     assert [(z.real._mpf_, z.imag._mpf_) for z in got] == \
                         [(z.real._mpf_, z.imag._mpf_) for z in want]
+
+    def test_double_points_are_the_53_bit_points(self, rng):
+        # the double rung starts from Python complex numbers, without mpmath
+        for n in [*range(1, 65), 100, 200]:
+            height = rng.choice((9, 10**6, 10**15))
+            coeffs = [rng.randint(-height, height) for _ in range(n)]
+            coeffs.append(rng.choice((1, 2, -3, 7919)))
+            with mp.workprec(53):
+                want = [complex(z) for z in _direct_initial_points(coeffs, n)]
+            for _ in range(2):  # the second call reads the cache
+                got = _double_initial_points(coeffs, n)
+                assert all(type(z) is complex for z in got)
+                assert [(z.real.hex(), z.imag.hex()) for z in got] == \
+                    [(z.real.hex(), z.imag.hex()) for z in want]
 
 
 def _disk(a, b, e, radius):

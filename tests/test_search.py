@@ -110,7 +110,7 @@ class TestSearchSpace:
             tree.set_cap(args[-1])
             chunk = list(tree.members())
             chunks.append((args, chunk, tree.cut))
-            return len(chunk), tree.cut, 0, []
+            return len(chunk), tree.cut, 0, [], args[-1]
 
         monkeypatch.setattr("skewrec.search._scan_chunk", recording_scan)
         for kind in ("reciprocal", "skew_reciprocal"):
@@ -265,6 +265,36 @@ class TestMinimumSearches:
                         for j in (1, 2, 5)
                     ]
                     assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("kind, degree, height, quantity", [
+        ("skew_reciprocal", 8, 3, "mahler"),
+        ("reciprocal", 10, 1, "house"),
+    ])
+    def test_one_worker_chains_the_pass_a_caps(self, monkeypatch, kind, degree,
+                                               height, quantity):
+        # in both spaces chunk 0 ends below the seed
+        starts, ends, walked = [], [], []
+
+        def recording_scan(args):
+            result = _scan_chunk(args)
+            starts.append(args[-1])
+            ends.append(result[4])
+            walked.append(result[0])
+            return result
+
+        monkeypatch.setattr("skewrec.search._scan_chunk", recording_scan)
+        search = min_mahler if quantity == "mahler" else min_house
+        space = SearchSpace(kind, degree, height)
+        report = search(space)
+        # each chunk starts where the one before ended; caps only fall
+        assert starts[0] == _seed_cap(space, quantity, 1e-6)
+        assert starts[1:] == ends[:-1]
+        assert all(end <= start for start, end in zip(starts, ends))
+        assert ends[0] < starts[0]
+        unchained = [scanned for scanned, *_ in scan_space(space, quantity, True)]
+        assert sum(walked) < sum(unchained)
+        monkeypatch.undo()  # a pool pickles _scan_chunk by name
+        assert report.to_json() == search(space, jobs=2).to_json()
 
     def test_pool_is_capped_at_the_chunk_count(self, pool_sizes):
         space = SearchSpace("reciprocal", 4, 2)  # 3 chunks
@@ -610,7 +640,7 @@ class TestScanChunk:
             m = min(enc.hi for _, enc, _ in full.values())
             for prune in (True, False):
                 seeded = scan_space(space, quantity, prune, tol0)
-                for first, (scanned, cut, kron, survivors) in zip(
+                for first, (scanned, cut, kron, survivors, _) in zip(
                         _chunk_firsts(space), seeded):
                     # the chunk: the members with c_7 = +-first
                     members = [free for free in space.free_vectors()
@@ -626,14 +656,14 @@ class TestScanChunk:
                     # possible minimisers
                     args = (kind, 8, height, first, quantity, tol0, prune,
                             4096, math.inf)
-                    scanned, cut, kron, survivors = _scan_chunk(args)
+                    scanned, cut, kron, survivors, _ = _scan_chunk(args)
                     assert scanned + cut == len(members)
                     assert kron == len(members) - len(chunk)
                     assert [c[0] for c in survivors] == \
                         [c[0] for c in chunk if _lower(c) <= best_hi]
-                assert (sum(cut for _, cut, _, _ in seeded) > 0) == prune
+                assert (sum(cut for _, cut, *_ in seeded) > 0) == prune
                 # seeded, the candidates phase 2 keeps are the space's
-                candidates = sorted((c for *_, survivors in seeded
+                candidates = sorted((c for _, _, _, survivors, _ in seeded
                                      for c in survivors), key=lambda c: c[0])
                 assert [c[0] for c in candidates if _lower(c) <= m] == \
                     [free for free in sorted(full) if _lower(full[free]) <= m]
@@ -655,7 +685,7 @@ class TestScanChunk:
         monkeypatch.setattr(f"skewrec.search.{quantity}", recording_measure)
         space = SearchSpace("skew_reciprocal", 8, 2)
         args = ("skew_reciprocal", 8, 2, 0, quantity, 1e-6)
-        scanned, cut, _, _ = _scan_chunk(args + (False, 4096, math.inf))
+        scanned, cut, *_ = _scan_chunk(args + (False, 4096, math.inf))
         assert (scanned, cut) == (125, 0)
         # without pruning, each member is enclosed as soon as it is scanned
         for i, (kind, f) in enumerate(events):
@@ -663,7 +693,7 @@ class TestScanChunk:
                 assert events[i - 1] == ("scan", f)
         events.clear()
         cap = _seed_cap(space, quantity, 1e-6)
-        scanned, cut, _, _ = _scan_chunk(args + (True, 4096, cap))
+        scanned, cut, *_ = _scan_chunk(args + (True, 4096, cap))
         kinds = [kind for kind, _ in events]
         first_enclosure = kinds.index("enclose")
         assert kinds[first_enclosure:] == ["enclose"] * (len(kinds) - first_enclosure)
