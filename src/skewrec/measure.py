@@ -72,16 +72,25 @@ __all__ = [
 
 # Polynomials whose chains the chain memo keeps in a scope.  A search
 # scan takes each leaf of its power-sum tree and then the leaf's
-# t -> -t partner: two keys for one chain of at most a few steps (its
-# Kronecker walk on the spaces up to degree 16, and the bounds'
-# _BOUND_STEPS), read back-to-back and never again, so this holds
-# dozens of such pairs, and memory stays bounded for any input.
+# t -> -t partner: two keys for one chain of at most ten or so steps
+# (its Kronecker walk on the spaces up to degree 16, and the bounds'
+# depth _bound_steps(n), 9 at degrees 10 to 16, often cut short by an
+# early stop), read back-to-back and never again, so this holds dozens
+# of such pairs, and memory stays bounded for any input.
 _CHAIN_MEMO_SIZE = 64
 
-# The Graeffe step the search bounds read.  The upper bounds read the
-# same iterate as the lower bounds, so after a lower bound on f they
-# make no Graeffe step.
-_BOUND_STEPS = 6
+
+def _bound_steps(n: int) -> int:
+    """The Graeffe step the search bounds read for degree n.
+
+    The least k >= 6 with 2**k >= 32*n: 8 at degree 8, 9 at degrees 10
+    to 16 and 10 at degree 20.  The Landau slack of mahler_lower_bound
+    is then n / 2**k <= 1/32 in log2 at every degree, and that of
+    house_lower_bound log2(2n) / 2**k smaller still.  The upper bounds
+    read the same iterate as the lower bounds, so after a lower bound
+    on f they make no Graeffe step.
+    """
+    return max(6, (32 * n - 1).bit_length())
 
 
 def _square(a: tuple[int, ...]) -> list[int]:
@@ -478,7 +487,7 @@ def _log2_below(n: int) -> float:
 def _log2_norm_bound(g: IntPoly, k: int) -> float:
     """(log2 ||g||_2 - deg g) / 2**k, for g the k-th Graeffe iterate of f.
 
-    g has the degree of f.  A chain reader, as are the four below that
+    g has the degree of f.  A chain reader, as are the three below that
     compute each bound from its iterate.
     """
     # log2 ||g||_2 = log2(s)/2, computed safely for huge integers
@@ -492,13 +501,13 @@ def mahler_lower_bound(f: IntPoly, *, above: Optional[float] = None) -> float:
     After k Graeffe steps, M(f)**(2**k) = M(f_k) >= ||f_k||_2 / 2**d
     (coefficient j of f_k is at most C(d, j) * M(f_k) in absolute value),
     so the 2**k-th root of that quotient bounds M(f) from below, here at
-    k = _BOUND_STEPS.  The float evaluation rounds downward by a generous
-    margin.
+    k = _bound_steps(d).  The float evaluation rounds downward by a
+    generous margin.
 
     With a positive above given, the bound may stop at an earlier step
-    k (2 <= k < s, s = _BOUND_STEPS) and return that step's bound, but
-    only once it proves that the full bound exceeds above.  Write b_k for
-    log2 of the step-k bound.  Landau's inequality
+    k (2 <= k < s, s = _bound_steps(d)) and return that step's bound,
+    but only once it proves that the full bound exceeds above.  Write
+    b_k for log2 of the step-k bound.  Landau's inequality
     ||f_s||_2 >= M(f_s) = M(f)**(2**s) (f monic) gives
     b_s >= log2 M(f) - d / 2**s >= b_k - d / 2**s,
     so b_k - d / 2**s > log2(above) + 1e-6 forces b_s > log2(above) with
@@ -513,18 +522,11 @@ def mahler_lower_bound(f: IntPoly, *, above: Optional[float] = None) -> float:
     """
     if not f.is_monic():
         raise PolynomialError("mahler_lower_bound requires monic input")
-    chain = _chain(f)
-    steps = _BOUND_STEPS
-    if above is not None:
-        stop = math.log2(above) + f.degree / (1 << steps) + 1e-6
-        for k in range(2, steps):
-            log2_bound = chain.read(_log2_norm_bound, k)
-            if log2_bound > stop:
-                return max(1.0, 2.0 ** (log2_bound - 1e-9))
-    return max(1.0, 2.0 ** (chain.read(_log2_norm_bound, steps) - 1e-9))
+    return _lower_bound(_chain(f), _log2_norm_bound, _bound_steps(f.degree),
+                        f.degree, above)
 
 
-def house_lower_bound(f: IntPoly) -> float:
+def house_lower_bound(f: IntPoly, *, above: Optional[float] = None) -> float:
     """A cheap certified lower bound for house(f), used to prune searches.
 
     The k-th Graeffe iterate g_k of a monic f of degree n is monic with
@@ -532,31 +534,67 @@ def house_lower_bound(f: IntPoly) -> float:
     symmetric function of those roots up to sign, satisfies
     |c_(n-j)| <= C(n, j) * house(f)**(j * 2**k).  Every nonzero c_(n-j)
     therefore gives house(f) >= (|c_(n-j)| / C(n, j))**(1 / (j * 2**k)),
-    and the bound is the largest of these, at k = _BOUND_STEPS.  The
+    and the bound is the largest of these, at k = _bound_steps(n).  The
     coefficients are exact integers; only the final root is taken in
     floats, rounded downward by a generous margin.  A nonzero root makes
     the bound at least 1 (the nonzero roots of monic integer f multiply
     to a nonzero integer); a pure power of t, whose house is 0, gets 0.
+
+    With a positive above given, the bound may stop at an earlier step
+    k (2 <= k < s, s = _bound_steps(n)) and return that step's bound,
+    on the same terms as mahler_lower_bound's.  Write b_k for log2 of
+    the step-k bound.  Fujiwara's bound on g_s (see house_upper_bound)
+    gives house(f)**(2**s) <= 2 * max_j |c_(n-j)|**(1/j), and
+    C(n, j)**(1/j) <= n, so b_s >= log2 house(f) - log2(2n) / 2**s
+    >= b_k - log2(2n) / 2**s.  So b_k - log2(2n) / 2**s > log2(above)
+    + 1e-6 forces b_s > log2(above), the 1e-6 margin covering the
+    downward 1e-9 and every float rounding in computing b_k and b_s.
+    The result exceeds above exactly when the full bound does, and
+    whenever it does not, the result is the full bound itself.  A pure
+    power of t has no b_k, and never stops early.
 
     It is read once per chain, which f shares with f(-t) inside a memo
     scope.
     """
     if not f.is_monic():
         raise PolynomialError("house_lower_bound requires monic input")
-    return _chain(f).read(_house_lower_bound, _BOUND_STEPS)
+    if f.degree == 0:  # no roots: the empty maximum, as for a power of t
+        return 0.0
+    return _lower_bound(_chain(f), _log2_house_bound, _bound_steps(f.degree),
+                        math.log2(2 * f.degree), above)
 
 
-def _house_lower_bound(g: IntPoly, steps: int) -> float:
+def _lower_bound(chain: _Chain, reader, steps: int, slack: float,
+                 above: Optional[float]) -> float:
+    """2**(b_s - 1e-9), at least 1, for b_k = chain.read(reader, k).
+
+    With above given, stops at the first step k in [2, steps) with
+    b_k - slack / 2**steps > log2(above) + 1e-6 and reads b_k instead;
+    the two lower bounds above prove that sound.  A b_s of -inf (f a
+    pure power of t) gives 0.
+    """
+    if above is not None:
+        stop = math.log2(above) + slack / (1 << steps) + 1e-6
+        for k in range(2, steps):
+            log2_bound = chain.read(reader, k)
+            if log2_bound > stop:
+                return max(1.0, 2.0 ** (log2_bound - 1e-9))
+    log2_bound = chain.read(reader, steps)
+    if log2_bound == -math.inf:
+        return 0.0
+    return max(1.0, 2.0 ** (log2_bound - 1e-9))
+
+
+def _log2_house_bound(g: IntPoly, k: int) -> float:
+    """max_j (log2|c_(n-j)| - log2 C(n, j)) / (j * 2**k) over g_k = g's
+    nonzero coefficients below the leading one; -inf if there is none."""
     c = g.coeffs
     n = len(c) - 1
-    logs = [
-        (_log2_below(abs(c[n - j])) - math.log2(math.comb(n, j))) / (j << steps)
-        for j in range(1, n + 1)
-        if c[n - j]
-    ]
-    if not logs:  # f is a power of t
-        return 0.0
-    return max(1.0, 2.0 ** (max(logs) - 1e-9))
+    return max(
+        ((_log2_below(abs(c[n - j])) - math.log2(math.comb(n, j))) / (j << k)
+         for j in range(1, n + 1) if c[n - j]),
+        default=-math.inf,
+    )
 
 
 def _log2_above(n: int) -> float:
@@ -595,14 +633,14 @@ def mahler_upper_bound(f: IntPoly) -> float:
     the final power.  The exponent is nonnegative (||g_k||_2 >= 1), so
     the result is at least 1.
 
-    It reads g_k at k = _BOUND_STEPS, the iterate mahler_lower_bound(f)
-    reads, from f's chain: inside a memo scope, after that lower bound
-    on f or on f(-t) this makes no Graeffe step, and the bound itself is
-    read once per chain.
+    It reads g_k at k = _bound_steps(n), the iterate
+    mahler_lower_bound(f) reads in full, from f's chain: inside a memo
+    scope, after that lower bound on f or on f(-t) this makes no
+    Graeffe step, and the bound itself is read once per chain.
     """
     if not f.is_monic():
         raise PolynomialError("mahler_upper_bound requires monic input")
-    return _chain(f).read(_mahler_upper_bound, _BOUND_STEPS)
+    return _chain(f).read(_mahler_upper_bound, _bound_steps(f.degree))
 
 
 def _mahler_upper_bound(g: IntPoly, k: int) -> float:
@@ -629,14 +667,14 @@ def house_upper_bound(f: IntPoly) -> float:
     least 1 / 2**k and the result above 1 whenever f has a nonzero
     root; a pure power of t, whose house is 0, gets 0.
 
-    It reads g_k at k = _BOUND_STEPS, the iterate house_lower_bound(f)
-    reads, from f's chain: inside a memo scope, after that lower bound
-    on f or on f(-t) this makes no Graeffe step, and the bound itself is
-    read once per chain.
+    It reads g_k at k = _bound_steps(n), the iterate
+    house_lower_bound(f) reads in full, from f's chain: inside a memo
+    scope, after that lower bound on f or on f(-t) this makes no
+    Graeffe step, and the bound itself is read once per chain.
     """
     if not f.is_monic():
         raise PolynomialError("house_upper_bound requires monic input")
-    return _chain(f).read(_house_upper_bound, _BOUND_STEPS)
+    return _chain(f).read(_house_upper_bound, _bound_steps(f.degree))
 
 
 def _house_upper_bound(g: IntPoly, k: int) -> float:

@@ -63,8 +63,8 @@ in candidate elimination unconditionally; the prune flag only controls
 whether members disqualified by the cap alone are cut from the tree or
 skip the expensive enclosure computation.  Pruned or not, reports are
 identical.  The Kronecker test and the bounds walk one memoized Graeffe
-chain per leaf and partner, and a pruning Mahler scan lets the lower
-bound stop at an earlier step once it provably exceeds the chunk's cap
+chain per leaf and partner, and a pruning scan lets the lower bound
+stop at an earlier step once it provably exceeds the chunk's cap
 (the member is pruned either way, and the bound of every member kept is
 the full one).  enumerated is the space size, the members reached plus
 those cut.
@@ -80,7 +80,7 @@ import operator
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .enclosure import Enclosure, log_of_fraction
+from .enclosure import Enclosure, float_above, log_of_fraction
 from .errors import DEFAULT_BUDGET, BudgetExceeded, PolynomialError, PrecisionExhausted
 from .measure import (
     _chain,
@@ -382,8 +382,9 @@ def _scan_chunk(args) -> tuple[int, int, int, list, float]:
     When pruning, the chunk starts from the given cap and is scanned
     twice.  Pass A walks the tree, which cuts against the live cap:
     each member walked takes the Kronecker test, then the Graeffe lower
-    bound gb (a Mahler bound may stop early above the cap, see
-    mahler_lower_bound), and a member with gb above the cap is pruned.
+    bound gb (which may stop early above the cap, see
+    mahler_lower_bound and house_lower_bound), and a member with gb
+    above the cap is pruned.
     Every other member lowers the cap to its Graeffe upper bound
     (mahler_upper_bound, house_upper_bound) plus 2*tol0 and is kept as
     (free, gb); the tree's limits are recomputed only when the cap
@@ -437,9 +438,11 @@ def _scan_chunk(args) -> tuple[int, int, int, list, float]:
     (kind, degree, height, first, quantity, tol0, prune, max_bits, cap) = args
     space = SearchSpace(kind, degree, height)
     if quantity == "mahler":
-        upper_bound, measure_fn = mahler_upper_bound, mahler
+        lower_bound, upper_bound = mahler_lower_bound, mahler_upper_bound
+        measure_fn = mahler
     else:
-        upper_bound, measure_fn = house_upper_bound, house
+        lower_bound, upper_bound = house_lower_bound, house_upper_bound
+        measure_fn = house
     if not prune:
         cap = math.inf
     tree = _PowerSumTree(space, quantity, first)
@@ -454,10 +457,7 @@ def _scan_chunk(args) -> tuple[int, int, int, list, float]:
             if is_kronecker(f):
                 kron += 1
                 continue
-            if quantity == "mahler":
-                gb = mahler_lower_bound(f, above=cap if prune else None)
-            else:
-                gb = house_lower_bound(f)
+            gb = lower_bound(f, above=cap if prune else None)
             if not prune:
                 yield free, gb
             elif gb <= cap:
@@ -895,6 +895,13 @@ def verify_decomposition_over_space(
     rounding of Enclosure.width).  So neither witnesses_below_bound nor
     min_witness_mahler can change.
 
+    The bound is taken with above = the larger of the two thresholds
+    (the rational one rounded up to a float), so it may stop early (see
+    mahler_lower_bound), and no skip decision changes: an early result
+    exceeds above, so it exceeds both thresholds and the member is
+    skipped, as it would be on the full bound, which then exceeds above
+    too; any other result is the full bound, compared as before.
+
     The survey runs in one memo scope (see roots.memo_scope), so the
     Kronecker test here, the one decompose_skew_reciprocal repeats, and
     the Mahler lower bound walk one Graeffe chain per member.
@@ -905,6 +912,7 @@ def verify_decomposition_over_space(
         raise BudgetExceeded("decomposition survey", space.size, budget)
     slack = BREUSCH_BOUND - Fraction(1, 10**9)
     skip_above = slack + 2 * Fraction(tol)
+    skip_above_float = float_above(skip_above)
     kron = squares = witnesses = below = 0
     min_mahler_enc: Optional[Enclosure] = None
     with memo_scope():
@@ -916,7 +924,8 @@ def verify_decomposition_over_space(
             if isinstance(outcome, NonreciprocalWitness):
                 witnesses += 1
                 if min_mahler_enc is not None:
-                    bound = Fraction(mahler_lower_bound(f))
+                    above = max(skip_above_float, min_mahler_enc.hi)
+                    bound = Fraction(mahler_lower_bound(f, above=above))
                     if bound > skip_above and bound > Fraction(min_mahler_enc.hi):
                         continue
                 enc = mahler(f, tol, max_bits)

@@ -29,6 +29,7 @@ from conftest import (
 from skewrec.enclosure import Enclosure
 from skewrec.errors import PolynomialError, PrecisionExhausted
 from skewrec.measure import (
+    _bound_steps,
     _chain,
     _chains,
     _cyclotomic_orders,
@@ -433,7 +434,7 @@ class TestGraeffeChain:
             with memo_scope():
                 assert not is_kronecker(f)
                 mahler_lower_bound(f)
-            assert len(calls) == max(k_kron, 6)
+            assert len(calls) == max(k_kron, _bound_steps(f.degree))
 
     @given(
         st.lists(st.integers(-5, 5), min_size=1, max_size=12).filter(
@@ -483,6 +484,8 @@ ORBIT_READERS = {
     "mahler_lower_bound above 1.2": lambda f: mahler_lower_bound(f, above=1.2),
     "mahler_lower_bound above 2": lambda f: mahler_lower_bound(f, above=2.0),
     "house_lower_bound": house_lower_bound,
+    "house_lower_bound above 1.2": lambda f: house_lower_bound(f, above=1.2),
+    "house_lower_bound above 2": lambda f: house_lower_bound(f, above=2.0),
     "mahler_upper_bound": mahler_upper_bound,
     "house_upper_bound": house_upper_bound,
 }
@@ -531,27 +534,76 @@ class TestOrbitChain:
 EARLY_STOP_THRESHOLDS = (1.0, 1.05, 1.1762808, 1.3, 1.618, 2.0, 3.0)
 
 
+def _assert_early_stop_decides_as_the_full_bound(lower_bound, brute, members):
+    """lower_bound(f, above=a) exceeds a exactly when the full bound does,
+    stays below the oracle, and is the full bound unless it stops early."""
+    early = 0
+    for f in members:
+        full = lower_bound(f)
+        oracle = brute(f) * (1 + ORACLE_SLACK)
+        assert full <= oracle
+        thresholds = EARLY_STOP_THRESHOLDS + (
+            full, math.nextafter(full, 0.0), math.nextafter(full, math.inf),
+            full * (1 - 1e-7), full * (1 + 1e-7),
+        )
+        for a in thresholds:
+            bound = lower_bound(f, above=a)
+            assert (bound > a) == (full > a), (f, a, bound, full)
+            assert bound <= oracle
+            if bound != full:
+                early += 1
+                assert bound > a
+    assert early > 0
+
+
+EARLY_STOP_SPACES = [(8, 2), (10, 2), (12, 1), (6, 3)]
+
+
 class TestMahlerLowerBoundEarlyStop:
     @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
-    @pytest.mark.parametrize("degree,height", [(8, 2), (10, 2), (12, 1), (6, 3)])
+    @pytest.mark.parametrize("degree,height", EARLY_STOP_SPACES)
     def test_prune_decision_is_the_full_bounds(self, kind, degree, height):
-        early = 0
-        for f in _non_kronecker_members(kind, degree, height):
-            full = mahler_lower_bound(f)
-            oracle = brute_mahler(f) * (1 + ORACLE_SLACK)
-            assert full <= oracle
-            thresholds = EARLY_STOP_THRESHOLDS + (
-                full, math.nextafter(full, 0.0), math.nextafter(full, math.inf),
-                full * (1 - 1e-7), full * (1 + 1e-7),
-            )
-            for a in thresholds:
-                bound = mahler_lower_bound(f, above=a)
-                assert (bound > a) == (full > a), (f, a, bound, full)
-                assert bound <= oracle
-                if bound != full:
-                    early += 1
-                    assert bound > a
-        assert early > 0
+        _assert_early_stop_decides_as_the_full_bound(
+            mahler_lower_bound, brute_mahler,
+            _non_kronecker_members(kind, degree, height))
+
+
+class TestHouseLowerBoundEarlyStop:
+    @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
+    @pytest.mark.parametrize("degree,height", EARLY_STOP_SPACES)
+    def test_prune_decision_is_the_full_bounds(self, kind, degree, height):
+        _assert_early_stop_decides_as_the_full_bound(
+            house_lower_bound, brute_house,
+            _non_kronecker_members(kind, degree, height))
+
+    def test_power_of_t_never_stops_early(self):
+        for f in (IntPoly([1]), IntPoly([0, 0, 1])):
+            assert house_lower_bound(f, above=0.5) == 0.0
+
+
+class TestBoundDepth:
+    """The search bounds read step _bound_steps(n), which keeps them sharp."""
+
+    def test_least_step_from_six_with_room_for_thirty_two_n(self):
+        steps = [_bound_steps(n) for n in range(1, 300)]
+        for n, k in enumerate(steps, start=1):
+            assert k >= 6 and 2**k >= 32 * n
+            assert k == 6 or 2 ** (k - 1) < 32 * n
+        assert steps == sorted(steps)
+        assert [_bound_steps(n) for n in (8, 10, 16, 20)] == [8, 9, 9, 10]
+
+    @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
+    def test_lower_bounds_within_the_depth_slack(self, kind):
+        # Landau: b >= M(f) * 2**(-n / 2**k); Fujiwara with
+        # C(n, j)**(1/j) <= n: b >= house(f) * (2n)**(-1 / 2**k)
+        for degree in (2, 4, 6, 8, 10):
+            for height in (1, 2):
+                for f in _non_kronecker_members(kind, degree, height):
+                    n, k = f.degree, _bound_steps(f.degree)
+                    assert (mahler_lower_bound(f) * (1 + ORACLE_SLACK)
+                            >= brute_mahler(f) * 2 ** (-n / 2**k)), f
+                    assert (house_lower_bound(f) * (1 + ORACLE_SLACK)
+                            >= brute_house(f) * (2 * n) ** (-1 / 2**k)), f
 
 
 @st.composite

@@ -268,7 +268,7 @@ class TestMinimumSearches:
 
     @pytest.mark.parametrize("kind, degree, height, quantity", [
         ("skew_reciprocal", 8, 3, "mahler"),
-        ("reciprocal", 10, 1, "house"),
+        ("reciprocal", 10, 2, "house"),
     ])
     def test_one_worker_chains_the_pass_a_caps(self, monkeypatch, kind, degree,
                                                height, quantity):
