@@ -60,8 +60,9 @@ One rule holds for every memo of per-input work in the package, this
 one and the Graeffe chains of measure.py alike: it is a _ScopedMemo,
 and it keeps entries only inside memo_scope(), which opens and closes
 all of them together.  A search and a decomposition survey each run in
-one scope, and each search pool worker opens one for its life; outside
-a scope nothing is kept, so no operation reads another's work.  Only
+one scope, and a search pool worker, which serves every search of its
+process, opens fresh memos at the first task of each search; outside a
+scope nothing is kept, so no operation reads another's work.  Only
 tables that depend on small integers alone (the start angles here,
 cyclotomic polynomials) live as long as the process.
 """
@@ -434,9 +435,11 @@ def memo_scope():
 
 
 def _open_memo() -> None:
-    """Open a scope that is never closed, for a process that lives one operation.
+    """Open fresh, empty memos, dropping whatever they held.
 
-    A search's pool workers run it as their initializer.
+    memo_scope() runs it when its outermost scope opens, and a search
+    pool worker at the first task of each search (see
+    search._run_task), whose memos stay open until the next search.
     """
     for memo in _memos:
         memo.entries = {}

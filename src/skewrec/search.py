@@ -47,14 +47,16 @@ any worker count:
     on the worker count.  A round goes to the pool as one contiguous
     batch of ceil(n / workers) candidates per worker: a round trip per
     batch, not per candidate.  With one worker everything runs
-    in-process.  The search runs in one memo scope, and each pool
-    worker opens one for its life (see roots.memo_scope); outside a
-    scope no memo keeps anything, so one search never reads another's
-    Graeffe chains or ladders.  So a round resumes each part's
-    root-certification ladder where its phase-1 enclosure or the round
-    before left it (in a pool, when the same worker ran that one),
-    instead of rerunning the Aberth iteration and the exact certificate
-    from the start; a resumed ladder returns the bits a fresh one would.
+    in-process.  One pool serves every search of a process (see
+    _process_pool).  The search runs in one memo scope, and each pool
+    worker opens fresh memos at its first task of the search (see
+    roots.memo_scope); outside a scope no memo keeps anything, so one
+    search never reads another's Graeffe chains or ladders.  So a
+    round resumes each part's root-certification ladder where its
+    phase-1 enclosure or the round before left it (in a pool, when the
+    same worker ran that one), instead of rerunning the Aberth
+    iteration and the exact certificate from the start; a resumed
+    ladder returns the bits a fresh one would.
 
 Both quantities have cheap certified lower and upper bounds read from
 exact Graeffe iterates (mahler_lower_bound, house_lower_bound,
@@ -72,11 +74,14 @@ those cut.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import dataclasses
+import functools
 import itertools
 import math
 import operator
+import threading
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -489,17 +494,139 @@ def _free(candidate) -> tuple[int, ...]:
     return candidate[0]
 
 
-def _process_pool(workers: int):
-    """A pool of worker processes, imported only when a search starts one.
+def _process_pool(workers: int) -> _PoolLease:
+    """The process's worker pool at this worker count, lent to one search.
+
+    One pool serves every search of the process (see _IdlePool): it is
+    forked at the first search that needs workers and kept, and it is
+    replaced only for another worker count or after a failure.  Each
+    task the search sends carries the search's id, and a worker opens
+    fresh memos at the first task of each search (see _run_task and
+    roots.memo_scope), so no search reads another's work.
+    """
+    return _PoolLease(workers, next(_search_ids))
+
+
+class _IdlePool:
+    """The process's search pool while no search holds it.
+
+    A search takes the pool out (see _PoolLease) and gives it back when
+    it ends, so one pool serves one search at a time.  A search that
+    finds no idle pool of its worker count shuts the idle one down and
+    forks its own; of two pools given back (by searches run side by
+    side) only one is kept.  The kept pool is shut down at interpreter
+    exit, which joins its workers.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._executor = None
+        self._workers = 0
+
+    def take(self, workers: int):
+        """(executor, reused): the idle pool if it has this size, else a new one."""
+        with self._lock:
+            executor, kept, self._executor = self._executor, self._workers, None
+        if executor is not None and kept == workers:
+            return executor, True
+        if executor is not None:
+            executor.shutdown()
+        return _fork_pool(workers), False
+
+    def give_back(self, executor, workers: int) -> None:
+        """Keep executor as the idle pool, unless one is kept already."""
+        with self._lock:
+            if self._executor is None:
+                self._executor, self._workers = executor, workers
+                return
+        executor.shutdown()
+
+    def shutdown(self) -> None:
+        """Shut the idle pool down, joining its workers."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown()
+
+
+def _fork_pool(workers: int):
+    """A new pool of worker processes.
 
     concurrent.futures.process loads multiprocessing, which commands
     that never start a pool (every --jobs 1 run) should not pay for.
-    A pool serves one search, so each worker opens a memo scope for its
-    whole life (see roots.memo_scope).
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=workers, initializer=_open_memo)
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+_idle_pool = _IdlePool()
+atexit.register(_idle_pool.shutdown)
+_search_ids = itertools.count(1)
+
+
+class _PoolLease:
+    """One search's loan of the process pool: map tasks, then give it back.
+
+    Chunks and phase-2 batches are pure functions of their arguments,
+    so a map that finds a pool taken over from an earlier search broken
+    (a worker died between searches) is rerun once on a fresh pool.  A
+    search that raises shuts its pool down, so the next one starts
+    clean.
+    """
+
+    def __init__(self, workers: int, search_id: int):
+        self.workers = workers
+        self.search_id = search_id
+        self._executor = None
+        self._reused = False
+
+    def __enter__(self) -> _PoolLease:
+        self._executor, self._reused = _idle_pool.take(self.workers)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        executor, self._executor = self._executor, None
+        if exc_type is None:
+            _idle_pool.give_back(executor, self.workers)
+        else:
+            executor.shutdown(cancel_futures=True)
+        return False
+
+    def map(self, fn, iterable, chunksize: int = 1) -> list:
+        """[fn(x) for x in iterable], computed on the pool in this search."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        task = functools.partial(_run_task, self.search_id, fn)
+        items = list(iterable)
+        try:
+            return list(self._executor.map(task, items, chunksize=chunksize))
+        except BrokenProcessPool:
+            if not self._reused:
+                raise
+        self._reused = False
+        self._executor.shutdown()
+        self._executor = _fork_pool(self.workers)
+        return list(self._executor.map(task, items, chunksize=chunksize))
+
+
+# The search whose memos this worker process holds (see _run_task).
+_worker_search: Optional[int] = None
+
+
+def _run_task(search_id: int, fn, args):
+    """A pool worker's entry point: fn(args) for the search search_id.
+
+    The first task of a new search opens empty memos (see
+    roots._open_memo), so a worker's Graeffe chains and root ladders
+    serve one search only, and phase 2 resumes the ladders that phase
+    1 left in the same worker.
+    """
+    global _worker_search
+    if search_id != _worker_search:
+        _open_memo()
+        _worker_search = search_id
+    return fn(args)
 
 
 def _enclose(args) -> Optional[Enclosure]:

@@ -17,14 +17,18 @@ longer uses.
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import skewrec
 from skewrec import _dyadic as dy
 from skewrec.errors import PolynomialError
 from skewrec.measure import graeffe
@@ -455,3 +459,24 @@ def pool_sizes(monkeypatch) -> list[int]:
 
     monkeypatch.setattr("skewrec.search._process_pool", RecordingExecutor)
     return sizes
+
+
+def run_in_checkout(command):
+    """Run command as a separate process that imports this checkout's skewrec.
+
+    PYTHONPATH is led by the directory holding the imported package, so the
+    child runs the code under test from any working directory.
+    """
+    package_root = str(Path(skewrec.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        package_root + os.pathsep + inherited if inherited else package_root
+    )
+    return subprocess.run(
+        command,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )

@@ -1,15 +1,14 @@
 """CLI behavior: JSON shape, exit codes, determinism, environment knobs."""
 
 import json
-import os
 import shutil
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import skewrec
+from conftest import run_in_checkout
 from skewrec.cli import _build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -363,27 +362,6 @@ def console_script_command():
         "-c",
         f"import sys; from {module} import {attr}; sys.exit({attr}())",
     ]
-
-
-def run_in_checkout(command):
-    """Run command as a separate process that imports this checkout's skewrec.
-
-    PYTHONPATH is led by the directory holding the imported package, so the
-    child runs the code under test from any working directory.
-    """
-    package_root = str(Path(skewrec.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        package_root + os.pathsep + inherited if inherited else package_root
-    )
-    return subprocess.run(
-        command,
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
 
 
 def run_console_script(args):

@@ -1,17 +1,24 @@
 """Height-bounded spaces, deterministic searches, tables, and the survey."""
 
+import concurrent.futures
 import functools
 import importlib
 import itertools
 import json
 import math
+import multiprocessing
+import os
+import signal
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_house, brute_mahler
+from conftest import brute_house, brute_mahler, run_in_checkout
 from skewrec.errors import BudgetExceeded, PolynomialError
 from skewrec.measure import (
     _chains,
@@ -40,6 +47,7 @@ from skewrec.search import (
     _chunk_firsts,
     _lower,
     _PowerSumTree,
+    _run_task,
     _scan_chunk,
     _seed_cap,
     _tie_key,
@@ -50,6 +58,9 @@ from skewrec.search import (
     verify_decomposition_over_space,
 )
 from skewrec.structure import NonreciprocalWitness, decompose_skew_reciprocal
+
+search_module = importlib.import_module("skewrec.search")
+roots_module = importlib.import_module("skewrec.roots")
 
 PHI = (1 + math.sqrt(5)) / 2
 LEHMER = IntPoly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
@@ -497,6 +508,135 @@ class TestMemoScope:
         report = min_mahler(SearchSpace("skew_reciprocal", 8, 2), jobs=1)
         assert report.precision_escalations == 3
         assert sum(hits) > 0
+
+    def test_a_worker_starts_each_search_with_empty_memos(self, monkeypatch):
+        # the worker entry point, run in this process as a worker runs it
+        monkeypatch.setattr(search_module, "_worker_search", None)
+        space = SearchSpace("skew_reciprocal", 6, 1)
+        chunk = (space.kind, space.degree, space.height, 0, "mahler", 1e-6,
+                 True, DEFAULT_MAX_BITS, math.inf)
+
+        def sizes(_):
+            return len(_chains.entries), len(_ladders.entries)
+
+        try:
+            _run_task(1, _scan_chunk, chunk)
+            chains, ladders = _run_task(1, sizes, None)
+            assert chains > 0 and ladders > 0  # kept within the search
+            assert _run_task(2, sizes, None) == (0, 0)
+        finally:
+            for memo in roots_module._memos:
+                memo.entries = None
+
+    def test_pooled_searches_match_fresh_processes(self):
+        runs = [("reciprocal", 8, 2, "mahler"), ("skew_reciprocal", 8, 2, "house")]
+        pooled = []
+        for kind, degree, height, quantity in runs:  # back to back, one pool
+            search = min_mahler if quantity == "mahler" else min_house
+            report = search(SearchSpace(kind, degree, height), jobs=2)
+            pooled.append(json.dumps(report.to_json()))
+        for doc, run in zip(pooled, runs):
+            proc = run_in_checkout([sys.executable, "-c", FRESH_SEARCH,
+                                    *map(str, run)])
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == doc
+
+
+# one pooled search in a fresh interpreter: kind, degree, height, quantity
+FRESH_SEARCH = (
+    "import json, sys; "
+    "from skewrec.search import SearchSpace, min_house, min_mahler; "
+    "kind, degree, height, quantity = sys.argv[1:]; "
+    "search = min_mahler if quantity == 'mahler' else min_house; "
+    "space = SearchSpace(kind, int(degree), int(height)); "
+    "print(json.dumps(search(space, jobs=2).to_json()))"
+)
+
+# a --jobs 2 search in a fresh interpreter, then its exit code and the
+# pids of the pool workers still alive after it
+EXIT_PROBE = (
+    "import multiprocessing; from skewrec.cli import main; "
+    "code = main(['search', '--kind', 'skew_reciprocal', '--degree', '8', "
+    "'--height', '1', '--jobs', '2']); "
+    "print(code, [p.pid for p in multiprocessing.active_children()])"
+)
+
+
+def worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+@pytest.fixture
+def pool_events(monkeypatch):
+    """Start with no pool kept; the list gets ("fork" | "shutdown", workers)."""
+    search_module._idle_pool.shutdown()
+    events = []
+
+    class CountingExecutor(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            events.append(("fork", max_workers))
+            self.workers = max_workers
+            super().__init__(max_workers=max_workers)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            events.append(("shutdown", self.workers))
+            super().shutdown(wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountingExecutor)
+    yield events
+    search_module._idle_pool.shutdown()
+
+
+class TestSharedPool:
+    """One worker pool serves every search of a process."""
+
+    def test_one_pool_serves_a_table(self, monkeypatch, pool_events):
+        leases = []
+        original = search_module._process_pool
+        monkeypatch.setattr(search_module, "_process_pool",
+                            lambda workers: leases.append(workers)
+                            or original(workers))
+        table = sequence_table(2, [1, 1], jobs=2)
+        assert leases == [2] * 8  # two rows of four searches
+        assert pool_events == [("fork", 2)]
+        assert table.to_json() == sequence_table(2, [1, 1]).to_json()
+
+    def test_another_worker_count_replaces_the_pool(self, pool_events):
+        space = SearchSpace("reciprocal", 4, 2)  # 3 chunks
+        first = min_mahler(space, jobs=2).to_json()
+        old = worker_pids()
+        assert len(old) == 2
+        assert min_mahler(space, jobs=3).to_json() == first
+        # the old pool is shut down, its workers joined, before the fork
+        assert pool_events == [("fork", 2), ("shutdown", 2), ("fork", 3)]
+        assert not old & worker_pids()
+
+    def test_killed_workers_are_replaced(self, pool_events):
+        space = SearchSpace("skew_reciprocal", 8, 2)
+        fresh = min_mahler(space, jobs=2).to_json()
+        killed = multiprocessing.active_children()
+        assert len(killed) == 2
+        for process in killed:
+            os.kill(process.pid, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while any(p.is_alive() for p in killed):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert min_mahler(space, jobs=2).to_json() == fresh
+        assert pool_events == [("fork", 2), ("shutdown", 2), ("fork", 2)]
+        assert not {p.pid for p in killed} & worker_pids()
+
+    def test_an_interpreter_exits_clean_and_joins_its_workers(self):
+        proc = run_in_checkout([sys.executable, "-c", EXIT_PROBE])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        code, pids = proc.stdout.splitlines()[-1].split(" ", 1)
+        pids = json.loads(pids)
+        assert code == "0" and len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 @st.composite
