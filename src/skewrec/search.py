@@ -13,19 +13,17 @@ any worker count:
     c_(2d-1), ..., c_d whose nodes are cut by Newton power sums against
     a cap on the quantity (see _PowerSumTree): one chunk per value
     c_(2d-1) = 0, -1, ..., -H, each leaf followed by its t -> -t
-    partner.  The parent seeds every chunk with one cap before any
-    runs (see _seed_cap).  Phase 1 excludes Kronecker members exactly
-    (the tree never cuts one) and computes a base enclosure per
-    remaining member; a chunk returns only its member, cut and
-    Kronecker counts and, sorted by free vector, the members whose
-    lower bound is at most its own best upper bound, since the
+    partner.  Every chunk of a search reads and lowers one shared cap,
+    which starts at inf (see _scan_chunk).  Phase 1 excludes Kronecker
+    members exactly (the tree never cuts one) and computes a base
+    enclosure per remaining member; a chunk returns only its member,
+    cut and Kronecker counts and, sorted by free vector, the members
+    whose lower bound is at most its own best upper bound, since the
     search-wide best is never above any chunk's best and phase 2 would
     drop every other member; the parent sorts all of them before phase
-    2.  With one worker the chunks run in turn and each starts from the
-    cap the one before ended at; in a pool they share nothing.  Either
-    way phase 2 gets the same candidates (see _scan_chunk), so the
-    schedule cannot influence anything.  A pruning chunk lowers its cap
-    before it encloses anything (see _scan_chunk);
+    2.  However the shared cap falls, phase 2 gets the same candidates
+    (see _scan_chunk), so the worker count cannot influence the report,
+    only a pool search's walked and cut counts;
   * phase 2 keeps every candidate whose certified lower bound does not
     exceed the smallest certified upper bound, then refines this set at
     progressively finer tolerances until a single witness remains, the
@@ -74,7 +72,6 @@ those cut.
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import dataclasses
 import functools
@@ -83,12 +80,11 @@ import math
 import operator
 import threading
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .enclosure import Enclosure, float_above, log_of_fraction
 from .errors import DEFAULT_BUDGET, BudgetExceeded, PolynomialError, PrecisionExhausted
 from .measure import (
-    _chain,
     _free_parts,
     house,
     house_lower_bound,
@@ -331,49 +327,26 @@ def _chunk_firsts(space: SearchSpace) -> range:
     return range(0, -space.height - 1, -1)
 
 
-# The non-Kronecker members whose Graeffe upper bounds seed the cap.
-_SEED_MEMBERS = 32
-
-
-def _seed_cap(space: SearchSpace, quantity: str, tol0: float) -> float:
-    """The smallest ub(x) + 2*tol0 over the first non-Kronecker members x.
-
-    The members are the first _SEED_MEMBERS in walk order, from chunk
-    c_(2d-1) = 0 on, and the walk cuts against the cap found so far, as
-    a chunk's does; inf when the space has none.  _scan_chunk's proof
-    lets any non-Kronecker member of the space set a chunk's cap, so
-    every chunk starts from this one.  The Kronecker tests read the
-    members' chains directly, so is_kronecker stays one call per member
-    a chunk walks.
-    """
-    upper_bound = mahler_upper_bound if quantity == "mahler" else house_upper_bound
-    cap = math.inf
-    seen = 0
-    for first in _chunk_firsts(space):
-        tree = _PowerSumTree(space, quantity, first)
-        tree.set_cap(cap)
-        for free in tree.members():
-            f = space.member(free)
-            if _chain(f).is_kronecker():
-                continue
-            ub = upper_bound(f) + 2 * tol0
-            if ub < cap:
-                cap = ub
-                tree.set_cap(cap)
-            seen += 1
-            if seen == _SEED_MEMBERS:
-                return cap
-    return cap
-
-
 def _lower(candidate) -> float:
     """Certified lower bound of a (free, Enclosure, Graeffe bound) triple."""
     _, enc, gb = candidate
     return max(enc.lo, gb)
 
 
-def _scan_chunk(args) -> tuple[int, int, int, list, float]:
-    """Phase 1 over one chunk: (scanned, cut, kronecker, survivors, cap).
+class _LocalCap:
+    """The shared cap of a search whose chunks run in this process.
+
+    It has what _scan_chunk uses of a pool's multiprocessing.Value.
+    """
+
+    value = math.inf
+
+    def get_lock(self):
+        return contextlib.nullcontext()
+
+
+def _scan_chunk(args, shared=None) -> tuple[int, int, int, list]:
+    """Phase 1 over one chunk: (scanned, cut, kronecker, survivors).
 
     The chunk is the _PowerSumTree with c_(2d-1) = first: scanned
     counts the members it walks, cut those it cuts.  Each leaf is
@@ -381,35 +354,36 @@ def _scan_chunk(args) -> tuple[int, int, int, list, float]:
     bounds are then hits on the chain memo the two share (see
     is_kronecker).  Each survivor is a (free, Enclosure, gb) triple
     whose lower bound is at most the chunk's final best upper bound,
-    and survivors are returned sorted by free.  cap is pass A's final
-    cap (inf without pruning), from which the next chunk may start.
+    and survivors are returned sorted by free.
 
-    When pruning, the chunk starts from the given cap and is scanned
-    twice.  Pass A walks the tree, which cuts against the live cap:
-    each member walked takes the Kronecker test, then the Graeffe lower
-    bound gb (which may stop early above the cap, see
-    mahler_lower_bound and house_lower_bound), and a member with gb
-    above the cap is pruned.
+    shared is the search's cap, which all its chunks read and lower (a
+    _LocalCap; None in a pool worker, which reads its pool's, see
+    _hold_cap).  When pruning, the chunk starts from the shared cap and
+    is scanned twice.  Pass A walks the tree, which cuts against the
+    live cap: each member walked takes the Kronecker test; a
+    non-Kronecker member then takes the shared cap if another chunk has
+    lowered it below the chunk's own, then the Graeffe lower bound gb
+    (which may stop early above the cap, see mahler_lower_bound and
+    house_lower_bound), and a member with gb above the cap is pruned.
     Every other member lowers the cap to its Graeffe upper bound
-    (mahler_upper_bound, house_upper_bound) plus 2*tol0 and is kept as
-    (free, gb); the tree's limits are recomputed only when the cap
-    falls.  Pass B encloses the kept members in scan order, with its
-    best upper bound starting at the final cap, and prunes and filters
-    as the single-pass scan does.  This leaves phase 2 the candidates a
-    full scan capped by enclosures alone would give it, in the same
-    order:
+    (mahler_upper_bound, house_upper_bound) plus 2*tol0, and the shared
+    cap with it, and is kept as (free, gb); the tree's limits are
+    recomputed only when the cap falls.  Pass B encloses the kept
+    members in scan order, with its best upper bound starting at the
+    final cap, and prunes and filters as the single-pass scan does.
+    This leaves phase 2 the candidates a full scan capped by enclosures
+    alone would give it, in the same order:
 
       * take m, the smallest hi of the tol0 enclosures of all
-        non-Kronecker members of the space, and a member x that set the
-        cap to ub(x) + 2*tol0: a member of the chunk, or of the parent's
-        seed (see _seed_cap) or an earlier chunk's pass A, any
-        non-Kronecker member of the space.
-        x's tol0 enclosure, made or not, contains x's value, which is
-        at most ub(x), and is at most tol0 wide (the second tol0
-        absorbs the float rounding of Enclosure.width and of the sum,
-        as in verify_decomposition_over_space), so every cap the chunk
-        ever holds is at least hi(x) >= m, and so is every best upper
-        bound pass B holds;
+        non-Kronecker members of the space.  The shared cap starts at
+        inf, so every cap the chunk holds is ub(x) + 2*tol0 for x a
+        non-Kronecker member of the space walked by some chunk.  x's
+        tol0 enclosure, made or not, contains x's value, which is at
+        most ub(x), and is at most tol0 wide (the second tol0 absorbs
+        the float rounding of Enclosure.width and of the sum, as in
+        verify_decomposition_over_space), so every cap the chunk ever
+        holds is at least hi(x) >= m, and so is every best upper bound
+        pass B holds;
       * a member y whose lower bound max(lo, gb) is at most m has value
         at most hi(y) <= m + tol0 <= hi(x) + tol0 <= ub(x) + 2*tol0,
         up to the float rounding of two widths and of the cap's sum,
@@ -426,21 +400,22 @@ def _scan_chunk(args) -> tuple[int, int, int, list, float]:
         candidates, with the same enclosures, in the same order.
 
     The same argument makes phase 2 independent of the chunk layout, of
-    the walk order within a chunk and of the cap a chunk starts from (the
-    seed, or the cap an earlier chunk's pass A ended at, whichever the
-    schedule gives it).  m, every member's tol0 enclosure
-    and its full gb do not depend on them, and every member whose lower
-    bound is at most m survives its chunk, whichever chunk holds it; the
-    other survivors are dropped by the first filter.  So the parent,
-    which sorts all candidates by free before that filter, gives phase 2
-    the members whose lower bound is at most m in lexicographic order,
-    as a scan of the space in that order would.
+    the walk order within a chunk and of when the other chunks lower
+    the shared cap.  m, every member's tol0 enclosure and its full gb
+    do not depend on them, and every member whose lower bound is at
+    most m survives its chunk, whichever chunk holds it; the other
+    survivors are dropped by the first filter.  So the parent, which
+    sorts all candidates by free before that filter, gives phase 2 the
+    members whose lower bound is at most m in lexicographic order, as a
+    scan of the space in that order would.
 
     Without pruning the cap is ignored, the tree cuts nothing and
     nothing is deferred: each member is enclosed as pass A reaches it,
     so retained memory is the survivors, not the chunk.
     """
-    (kind, degree, height, first, quantity, tol0, prune, max_bits, cap) = args
+    (kind, degree, height, first, quantity, tol0, prune, max_bits) = args
+    if shared is None:
+        shared = _pool_cap
     space = SearchSpace(kind, degree, height)
     if quantity == "mahler":
         lower_bound, upper_bound = mahler_lower_bound, mahler_upper_bound
@@ -448,8 +423,7 @@ def _scan_chunk(args) -> tuple[int, int, int, list, float]:
     else:
         lower_bound, upper_bound = house_lower_bound, house_upper_bound
         measure_fn = house
-    if not prune:
-        cap = math.inf
+    cap = shared.value if prune else math.inf
     tree = _PowerSumTree(space, quantity, first)
     tree.set_cap(cap)
     scanned = kron = 0
@@ -462,14 +436,21 @@ def _scan_chunk(args) -> tuple[int, int, int, list, float]:
             if is_kronecker(f):
                 kron += 1
                 continue
-            gb = lower_bound(f, above=cap if prune else None)
             if not prune:
-                yield free, gb
-            elif gb <= cap:
+                yield free, lower_bound(f)
+                continue
+            held = shared.value
+            if held < cap:
+                cap = held
+                tree.set_cap(cap)
+            gb = lower_bound(f, above=cap)
+            if gb <= cap:
                 ub = upper_bound(f) + 2 * tol0
                 if ub < cap:
                     cap = ub
                     tree.set_cap(cap)
+                    with shared.get_lock():
+                        shared.value = min(shared.value, cap)
                 yield free, gb
 
     kept = list(pass_a()) if prune else pass_a()
@@ -486,7 +467,7 @@ def _scan_chunk(args) -> tuple[int, int, int, list, float]:
             survivors.append(candidate)
     survivors = [c for c in survivors if _lower(c) <= best_hi]
     survivors.sort(key=_free)
-    return scanned, tree.cut, kron, survivors, cap
+    return scanned, tree.cut, kron, survivors
 
 
 def _free(candidate) -> tuple[int, ...]:
@@ -502,9 +483,17 @@ def _process_pool(workers: int) -> _PoolLease:
     replaced only for another worker count or after a failure.  Each
     task the search sends carries the search's id, and a worker opens
     fresh memos at the first task of each search (see _run_task and
-    roots.memo_scope), so no search reads another's work.
+    roots.memo_scope) and the pool's shared cap starts at inf, so no
+    search reads another's work.
     """
     return _PoolLease(workers, next(_search_ids))
+
+
+class _Pool(NamedTuple):
+    """Worker processes and the multiprocessing.Value('d') cap they share."""
+
+    executor: object
+    shared: object
 
 
 class _IdlePool:
@@ -514,83 +503,88 @@ class _IdlePool:
     it ends, so one pool serves one search at a time.  A search that
     finds no idle pool of its worker count shuts the idle one down and
     forks its own; of two pools given back (by searches run side by
-    side) only one is kept.  The kept pool is shut down at interpreter
-    exit, which joins its workers.
+    side) only one is kept.  concurrent.futures joins the kept pool's
+    workers at interpreter exit.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._executor = None
+        self._pool = None
         self._workers = 0
 
     def take(self, workers: int):
-        """(executor, reused): the idle pool if it has this size, else a new one."""
+        """(pool, reused): the idle pool if of this size, else a new one."""
         with self._lock:
-            executor, kept, self._executor = self._executor, self._workers, None
-        if executor is not None and kept == workers:
-            return executor, True
-        if executor is not None:
-            executor.shutdown()
+            pool, kept, self._pool = self._pool, self._workers, None
+        if pool is not None and kept == workers:
+            return pool, True
+        if pool is not None:
+            pool.executor.shutdown()
         return _fork_pool(workers), False
 
-    def give_back(self, executor, workers: int) -> None:
-        """Keep executor as the idle pool, unless one is kept already."""
+    def give_back(self, pool, workers: int) -> None:
+        """Keep pool as the idle pool, unless one is kept already."""
         with self._lock:
-            if self._executor is None:
-                self._executor, self._workers = executor, workers
+            if self._pool is None:
+                self._pool, self._workers = pool, workers
                 return
-        executor.shutdown()
+        pool.executor.shutdown()
 
     def shutdown(self) -> None:
         """Shut the idle pool down, joining its workers."""
         with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown()
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.executor.shutdown()
 
 
-def _fork_pool(workers: int):
-    """A new pool of worker processes.
+def _fork_pool(workers: int) -> _Pool:
+    """A new pool, whose workers take the cap from its initializer.
 
-    concurrent.futures.process loads multiprocessing, which commands
-    that never start a pool (every --jobs 1 run) should not pay for.
+    multiprocessing is imported here: commands that never start a pool
+    (every --jobs 1 run) should not pay for it.
     """
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=workers)
+    shared = multiprocessing.Value("d", math.inf)
+    executor = ProcessPoolExecutor(max_workers=workers, initializer=_hold_cap,
+                                   initargs=(shared,))
+    return _Pool(executor, shared)
 
 
 _idle_pool = _IdlePool()
-atexit.register(_idle_pool.shutdown)
 _search_ids = itertools.count(1)
 
 
 class _PoolLease:
     """One search's loan of the process pool: map tasks, then give it back.
 
-    Chunks and phase-2 batches are pure functions of their arguments,
-    so a map that finds a pool taken over from an earlier search broken
-    (a worker died between searches) is rerun once on a fresh pool.  A
-    search that raises shuts its pool down, so the next one starts
-    clean.
+    The lease starts the pool's shared cap at inf: a cap left by another
+    search could cut members unsoundly (see _scan_chunk).  Phase 2's
+    candidates do not depend on which chunks ran before, so a map that
+    finds a pool taken over from an earlier search broken (a worker
+    died between searches) is rerun once on a fresh pool.  A search
+    that raises shuts its pool down, so the next one starts clean.
     """
 
     def __init__(self, workers: int, search_id: int):
         self.workers = workers
         self.search_id = search_id
-        self._executor = None
+        self._pool = None
         self._reused = False
 
     def __enter__(self) -> _PoolLease:
-        self._executor, self._reused = _idle_pool.take(self.workers)
+        self._pool, self._reused = _idle_pool.take(self.workers)
+        self._pool.shared.value = math.inf
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        executor, self._executor = self._executor, None
+        pool, self._pool = self._pool, None
         if exc_type is None:
-            _idle_pool.give_back(executor, self.workers)
+            _idle_pool.give_back(pool, self.workers)
         else:
-            executor.shutdown(cancel_futures=True)
+            pool.executor.shutdown(cancel_futures=True)
         return False
 
     def map(self, fn, iterable, chunksize: int = 1) -> list:
@@ -600,14 +594,25 @@ class _PoolLease:
         task = functools.partial(_run_task, self.search_id, fn)
         items = list(iterable)
         try:
-            return list(self._executor.map(task, items, chunksize=chunksize))
+            return list(self._pool.executor.map(task, items,
+                                                chunksize=chunksize))
         except BrokenProcessPool:
             if not self._reused:
                 raise
         self._reused = False
-        self._executor.shutdown()
-        self._executor = _fork_pool(self.workers)
-        return list(self._executor.map(task, items, chunksize=chunksize))
+        self._pool.executor.shutdown()
+        self._pool = _fork_pool(self.workers)
+        return list(self._pool.executor.map(task, items, chunksize=chunksize))
+
+
+# The shared cap of the pool this worker process belongs to (see _hold_cap).
+_pool_cap = None
+
+
+def _hold_cap(shared) -> None:
+    """A pool worker's initializer: keep the pool's shared cap."""
+    global _pool_cap
+    _pool_cap = shared
 
 
 # The search whose memos this worker process holds (see _run_task).
@@ -723,27 +728,21 @@ def _min_search(
     workers = min(jobs, len(firsts))
     pool = _process_pool(workers) if workers > 1 else contextlib.nullcontext()
     with memo_scope(), pool:
-        cap = _seed_cap(space, quantity, tol0) if prune else math.inf
-
-        def chunk_args(first):
-            return (space.kind, space.degree, space.height, first, quantity,
-                    tol0, prune, max_bits, cap)
-
+        chunk_args = [(space.kind, space.degree, space.height, first, quantity,
+                       tol0, prune, max_bits) for first in firsts]
         if workers > 1:
-            chunk_results = list(pool.map(_scan_chunk, map(chunk_args, firsts)))
+            chunk_results = list(pool.map(_scan_chunk, chunk_args))
         else:
-            # in turn, each chunk from the pass-A cap the one before ended at
-            chunk_results = []
-            for first in firsts:
-                chunk_results.append(_scan_chunk(chunk_args(first)))
-                cap = chunk_results[-1][4]
+            # in turn, each chunk from the cap the one before ended at
+            shared = _LocalCap()
+            chunk_results = [_scan_chunk(args, shared) for args in chunk_args]
 
         enumerated = space.size
         assert sum(scanned + cut for scanned, cut, *_ in chunk_results) \
             == enumerated
-        kron = sum(k for _, _, k, _, _ in chunk_results)
+        kron = sum(k for _, _, k, _ in chunk_results)
         candidates = sorted(
-            (c for _, _, _, survivors, _ in chunk_results for c in survivors),
+            (c for _, _, _, survivors in chunk_results for c in survivors),
             key=_free)
         if not candidates:
             return SearchReport(space, quantity, tol, enumerated, kron, None,

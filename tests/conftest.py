@@ -16,6 +16,7 @@ longer uses.
 
 from __future__ import annotations
 
+import importlib
 import math
 import os
 import random
@@ -440,13 +441,16 @@ def rng() -> random.Random:
 def pool_sizes(monkeypatch) -> list[int]:
     """Run search pools in this process; the list gets each pool's max_workers.
 
-    No worker process starts, so a large --jobs can be tested safely.
+    No worker process starts, so a large --jobs can be tested safely.  Each
+    pool's chunks share a fresh cap, as a pool worker's do in one search.
     """
     sizes: list[int] = []
+    search = importlib.import_module("skewrec.search")
 
     class RecordingExecutor:
         def __init__(self, max_workers):
             sizes.append(max_workers)
+            monkeypatch.setattr(search, "_pool_cap", search._LocalCap())
 
         def __enter__(self):
             return self

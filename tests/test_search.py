@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import signal
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -27,10 +28,12 @@ from skewrec.measure import (
     _mahler_root_tol,
     house,
     house_lower_bound,
+    house_upper_bound,
     is_kronecker,
     kronecker_free_part,
     mahler,
     mahler_lower_bound,
+    mahler_upper_bound,
     measure,
     squarefree_decomposition,
 )
@@ -45,11 +48,11 @@ from skewrec.roots import DEFAULT_MAX_BITS, _ladders
 from skewrec.search import (
     SearchSpace,
     _chunk_firsts,
+    _LocalCap,
     _lower,
     _PowerSumTree,
     _run_task,
     _scan_chunk,
-    _seed_cap,
     _tie_key,
     enumerate_space,
     min_house,
@@ -73,11 +76,19 @@ def one_key_per_candidate(monkeypatch):
                         lambda quantity, f: f.coeffs)
 
 
+def chunk_args(space, first, quantity, prune, tol0=1e-6):
+    """_scan_chunk's arguments for the chunk c_(2d-1) = first."""
+    return (space.kind, space.degree, space.height, first, quantity, tol0,
+            prune, 4096)
+
+
 def scan_space(space, quantity, prune, tol0=1e-6):
-    """Phase 1 over every chunk of the space, seeded as a search seeds it."""
-    cap = _seed_cap(space, quantity, tol0) if prune else math.inf
-    return [_scan_chunk((space.kind, space.degree, space.height, first,
-                         quantity, tol0, prune, 4096, cap))
+    """Phase 1 over every chunk of the space, as a --jobs 1 search runs it.
+
+    The chunks run in turn and share one cap, which starts at inf.
+    """
+    shared = _LocalCap()
+    return [_scan_chunk(chunk_args(space, first, quantity, prune, tol0), shared)
             for first in _chunk_firsts(space)]
 
 
@@ -114,14 +125,17 @@ class TestSearchSpace:
     def test_orbit_chunks_partition_the_space(self, monkeypatch):
         chunks = []  # (chunk args, members walked, members cut)
 
-        def recording_scan(args):
-            kind, degree, height, first, quantity = args[:5]
+        def recording_scan(args, shared):
+            kind, degree, height, first, quantity, _, prune = args[:7]
+            if prune:
+                # as a pruning chunk would, lower the search's shared cap
+                shared.value = min(shared.value, 1.3)
             tree = _PowerSumTree(SearchSpace(kind, degree, height), quantity,
                                  first)
-            tree.set_cap(args[-1])
+            tree.set_cap(shared.value if prune else math.inf)
             chunk = list(tree.members())
             chunks.append((args, chunk, tree.cut))
-            return len(chunk), tree.cut, 0, [], args[-1]
+            return len(chunk), tree.cut, 0, []
 
         monkeypatch.setattr("skewrec.search._scan_chunk", recording_scan)
         for kind in ("reciprocal", "skew_reciprocal"):
@@ -283,13 +297,12 @@ class TestMinimumSearches:
     ])
     def test_one_worker_chains_the_pass_a_caps(self, monkeypatch, kind, degree,
                                                height, quantity):
-        # in both spaces chunk 0 ends below the seed
         starts, ends, walked = [], [], []
 
-        def recording_scan(args):
-            result = _scan_chunk(args)
-            starts.append(args[-1])
-            ends.append(result[4])
+        def recording_scan(args, shared):
+            starts.append(shared.value)
+            result = _scan_chunk(args, shared)
+            ends.append(shared.value)
             walked.append(result[0])
             return result
 
@@ -297,12 +310,16 @@ class TestMinimumSearches:
         search = min_mahler if quantity == "mahler" else min_house
         space = SearchSpace(kind, degree, height)
         report = search(space)
-        # each chunk starts where the one before ended; caps only fall
-        assert starts[0] == _seed_cap(space, quantity, 1e-6)
+        # the shared cap starts at inf and each chunk starts where the one
+        # before ended; caps only fall
+        assert starts[0] == math.inf
         assert starts[1:] == ends[:-1]
         assert all(end <= start for start, end in zip(starts, ends))
         assert ends[0] < starts[0]
-        unchained = [scanned for scanned, *_ in scan_space(space, quantity, True)]
+        # each chunk from a cap of its own walks more
+        unchained = [_scan_chunk(chunk_args(space, first, quantity, True),
+                                 _LocalCap())[0]
+                     for first in _chunk_firsts(space)]
         assert sum(walked) < sum(unchained)
         monkeypatch.undo()  # a pool pickles _scan_chunk by name
         assert report.to_json() == search(space, jobs=2).to_json()
@@ -320,7 +337,8 @@ class TestMinimumSearches:
 
         class RecordingExecutor:
             def __init__(self, max_workers):
-                pass
+                # the chunks run here, on a fresh shared cap
+                monkeypatch.setattr(search_module, "_pool_cap", _LocalCap())
 
             def __enter__(self):
                 return self
@@ -512,9 +530,10 @@ class TestMemoScope:
     def test_a_worker_starts_each_search_with_empty_memos(self, monkeypatch):
         # the worker entry point, run in this process as a worker runs it
         monkeypatch.setattr(search_module, "_worker_search", None)
+        monkeypatch.setattr(search_module, "_pool_cap", _LocalCap())
         space = SearchSpace("skew_reciprocal", 6, 1)
         chunk = (space.kind, space.degree, space.height, 0, "mahler", 1e-6,
-                 True, DEFAULT_MAX_BITS, math.inf)
+                 True, DEFAULT_MAX_BITS)
 
         def sizes(_):
             return len(_chains.entries), len(_ladders.entries)
@@ -552,6 +571,23 @@ FRESH_SEARCH = (
     "print(json.dumps(search(space, jobs=2).to_json()))"
 )
 
+# a --jobs 2 search over a space of 1953125 members in a fresh interpreter,
+# then its exit code and the peak RSS, in KiB, of the interpreter and of
+# its pool workers.  The interpreter's is VmHWM, which exec resets; Linux
+# keeps ru_maxrss across exec, so RUSAGE_SELF would report the test
+# process that forked it.  The workers are joined first, so that
+# RUSAGE_CHILDREN counts them.
+RSS_PROBE = (
+    "import re, resource; from pathlib import Path; "
+    "from skewrec.cli import main; import skewrec.search as search; "
+    "code = main(['search', '--kind', 'reciprocal', '--degree', '18', "
+    "'--height', '2', '--jobs', '2']); "
+    "search._idle_pool.shutdown(); "
+    "status = Path('/proc/self/status').read_text(); "
+    "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1), "
+    "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+)
+
 # a --jobs 2 search in a fresh interpreter, then its exit code and the
 # pids of the pool workers still alive after it
 EXIT_PROBE = (
@@ -573,10 +609,10 @@ def pool_events(monkeypatch):
     events = []
 
     class CountingExecutor(ProcessPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             events.append(("fork", max_workers))
             self.workers = max_workers
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
 
         def shutdown(self, wait=True, *, cancel_futures=False):
             events.append(("shutdown", self.workers))
@@ -627,6 +663,63 @@ class TestSharedPool:
         assert pool_events == [("fork", 2), ("shutdown", 2), ("fork", 2)]
         assert not {p.pid for p in killed} & worker_pids()
 
+    def test_each_search_starts_from_its_own_cap(self, pool_events):
+        min_mahler(SearchSpace("reciprocal", 8, 2), jobs=2)
+        # a cap below every non-Kronecker member's value, left in the kept
+        # pool as if by another search, would cut every such member
+        search_module._idle_pool._pool.shared.value = 1.0
+        space = SearchSpace("skew_reciprocal", 8, 2)
+        assert min_house(space, jobs=2).to_json() == min_house(space).to_json()
+        assert pool_events == [("fork", 2)]
+
+    @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
+    @pytest.mark.parametrize("search, upper_bound", [
+        (min_mahler, mahler_upper_bound), (min_house, house_upper_bound)])
+    def test_the_shared_cap_keeps_the_least_cap(self, pool_events, kind,
+                                                search, upper_bound):
+        # four chunks on four workers, more than two cores: every witness
+        # was kept by its chunk, which then held a cap of at most
+        # ub + 2*tol0 (tol0 = 1e-6) and lowered the shared cap to it, so
+        # a lost update could leave the shared cap above that; and by
+        # _scan_chunk's proof no cap is below the minimum
+        space = SearchSpace(kind, 10, 3)
+        report = search(space, jobs=4)
+        assert report.to_json() == search(space).to_json()
+        shared = search_module._idle_pool._pool.shared.value
+        assert report.minimum.lo <= shared
+        assert shared <= min(upper_bound(w) + 2e-6 for w in report.witnesses)
+
+    def test_searches_side_by_side_in_threads(self, monkeypatch, pool_events):
+        # the house search ends at a cap below the skew Mahler minimum,
+        # about 1.17 against 1.40, while the Mahler search is still running
+        runs = [(min_mahler, SearchSpace("skew_reciprocal", 14, 2), 2),
+                (min_house, SearchSpace("skew_reciprocal", 8, 2), 2),
+                (min_mahler, SearchSpace("reciprocal", 10, 2), 1)]
+        alone = [search(space, jobs=jobs).to_json()
+                 for search, space, jobs in runs]
+        # both pooled searches hold a pool before either maps anything
+        both_held = threading.Barrier(2, timeout=60)
+        take = search_module._idle_pool.take
+
+        def take_and_wait(workers):
+            pool = take(workers)
+            both_held.wait()
+            return pool
+
+        monkeypatch.setattr(search_module._idle_pool, "take", take_and_wait)
+        start = threading.Barrier(len(runs), timeout=60)
+
+        def run(search, space, jobs):
+            start.wait()
+            return search(space, jobs=jobs).to_json()
+
+        with concurrent.futures.ThreadPoolExecutor(len(runs)) as threads:
+            side_by_side = list(threads.map(lambda r: run(*r), runs))
+        assert side_by_side == alone
+        # the second pooled search forks a pool of its own, and only one
+        # pool is kept when both are given back
+        assert pool_events == [("fork", 2), ("fork", 2), ("shutdown", 2)]
+
     def test_an_interpreter_exits_clean_and_joins_its_workers(self):
         proc = run_in_checkout([sys.executable, "-c", EXIT_PROBE])
         assert proc.returncode == 0
@@ -637,6 +730,20 @@ class TestSharedPool:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_peak_memory_follows_the_survivors():
+    # aim 3: memory stays bounded up to the default budget; holding every
+    # member of the space at once would take over 100 MiB
+    proc = run_in_checkout([sys.executable, "-c", RSS_PROBE])
+    assert proc.returncode == 0, proc.stderr
+    code, parent_kib, workers_kib = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    # about 21 MiB each on CPython 3.11 with pure-Python mpmath
+    assert int(parent_kib) < 48 * 1024
+    assert int(workers_kib) < 48 * 1024
 
 
 @st.composite
@@ -779,9 +886,9 @@ class TestScanChunk:
                     full[free] = (free, measure_fn(f, tol0), gb)
             m = min(enc.hi for _, enc, _ in full.values())
             for prune in (True, False):
-                seeded = scan_space(space, quantity, prune, tol0)
-                for first, (scanned, cut, kron, survivors, _) in zip(
-                        _chunk_firsts(space), seeded):
+                chained = scan_space(space, quantity, prune, tol0)
+                for first, (scanned, cut, kron, survivors) in zip(
+                        _chunk_firsts(space), chained):
                     # the chunk: the members with c_7 = +-first
                     members = [free for free in space.free_vectors()
                                if abs(free[-1]) == -first]
@@ -792,18 +899,18 @@ class TestScanChunk:
                     assert kron == len(members) - len(chunk)
                     assert all(_lower(c) <= best_hi for c in survivors)
                     assert len(survivors) < len(chunk)
-                    # unseeded, the survivors are exactly the chunk's own
-                    # possible minimisers
-                    args = (kind, 8, height, first, quantity, tol0, prune,
-                            4096, math.inf)
-                    scanned, cut, kron, survivors, _ = _scan_chunk(args)
+                    # from a cap of its own, the survivors are exactly the
+                    # chunk's own possible minimisers
+                    args = chunk_args(space, first, quantity, prune, tol0)
+                    scanned, cut, kron, survivors = _scan_chunk(args,
+                                                                _LocalCap())
                     assert scanned + cut == len(members)
                     assert kron == len(members) - len(chunk)
                     assert [c[0] for c in survivors] == \
                         [c[0] for c in chunk if _lower(c) <= best_hi]
-                assert (sum(cut for _, cut, *_ in seeded) > 0) == prune
-                # seeded, the candidates phase 2 keeps are the space's
-                candidates = sorted((c for _, _, _, survivors, _ in seeded
+                assert (sum(cut for _, cut, *_ in chained) > 0) == prune
+                # chained, the candidates phase 2 keeps are the space's
+                candidates = sorted((c for _, _, _, survivors in chained
                                      for c in survivors), key=lambda c: c[0])
                 assert [c[0] for c in candidates if _lower(c) <= m] == \
                     [free for free in sorted(full) if _lower(full[free]) <= m]
@@ -824,16 +931,16 @@ class TestScanChunk:
         monkeypatch.setattr("skewrec.search.is_kronecker", recording_kronecker)
         monkeypatch.setattr(f"skewrec.search.{quantity}", recording_measure)
         space = SearchSpace("skew_reciprocal", 8, 2)
-        args = ("skew_reciprocal", 8, 2, 0, quantity, 1e-6)
-        scanned, cut, *_ = _scan_chunk(args + (False, 4096, math.inf))
+        scanned, cut, *_ = _scan_chunk(chunk_args(space, 0, quantity, False),
+                                       _LocalCap())
         assert (scanned, cut) == (125, 0)
         # without pruning, each member is enclosed as soon as it is scanned
         for i, (kind, f) in enumerate(events):
             if kind == "enclose":
                 assert events[i - 1] == ("scan", f)
         events.clear()
-        cap = _seed_cap(space, quantity, 1e-6)
-        scanned, cut, *_ = _scan_chunk(args + (True, 4096, cap))
+        scanned, cut, *_ = _scan_chunk(chunk_args(space, 0, quantity, True),
+                                       _LocalCap())
         kinds = [kind for kind, _ in events]
         first_enclosure = kinds.index("enclose")
         assert kinds[first_enclosure:] == ["enclose"] * (len(kinds) - first_enclosure)

@@ -48,8 +48,8 @@ def test_search_counters_add_up(capsys, monkeypatch):
     cuts = []
     scan = skewrec.search._scan_chunk
 
-    def recording_scan(args):
-        result = scan(args)
+    def recording_scan(args, shared):
+        result = scan(args, shared)
         cuts.append(result[1])
         return result
 
