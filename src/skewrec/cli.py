@@ -65,13 +65,17 @@ def _max_bits(flag: int | None) -> int:
 
 
 def _check_run_options(args: argparse.Namespace) -> None:
-    """Reject a tolerance that is not a positive finite number, and jobs < 1."""
+    """Reject a tolerance that is not positive and finite, and jobs or budget < 1.
+
+    A budget below 1 admits no space, so it is a usage error, as jobs < 1 is.
+    """
     tol = getattr(args, "tol", None)
     if tol is not None and not 0 < tol < math.inf:
         raise ParseError(f"--tol must be a positive finite number, got {tol!r}")
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs < 1:
-        raise ParseError(f"--jobs must be >= 1, got {jobs}")
+    for name in ("jobs", "budget"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ParseError(f"--{name} must be >= 1, got {value}")
 
 
 @functools.cache

@@ -570,10 +570,11 @@ def _lower_bound(chain: _Chain, reader, steps: int, slack: float,
 
     With above given, stops at the first step k in [2, steps) with
     b_k - slack / 2**steps > log2(above) + 1e-6 and reads b_k instead;
-    the two lower bounds above prove that sound.  A b_s of -inf (f a
-    pure power of t) gives 0.
+    the two lower bounds above prove that sound.  No b_k exceeds an
+    above of inf, so then only b_s is read.  A b_s of -inf (f a pure
+    power of t) gives 0.
     """
-    if above is not None:
+    if above is not None and above < math.inf:
         stop = math.log2(above) + slack / (1 << steps) + 1e-6
         for k in range(2, steps):
             log2_bound = chain.read(reader, k)

@@ -60,9 +60,8 @@ One rule holds for every memo of per-input work in the package, this
 one and the Graeffe chains of measure.py alike: it is a _ScopedMemo,
 and it keeps entries only inside memo_scope(), which opens and closes
 all of them together.  A search and a decomposition survey each run in
-one scope, and a search pool worker, which serves every search of its
-process, opens fresh memos at the first task of each search; outside a
-scope nothing is kept, so no operation reads another's work.  Only
+one scope, and so does each task a search sends to a pool worker; outside
+a scope nothing is kept, so no operation reads another's work.  Only
 tables that depend on small integers alone (the start angles here,
 cyclotomic polynomials) live as long as the process.
 """
@@ -426,23 +425,13 @@ def memo_scope():
     if _ladders.entries is not None:
         yield
         return
-    _open_memo()
+    for memo in _memos:
+        memo.entries = {}
     try:
         yield
     finally:
         for memo in _memos:
             memo.entries = None
-
-
-def _open_memo() -> None:
-    """Open fresh, empty memos, dropping whatever they held.
-
-    memo_scope() runs it when its outermost scope opens, and a search
-    pool worker at the first task of each search (see
-    search._run_task), whose memos stay open until the next search.
-    """
-    for memo in _memos:
-        memo.entries = {}
 
 
 def _certified_disks(

@@ -42,19 +42,21 @@ any worker count:
     stays open for it, and reads the enclosures back in candidate order
     (a candidate past the precision cap keeps its previous enclosure and
     marks the report exhausted), so the round's outcome does not depend
-    on the worker count.  A round goes to the pool as one contiguous
-    batch of ceil(n / workers) candidates per worker: a round trip per
-    batch, not per candidate.  With one worker everything runs
+    on the worker count.  A round goes to the pool as one task per
+    worker, a contiguous batch of ceil(n / workers) candidates: a round
+    trip per batch, not per candidate.  With one worker everything runs
     in-process.  One pool serves every search of a process (see
-    _process_pool).  The search runs in one memo scope, and each pool
-    worker opens fresh memos at its first task of the search (see
-    roots.memo_scope); outside a scope no memo keeps anything, so one
-    search never reads another's Graeffe chains or ladders.  So a
-    round resumes each part's root-certification ladder where its
-    phase-1 enclosure or the round before left it (in a pool, when the
-    same worker ran that one), instead of rerunning the Aberth
-    iteration and the exact certificate from the start; a resumed
-    ladder returns the bits a fresh one would.
+    _PoolLease).  The search runs in one memo scope, and each task it
+    sends to a pool worker runs in a scope of its own (see _run_task
+    and roots.memo_scope); outside a scope no memo keeps anything, so
+    no search or task reads another's Graeffe chains or ladders.  So
+    a certification resumes a part's root-certification ladder where
+    an earlier one in the same scope left it, instead of rerunning the
+    Aberth iteration and the exact certificate from the start.  With
+    one worker a round resumes the ladders of phase 1 and of the round
+    before; in a pool the candidates of one batch share the ladders of
+    the parts they have in common.  A resumed ladder returns the bits a
+    fresh one would.
 
 Both quantities have cheap certified lower and upper bounds read from
 exact Graeffe iterates (mahler_lower_bound, house_lower_bound,
@@ -74,7 +76,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import itertools
 import math
 import operator
@@ -95,7 +96,7 @@ from .measure import (
     mahler_upper_bound,
 )
 from .poly import BREUSCH_BOUND, IntPoly, negate_variable, reverse
-from .roots import DEFAULT_MAX_BITS, _open_memo, memo_scope
+from .roots import DEFAULT_MAX_BITS, _memos, memo_scope
 from .structure import NonreciprocalWitness, decompose_skew_reciprocal
 
 __all__ = [
@@ -358,7 +359,7 @@ def _scan_chunk(args, shared=None) -> tuple[int, int, int, list]:
 
     shared is the search's cap, which all its chunks read and lower (a
     _LocalCap; None in a pool worker, which reads its pool's, see
-    _hold_cap).  When pruning, the chunk starts from the shared cap and
+    _start_worker).  When pruning, the chunk starts from the shared cap and
     is scanned twice.  Pass A walks the tree, which cuts against the
     live cap: each member walked takes the Kronecker test; a
     non-Kronecker member then takes the shared cap if another chunk has
@@ -475,20 +476,6 @@ def _free(candidate) -> tuple[int, ...]:
     return candidate[0]
 
 
-def _process_pool(workers: int) -> _PoolLease:
-    """The process's worker pool at this worker count, lent to one search.
-
-    One pool serves every search of the process (see _IdlePool): it is
-    forked at the first search that needs workers and kept, and it is
-    replaced only for another worker count or after a failure.  Each
-    task the search sends carries the search's id, and a worker opens
-    fresh memos at the first task of each search (see _run_task and
-    roots.memo_scope) and the pool's shared cap starts at inf, so no
-    search reads another's work.
-    """
-    return _PoolLease(workers, next(_search_ids))
-
-
 class _Pool(NamedTuple):
     """Worker processes and the multiprocessing.Value('d') cap they share."""
 
@@ -548,29 +535,32 @@ def _fork_pool(workers: int) -> _Pool:
     from concurrent.futures import ProcessPoolExecutor
 
     shared = multiprocessing.Value("d", math.inf)
-    executor = ProcessPoolExecutor(max_workers=workers, initializer=_hold_cap,
+    executor = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                                    initargs=(shared,))
     return _Pool(executor, shared)
 
 
 _idle_pool = _IdlePool()
-_search_ids = itertools.count(1)
 
 
 class _PoolLease:
     """One search's loan of the process pool: map tasks, then give it back.
 
-    The lease starts the pool's shared cap at inf: a cap left by another
-    search could cut members unsoundly (see _scan_chunk).  Phase 2's
-    candidates do not depend on which chunks ran before, so a map that
-    finds a pool taken over from an earlier search broken (a worker
-    died between searches) is rerun once on a fresh pool.  A search
-    that raises shuts its pool down, so the next one starts clean.
+    One pool serves every search of the process (see _IdlePool): it is
+    forked at the first search that needs workers and kept, and it is
+    replaced only for another worker count or after a failure.  Each
+    task runs in a memo scope of its own (see _run_task), and the lease
+    starts the pool's shared cap at inf: a cap left by another search
+    could cut members unsoundly (see _scan_chunk).  So no search reads
+    another's work.  Phase 2's candidates do not depend on which chunks
+    ran before, so a map that finds a pool taken over from an earlier
+    search broken (a worker died between searches) is rerun once on a
+    fresh pool.  A search that raises shuts its pool down, so the next
+    one starts clean.
     """
 
-    def __init__(self, workers: int, search_id: int):
+    def __init__(self, workers: int):
         self.workers = workers
-        self.search_id = search_id
         self._pool = None
         self._reused = False
 
@@ -587,61 +577,67 @@ class _PoolLease:
             pool.executor.shutdown(cancel_futures=True)
         return False
 
-    def map(self, fn, iterable, chunksize: int = 1) -> list:
-        """[fn(x) for x in iterable], computed on the pool in this search."""
+    def map(self, fn, iterable) -> list:
+        """[fn(x) for x in iterable], one task per x, computed on the pool."""
         from concurrent.futures.process import BrokenProcessPool
 
-        task = functools.partial(_run_task, self.search_id, fn)
         items = list(iterable)
+        fns = itertools.repeat(fn)
         try:
-            return list(self._pool.executor.map(task, items,
-                                                chunksize=chunksize))
+            return list(self._pool.executor.map(_run_task, fns, items))
         except BrokenProcessPool:
             if not self._reused:
                 raise
         self._reused = False
         self._pool.executor.shutdown()
         self._pool = _fork_pool(self.workers)
-        return list(self._pool.executor.map(task, items, chunksize=chunksize))
+        return list(self._pool.executor.map(_run_task, fns, items))
 
 
-# The shared cap of the pool this worker process belongs to (see _hold_cap).
+# The shared cap of the pool this worker process belongs to (see _start_worker).
 _pool_cap = None
 
 
-def _hold_cap(shared) -> None:
-    """A pool worker's initializer: keep the pool's shared cap."""
+def _start_worker(shared) -> None:
+    """A pool worker's initializer: keep the pool's shared cap, close memos.
+
+    A worker forked inside a search's memo scope starts with copies of
+    its open memos; it closes them, so that each task opens a scope of
+    its own (see _run_task) instead of joining the copied one for good.
+    """
     global _pool_cap
     _pool_cap = shared
+    for memo in _memos:
+        memo.entries = None
 
 
-# The search whose memos this worker process holds (see _run_task).
-_worker_search: Optional[int] = None
+def _run_task(fn, args):
+    """A pool worker's entry point: fn(args) in a memo scope of its own.
 
-
-def _run_task(search_id: int, fn, args):
-    """A pool worker's entry point: fn(args) for the search search_id.
-
-    The first task of a new search opens empty memos (see
-    roots._open_memo), so a worker's Graeffe chains and root ladders
-    serve one search only, and phase 2 resumes the ladders that phase
-    1 left in the same worker.
+    A worker's memos are closed between tasks (see _start_worker), so
+    its Graeffe chains and root ladders serve one task only and are
+    dropped when it ends (see roots.memo_scope).
     """
-    global _worker_search
-    if search_id != _worker_search:
-        _open_memo()
-        _worker_search = search_id
-    return fn(args)
+    with memo_scope():
+        return fn(args)
 
 
-def _enclose(args) -> Optional[Enclosure]:
-    """Phase 2 for one candidate: its enclosure, or None past max_bits."""
-    quantity, f, tol, max_bits = args
+def _enclose(args) -> list[Optional[Enclosure]]:
+    """Phase 2 for one batch: each candidate's enclosure, or None past max_bits.
+
+    The batch is one task, so in a pool its candidates share one memo
+    scope, and candidates with a squarefree part in common share its
+    ladder.
+    """
+    quantity, members, tol, max_bits = args
     measure_fn = mahler if quantity == "mahler" else house
-    try:
-        return measure_fn(f, tol, max_bits)
-    except PrecisionExhausted:
-        return None
+    encs = []
+    for f in members:
+        try:
+            encs.append(measure_fn(f, tol, max_bits))
+        except PrecisionExhausted:
+            encs.append(None)
+    return encs
 
 
 def _tie_key(quantity: str, f: IntPoly) -> tuple:
@@ -726,7 +722,7 @@ def _min_search(
     tol0 = max(tol, 1e-6)
     firsts = _chunk_firsts(space)
     workers = min(jobs, len(firsts))
-    pool = _process_pool(workers) if workers > 1 else contextlib.nullcontext()
+    pool = _PoolLease(workers) if workers > 1 else contextlib.nullcontext()
     with memo_scope(), pool:
         chunk_args = [(space.kind, space.degree, space.height, first, quantity,
                        tol0, prune, max_bits) for first in firsts]
@@ -756,14 +752,15 @@ def _min_search(
         cur_tol = tol
         keys = {}
         while True:
-            args = [(quantity, space.member(free), cur_tol, max_bits)
-                    for free, _, _ in active]
+            # one batch per worker: a round trip per batch, not per candidate
+            members = [space.member(free) for free, _, _ in active]
+            size = -(-len(members) // workers)
+            batches = [(quantity, members[i:i + size], cur_tol, max_bits)
+                       for i in range(0, len(members), size)]
             if workers > 1:
-                # one batch per worker: a round trip per batch, not per candidate
-                batch = -(-len(args) // workers)
-                encs = pool.map(_enclose, args, chunksize=batch)
+                encs = itertools.chain.from_iterable(pool.map(_enclose, batches))
             else:
-                encs = map(_enclose, args)
+                encs = _enclose(batches[0])
             refined = []
             for (free, enc, gb), new in zip(active, encs):
                 if new is None:

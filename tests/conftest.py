@@ -458,10 +458,10 @@ def pool_sizes(monkeypatch) -> list[int]:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
+        def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr("skewrec.search._process_pool", RecordingExecutor)
+    monkeypatch.setattr("skewrec.search._PoolLease", RecordingExecutor)
     return sizes
 
 

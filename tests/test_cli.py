@@ -298,7 +298,7 @@ class TestEnvironment:
 
 
 class TestRunOptions:
-    """--tol must be a positive finite number and --jobs at least 1."""
+    """--tol must be a positive finite number, --jobs and --budget at least 1."""
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf"])
     def test_measure_bad_tol_rejected_before_work(self, capsys, monkeypatch,
@@ -337,6 +337,19 @@ class TestRunOptions:
         )
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["search", "--kind", "reciprocal", "--degree", "4", "--height", "1"],
+        ["table", "--max-i", "1", "--heights", "1"],
+        ["verify", "--degree", "4", "--height", "1"],
+    ])
+    def test_budget_below_one_rejected(self, capsys, argv, budget):
+        # a budget below 1 admits no space: a usage error, not exit 4
+        code, out, err = run_cli([*argv, f"--budget={budget}"], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ParseError" and "--budget" in error["message"]
 
 
 def console_script_command():

@@ -581,6 +581,17 @@ class TestHouseLowerBoundEarlyStop:
             assert house_lower_bound(f, above=0.5) == 0.0
 
 
+@pytest.mark.parametrize("lower_bound", [mahler_lower_bound, house_lower_bound])
+def test_an_infinite_above_reads_only_the_last_step(lower_bound):
+    # no step's bound exceeds inf, so the early stop has nothing to prove
+    for f in [LEHMER_POLY, *_non_kronecker_members("skew_reciprocal", 8, 1)]:
+        with memo_scope():
+            bound = lower_bound(f, above=math.inf)
+            steps = {k for _, k in _chain(f).reads}
+        assert steps == {_bound_steps(f.degree)}
+        assert bound == lower_bound(f)
+
+
 class TestBoundDepth:
     """The search bounds read step _bound_steps(n), which keeps them sharp."""
 

@@ -14,6 +14,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -48,6 +49,7 @@ from skewrec.roots import DEFAULT_MAX_BITS, _ladders
 from skewrec.search import (
     SearchSpace,
     _chunk_firsts,
+    _enclose,
     _LocalCap,
     _lower,
     _PowerSumTree,
@@ -63,7 +65,6 @@ from skewrec.search import (
 from skewrec.structure import NonreciprocalWitness, decompose_skew_reciprocal
 
 search_module = importlib.import_module("skewrec.search")
-roots_module = importlib.import_module("skewrec.roots")
 
 PHI = (1 + math.sqrt(5)) / 2
 LEHMER = IntPoly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
@@ -333,7 +334,7 @@ class TestMinimumSearches:
 
     def test_phase_two_runs_on_the_phase_one_pool(self, monkeypatch):
         mapped = []
-        batches = []  # (candidates, chunksize) of each phase-2 round
+        batches = []  # the batch sizes of each phase-2 round
 
         class RecordingExecutor:
             def __init__(self, max_workers):
@@ -347,21 +348,21 @@ class TestMinimumSearches:
                 mapped.append("closed")
                 return False
 
-            def map(self, fn, iterable, chunksize=1):
+            def map(self, fn, iterable):
                 mapped.append(fn.__name__)
                 items = list(iterable)
                 if fn.__name__ == "_enclose":
-                    batches.append((len(items), chunksize))
+                    batches.append([len(members) for _, members, _, _ in items])
                 return map(fn, items)
 
-        monkeypatch.setattr("skewrec.search._process_pool",
-                            RecordingExecutor)
+        monkeypatch.setattr("skewrec.search._PoolLease", RecordingExecutor)
         space = SearchSpace("skew_reciprocal", 8, 2)
         report = min_mahler(space, jobs=2)
         rounds = report.precision_escalations + 1
         assert mapped == ["_scan_chunk"] + ["_enclose"] * rounds + ["closed"]
         # each round goes out as one contiguous batch per worker (2 here)
-        assert batches and all(size == -(-n // 2) for n, size in batches)
+        assert batches and all(len(sizes) <= 2 and sizes[0] == -(-sum(sizes) // 2)
+                               for sizes in batches)
         assert report.to_json() == min_mahler(space).to_json()
 
     def test_pooled_phase_two_matches_serial(self, monkeypatch):
@@ -527,25 +528,30 @@ class TestMemoScope:
         assert report.precision_escalations == 3
         assert sum(hits) > 0
 
-    def test_a_worker_starts_each_search_with_empty_memos(self, monkeypatch):
-        # the worker entry point, run in this process as a worker runs it
-        monkeypatch.setattr(search_module, "_worker_search", None)
+    def test_a_worker_task_runs_in_a_memo_scope_of_its_own(self, monkeypatch):
+        # the worker entry point, run in this process as a worker runs it:
+        # outside any scope, so only the task's own scope keeps anything
         monkeypatch.setattr(search_module, "_pool_cap", _LocalCap())
         space = SearchSpace("skew_reciprocal", 6, 1)
         chunk = (space.kind, space.degree, space.height, 0, "mahler", 1e-6,
                  True, DEFAULT_MAX_BITS)
+        assert _chains.entries is None and _ladders.entries is None
+        hits = _chains.hits
+        _run_task(_scan_chunk, chunk)
+        assert _chains.hits > hits  # each partner's chain is a memo hit
+        assert _chains.entries is None and _ladders.entries is None
 
-        def sizes(_):
-            return len(_chains.entries), len(_ladders.entries)
-
-        try:
-            _run_task(1, _scan_chunk, chunk)
-            chains, ladders = _run_task(1, sizes, None)
-            assert chains > 0 and ladders > 0  # kept within the search
-            assert _run_task(2, sizes, None) == (0, 0)
-        finally:
-            for memo in roots_module._memos:
-                memo.entries = None
+    def test_a_phase_two_batch_shares_one_memo_scope(self):
+        # both candidates have the squarefree part t^2 - 3t + 1, whose
+        # ladder the second one reads back within the batch's task
+        part = IntPoly([1, -3, 1])
+        batch = ("mahler", [part * IntPoly([-1, 1]), part * IntPoly([1, 1])],
+                 1e-10, DEFAULT_MAX_BITS)
+        hits = _ladders.hits
+        first, second = _run_task(_enclose, batch)
+        assert _ladders.hits > hits
+        assert _chains.entries is None and _ladders.entries is None
+        assert first == second == mahler(part, 1e-10)
 
     def test_pooled_searches_match_fresh_processes(self):
         runs = [("reciprocal", 8, 2, "mahler"), ("skew_reciprocal", 8, 2, "house")]
@@ -598,6 +604,19 @@ EXIT_PROBE = (
 )
 
 
+def memo_probe(folder: str) -> tuple[int, tuple]:
+    """A pool task: (its worker's pid, the entries of its two memos).
+
+    It waits, up to 30 s, until a second worker has run one too.
+    """
+    pid = os.getpid()
+    Path(folder, str(pid)).touch()
+    deadline = time.monotonic() + 30
+    while len(os.listdir(folder)) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return pid, (_chains.entries, _ladders.entries)
+
+
 def worker_pids() -> set[int]:
     return {p.pid for p in multiprocessing.active_children()}
 
@@ -629,14 +648,23 @@ class TestSharedPool:
 
     def test_one_pool_serves_a_table(self, monkeypatch, pool_events):
         leases = []
-        original = search_module._process_pool
-        monkeypatch.setattr(search_module, "_process_pool",
+        original = search_module._PoolLease
+        monkeypatch.setattr(search_module, "_PoolLease",
                             lambda workers: leases.append(workers)
                             or original(workers))
         table = sequence_table(2, [1, 1], jobs=2)
         assert leases == [2] * 8  # two rows of four searches
         assert pool_events == [("fork", 2)]
         assert table.to_json() == sequence_table(2, [1, 1]).to_json()
+
+    def test_kept_workers_hold_no_memos(self, pool_events, tmp_path):
+        min_mahler(SearchSpace("skew_reciprocal", 8, 2), jobs=2)
+        executor = search_module._idle_pool._pool.executor
+        # each probe waits for the other, so each worker runs one
+        probes = executor.map(memo_probe, [str(tmp_path)] * 2)
+        states = dict(probes)
+        assert len(states) == 2
+        assert list(states.values()) == [(None, None)] * 2
 
     def test_another_worker_count_replaces_the_pool(self, pool_events):
         space = SearchSpace("reciprocal", 4, 2)  # 3 chunks
