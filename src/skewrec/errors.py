@@ -6,11 +6,19 @@ default enumeration budget lives beside BudgetExceeded, so the CLI can
 offer it without loading the search layer.
 """
 
+import copyreg
+
 DEFAULT_BUDGET = 5_000_000
 
 
 class SkewrecError(Exception):
     """Base class for all package-specific errors."""
+
+    def __reduce__(self):
+        # Rebuilt from the formatted args and the attributes, without
+        # __init__, whose arguments differ: so an error raised in a pool
+        # worker reaches the caller as itself.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class PolynomialError(SkewrecError, ValueError):

@@ -131,6 +131,7 @@ class _ExactDisk:
 def _unit_angles(n: int, prec: int) -> tuple:
     """(cos theta_k, sin theta_k) of the n start angles, at precision prec.
 
+    Doubles at 53 bits, which hold each 53-bit mpf exactly; mpf above.
     Bounded: a long run meets few distinct (degree, precision) pairs, but
     nothing limits them.
     """
@@ -141,7 +142,9 @@ def _unit_angles(n: int, prec: int) -> tuple:
         for k in range(n):
             theta = (2 * mp.pi * k + mp.mpf("0.7")) / n
             out.append((mp.cos(theta), mp.sin(theta)))
-        return tuple(out)
+    if prec == _DOUBLE_BITS:
+        return tuple((float(c), float(s)) for c, s in out)
+    return tuple(out)
 
 
 def _start_radii(coeffs, n: int) -> list:
@@ -162,32 +165,21 @@ def _start_radii(coeffs, n: int) -> list:
     return [bound * (1.0 + 0.041 * (k % 3) + 0.0127 * (k % 5)) for k in range(n)]
 
 
-def _initial_points(coeffs, n: int):
-    """Deterministic starting configuration at mp's working precision.
+def _initial_points(coeffs, n: int, prec: int) -> list:
+    """Deterministic starting configuration at precision prec.
 
-    The angles depend only on n and the working precision, so they are
-    cached.
+    Python complex numbers at 53 bits, mpc above.  A 53-bit mpf product
+    of a double radius and a 53-bit cosine rounds to nearest, ties to
+    even, as the IEEE product of the two doubles does, so the complex
+    points are the 53-bit mpc ones, bit for bit.  The angles depend only
+    on n and prec, so they are cached.
     """
     import mpmath as mp
 
-    return [mp.mpc(r * cos_k, r * sin_k) for r, (cos_k, sin_k)
-            in zip(_start_radii(coeffs, n), _unit_angles(n, mp.mp.prec))]
-
-
-@functools.lru_cache(maxsize=256)
-def _double_angles(n: int) -> tuple:
-    """_unit_angles(n, 53) as doubles, which hold each 53-bit mpf exactly."""
-    return tuple((float(c), float(s)) for c, s in _unit_angles(n, _DOUBLE_BITS))
-
-
-def _double_initial_points(coeffs, n: int) -> list:
-    """_initial_points at 53 bits as Python complex numbers, bit for bit.
-
-    A 53-bit mpf product of a double radius and a 53-bit cosine rounds to
-    nearest, ties to even, as the IEEE product of the two doubles does.
-    """
-    return [complex(r * cos_k, r * sin_k) for r, (cos_k, sin_k)
-            in zip(_start_radii(coeffs, n), _double_angles(n))]
+    num = complex if prec == _DOUBLE_BITS else mp.mpc
+    with mp.workprec(prec):
+        return [num(r * cos_k, r * sin_k) for r, (cos_k, sin_k)
+                in zip(_start_radii(coeffs, n), _unit_angles(n, prec))]
 
 
 def _aberth(coeffs, prec: int, warm):
@@ -196,8 +188,7 @@ def _aberth(coeffs, prec: int, warm):
     At prec 53 it iterates Python complex numbers over float
     coefficients, otherwise mpc over mpf coefficients under
     mp.workprec(prec); the update rule and its arithmetic are the same.
-    Starts from warm, or from _initial_points (_double_initial_points at
-    53 bits) when warm is None.
+    Starts from warm, or from _initial_points when warm is None.
     Returns the approximations, or None when a coefficient does not fit
     the number type or a value stops being finite.
     """
@@ -213,10 +204,8 @@ def _aberth(coeffs, prec: int, warm):
             return None
         if warm is not None:
             zs = [num(z) for z in warm]
-        elif prec == _DOUBLE_BITS:
-            zs = _double_initial_points(coeffs, n)
         else:
-            zs = [num(z) for z in _initial_points(coeffs, n)]
+            zs = _initial_points(coeffs, n, prec)
         eps2 = real(2) ** (2 * (10 - prec))
         nudge = real(2) ** -(prec // 2)
         zero = num(0)

@@ -38,18 +38,19 @@ any worker count:
     precision_exhausted (had a later round passed max_bits) can
     differ.  The keys are computed in the parent, once per candidate,
     and only when a round leaves more than one candidate.
-    Each round maps its candidates over the phase-1 worker pool, which
-    stays open for it, and reads the enclosures back in candidate order
-    (a candidate past the precision cap keeps its previous enclosure and
-    marks the report exhausted), so the round's outcome does not depend
-    on the worker count.  A round goes to the pool as one task per
-    worker, a contiguous batch of ceil(n / workers) candidates: a round
-    trip per batch, not per candidate.  With one worker everything runs
-    in-process.  One pool serves every search of a process (see
-    _PoolLease).  The search runs in one memo scope, and each task it
-    sends to a pool worker runs in a scope of its own (see _run_task
-    and roots.memo_scope); outside a scope no memo keeps anything, so
-    no search or task reads another's Graeffe chains or ladders.  So
+    Each round maps its candidates over the runner that ran phase 1
+    and reads the enclosures back in candidate order (a candidate past
+    the precision cap keeps its previous enclosure and marks the report
+    exhausted), so the round's outcome does not depend on the worker
+    count.  A round is one task per worker, a contiguous batch of
+    ceil(n / workers) candidates: a round trip per batch, not per
+    candidate.  Both phases take one path for every worker count: a
+    _Runner calls each task in this process with one worker, and sends
+    it to the process's one pool with more.  The search runs in one
+    memo scope, and each task the runner sends to a pool worker runs in
+    a scope of its own (see _run_task and roots.memo_scope); outside a
+    scope no memo keeps anything, so no search or task reads another's
+    Graeffe chains or ladders.  So
     a certification resumes a part's root-certification ladder where
     an earlier one in the same scope left it, instead of rerunning the
     Aberth iteration and the exact certificate from the start.  With
@@ -81,7 +82,7 @@ import math
 import operator
 import threading
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .enclosure import Enclosure, float_above, log_of_fraction
 from .errors import DEFAULT_BUDGET, BudgetExceeded, PolynomialError, PrecisionExhausted
@@ -346,7 +347,7 @@ class _LocalCap:
         return contextlib.nullcontext()
 
 
-def _scan_chunk(args, shared=None) -> tuple[int, int, int, list]:
+def _scan_chunk(args, shared) -> tuple[int, int, int, list]:
     """Phase 1 over one chunk: (scanned, cut, kronecker, survivors).
 
     The chunk is the _PowerSumTree with c_(2d-1) = first: scanned
@@ -357,9 +358,8 @@ def _scan_chunk(args, shared=None) -> tuple[int, int, int, list]:
     whose lower bound is at most the chunk's final best upper bound,
     and survivors are returned sorted by free.
 
-    shared is the search's cap, which all its chunks read and lower (a
-    _LocalCap; None in a pool worker, which reads its pool's, see
-    _start_worker).  When pruning, the chunk starts from the shared cap and
+    shared is the search's cap, which all its chunks read and lower (see
+    _Runner).  When pruning, the chunk starts from the shared cap and
     is scanned twice.  Pass A walks the tree, which cuts against the
     live cap: each member walked takes the Kronecker test; a
     non-Kronecker member then takes the shared cap if another chunk has
@@ -415,8 +415,6 @@ def _scan_chunk(args, shared=None) -> tuple[int, int, int, list]:
     so retained memory is the survivors, not the chunk.
     """
     (kind, degree, height, first, quantity, tol0, prune, max_bits) = args
-    if shared is None:
-        shared = _pool_cap
     space = SearchSpace(kind, degree, height)
     if quantity == "mahler":
         lower_bound, upper_bound = mahler_lower_bound, mahler_upper_bound
@@ -476,57 +474,8 @@ def _free(candidate) -> tuple[int, ...]:
     return candidate[0]
 
 
-class _Pool(NamedTuple):
-    """Worker processes and the multiprocessing.Value('d') cap they share."""
-
-    executor: object
-    shared: object
-
-
-class _IdlePool:
-    """The process's search pool while no search holds it.
-
-    A search takes the pool out (see _PoolLease) and gives it back when
-    it ends, so one pool serves one search at a time.  A search that
-    finds no idle pool of its worker count shuts the idle one down and
-    forks its own; of two pools given back (by searches run side by
-    side) only one is kept.  concurrent.futures joins the kept pool's
-    workers at interpreter exit.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._pool = None
-        self._workers = 0
-
-    def take(self, workers: int):
-        """(pool, reused): the idle pool if of this size, else a new one."""
-        with self._lock:
-            pool, kept, self._pool = self._pool, self._workers, None
-        if pool is not None and kept == workers:
-            return pool, True
-        if pool is not None:
-            pool.executor.shutdown()
-        return _fork_pool(workers), False
-
-    def give_back(self, pool, workers: int) -> None:
-        """Keep pool as the idle pool, unless one is kept already."""
-        with self._lock:
-            if self._pool is None:
-                self._pool, self._workers = pool, workers
-                return
-        pool.executor.shutdown()
-
-    def shutdown(self) -> None:
-        """Shut the idle pool down, joining its workers."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.executor.shutdown()
-
-
-def _fork_pool(workers: int) -> _Pool:
-    """A new pool, whose workers take the cap from its initializer.
+def _fork_pool(workers: int) -> tuple:
+    """(executor, cap): a new pool, whose workers take the cap from its initializer.
 
     multiprocessing is imported here: commands that never start a pool
     (every --jobs 1 run) should not pay for it.
@@ -534,64 +483,95 @@ def _fork_pool(workers: int) -> _Pool:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    shared = multiprocessing.Value("d", math.inf)
+    cap = multiprocessing.Value("d", math.inf)
     executor = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                                   initargs=(shared,))
-    return _Pool(executor, shared)
+                                   initargs=(cap,))
+    return executor, cap
 
 
-_idle_pool = _IdlePool()
+# The pool kept between searches, (executor, cap, workers), or None while
+# no pool is kept or a search holds it; guarded by _kept_lock.
+_kept_lock = threading.Lock()
+_kept = None
 
 
-class _PoolLease:
-    """One search's loan of the process pool: map tasks, then give it back.
+class _Runner:
+    """One search's tasks: map(fn, items) is [fn(x, cap) for x in items].
 
-    One pool serves every search of the process (see _IdlePool): it is
-    forked at the first search that needs workers and kept, and it is
-    replaced only for another worker count or after a failure.  Each
-    task runs in a memo scope of its own (see _run_task), and the lease
-    starts the pool's shared cap at inf: a cap left by another search
-    could cut members unsoundly (see _scan_chunk).  So no search reads
-    another's work.  Phase 2's candidates do not depend on which chunks
-    ran before, so a map that finds a pool taken over from an earlier
-    search broken (a worker died between searches) is rerun once on a
-    fresh pool.  A search that raises shuts its pool down, so the next
-    one starts clean.
+    The runner holds the search's cap, which all its chunks read and
+    lower (see _scan_chunk) and which starts at inf for every search: a
+    cap left by another search could cut members unsoundly.  With one
+    worker, map calls fn here, in the search's memo scope, on a
+    _LocalCap, so each chunk starts from the cap the one before ended
+    at.  With more, each x is a task of its own on the process pool,
+    which runs fn in a memo scope of its own (see _run_task) on the
+    pool's multiprocessing.Value.  So no search or task reads another's
+    work.
+
+    One pool serves every search of the process: it is forked at the
+    first search that needs workers and kept, and it is replaced only
+    for another worker count or after a failure.  A search takes the
+    kept pool out and gives it back when it ends; a search that finds
+    none kept while another holds it (searches run side by side in
+    threads) forks its own, and of two pools given back only one is
+    kept.  Phase 2's candidates do not depend on which chunks ran
+    before, so a map that finds a kept pool broken (a worker died
+    between searches) is rerun once on a fresh pool.  A search that
+    raises shuts its pool down, so the next one starts clean.
+    concurrent.futures joins the kept pool's workers at interpreter exit.
     """
 
     def __init__(self, workers: int):
         self.workers = workers
-        self._pool = None
+        self._executor = None
         self._reused = False
 
-    def __enter__(self) -> _PoolLease:
-        self._pool, self._reused = _idle_pool.take(self.workers)
-        self._pool.shared.value = math.inf
+    def __enter__(self) -> _Runner:
+        global _kept
+        self._cap = _LocalCap()
+        if self.workers == 1:
+            return self
+        with _kept_lock:
+            kept, _kept = _kept, None
+        if kept is not None and kept[2] == self.workers:
+            self._executor, self._cap, _ = kept
+            self._reused = True
+        else:
+            if kept is not None:
+                kept[0].shutdown()
+            self._executor, self._cap = _fork_pool(self.workers)
+        self._cap.value = math.inf
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        pool, self._pool = self._pool, None
-        if exc_type is None:
-            _idle_pool.give_back(pool, self.workers)
-        else:
-            pool.executor.shutdown(cancel_futures=True)
+        global _kept
+        if self._executor is None:
+            return False
+        with _kept_lock:
+            keep = exc_type is None and _kept is None
+            if keep:
+                _kept = self._executor, self._cap, self.workers
+        if not keep:
+            self._executor.shutdown(cancel_futures=exc_type is not None)
         return False
 
-    def map(self, fn, iterable) -> list:
-        """[fn(x) for x in iterable], one task per x, computed on the pool."""
+    def map(self, fn, items) -> list:
+        """[fn(x, cap) for x in items], in this process or one task per x."""
+        if self._executor is None:
+            return [fn(x, self._cap) for x in items]
         from concurrent.futures.process import BrokenProcessPool
 
-        items = list(iterable)
+        items = list(items)
         fns = itertools.repeat(fn)
         try:
-            return list(self._pool.executor.map(_run_task, fns, items))
+            return list(self._executor.map(_run_task, fns, items))
         except BrokenProcessPool:
             if not self._reused:
                 raise
         self._reused = False
-        self._pool.executor.shutdown()
-        self._pool = _fork_pool(self.workers)
-        return list(self._pool.executor.map(_run_task, fns, items))
+        self._executor.shutdown()
+        self._executor, self._cap = _fork_pool(self.workers)
+        return list(self._executor.map(_run_task, fns, items))
 
 
 # The shared cap of the pool this worker process belongs to (see _start_worker).
@@ -612,22 +592,23 @@ def _start_worker(shared) -> None:
 
 
 def _run_task(fn, args):
-    """A pool worker's entry point: fn(args) in a memo scope of its own.
+    """A pool worker's entry point: fn(args, cap) in a memo scope of its own.
 
-    A worker's memos are closed between tasks (see _start_worker), so
-    its Graeffe chains and root ladders serve one task only and are
-    dropped when it ends (see roots.memo_scope).
+    cap is the pool's shared cap.  A worker's memos are closed between
+    tasks (see _start_worker), so its Graeffe chains and root ladders
+    serve one task only and are dropped when it ends (see
+    roots.memo_scope).
     """
     with memo_scope():
-        return fn(args)
+        return fn(args, _pool_cap)
 
 
-def _enclose(args) -> list[Optional[Enclosure]]:
+def _enclose(args, cap) -> list[Optional[Enclosure]]:
     """Phase 2 for one batch: each candidate's enclosure, or None past max_bits.
 
-    The batch is one task, so in a pool its candidates share one memo
-    scope, and candidates with a squarefree part in common share its
-    ladder.
+    cap is unused: every task takes one (see _Runner).  The batch is one
+    task, so in a pool its candidates share one memo scope, and
+    candidates with a squarefree part in common share its ladder.
     """
     quantity, members, tol, max_bits = args
     measure_fn = mahler if quantity == "mahler" else house
@@ -722,16 +703,10 @@ def _min_search(
     tol0 = max(tol, 1e-6)
     firsts = _chunk_firsts(space)
     workers = min(jobs, len(firsts))
-    pool = _PoolLease(workers) if workers > 1 else contextlib.nullcontext()
-    with memo_scope(), pool:
-        chunk_args = [(space.kind, space.degree, space.height, first, quantity,
-                       tol0, prune, max_bits) for first in firsts]
-        if workers > 1:
-            chunk_results = list(pool.map(_scan_chunk, chunk_args))
-        else:
-            # in turn, each chunk from the cap the one before ended at
-            shared = _LocalCap()
-            chunk_results = [_scan_chunk(args, shared) for args in chunk_args]
+    with memo_scope(), _Runner(workers) as run:
+        chunk_results = run.map(_scan_chunk, [
+            (space.kind, space.degree, space.height, first, quantity, tol0,
+             prune, max_bits) for first in firsts])
 
         enumerated = space.size
         assert sum(scanned + cut for scanned, cut, *_ in chunk_results) \
@@ -757,10 +732,7 @@ def _min_search(
             size = -(-len(members) // workers)
             batches = [(quantity, members[i:i + size], cur_tol, max_bits)
                        for i in range(0, len(members), size)]
-            if workers > 1:
-                encs = itertools.chain.from_iterable(pool.map(_enclose, batches))
-            else:
-                encs = _enclose(batches[0])
+            encs = itertools.chain.from_iterable(run.map(_enclose, batches))
             refined = []
             for (free, enc, gb), new in zip(active, encs):
                 if new is None:

@@ -439,29 +439,38 @@ def rng() -> random.Random:
 
 @pytest.fixture
 def pool_sizes(monkeypatch) -> list[int]:
-    """Run search pools in this process; the list gets each pool's max_workers.
+    """Run search pools in this process; the list gets each pooled search's workers.
 
-    No worker process starts, so a large --jobs can be tested safely.  Each
-    pool's chunks share a fresh cap, as a pool worker's do in one search.
+    No worker process starts, so a large --jobs can be tested safely.  The
+    fake pools are kept and replaced as real ones are, from an empty slot,
+    and each pool's tasks share a fresh cap, as a pool worker's do; the
+    pool kept before the test is kept again after it.
     """
     sizes: list[int] = []
     search = importlib.import_module("skewrec.search")
 
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            monkeypatch.setattr(search, "_pool_cap", search._LocalCap())
+    class InProcessExecutor:
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
-        def __enter__(self):
-            return self
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
 
-        def __exit__(self, *exc):
-            return False
+    def fork_pool(workers):
+        cap = search._LocalCap()
+        monkeypatch.setattr(search, "_pool_cap", cap)
+        return InProcessExecutor(), cap
 
-        def map(self, fn, iterable):
-            return map(fn, iterable)
+    enter = search._Runner.__enter__
 
-    monkeypatch.setattr("skewrec.search._PoolLease", RecordingExecutor)
+    def recording_enter(runner):
+        if runner.workers > 1:
+            sizes.append(runner.workers)
+        return enter(runner)
+
+    monkeypatch.setattr(search, "_kept", None)
+    monkeypatch.setattr(search, "_fork_pool", fork_pool)
+    monkeypatch.setattr(search._Runner, "__enter__", recording_enter)
     return sizes
 
 

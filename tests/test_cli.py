@@ -14,6 +14,7 @@ from skewrec.cli import _build_parser, main
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 # the layers skewrec.cli loads only for the commands that run them
 LAZY_LAYERS = {"skewrec.search", "skewrec.structure", "skewrec.symplectic"}
+PROCESS_POOL = {"multiprocessing", "concurrent.futures.process"}
 
 
 def run_cli(args, capsys):
@@ -475,8 +476,7 @@ class TestImportHygiene:
         proc = run_in_checkout([
             sys.executable,
             "-c",
-            "import sys, skewrec.cli; print(sorted({'multiprocessing', "
-            "'concurrent.futures.process'} & set(sys.modules)))",
+            f"import sys, skewrec.cli; print(sorted({PROCESS_POOL!r} & set(sys.modules)))",
         ])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -494,10 +494,19 @@ class TestImportHygiene:
         (["classify", "[1,1,1]"], LAZY_LAYERS),
         (["measure", "t^10+t^9-t^7-t^6-t^5-t^4-t^3+t+1"], LAZY_LAYERS),
         (["companion", "[1,-3,1]"], {"skewrec.search"}),
-    ], ids=["classify", "measure", "companion"])
+        (["search", "--kind", "skew_reciprocal", "--degree", "6", "--height",
+          "1", "--jobs", "1"], PROCESS_POOL),
+        (["table", "--max-i", "2", "--heights", "1,1", "--jobs", "1"],
+         PROCESS_POOL),
+        (["search", "--kind", "reciprocal", "--degree", "8", "--height", "0",
+          "--jobs", "4"], PROCESS_POOL),
+    ], ids=["classify", "measure", "companion", "search-jobs-1",
+            "table-jobs-1", "search-one-chunk-jobs-4"])
     def test_one_shot_commands_leave_their_unused_layers_unloaded(self, argv, layers):
         # only search, table and verify load search; only decompose (and
-        # search) loads structure; only companion loads symplectic
+        # search) loads structure; only companion loads symplectic; a
+        # search on one worker (--jobs 1, or a space of one chunk) runs
+        # in-process and imports no process pool
         proc = run_in_checkout([
             sys.executable,
             "-c",

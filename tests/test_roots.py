@@ -31,7 +31,6 @@ from skewrec.roots import (
     _aberth,
     _certified_disks,
     _certify,
-    _double_initial_points,
     _eval_scaled,
     _ExactDisk,
     _GUARD_BITS,
@@ -445,9 +444,11 @@ class TestInitialPoints:
             coeffs.append(rng.choice((1, 2, -3)))
             with mp.workprec(prec):
                 for _ in range(2):  # the second call reads the cache
-                    got = _initial_points(coeffs, n)
+                    got = _initial_points(coeffs, n, prec)
                     want = _direct_initial_points(coeffs, n)
-                    assert [(z.real._mpf_, z.imag._mpf_) for z in got] == \
+                    # exact: a double is a 53-bit mpf
+                    assert [(mp.mpf(z.real)._mpf_, mp.mpf(z.imag)._mpf_)
+                            for z in got] == \
                         [(z.real._mpf_, z.imag._mpf_) for z in want]
 
     def test_double_points_are_the_53_bit_points(self, rng):
@@ -459,7 +460,7 @@ class TestInitialPoints:
             with mp.workprec(53):
                 want = [complex(z) for z in _direct_initial_points(coeffs, n)]
             for _ in range(2):  # the second call reads the cache
-                got = _double_initial_points(coeffs, n)
+                got = _initial_points(coeffs, n, 53)
                 assert all(type(z) is complex for z in got)
                 assert [(z.real.hex(), z.imag.hex()) for z in got] == \
                     [(z.real.hex(), z.imag.hex()) for z in want]

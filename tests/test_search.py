@@ -8,6 +8,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -21,7 +22,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_house, brute_mahler, run_in_checkout
-from skewrec.errors import BudgetExceeded, PolynomialError
+from skewrec.errors import (
+    BudgetExceeded,
+    DecompositionFalsified,
+    PolynomialError,
+    PrecisionExhausted,
+)
 from skewrec.measure import (
     _chains,
     _disk_data,
@@ -332,34 +338,31 @@ class TestMinimumSearches:
         assert min_house(space, jobs=2).to_json() == min_house(space).to_json()
         assert pool_sizes == [3, 2]
 
-    def test_phase_two_runs_on_the_phase_one_pool(self, monkeypatch):
+    def test_phase_two_runs_on_the_phase_one_pool(self, monkeypatch,
+                                                  pool_sizes):
         mapped = []
         batches = []  # the batch sizes of each phase-2 round
+        runner = search_module._Runner
+        run_map, run_exit = runner.map, runner.__exit__
 
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                # the chunks run here, on a fresh shared cap
-                monkeypatch.setattr(search_module, "_pool_cap", _LocalCap())
+        def recording_map(run, fn, items):
+            mapped.append(fn.__name__)
+            items = list(items)
+            if fn.__name__ == "_enclose":
+                batches.append([len(members) for _, members, _, _ in items])
+            return run_map(run, fn, items)
 
-            def __enter__(self):
-                return self
+        def recording_exit(run, *exc):
+            mapped.append("closed")
+            return run_exit(run, *exc)
 
-            def __exit__(self, *exc):
-                mapped.append("closed")
-                return False
-
-            def map(self, fn, iterable):
-                mapped.append(fn.__name__)
-                items = list(iterable)
-                if fn.__name__ == "_enclose":
-                    batches.append([len(members) for _, members, _, _ in items])
-                return map(fn, items)
-
-        monkeypatch.setattr("skewrec.search._PoolLease", RecordingExecutor)
+        monkeypatch.setattr(runner, "map", recording_map)
+        monkeypatch.setattr(runner, "__exit__", recording_exit)
         space = SearchSpace("skew_reciprocal", 8, 2)
         report = min_mahler(space, jobs=2)
         rounds = report.precision_escalations + 1
         assert mapped == ["_scan_chunk"] + ["_enclose"] * rounds + ["closed"]
+        assert pool_sizes == [2]  # one pooled search, on one pool
         # each round goes out as one contiguous batch per worker (2 here)
         assert batches and all(len(sizes) <= 2 and sizes[0] == -(-sum(sizes) // 2)
                                for sizes in batches)
@@ -516,9 +519,9 @@ class TestMemoScope:
         original = module._enclose
         hits = []
 
-        def recording(args):
+        def recording(args, cap):
             before = _ladders.hits
-            enc = original(args)
+            enc = original(args, cap)
             hits.append(_ladders.hits - before)
             return enc
 
@@ -588,7 +591,7 @@ RSS_PROBE = (
     "from skewrec.cli import main; import skewrec.search as search; "
     "code = main(['search', '--kind', 'reciprocal', '--degree', '18', "
     "'--height', '2', '--jobs', '2']); "
-    "search._idle_pool.shutdown(); "
+    "search._kept[0].shutdown(); "
     "status = Path('/proc/self/status').read_text(); "
     "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1), "
     "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
@@ -621,10 +624,18 @@ def worker_pids() -> set[int]:
     return {p.pid for p in multiprocessing.active_children()}
 
 
+def drop_kept_pool() -> None:
+    """Shut the search pool kept between searches down, if there is one."""
+    kept, search_module._kept = search_module._kept, None
+    if kept is not None:
+        executor, _, _ = kept
+        executor.shutdown()
+
+
 @pytest.fixture
 def pool_events(monkeypatch):
     """Start with no pool kept; the list gets ("fork" | "shutdown", workers)."""
-    search_module._idle_pool.shutdown()
+    drop_kept_pool()
     events = []
 
     class CountingExecutor(ProcessPoolExecutor):
@@ -640,26 +651,26 @@ def pool_events(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         CountingExecutor)
     yield events
-    search_module._idle_pool.shutdown()
+    drop_kept_pool()
 
 
 class TestSharedPool:
     """One worker pool serves every search of a process."""
 
     def test_one_pool_serves_a_table(self, monkeypatch, pool_events):
-        leases = []
-        original = search_module._PoolLease
-        monkeypatch.setattr(search_module, "_PoolLease",
-                            lambda workers: leases.append(workers)
+        runs = []
+        original = search_module._Runner
+        monkeypatch.setattr(search_module, "_Runner",
+                            lambda workers: runs.append(workers)
                             or original(workers))
         table = sequence_table(2, [1, 1], jobs=2)
-        assert leases == [2] * 8  # two rows of four searches
+        assert runs == [2] * 8  # two rows of four searches
         assert pool_events == [("fork", 2)]
         assert table.to_json() == sequence_table(2, [1, 1]).to_json()
 
     def test_kept_workers_hold_no_memos(self, pool_events, tmp_path):
         min_mahler(SearchSpace("skew_reciprocal", 8, 2), jobs=2)
-        executor = search_module._idle_pool._pool.executor
+        executor, _, _ = search_module._kept
         # each probe waits for the other, so each worker runs one
         probes = executor.map(memo_probe, [str(tmp_path)] * 2)
         states = dict(probes)
@@ -695,7 +706,8 @@ class TestSharedPool:
         min_mahler(SearchSpace("reciprocal", 8, 2), jobs=2)
         # a cap below every non-Kronecker member's value, left in the kept
         # pool as if by another search, would cut every such member
-        search_module._idle_pool._pool.shared.value = 1.0
+        _, cap, _ = search_module._kept
+        cap.value = 1.0
         space = SearchSpace("skew_reciprocal", 8, 2)
         assert min_house(space, jobs=2).to_json() == min_house(space).to_json()
         assert pool_events == [("fork", 2)]
@@ -713,7 +725,8 @@ class TestSharedPool:
         space = SearchSpace(kind, 10, 3)
         report = search(space, jobs=4)
         assert report.to_json() == search(space).to_json()
-        shared = search_module._idle_pool._pool.shared.value
+        _, cap, _ = search_module._kept
+        shared = cap.value
         assert report.minimum.lo <= shared
         assert shared <= min(upper_bound(w) + 2e-6 for w in report.witnesses)
 
@@ -727,14 +740,15 @@ class TestSharedPool:
                  for search, space, jobs in runs]
         # both pooled searches hold a pool before either maps anything
         both_held = threading.Barrier(2, timeout=60)
-        take = search_module._idle_pool.take
+        enter = search_module._Runner.__enter__
 
-        def take_and_wait(workers):
-            pool = take(workers)
-            both_held.wait()
-            return pool
+        def enter_and_wait(runner):
+            run = enter(runner)
+            if runner.workers > 1:
+                both_held.wait()
+            return run
 
-        monkeypatch.setattr(search_module._idle_pool, "take", take_and_wait)
+        monkeypatch.setattr(search_module._Runner, "__enter__", enter_and_wait)
         start = threading.Barrier(len(runs), timeout=60)
 
         def run(search, space, jobs):
@@ -747,6 +761,20 @@ class TestSharedPool:
         # the second pooled search forks a pool of its own, and only one
         # pool is kept when both are given back
         assert pool_events == [("fork", 2), ("fork", 2), ("shutdown", 2)]
+
+    def test_a_worker_error_reaches_the_caller_as_itself(self, pool_events):
+        space = SearchSpace("skew_reciprocal", 8, 2)
+        with pytest.raises(PrecisionExhausted) as raised:
+            min_mahler(space, jobs=2, max_bits=32)
+        assert raised.value.max_bits == 32
+        with pytest.raises(PrecisionExhausted) as serial:
+            min_mahler(space, max_bits=32)
+        assert str(raised.value) == str(serial.value)
+        # the failed search shut its pool down; the next one forks afresh
+        assert pool_events == [("fork", 2), ("shutdown", 2)]
+        assert search_module._kept is None
+        assert min_mahler(space, jobs=2).to_json() == min_mahler(space).to_json()
+        assert pool_events == [("fork", 2), ("shutdown", 2), ("fork", 2)]
 
     def test_an_interpreter_exits_clean_and_joins_its_workers(self):
         proc = run_in_checkout([sys.executable, "-c", EXIT_PROBE])
@@ -772,6 +800,20 @@ def test_peak_memory_follows_the_survivors():
     # about 21 MiB each on CPython 3.11 with pure-Python mpmath
     assert int(parent_kib) < 48 * 1024
     assert int(workers_kib) < 48 * 1024
+
+
+@pytest.mark.parametrize("error, attrs", [
+    (PrecisionExhausted("root certification", 32), {"max_bits": 32}),
+    (BudgetExceeded("search", 625, 10), {"required": 625, "budget": 10}),
+    (DecompositionFalsified("witness is reciprocal", (1, 0, 1)),
+     {"coefficients": (1, 0, 1)}),
+], ids=["PrecisionExhausted", "BudgetExceeded", "DecompositionFalsified"])
+def test_errors_survive_a_pickle_round_trip(error, attrs):
+    # a pool sends a worker's error back to the caller pickled
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error) and copy.args == error.args
+    assert vars(copy) == vars(error) == attrs
 
 
 @st.composite
