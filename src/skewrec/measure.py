@@ -25,12 +25,13 @@ Roots of a Salem-type factor still sit on the circle; the disk product
 remains a sound enclosure for them because max(1, .) is applied to the
 whole modulus interval of each disk component.
 
-The Graeffe chains that is_kronecker and the search bounds walk are
-memoized under the package's one rule for per-input work (see
-roots.memo_scope): they are kept only inside a memo scope, which a
-search or a decomposition survey opens, so no operation reads another's
-work.  measure(), mahler() and house() walk no chain at all: they read
-the Kronecker decision from the exact cyclotomic stripping.
+The Graeffe chains that is_kronecker and the search bounds walk, and
+the squarefree parts the enclosures read (_free_parts), are memoized
+under the package's one rule for per-input work (see roots.memo_scope):
+they are kept only inside a memo scope, which a search or a
+decomposition survey opens, so no operation reads another's work.
+measure(), mahler() and house() walk no chain at all: they read the
+Kronecker decision from the exact cyclotomic stripping.
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ __all__ = [
 # early stop), read back-to-back and never again, so this holds dozens
 # of such pairs, and memory stays bounded for any input.
 _CHAIN_MEMO_SIZE = 64
+
+# Members whose squarefree parts the parts memo keeps in a scope: a
+# search chunk's enclosed members, read again by its survivors'
+# enclosures at the search tolerance and their tie keys.
+_PARTS_MEMO_SIZE = 256
 
 
 def _bound_steps(n: int) -> int:
@@ -307,14 +313,25 @@ def kronecker_free_part(f: IntPoly) -> tuple[IntPoly, int, int]:
     return u, stripped, k
 
 
-def _free_parts(f: IntPoly) -> tuple[list[tuple[IntPoly, int]], int]:
+# coefficients -> _free_parts of that monic polynomial
+_parts = _ScopedMemo(_PARTS_MEMO_SIZE)
+
+
+def _free_parts(f: IntPoly) -> tuple[tuple[tuple[IntPoly, int], ...], int]:
     """The squarefree parts of monic f's cyclotomic-free part, and its stripped degree.
 
     kronecker_free_part, then squarefree_decomposition of what is left.
     No parts means f is Kronecker: t**k times a product of cyclotomics.
+    Inside a memo scope the result is kept per coefficients, so a search
+    factors each member once for its enclosures at every tolerance and
+    its tie key; the parts are a tuple, shared with the memo.
     """
-    u, stripped, _ = kronecker_free_part(f)
-    return squarefree_decomposition(u), stripped
+
+    def make():
+        u, stripped, _ = kronecker_free_part(f)
+        return tuple(squarefree_decomposition(u)), stripped
+
+    return _parts.get(f.coeffs, make)
 
 
 # -- certified enclosures --------------------------------------------------

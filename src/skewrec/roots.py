@@ -57,9 +57,9 @@ Algorithms 23, 2000).  Rung i is a pure function of (coefficients, p0,
 i), so a resumed ladder returns every bit a fresh one would.
 
 One rule holds for every memo of per-input work in the package, this
-one and the Graeffe chains of measure.py alike: it is a _ScopedMemo,
-and it keeps entries only inside memo_scope(), which opens and closes
-all of them together.  A search and a decomposition survey each run in
+one and the Graeffe chains and squarefree parts of measure.py alike:
+it is a _ScopedMemo, and it keeps entries only inside memo_scope(),
+which opens and closes all of them together.  A search and a decomposition survey each run in
 one scope, and so does each task a search sends to a pool worker; outside
 a scope nothing is kept, so no operation reads another's work.  Only
 tables that depend on small integers alone (the start angles here,

@@ -36,28 +36,34 @@ any worker count:
     witnesses are the ones every round would give; only the
     enclosures, still at most tol wide, precision_escalations, and
     precision_exhausted (had a later round passed max_bits) can
-    differ.  The keys are computed in the parent, once per candidate,
-    and only when a round leaves more than one candidate.
-    Each round maps its candidates over the runner that ran phase 1
-    and reads the enclosures back in candidate order (a candidate past
-    the precision cap keeps its previous enclosure and marks the report
-    exhausted), so the round's outcome does not depend on the worker
-    count.  A round is one task per worker, a contiguous batch of
-    ceil(n / workers) candidates: a round trip per batch, not per
-    candidate.  Both phases take one path for every worker count: a
-    _Runner calls each task in this process with one worker, and sends
-    it to the process's one pool with more.  The search runs in one
-    memo scope, and each task the runner sends to a pool worker runs in
-    a scope of its own (see _run_task and roots.memo_scope); outside a
-    scope no memo keeps anything, so no search or task reads another's
-    Graeffe chains or ladders.  So
-    a certification resumes a part's root-certification ladder where
-    an earlier one in the same scope left it, instead of rerunning the
-    Aberth iteration and the exact certificate from the start.  With
-    one worker a round resumes the ladders of phase 1 and of the round
-    before; in a pool the candidates of one batch share the ladders of
-    the parts they have in common.  A resumed ladder returns the bits a
-    fresh one would.
+    differ.
+    Each round refines every candidate's enclosure once and reads the
+    new enclosures in candidate order (a candidate past the precision
+    cap keeps its previous enclosure and marks the report exhausted),
+    so the round's outcome does not depend on the worker count.  The
+    first round, at tol, is computed in phase 1: each chunk encloses
+    its survivors at tol and computes their tie keys before it returns
+    (see _scan_chunk), so the parent computes no key and makes no round
+    trip for it.  Both are pure functions of the member, the values a
+    round of the parent's own would compute.  Each escalation round
+    maps its candidates over the runner that ran phase 1, one task per
+    worker, a contiguous batch of ceil(n / workers) candidates: a round
+    trip per batch, not per candidate.  Both phases take one path for
+    every worker count: a _Runner calls each task in this process with
+    one worker, and sends it to the process's one pool with more.  The
+    search runs in one memo scope, and each task the runner sends to a
+    pool worker runs in a scope of its own (see _run_task and
+    roots.memo_scope); outside a scope no memo keeps anything, so no
+    search or task reads another's Graeffe chains, squarefree parts or
+    ladders.  So a certification resumes a part's root-certification
+    ladder where an earlier one in the same scope left it, instead of
+    rerunning the Aberth iteration and the exact certificate from the
+    start, and a member is factored once per scope.  The first round
+    resumes the ladders its chunk's tol0 enclosures left, with any
+    worker count.  With one worker an escalation round resumes the
+    ladders of the rounds before; in a pool the candidates of one batch
+    share the ladders of the parts they have in common.  A resumed
+    ladder returns the bits a fresh one would.
 
 Both quantities have cheap certified lower and upper bounds read from
 exact Graeffe iterates (mahler_lower_bound, house_lower_bound,
@@ -75,6 +81,7 @@ those cut.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import dataclasses
 import itertools
@@ -330,9 +337,8 @@ def _chunk_firsts(space: SearchSpace) -> range:
 
 
 def _lower(candidate) -> float:
-    """Certified lower bound of a (free, Enclosure, Graeffe bound) triple."""
-    _, enc, gb = candidate
-    return max(enc.lo, gb)
+    """Certified lower bound of a candidate (free, Enclosure, Graeffe bound, ...)."""
+    return max(candidate[1].lo, candidate[2])
 
 
 class _LocalCap:
@@ -354,9 +360,15 @@ def _scan_chunk(args, shared) -> tuple[int, int, int, list]:
     counts the members it walks, cut those it cuts.  Each leaf is
     followed directly by its partner, whose Kronecker test and Graeffe
     bounds are then hits on the chain memo the two share (see
-    is_kronecker).  Each survivor is a (free, Enclosure, gb) triple
-    whose lower bound is at most the chunk's final best upper bound,
-    and survivors are returned sorted by free.
+    is_kronecker).  Each survivor is a (free, Enclosure, gb, new, key)
+    tuple whose lower bound max(lo, gb) is at most the chunk's final
+    best upper bound and, when pruning, at most the shared cap as the
+    chunk ends; survivors are returned sorted by free.  Enclosure is
+    the member's tol0 enclosure; new and key are phase 2's first round
+    for it: its enclosure at the search's tol (None past max_bits, see
+    _enclose) and its _tie_key.  They are computed here, in the chunk's
+    memo scope, so they resume the ladders and read the squarefree
+    parts of the tol0 enclosures.
 
     shared is the search's cap, which all its chunks read and lower (see
     _Runner).  When pruning, the chunk starts from the shared cap and
@@ -395,6 +407,10 @@ def _scan_chunk(args, shared) -> tuple[int, int, int, list]:
         filter, with the full gb (the early stop changes gb only for
         members it prunes); every member cut, pruned or filtered out
         has a lower bound above m;
+      * the shared cap as the chunk ends is inf or some chunk's cap,
+        so it is at least m too, and a member above it has a lower
+        bound above m: dropping it here, before its first round is
+        computed, drops only members phase 2's first filter would drop;
       * phase 2's first filter keeps exactly the candidates whose
         lower bound is at most the smallest candidate hi, which is m
         (the member attaining it is a candidate), so it keeps the same
@@ -414,7 +430,7 @@ def _scan_chunk(args, shared) -> tuple[int, int, int, list]:
     nothing is deferred: each member is enclosed as pass A reaches it,
     so retained memory is the survivors, not the chunk.
     """
-    (kind, degree, height, first, quantity, tol0, prune, max_bits) = args
+    (kind, degree, height, first, quantity, tol0, tol, prune, max_bits) = args
     space = SearchSpace(kind, degree, height)
     if quantity == "mahler":
         lower_bound, upper_bound = mahler_lower_bound, mahler_upper_bound
@@ -464,13 +480,19 @@ def _scan_chunk(args, shared) -> tuple[int, int, int, list]:
         candidate = (free, enc, gb)
         if _lower(candidate) <= best_hi:
             survivors.append(candidate)
+    if prune:
+        best_hi = min(best_hi, shared.value)
     survivors = [c for c in survivors if _lower(c) <= best_hi]
     survivors.sort(key=_free)
-    return scanned, tree.cut, kron, survivors
+    members = [space.member(free) for free, _, _ in survivors]
+    news = _enclose((quantity, members, tol, max_bits), shared)
+    return scanned, tree.cut, kron, [
+        (free, enc, gb, new, _tie_key(quantity, f))
+        for (free, enc, gb), f, new in zip(survivors, members, news)]
 
 
 def _free(candidate) -> tuple[int, ...]:
-    """The free vector of a (free, Enclosure, gb) triple, its sort key."""
+    """The free vector of a candidate (free, Enclosure, gb, ...), its sort key."""
     return candidate[0]
 
 
@@ -493,6 +515,18 @@ def _fork_pool(workers: int) -> tuple:
 # no pool is kept or a search holds it; guarded by _kept_lock.
 _kept_lock = threading.Lock()
 _kept = None
+
+
+@atexit.register
+def _drop_kept() -> None:
+    """At exit, let the kept pool go while the modules it needs are intact.
+
+    concurrent.futures has joined the pool's workers before atexit runs.
+    A pool first collected in module teardown would run its collection
+    callback on cleared module globals, which prints an ignored error.
+    """
+    global _kept
+    _kept = None
 
 
 class _Runner:
@@ -518,7 +552,8 @@ class _Runner:
     before, so a map that finds a kept pool broken (a worker died
     between searches) is rerun once on a fresh pool.  A search that
     raises shuts its pool down, so the next one starts clean.
-    concurrent.futures joins the kept pool's workers at interpreter exit.
+    concurrent.futures joins the kept pool's workers at interpreter exit,
+    and _drop_kept lets the pool go after that.
     """
 
     def __init__(self, workers: int):
@@ -604,11 +639,14 @@ def _run_task(fn, args):
 
 
 def _enclose(args, cap) -> list[Optional[Enclosure]]:
-    """Phase 2 for one batch: each candidate's enclosure, or None past max_bits.
+    """One phase-2 round over a batch: each enclosure, or None past max_bits.
 
-    cap is unused: every task takes one (see _Runner).  The batch is one
-    task, so in a pool its candidates share one memo scope, and
-    candidates with a squarefree part in common share its ladder.
+    cap is unused: every task takes one (see _Runner).  An escalation
+    round sends one batch per worker; the first round is a call in each
+    phase-1 chunk, over its survivors (see _scan_chunk).  A batch runs
+    in one memo scope, so candidates with a squarefree part in common
+    share its ladder.  PrecisionExhausted never leaves it: a candidate
+    past max_bits gets None, which the search records as exhausted.
     """
     quantity, members, tol, max_bits = args
     measure_fn = mahler if quantity == "mahler" else house
@@ -706,7 +744,7 @@ def _min_search(
     with memo_scope(), _Runner(workers) as run:
         chunk_results = run.map(_scan_chunk, [
             (space.kind, space.degree, space.height, first, quantity, tol0,
-             prune, max_bits) for first in firsts])
+             tol, prune, max_bits) for first in firsts])
 
         enumerated = space.size
         assert sum(scanned + cut for scanned, cut, *_ in chunk_results) \
@@ -719,22 +757,18 @@ def _min_search(
             return SearchReport(space, quantity, tol, enumerated, kron, None,
                                 (), (), 0, False)
 
-        min_hi = min(enc.hi for _, enc, _ in candidates)
+        min_hi = min(c[1].hi for c in candidates)
         active = [c for c in candidates if _lower(c) <= min_hi]
+        # the first round's enclosures, at tol, and the keys came with them
+        encs = [new for _, _, _, new, _ in active]
+        keys = {free: key for free, _, _, _, key in active}
 
         escalations = 0
         exhausted = False
         cur_tol = tol
-        keys = {}
         while True:
-            # one batch per worker: a round trip per batch, not per candidate
-            members = [space.member(free) for free, _, _ in active]
-            size = -(-len(members) // workers)
-            batches = [(quantity, members[i:i + size], cur_tol, max_bits)
-                       for i in range(0, len(members), size)]
-            encs = itertools.chain.from_iterable(run.map(_enclose, batches))
             refined = []
-            for (free, enc, gb), new in zip(active, encs):
+            for (free, enc, gb, *_), new in zip(active, encs):
                 if new is None:
                     exhausted = True
                 else:
@@ -745,13 +779,16 @@ def _min_search(
             if len(active) <= 1 or escalations >= _ESCALATION_ROUNDS or exhausted:
                 break
             # one exact tie class: no round can shrink the active set
-            for free, _, _ in active:
-                if free not in keys:
-                    keys[free] = _tie_key(quantity, space.member(free))
             if len({keys[free] for free, _, _ in active}) == 1:
                 break
             escalations += 1
             cur_tol /= 16
+            # one batch per worker: a round trip per batch, not per candidate
+            members = [space.member(free) for free, _, _ in active]
+            size = -(-len(members) // workers)
+            batches = [(quantity, members[i:i + size], cur_tol, max_bits)
+                       for i in range(0, len(members), size)]
+            encs = itertools.chain.from_iterable(run.map(_enclose, batches))
     minimum = Enclosure(
         min(enc.lo for _, enc, _ in active),
         min_hi,

@@ -83,20 +83,26 @@ def one_key_per_candidate(monkeypatch):
                         lambda quantity, f: f.coeffs)
 
 
-def chunk_args(space, first, quantity, prune, tol0=1e-6):
+def chunk_args(space, first, quantity, prune, tol0=1e-6, tol=1e-10,
+               max_bits=4096):
     """_scan_chunk's arguments for the chunk c_(2d-1) = first."""
     return (space.kind, space.degree, space.height, first, quantity, tol0,
-            prune, 4096)
+            tol, prune, max_bits)
 
 
-def scan_space(space, quantity, prune, tol0=1e-6):
+def scan_space(space, quantity, prune, tol0=1e-6, tol=1e-10):
     """Phase 1 over every chunk of the space, as a --jobs 1 search runs it.
 
-    The chunks run in turn and share one cap, which starts at inf.
+    The chunks run in turn and share one cap, which starts at inf; each
+    chunk's survivors are checked against the cap it ended at.
     """
     shared = _LocalCap()
-    return [_scan_chunk(chunk_args(space, first, quantity, prune, tol0), shared)
-            for first in _chunk_firsts(space)]
+    results = []
+    for first in _chunk_firsts(space):
+        results.append(_scan_chunk(
+            chunk_args(space, first, quantity, prune, tol0, tol), shared))
+        assert all(_lower(c) <= shared.value for c in results[-1][3])
+    return results
 
 
 class TestSearchSpace:
@@ -133,7 +139,7 @@ class TestSearchSpace:
         chunks = []  # (chunk args, members walked, members cut)
 
         def recording_scan(args, shared):
-            kind, degree, height, first, quantity, _, prune = args[:7]
+            kind, degree, height, first, quantity, _, _, prune = args[:8]
             if prune:
                 # as a pruning chunk would, lower the search's shared cap
                 shared.value = min(shared.value, 1.3)
@@ -252,10 +258,11 @@ class TestMinimumSearches:
 
     @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
     def test_house_prune_skips_enclosures(self, monkeypatch, kind):
-        calls = []
+        calls = []  # the tol0 enclosures; the survivors' first round follows
 
         def counting_house(f, tol=1e-10, max_bits=4096):
-            calls.append(f)
+            if tol == 1e-6:
+                calls.append(f)
             return house(f, tol, max_bits)
 
         monkeypatch.setattr("skewrec.search.house", counting_house)
@@ -273,10 +280,11 @@ class TestMinimumSearches:
         assert enclosed[True] <= (6 if kind == "reciprocal" else 10)
 
     def test_upper_bound_cap_skips_mahler_enclosures(self, monkeypatch):
-        calls = []
+        calls = []  # the tol0 enclosures; the survivors' first round follows
 
         def counting_mahler(f, tol=1e-10, max_bits=4096):
-            calls.append(f)
+            if tol == 1e-6:
+                calls.append(f)
             return mahler(f, tol, max_bits)
 
         monkeypatch.setattr("skewrec.search.mahler", counting_mahler)
@@ -338,10 +346,17 @@ class TestMinimumSearches:
         assert min_house(space, jobs=2).to_json() == min_house(space).to_json()
         assert pool_sizes == [3, 2]
 
-    def test_phase_two_runs_on_the_phase_one_pool(self, monkeypatch,
-                                                  pool_sizes):
+    @staticmethod
+    def pooled_phase_two(monkeypatch, pool_sizes, escalations):
+        """A --jobs 2 search with `escalations` escalation rounds, recorded.
+
+        Checks that the first round came back with the chunks, that only
+        escalation rounds are mapped, on the phase-1 pool, each as one
+        contiguous batch per worker, and that the report is the serial one.
+        """
+        serial = min_mahler(SearchSpace("skew_reciprocal", 8, 2))
         mapped = []
-        batches = []  # the batch sizes of each phase-2 round
+        batches = []  # the batch sizes of each escalation round
         runner = search_module._Runner
         run_map, run_exit = runner.map, runner.__exit__
 
@@ -360,16 +375,30 @@ class TestMinimumSearches:
         monkeypatch.setattr(runner, "__exit__", recording_exit)
         space = SearchSpace("skew_reciprocal", 8, 2)
         report = min_mahler(space, jobs=2)
-        rounds = report.precision_escalations + 1
-        assert mapped == ["_scan_chunk"] + ["_enclose"] * rounds + ["closed"]
+        assert report.precision_escalations == escalations
+        assert mapped == ["_scan_chunk"] + ["_enclose"] * escalations + ["closed"]
         assert pool_sizes == [2]  # one pooled search, on one pool
-        # each round goes out as one contiguous batch per worker (2 here)
-        assert batches and all(len(sizes) <= 2 and sizes[0] == -(-sum(sizes) // 2)
-                               for sizes in batches)
-        assert report.to_json() == min_mahler(space).to_json()
+        # each escalation round goes out as one contiguous batch per
+        # worker (2 here)
+        assert len(batches) == escalations
+        assert all(len(sizes) <= 2 and sizes[0] == -(-sum(sizes) // 2)
+                   for sizes in batches)
+        assert report.to_json() == serial.to_json()
 
-    def test_pooled_phase_two_matches_serial(self, monkeypatch):
-        # 3 escalation rounds over 8 tied witnesses, on 1, 2 and 3 workers
+    def test_phase_two_runs_on_the_phase_one_pool(self, monkeypatch,
+                                                  pool_sizes):
+        # the candidates are one tie class: the first round is the last
+        self.pooled_phase_two(monkeypatch, pool_sizes, 0)
+
+    def test_escalation_rounds_run_on_the_phase_one_pool(self, monkeypatch,
+                                                         pool_sizes):
+        one_key_per_candidate(monkeypatch)
+        self.pooled_phase_two(monkeypatch, pool_sizes, 3)
+
+    def test_pooled_phase_two_matches_serial(self, monkeypatch, pool_events):
+        # 3 escalation rounds over 8 tied witnesses, on 1, 2 and 3 workers;
+        # the chunks compute the keys, so the pools fork after the patch
+        # (pool_events drops any pool kept before it and after the test)
         one_key_per_candidate(monkeypatch)
         space = SearchSpace("skew_reciprocal", 8, 2)
         docs = [json.dumps(min_mahler(space, jobs=j).to_json())
@@ -536,13 +565,31 @@ class TestMemoScope:
         # outside any scope, so only the task's own scope keeps anything
         monkeypatch.setattr(search_module, "_pool_cap", _LocalCap())
         space = SearchSpace("skew_reciprocal", 6, 1)
-        chunk = (space.kind, space.degree, space.height, 0, "mahler", 1e-6,
-                 True, DEFAULT_MAX_BITS)
+        chunk = chunk_args(space, 0, "mahler", True, max_bits=DEFAULT_MAX_BITS)
         assert _chains.entries is None and _ladders.entries is None
         hits = _chains.hits
         _run_task(_scan_chunk, chunk)
         assert _chains.hits > hits  # each partner's chain is a memo hit
         assert _chains.entries is None and _ladders.entries is None
+
+    @pytest.mark.parametrize("search", [min_mahler, min_house])
+    @pytest.mark.parametrize("escalate", [False, True])
+    def test_a_search_factors_each_member_once(self, monkeypatch, search,
+                                               escalate):
+        # the tol0 enclosure, the first round, every escalation round and
+        # the tie key of a member read one factorisation
+        module = importlib.import_module("skewrec.measure")
+        original = module.kronecker_free_part
+        calls = []
+        monkeypatch.setattr(module, "kronecker_free_part",
+                            lambda f: calls.append(f.coeffs) or original(f))
+        if escalate:
+            one_key_per_candidate(monkeypatch)
+        report = search(SearchSpace("skew_reciprocal", 8, 2), jobs=1)
+        assert report.precision_escalations == (3 if escalate else 0)
+        assert len(report.witnesses) > 1
+        assert {w.coeffs for w in report.witnesses} <= set(calls)
+        assert len(calls) == len(set(calls))
 
     def test_a_phase_two_batch_shares_one_memo_scope(self):
         # both candidates have the squarefree part t^2 - 3t + 1, whose
@@ -985,6 +1032,36 @@ class TestScanChunk:
                 assert [c[0] for c in candidates if _lower(c) <= m] == \
                     [free for free in sorted(full) if _lower(full[free]) <= m]
 
+    @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
+    @pytest.mark.parametrize("quantity", ["mahler", "house"])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-15])
+    def test_shipped_first_round_matches_fresh_values(self, kind, quantity,
+                                                      tol):
+        measure_fn = mahler if quantity == "mahler" else house
+        space = SearchSpace(kind, 8, 2)
+        survivors = [c for *_, chunk in scan_space(space, quantity, True, tol=tol)
+                     for c in chunk]
+        assert survivors
+        # each value is recomputed outside any memo scope
+        for free, enc, gb, new, key in survivors:
+            f = space.member(free)
+            assert enc == measure_fn(f, 1e-6)
+            assert new == measure_fn(f, tol)
+            assert key == _tie_key(quantity, f)
+
+    @pytest.mark.parametrize("quantity", ["mahler", "house"])
+    def test_a_first_round_past_the_cap_is_recorded(self, monkeypatch,
+                                                    quantity):
+        # as a pool worker runs a chunk: PrecisionExhausted at tol stays
+        # in the task, and each survivor keeps its tol0 enclosure
+        monkeypatch.setattr(search_module, "_pool_cap", _LocalCap())
+        args = chunk_args(SearchSpace("skew_reciprocal", 6, 1), 0, quantity,
+                          True, tol=1e-30, max_bits=64)
+        *_, survivors = _run_task(_scan_chunk, args)
+        assert survivors
+        assert all(new is None and enc.width <= 1e-6
+                   for _, enc, _, new, _ in survivors)
+
     @pytest.mark.parametrize("quantity", ["mahler", "house"])
     def test_only_a_pruning_scan_defers_enclosures(self, monkeypatch, quantity):
         events = []
@@ -995,7 +1072,8 @@ class TestScanChunk:
             return is_kronecker(f)
 
         def recording_measure(f, tol=1e-10, max_bits=4096):
-            events.append(("enclose", f))
+            if tol == 1e-6:  # the survivors' first round, at tol, comes last
+                events.append(("enclose", f))
             return measure_fn(f, tol, max_bits)
 
         monkeypatch.setattr("skewrec.search.is_kronecker", recording_kronecker)
