@@ -16,9 +16,10 @@ bits, which is far below every tolerance used in this package.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
+
+from ._record import Record
 
 __all__ = ["Enclosure", "float_below", "float_above"]
 
@@ -61,17 +62,17 @@ def _up(x: float) -> float:
     return math.nextafter(x, _INF)
 
 
-@dataclasses.dataclass(frozen=True)
-class Enclosure:
+class Enclosure(Record):
     """A certified interval lo <= value <= hi with provenance precision."""
 
-    lo: float
-    hi: float
-    bits: int = 0
+    __slots__ = ("lo", "hi", "bits")
 
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"empty enclosure [{self.lo}, {self.hi}]")
+    def __init__(self, lo: float, hi: float, bits: int = 0):
+        if not lo <= hi:
+            raise ValueError(f"empty enclosure [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "bits", bits)
 
     # -- constructors ----------------------------------------------------
 

@@ -36,13 +36,13 @@ Kronecker decision from the exact cyclotomic stripping.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
 from fractions import Fraction
 from typing import Optional
 
+from ._record import Record
 from .enclosure import Enclosure
 from .errors import PolynomialError, PrecisionExhausted
 from .poly import (
@@ -707,15 +707,22 @@ def _house_upper_bound(g: IntPoly, k: int) -> float:
 # -- aggregate result -------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class MeasureResult:
+class MeasureResult(Record):
     """Everything the measure command reports about one polynomial."""
 
-    mahler: Enclosure
-    house: Enclosure
-    is_kronecker: bool
-    root_count_outside_unit_circle: int
-    root_count_certified: bool
+    __slots__ = ("mahler", "house", "is_kronecker",
+                 "root_count_outside_unit_circle", "root_count_certified")
+
+    def __init__(
+        self,
+        mahler: Enclosure,
+        house: Enclosure,
+        is_kronecker: bool,
+        root_count_outside_unit_circle: int,
+        root_count_certified: bool,
+    ):
+        super().__init__(mahler, house, is_kronecker,
+                         root_count_outside_unit_circle, root_count_certified)
 
     def to_json(self) -> dict:
         return {

@@ -9,11 +9,11 @@ polynomial and it is safe to share them across threads and processes.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import re
 from fractions import Fraction
 
+from ._record import Record
 from .errors import ParseError, PolynomialError
 
 __all__ = [
@@ -41,10 +41,10 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Record):
     """A polynomial with integer coefficients, in canonical dense form."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs=()):
@@ -463,7 +463,8 @@ def parse_poly(text: str) -> IntPoly:
 
     A leading '[' selects the list form, lowest degree first, e.g.
     "[1, 3, 1]" for t^2 + 3t + 1.  Otherwise the text is a sum of
-    monomials in t such as "t^10+t^9-t^7-1" or "2t^3 - 4".
+    monomials in t such as "t^10+t^9-t^7-1" or "2t^3 - 4": every term
+    after the first needs its '+' or '-', so "3 4" is an error, not 7.
     """
     text = text.strip()
     if not text:
@@ -484,6 +485,9 @@ def parse_poly(text: str) -> IntPoly:
         m = _TERM_RE.match(text, pos)
         if not m or m.end() == pos:
             raise ParseError(f"cannot parse polynomial near {text[pos:pos+12]!r}")
+        if pos and not m.group("sign"):
+            # "t^2 3t" is a typo, not t^2 + 3t
+            raise ParseError(f"missing '+' or '-' before {text[pos:pos+12]!r}")
         sign = -1 if m.group("sign") == "-" else 1
         if m.group("coeff") is not None:
             coeff = sign * int(m.group("coeff"))

@@ -69,13 +69,13 @@ cyclotomic polynomials) live as long as the process.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import math
 from fractions import Fraction
 from typing import Optional
 
 from . import _dyadic as dy
+from ._record import Record
 from .enclosure import float_above
 from .errors import PolynomialError, PrecisionExhausted
 from .poly import IntPoly, _strip_t_powers, squarefree_decomposition
@@ -95,12 +95,13 @@ _INF = float("inf")
 _MEMO_SIZE = 256
 
 
-@dataclasses.dataclass(frozen=True)
-class RootDisk:
+class RootDisk(Record):
     """A closed disk certified to contain at least one root of the input."""
 
-    center: complex
-    radius: float
+    __slots__ = ("center", "radius")
+
+    def __init__(self, center: complex, radius: float):
+        super().__init__(center, radius)
 
     def to_json(self) -> dict:
         return {
@@ -110,8 +111,7 @@ class RootDisk:
         }
 
 
-@dataclasses.dataclass(frozen=True)
-class _ExactDisk:
+class _ExactDisk(Record):
     """Internal certified disk, every field a numerator on the grid 2**-grid.
 
     (re + i*im) * 2**-grid is the exact centre and r * 2**-grid the
@@ -119,12 +119,15 @@ class _ExactDisk:
     the disk.  All disks of one _certify call share one grid.
     """
 
-    re: int
-    im: int
-    r: int
-    lo: int
-    hi: int
-    grid: int
+    __slots__ = ("re", "im", "r", "lo", "hi", "grid")
+
+    def __init__(self, re: int, im: int, r: int, lo: int, hi: int, grid: int):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "grid", grid)
 
 
 @functools.lru_cache(maxsize=256)

@@ -83,7 +83,6 @@ from __future__ import annotations
 
 import atexit
 import contextlib
-import dataclasses
 import itertools
 import math
 import operator
@@ -91,6 +90,7 @@ import threading
 from fractions import Fraction
 from typing import Iterator, Optional
 
+from ._record import Record
 from .enclosure import Enclosure, float_above, log_of_fraction
 from .errors import DEFAULT_BUDGET, BudgetExceeded, PolynomialError, PrecisionExhausted
 from .measure import (
@@ -127,21 +127,19 @@ RECIPROCAL = "reciprocal"
 SKEW = "skew_reciprocal"
 
 
-@dataclasses.dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(Record):
     """The family of monic degree-2d polynomials of one symmetry class."""
 
-    kind: str
-    degree: int
-    height: int
+    __slots__ = ("kind", "degree", "height")
 
-    def __post_init__(self):
-        if self.kind not in (RECIPROCAL, SKEW):
-            raise PolynomialError(f"unknown kind {self.kind!r}")
-        if self.degree < 2 or self.degree % 2 != 0:
+    def __init__(self, kind: str, degree: int, height: int):
+        if kind not in (RECIPROCAL, SKEW):
+            raise PolynomialError(f"unknown kind {kind!r}")
+        if degree < 2 or degree % 2 != 0:
             raise PolynomialError("degree must be even and >= 2")
-        if self.height < 0:
+        if height < 0:
             raise PolynomialError("height must be >= 0")
+        super().__init__(kind, degree, height)
 
     @property
     def half_degree(self) -> int:
@@ -693,20 +691,30 @@ def _tie_form(quantity: str, p: IntPoly) -> tuple:
     return form if quantity == "mahler" else (g, form)
 
 
-@dataclasses.dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Record):
     """Outcome of a minimum search, deterministic for a given configuration."""
 
-    space: SearchSpace
-    quantity: str
-    tol: float
-    enumerated: int
-    excluded_kronecker: int
-    minimum: Optional[Enclosure]
-    witnesses: tuple[IntPoly, ...]
-    witness_enclosures: tuple[Enclosure, ...]
-    precision_escalations: int
-    precision_exhausted: bool
+    __slots__ = ("space", "quantity", "tol", "enumerated", "excluded_kronecker",
+                 "minimum", "witnesses", "witness_enclosures",
+                 "precision_escalations", "precision_exhausted")
+
+    def __init__(
+        self,
+        space: SearchSpace,
+        quantity: str,
+        tol: float,
+        enumerated: int,
+        excluded_kronecker: int,
+        minimum: Optional[Enclosure],
+        witnesses: tuple[IntPoly, ...],
+        witness_enclosures: tuple[Enclosure, ...],
+        precision_escalations: int,
+        precision_exhausted: bool,
+    ):
+        super().__init__(
+            space, quantity, tol, enumerated, excluded_kronecker, minimum, witnesses,
+            witness_enclosures, precision_escalations, precision_exhausted
+        )
 
     def to_json(self) -> dict:
         return {
@@ -840,21 +848,30 @@ def min_house(
 # -- sequence table ----------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class SequenceRow:
+class SequenceRow(Record):
     """Row i: minima over both classes in degree 2**i at one height bound."""
 
-    i: int
-    degree: int
-    height: int
-    mahler_reciprocal: Optional[Enclosure]
-    mahler_skew: Optional[Enclosure]
-    house_reciprocal: Optional[Enclosure]
-    house_skew: Optional[Enclosure]
-    r: Optional[Enclosure]  # 2**i * log(min house, reciprocal)
-    s: Optional[Enclosure]  # 2**i * log(min house, skew)
-    q: Optional[Enclosure]  # running product of r_j / s_j
-    breusch_check: Optional[bool]  # s_i >= min(r_(i-1), log(1179/1000)), certified
+    __slots__ = ("i", "degree", "height", "mahler_reciprocal", "mahler_skew",
+                 "house_reciprocal", "house_skew", "r", "s", "q", "breusch_check")
+
+    def __init__(
+        self,
+        i: int,
+        degree: int,
+        height: int,
+        mahler_reciprocal: Optional[Enclosure],
+        mahler_skew: Optional[Enclosure],
+        house_reciprocal: Optional[Enclosure],
+        house_skew: Optional[Enclosure],
+        r: Optional[Enclosure],  # 2**i * log(min house, reciprocal)
+        s: Optional[Enclosure],  # 2**i * log(min house, skew)
+        q: Optional[Enclosure],  # running product of r_j / s_j
+        breusch_check: Optional[bool],  # s_i >= min(r_(i-1), log(1179/1000)), certified
+    ):
+        super().__init__(
+            i, degree, height, mahler_reciprocal, mahler_skew, house_reciprocal,
+            house_skew, r, s, q, breusch_check
+        )
 
     def to_json(self) -> dict:
         opt = lambda e: e.to_json() if e is not None else None
@@ -873,9 +890,11 @@ class SequenceRow:
         }
 
 
-@dataclasses.dataclass(frozen=True)
-class SequenceTable:
-    rows: tuple[SequenceRow, ...]
+class SequenceTable(Record):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[SequenceRow, ...]):
+        super().__init__(rows)
 
     def to_json(self) -> dict:
         return {"rows": [row.to_json() for row in self.rows]}
@@ -970,8 +989,7 @@ def sequence_table(
 # -- decomposition survey ----------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class DecompositionSurvey:
+class DecompositionSurvey(Record):
     """Exhaustive decomposition of a skew-reciprocal space, with measure audit.
 
     Every non-Kronecker member decomposes into exactly one of the two
@@ -982,13 +1000,24 @@ class DecompositionSurvey:
     propagates: falsification is a diagnosis, not a report row.
     """
 
-    space: SearchSpace
-    enumerated: int
-    excluded_kronecker: int
-    square_substitution_count: int
-    witness_count: int
-    min_witness_mahler: Optional[Enclosure]
-    witnesses_below_bound: int
+    __slots__ = ("space", "enumerated", "excluded_kronecker",
+                 "square_substitution_count", "witness_count",
+                 "min_witness_mahler", "witnesses_below_bound")
+
+    def __init__(
+        self,
+        space: SearchSpace,
+        enumerated: int,
+        excluded_kronecker: int,
+        square_substitution_count: int,
+        witness_count: int,
+        min_witness_mahler: Optional[Enclosure],
+        witnesses_below_bound: int,
+    ):
+        super().__init__(
+            space, enumerated, excluded_kronecker, square_substitution_count,
+            witness_count, min_witness_mahler, witnesses_below_bound
+        )
 
     @property
     def all_witnesses_above_bound(self) -> bool:

@@ -19,8 +19,7 @@ not a normal outcome.
 
 from __future__ import annotations
 
-import dataclasses
-
+from ._record import Record
 from .errors import DecompositionFalsified, PolynomialError
 from .measure import is_kronecker
 from .poly import (
@@ -39,26 +38,27 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class SquareSubstitution:
+class SquareSubstitution(Record):
     """Case 1: f(t) = g(t**2) with g monic reciprocal of half the degree."""
 
-    g: IntPoly
-
+    __slots__ = ("g",)
     case = "square_substitution"
+
+    def __init__(self, g: IntPoly):
+        super().__init__(g)
 
     def to_json(self) -> dict:
         return {"case": self.case, "g": list(self.g.coeffs)}
 
 
-@dataclasses.dataclass(frozen=True)
-class NonreciprocalWitness:
+class NonreciprocalWitness(Record):
     """Case 2: f(t) = (t-1)**v * u(t) with u nonreciprocal and u(1) != 0."""
 
-    v: int
-    u: IntPoly
-
+    __slots__ = ("v", "u")
     case = "nonreciprocal_witness"
+
+    def __init__(self, v: int, u: IntPoly):
+        super().__init__(v, u)
 
     def to_json(self) -> dict:
         return {"case": self.case, "v": self.v, "u": list(self.u.coeffs)}

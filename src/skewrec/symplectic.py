@@ -14,9 +14,9 @@ be exact and the Cayley-Hamilton identity asserted at the end.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
+from ._record import Record
 from .errors import PolynomialError
 from .poly import IntPoly, is_reciprocal, is_skew_reciprocal
 
@@ -34,10 +34,10 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """An immutable square integer matrix."""
 
+    __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows):
@@ -45,7 +45,7 @@ class IntMatrix:
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", rows)
+        super().__init__(rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":

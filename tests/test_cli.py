@@ -15,6 +15,19 @@ PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 # the layers skewrec.cli loads only for the commands that run them
 LAZY_LAYERS = {"skewrec.search", "skewrec.structure", "skewrec.symplectic"}
 PROCESS_POOL = {"multiprocessing", "concurrent.futures.process"}
+DATACLASS_MACHINERY = {"dataclasses", "inspect"}
+# one-shot commands by test id, with the layers each must leave unloaded
+ONE_SHOT = {
+    "classify": (["classify", "[1,1,1]"], LAZY_LAYERS),
+    "measure": (["measure", "t^10+t^9-t^7-t^6-t^5-t^4-t^3+t+1"], LAZY_LAYERS),
+    "companion": (["companion", "[1,-3,1]"], {"skewrec.search"}),
+    "search-jobs-1": (["search", "--kind", "skew_reciprocal", "--degree", "6",
+                       "--height", "1", "--jobs", "1"], PROCESS_POOL),
+    "table-jobs-1": (["table", "--max-i", "2", "--heights", "1,1", "--jobs", "1"],
+                     PROCESS_POOL),
+    "search-one-chunk-jobs-4": (["search", "--kind", "reciprocal", "--degree", "8",
+                                 "--height", "0", "--jobs", "4"], PROCESS_POOL),
+}
 
 
 def run_cli(args, capsys):
@@ -56,6 +69,14 @@ class TestMeasureCommand:
         error = json.loads(err)["error"]
         assert error == {"type": "PolynomialError",
                          "message": "measure requires degree >= 1"}
+
+    @pytest.mark.parametrize("command", ["measure", "classify"])
+    def test_unsigned_term_is_a_parse_error(self, capsys, command):
+        # "t^2 3t 1" must not be certified as t^2 + 3t + 1
+        code, out, err = run_cli([command, "t^2 3t 1"], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ParseError" and "missing '+' or '-'" in error["message"]
 
 
 class TestClassifyAndDecompose:
@@ -490,18 +511,7 @@ class TestImportHygiene:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("argv, layers", [
-        (["classify", "[1,1,1]"], LAZY_LAYERS),
-        (["measure", "t^10+t^9-t^7-t^6-t^5-t^4-t^3+t+1"], LAZY_LAYERS),
-        (["companion", "[1,-3,1]"], {"skewrec.search"}),
-        (["search", "--kind", "skew_reciprocal", "--degree", "6", "--height",
-          "1", "--jobs", "1"], PROCESS_POOL),
-        (["table", "--max-i", "2", "--heights", "1,1", "--jobs", "1"],
-         PROCESS_POOL),
-        (["search", "--kind", "reciprocal", "--degree", "8", "--height", "0",
-          "--jobs", "4"], PROCESS_POOL),
-    ], ids=["classify", "measure", "companion", "search-jobs-1",
-            "table-jobs-1", "search-one-chunk-jobs-4"])
+    @pytest.mark.parametrize("argv, layers", ONE_SHOT.values(), ids=ONE_SHOT)
     def test_one_shot_commands_leave_their_unused_layers_unloaded(self, argv, layers):
         # only search, table and verify load search; only decompose (and
         # search) loads structure; only companion loads symplectic; a
@@ -515,6 +525,30 @@ class TestImportHygiene:
         ])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
+
+    @pytest.mark.parametrize("argv", [
+        None,
+        *(argv for argv, _ in ONE_SHOT.values()),
+        ["decompose", "t^4-3t^2+1"],
+        ["search", "--kind", "skew_reciprocal", "--degree", "6", "--height",
+         "1", "--jobs", "2"],
+        ["verify", "--degree", "4", "--height", "1"],
+    ], ids=["import", *ONE_SHOT, "decompose", "search-jobs-2", "verify"])
+    def test_nothing_loads_the_dataclass_machinery(self, argv):
+        # the package's records are plain classes: dataclasses (and the
+        # inspect it loads) would cost every command about 10 ms at start-up
+        run = "" if argv is None else f"code = main({argv!r}); print(code); "
+        proc = run_in_checkout([
+            sys.executable,
+            "-c",
+            f"import sys; from skewrec.cli import main; {run}"
+            f"print(sorted({DATACLASS_MACHINERY!r} & set(sys.modules)))",
+        ])
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[-1] == "[]"
+        if argv is not None:
+            assert lines[-2] == "0"
 
 
 # Run in a fresh interpreter after importing the module named by argv[1]:

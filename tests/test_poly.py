@@ -332,6 +332,17 @@ class TestParsing:
             with pytest.raises(ParseError):
                 parse_poly(bad)
 
+    @pytest.mark.parametrize("text", ["3 4", "t t", "t^2 3t 1", "t^2 + 3t 1",
+                                      "3t4", "-t 2"])
+    def test_terms_without_a_sign_between_them_are_rejected(self, text):
+        # they used to be added up, so a typo parsed as another polynomial
+        with pytest.raises(ParseError, match="missing '\\+' or '-'"):
+            parse_poly(text)
+
+    def test_a_leading_sign_and_spaced_products_stay_accepted(self):
+        assert parse_poly("+t - 1") == IntPoly([-1, 1])
+        assert parse_poly("3 t^2 - 2 * t") == IntPoly([0, -2, 3])
+
     @given(small_polys)
     def test_to_string_round_trip(self, f):
         assert parse_poly(poly_to_string(f)) == f
