@@ -170,7 +170,7 @@ class Enclosure(Record):
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"lo": repr(self.lo), "hi": repr(self.hi), "bits": self.bits}
+        return {**super().to_json(), "lo": repr(self.lo), "hi": repr(self.hi)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Enclosure":

@@ -708,30 +708,14 @@ def _house_upper_bound(g: IntPoly, k: int) -> float:
 
 
 class MeasureResult(Record):
-    """Everything the measure command reports about one polynomial."""
+    """Everything the measure command reports about one polynomial.
+
+    Fields: the mahler and house enclosures, is_kronecker, and
+    root_count_outside_unit_circle, exact when root_count_certified.
+    """
 
     __slots__ = ("mahler", "house", "is_kronecker",
                  "root_count_outside_unit_circle", "root_count_certified")
-
-    def __init__(
-        self,
-        mahler: Enclosure,
-        house: Enclosure,
-        is_kronecker: bool,
-        root_count_outside_unit_circle: int,
-        root_count_certified: bool,
-    ):
-        super().__init__(mahler, house, is_kronecker,
-                         root_count_outside_unit_circle, root_count_certified)
-
-    def to_json(self) -> dict:
-        return {
-            "mahler": self.mahler.to_json(),
-            "house": self.house.to_json(),
-            "is_kronecker": self.is_kronecker,
-            "root_count_outside_unit_circle": self.root_count_outside_unit_circle,
-            "root_count_certified": self.root_count_certified,
-        }
 
 
 def measure(

@@ -18,6 +18,7 @@ from .errors import ParseError, PolynomialError
 
 __all__ = [
     "IntPoly",
+    "MAX_DEGREE",
     "ZERO",
     "ONE",
     "T",
@@ -39,6 +40,12 @@ __all__ = [
     "parse_poly",
     "poly_to_string",
 ]
+
+
+# The largest degree parse_poly accepts and a search space may have: a
+# 13-byte "t^3000000+1" would otherwise allocate millions of
+# coefficients, and the search walk keeps one frame per free coefficient.
+MAX_DEGREE = 1024
 
 
 class IntPoly(Record):
@@ -176,6 +183,9 @@ class IntPoly(Record):
 
     def __str__(self) -> str:
         return poly_to_string(self)
+
+    def to_json(self) -> list[int]:
+        return list(self.coeffs)
 
 
 ZERO = IntPoly(())
@@ -465,6 +475,8 @@ def parse_poly(text: str) -> IntPoly:
     "[1, 3, 1]" for t^2 + 3t + 1.  Otherwise the text is a sum of
     monomials in t such as "t^10+t^9-t^7-1" or "2t^3 - 4": every term
     after the first needs its '+' or '-', so "3 4" is an error, not 7.
+    A degree above MAX_DEGREE is a ParseError, raised before any
+    coefficient list is built.
     """
     text = text.strip()
     if not text:
@@ -475,8 +487,12 @@ def parse_poly(text: str) -> IntPoly:
         body = text[1:-1].strip()
         if not body:
             return ZERO
+        parts = body.split(",")
+        if len(parts) > MAX_DEGREE + 1:
+            raise ParseError(f"coefficient list of {len(parts)} entries is "
+                             f"above degree {MAX_DEGREE}")
         try:
-            return IntPoly(int(part.strip()) for part in body.split(","))
+            return IntPoly(int(part.strip()) for part in parts)
         except ValueError as exc:
             raise ParseError(f"bad coefficient list: {exc}") from None
     coeffs: dict[int, int] = {}
@@ -498,6 +514,8 @@ def parse_poly(text: str) -> IntPoly:
         else:
             coeff = sign
             exp = int(m.group("exp2")) if m.group("exp2") else 1
+        if exp > MAX_DEGREE:
+            raise ParseError(f"exponent {exp} is above degree {MAX_DEGREE}")
         coeffs[exp] = coeffs.get(exp, 0) + coeff
         pos = m.end()
     if not coeffs:

@@ -96,12 +96,12 @@ _MEMO_SIZE = 256
 
 
 class RootDisk(Record):
-    """A closed disk certified to contain at least one root of the input."""
+    """A closed disk certified to contain at least one root of the input.
+
+    Fields: the complex center and the float radius.
+    """
 
     __slots__ = ("center", "radius")
-
-    def __init__(self, center: complex, radius: float):
-        super().__init__(center, radius)
 
     def to_json(self) -> dict:
         return {

@@ -103,7 +103,7 @@ from .measure import (
     mahler_lower_bound,
     mahler_upper_bound,
 )
-from .poly import BREUSCH_BOUND, IntPoly, negate_variable, reverse
+from .poly import BREUSCH_BOUND, MAX_DEGREE, IntPoly, negate_variable, reverse
 from .roots import DEFAULT_MAX_BITS, _memos, memo_scope
 from .structure import NonreciprocalWitness, decompose_skew_reciprocal
 
@@ -137,6 +137,8 @@ class SearchSpace(Record):
             raise PolynomialError(f"unknown kind {kind!r}")
         if degree < 2 or degree % 2 != 0:
             raise PolynomialError("degree must be even and >= 2")
+        if degree > MAX_DEGREE:
+            raise PolynomialError(f"degree must be <= {MAX_DEGREE}")
         if height < 0:
             raise PolynomialError("height must be >= 0")
         super().__init__(kind, degree, height)
@@ -191,9 +193,6 @@ class SearchSpace(Record):
         """
         d = self.half_degree
         return tuple(-c if (d + i) % 2 else c for i, c in enumerate(free))
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "degree": self.degree, "height": self.height}
 
 
 def enumerate_space(space: SearchSpace) -> Iterator[IntPoly]:
@@ -692,43 +691,22 @@ def _tie_form(quantity: str, p: IntPoly) -> tuple:
 
 
 class SearchReport(Record):
-    """Outcome of a minimum search, deterministic for a given configuration."""
+    """Outcome of a minimum search, deterministic for a given configuration.
+
+    Fields: the space searched, the quantity ("mahler" or "house"), the
+    tol asked for, the enumerated and excluded_kronecker member counts,
+    the minimum enclosure (None when every member is Kronecker), the
+    witnesses attaining it with their witness_enclosures, and the
+    precision_escalations made, with precision_exhausted set when one
+    ran out of bits.
+    """
 
     __slots__ = ("space", "quantity", "tol", "enumerated", "excluded_kronecker",
                  "minimum", "witnesses", "witness_enclosures",
                  "precision_escalations", "precision_exhausted")
 
-    def __init__(
-        self,
-        space: SearchSpace,
-        quantity: str,
-        tol: float,
-        enumerated: int,
-        excluded_kronecker: int,
-        minimum: Optional[Enclosure],
-        witnesses: tuple[IntPoly, ...],
-        witness_enclosures: tuple[Enclosure, ...],
-        precision_escalations: int,
-        precision_exhausted: bool,
-    ):
-        super().__init__(
-            space, quantity, tol, enumerated, excluded_kronecker, minimum, witnesses,
-            witness_enclosures, precision_escalations, precision_exhausted
-        )
-
     def to_json(self) -> dict:
-        return {
-            "space": self.space.to_json(),
-            "quantity": self.quantity,
-            "tol": repr(self.tol),
-            "enumerated": self.enumerated,
-            "excluded_kronecker": self.excluded_kronecker,
-            "minimum": self.minimum.to_json() if self.minimum else None,
-            "witnesses": [list(w.coeffs) for w in self.witnesses],
-            "witness_enclosures": [e.to_json() for e in self.witness_enclosures],
-            "precision_escalations": self.precision_escalations,
-            "precision_exhausted": self.precision_exhausted,
-        }
+        return {**super().to_json(), "tol": repr(self.tol)}
 
 
 def _min_search(
@@ -849,55 +827,26 @@ def min_house(
 
 
 class SequenceRow(Record):
-    """Row i: minima over both classes in degree 2**i at one height bound."""
+    """Row i: minima over both classes in degree 2**i at one height bound.
+
+    Fields: i, degree, height, the four minima mahler_reciprocal,
+    mahler_skew, house_reciprocal and house_skew, then
+    r = 2**i * log(min house, reciprocal), s = 2**i * log(min house,
+    skew), q = the running product of r_j / s_j, and breusch_check,
+    whether s_i >= min(r_(i-1), log(1179/1000)) is certified.  A minimum
+    is None when its search found no non-Kronecker member, r and s with
+    their house minima, and q from the first row without r or s on;
+    breusch_check is None when s_i or r_(i-1) is, so in row 1.
+    """
 
     __slots__ = ("i", "degree", "height", "mahler_reciprocal", "mahler_skew",
                  "house_reciprocal", "house_skew", "r", "s", "q", "breusch_check")
 
-    def __init__(
-        self,
-        i: int,
-        degree: int,
-        height: int,
-        mahler_reciprocal: Optional[Enclosure],
-        mahler_skew: Optional[Enclosure],
-        house_reciprocal: Optional[Enclosure],
-        house_skew: Optional[Enclosure],
-        r: Optional[Enclosure],  # 2**i * log(min house, reciprocal)
-        s: Optional[Enclosure],  # 2**i * log(min house, skew)
-        q: Optional[Enclosure],  # running product of r_j / s_j
-        breusch_check: Optional[bool],  # s_i >= min(r_(i-1), log(1179/1000)), certified
-    ):
-        super().__init__(
-            i, degree, height, mahler_reciprocal, mahler_skew, house_reciprocal,
-            house_skew, r, s, q, breusch_check
-        )
-
-    def to_json(self) -> dict:
-        opt = lambda e: e.to_json() if e is not None else None
-        return {
-            "i": self.i,
-            "degree": self.degree,
-            "height": self.height,
-            "mahler_reciprocal": opt(self.mahler_reciprocal),
-            "mahler_skew": opt(self.mahler_skew),
-            "house_reciprocal": opt(self.house_reciprocal),
-            "house_skew": opt(self.house_skew),
-            "r": opt(self.r),
-            "s": opt(self.s),
-            "q": opt(self.q),
-            "breusch_check": self.breusch_check,
-        }
-
 
 class SequenceTable(Record):
+    """The sequence table; field: its rows, a tuple of SequenceRow."""
+
     __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[SequenceRow, ...]):
-        super().__init__(rows)
-
-    def to_json(self) -> dict:
-        return {"rows": [row.to_json() for row in self.rows]}
 
     def to_csv(self) -> str:
         header = [
@@ -998,45 +947,25 @@ class DecompositionSurvey(Record):
     the certified side), by its enclosure or, where that settles it, by a
     Graeffe lower bound.  A DecompositionFalsified raised during the scan
     propagates: falsification is a diagnosis, not a report row.
+
+    Fields: the space surveyed, the enumerated and excluded_kronecker
+    member counts, square_substitution_count and witness_count by case,
+    the min_witness_mahler enclosure (None without witnesses), and
+    witnesses_below_bound, the witnesses whose Mahler enclosure reaches
+    down to 1179/1000 - 1e-9.
     """
 
     __slots__ = ("space", "enumerated", "excluded_kronecker",
                  "square_substitution_count", "witness_count",
                  "min_witness_mahler", "witnesses_below_bound")
 
-    def __init__(
-        self,
-        space: SearchSpace,
-        enumerated: int,
-        excluded_kronecker: int,
-        square_substitution_count: int,
-        witness_count: int,
-        min_witness_mahler: Optional[Enclosure],
-        witnesses_below_bound: int,
-    ):
-        super().__init__(
-            space, enumerated, excluded_kronecker, square_substitution_count,
-            witness_count, min_witness_mahler, witnesses_below_bound
-        )
-
     @property
     def all_witnesses_above_bound(self) -> bool:
         return self.witnesses_below_bound == 0
 
     def to_json(self) -> dict:
-        return {
-            "space": self.space.to_json(),
-            "enumerated": self.enumerated,
-            "excluded_kronecker": self.excluded_kronecker,
-            "square_substitution_count": self.square_substitution_count,
-            "witness_count": self.witness_count,
-            "min_witness_mahler": (
-                self.min_witness_mahler.to_json()
-                if self.min_witness_mahler else None
-            ),
-            "witnesses_below_bound": self.witnesses_below_bound,
-            "all_witnesses_above_bound": self.all_witnesses_above_bound,
-        }
+        return {**super().to_json(),
+                "all_witnesses_above_bound": self.all_witnesses_above_bound}
 
 
 def verify_decomposition_over_space(

@@ -39,29 +39,29 @@ __all__ = [
 
 
 class SquareSubstitution(Record):
-    """Case 1: f(t) = g(t**2) with g monic reciprocal of half the degree."""
+    """Case 1: f(t) = g(t**2) with g monic reciprocal of half the degree.
+
+    Field: the IntPoly g.
+    """
 
     __slots__ = ("g",)
     case = "square_substitution"
 
-    def __init__(self, g: IntPoly):
-        super().__init__(g)
-
     def to_json(self) -> dict:
-        return {"case": self.case, "g": list(self.g.coeffs)}
+        return {"case": self.case, **super().to_json()}
 
 
 class NonreciprocalWitness(Record):
-    """Case 2: f(t) = (t-1)**v * u(t) with u nonreciprocal and u(1) != 0."""
+    """Case 2: f(t) = (t-1)**v * u(t) with u nonreciprocal and u(1) != 0.
+
+    Fields: the int v, then the IntPoly u.
+    """
 
     __slots__ = ("v", "u")
     case = "nonreciprocal_witness"
 
-    def __init__(self, v: int, u: IntPoly):
-        super().__init__(v, u)
-
     def to_json(self) -> dict:
-        return {"case": self.case, "v": self.v, "u": list(self.u.coeffs)}
+        return {"case": self.case, **super().to_json()}
 
 
 def strip_linear_root_one(f: IntPoly) -> tuple[int, IntPoly]:

@@ -271,6 +271,36 @@ class TestVerifyCommand:
         assert doc["data"]["all_witnesses_above_bound"] is True
 
 
+class TestDegreeLimit:
+    """A degree above 1024 is a usage error, raised before any work."""
+
+    @pytest.mark.parametrize("argv, error_type", [
+        (["classify", "t^3000000+1"], "ParseError"),
+        (["measure", "[" + ",".join(["1"] * 1026) + "]"], "ParseError"),
+        # these two hit the recursion limit in the phase-1 walk before
+        (["search", "--kind", "skew_reciprocal", "--degree", "1990",
+          "--height", "0"], "PolynomialError"),
+        (["table", "--max-i", "11", "--heights", "1,1,1,0,0,0,0,0,0,0,0"],
+         "PolynomialError"),
+        (["search", "--kind", "reciprocal", "--degree", "2048", "--height", "0"],
+         "PolynomialError"),
+        (["verify", "--degree", "2048", "--height", "0"], "PolynomialError"),
+    ], ids=["classify", "measure", "search-1990", "table", "search-2048", "verify"])
+    def test_exit_2(self, capsys, argv, error_type):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == error_type and "1024" in error["message"]
+
+    def test_search_at_the_limit_runs(self, capsys):
+        # t^1024 + 1 is cyclotomic, so the one member is excluded
+        code, out, _ = run_cli(["search", "--kind", "reciprocal", "--degree",
+                                "1024", "--height", "0"], capsys)
+        assert code == 0
+        data = json.loads(out)["data"]
+        assert data["excluded_kronecker"] == 1 and data["minimum"] is None
+
+
 class TestEnvironment:
     def test_max_bits_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SKEWREC_MAX_BITS", "64")

@@ -12,6 +12,7 @@ from skewrec.errors import ParseError, PolynomialError
 from skewrec.poly import (
     BREUSCH_BOUND,
     LEHMER_POLY,
+    MAX_DEGREE,
     ONE,
     T,
     ZERO,
@@ -342,6 +343,23 @@ class TestParsing:
     def test_a_leading_sign_and_spaced_products_stay_accepted(self):
         assert parse_poly("+t - 1") == IntPoly([-1, 1])
         assert parse_poly("3 t^2 - 2 * t") == IntPoly([0, -2, 3])
+
+    def test_degree_limit_is_accepted(self):
+        assert parse_poly(f"t^{MAX_DEGREE} + 1").degree == MAX_DEGREE
+        full = "[" + ",".join(["1"] * (MAX_DEGREE + 1)) + "]"
+        assert parse_poly(full).degree == MAX_DEGREE
+
+    @pytest.mark.parametrize("text", [
+        f"t^{MAX_DEGREE + 1}",
+        "t^3000000+1",
+        # read as one integer, never expanded into coefficients
+        "2t^" + "9" * 200 + " - 1",
+        "1 + t^" + "9" * 200,
+        "[" + ",".join(["0"] * (MAX_DEGREE + 2)) + "]",
+    ])
+    def test_degree_above_the_limit_is_rejected(self, text):
+        with pytest.raises(ParseError, match=f"above degree {MAX_DEGREE}"):
+            parse_poly(text)
 
     @given(small_polys)
     def test_to_string_round_trip(self, f):

@@ -1,16 +1,19 @@
 """The record contract: every value class behaves as a frozen record.
 
-Each class is built positionally and by keyword, compares and hashes by
-value and only against its own class, keeps the repr text it always
+Each class is built positionally and by keyword, rejects a missing,
+unknown or duplicate field with TypeError, compares and hashes by value
+and only against its own class, keeps the repr and JSON text it always
 had, refuses assignment and deletion, and survives pickling and copying
 (a process pool pickles enclosures and polynomials inside its results).
 """
 
 import copy
+import json
 import pickle
 
 import pytest
 
+from skewrec._record import Record
 from skewrec.enclosure import Enclosure
 from skewrec.errors import PolynomialError
 from skewrec.measure import MeasureResult
@@ -100,8 +103,64 @@ CASES = {
 }
 
 
+# json.dumps of each case's to_json(); IntPoly and _ExactDisk had no
+# to_json of their own before the generic encoding
+JSON_TEXT = {
+    "IntPoly": '[1, -3, 1]',
+    "Enclosure": '{"lo": "1.0", "hi": "2.0", "bits": 53}',
+    "RootDisk": '{"re": "1.0", "im": "2.0", "radius": "0.5"}',
+    "_ExactDisk": '{"re": 3, "im": -4, "r": 1, "lo": 4, "hi": 6, "grid": 70}',
+    "MeasureResult": '{"mahler": {"lo": "1.25", "hi": "1.5", "bits": 53}, '
+                     '"house": {"lo": "1.25", "hi": "1.5", "bits": 53}, '
+                     '"is_kronecker": false, "root_count_outside_unit_circle": 2, '
+                     '"root_count_certified": true}',
+    "SearchSpace": '{"kind": "skew_reciprocal", "degree": 4, "height": 2}',
+    "SearchReport": '{"space": {"kind": "skew_reciprocal", "degree": 4, "height": 2}, '
+                    '"quantity": "mahler", "tol": "1e-10", "enumerated": 25, '
+                    '"excluded_kronecker": 3, '
+                    '"minimum": {"lo": "1.25", "hi": "1.5", "bits": 53}, '
+                    '"witnesses": [[1, 1, -1]], '
+                    '"witness_enclosures": [{"lo": "1.25", "hi": "1.5", "bits": 53}], '
+                    '"precision_escalations": 0, "precision_exhausted": false}',
+    "SequenceRow": '{"i": 1, "degree": 2, "height": 1, '
+                   '"mahler_reciprocal": {"lo": "1.25", "hi": "1.5", "bits": 53}, '
+                   '"mahler_skew": {"lo": "1.25", "hi": "1.5", "bits": 53}, '
+                   '"house_reciprocal": {"lo": "1.25", "hi": "1.5", "bits": 53}, '
+                   '"house_skew": {"lo": "1.25", "hi": "1.5", "bits": 53}, '
+                   '"r": null, "s": null, "q": null, "breusch_check": null}',
+    "SequenceTable": '{"rows": [{"i": 1, "degree": 2, "height": 1, '
+                     '"mahler_reciprocal": {"lo": "1.25", "hi": "1.5", "bits": 53}, '
+                     '"mahler_skew": {"lo": "1.25", "hi": "1.5", "bits": 53}, '
+                     '"house_reciprocal": {"lo": "1.25", "hi": "1.5", "bits": 53}, '
+                     '"house_skew": {"lo": "1.25", "hi": "1.5", "bits": 53}, '
+                     '"r": null, "s": null, "q": null, "breusch_check": null}]}',
+    "DecompositionSurvey": '{"space": {"kind": "skew_reciprocal", "degree": 4, '
+                           '"height": 2}, "enumerated": 25, "excluded_kronecker": 3, '
+                           '"square_substitution_count": 4, "witness_count": 5, '
+                           '"min_witness_mahler": {"lo": "1.25", "hi": "1.5", '
+                           '"bits": 53}, "witnesses_below_bound": 0, '
+                           '"all_witnesses_above_bound": true}',
+    "SquareSubstitution": '{"case": "square_substitution", "g": [1, -3, 1]}',
+    "NonreciprocalWitness": '{"case": "nonreciprocal_witness", "v": 1, '
+                            '"u": [1, 1, -1]}',
+    "IntMatrix": '[[0, 1], [-1, 0]]',
+}
+
+# the cases built by Record.__init__ itself, every field required
+GENERIC = {name: c for name, c in CASES.items() if c[0].__init__ is Record.__init__}
+
+
+class Pair(Record):
+    __slots__ = ("a", "b")
+
+
 @pytest.fixture(params=CASES.values(), ids=CASES)
 def case(request):
+    return request.param
+
+
+@pytest.fixture(params=GENERIC.values(), ids=GENERIC)
+def generic_case(request):
     return request.param
 
 
@@ -113,6 +172,56 @@ def test_positional_and_keyword_construction_agree(case):
         assert getattr(by_position, name) == value
         assert getattr(by_keyword, name) == value
     assert by_position == by_keyword
+
+
+def test_unknown_duplicate_or_surplus_arguments_raise_type_error(case):
+    cls, fields, _, _ = case
+    values = tuple(fields.values())
+    first = next(iter(fields))
+    with pytest.raises(TypeError):
+        cls(**fields, extra=0)
+    with pytest.raises(TypeError):
+        cls(*values, **{first: fields[first]})
+    with pytest.raises(TypeError):
+        cls(*values, 0)
+
+
+def test_missing_or_too_few_arguments_raise_type_error(generic_case):
+    cls, fields, _, _ = generic_case
+    last = list(fields)[-1]
+    with pytest.raises(TypeError, match=f"missing fields \\['{last}'\\]"):
+        cls(**{name: v for name, v in fields.items() if name != last})
+    with pytest.raises(TypeError, match=f"missing fields \\['{last}'\\]"):
+        cls(*list(fields.values())[:-1])
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((1,), {}, r"Pair\(\) missing fields \['b'\]"),
+    ((), {"b": 2}, r"missing fields \['a'\]"),
+    ((), {}, r"missing fields \['a', 'b'\]"),
+    ((1, 2, 3), {}, r"Pair\(\) takes 2 fields, got 3"),
+    ((1, 2), {"c": 3}, "unknown field 'c'"),
+    ((1,), {"a": 1, "b": 2}, "duplicate field 'a'"),
+])
+def test_record_constructor_errors(args, kwargs, message):
+    # a wrong positional arity raised ValueError here before
+    with pytest.raises(TypeError, match=message):
+        Pair(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_json_text(name):
+    cls, fields, _, _ = CASES[name]
+    assert json.dumps(cls(**fields).to_json()) == JSON_TEXT[name]
+
+
+def test_generic_json_encoding():
+    # nested records and tuples are encoded, other values kept as stored
+    inner = Pair(1.5, None)
+    doc = Pair(inner, (inner, (True, "x"), IntPoly((0, 2)))).to_json()
+    assert doc == {"a": {"a": 1.5, "b": None},
+                   "b": [{"a": 1.5, "b": None}, [True, "x"], [0, 2]]}
+    assert list(doc) == ["a", "b"] and type(doc["a"]["a"]) is float
 
 
 def test_equality_and_hash_by_value(case):
@@ -176,6 +285,8 @@ def test_validation_errors():
         SearchSpace("bogus", 4, 1)
     with pytest.raises(PolynomialError, match="degree must be even"):
         SearchSpace("reciprocal", 3, 1)
+    with pytest.raises(PolynomialError, match="degree must be <= 1024"):
+        SearchSpace("reciprocal", 1026, 0)
     with pytest.raises(PolynomialError, match="height must be >= 0"):
         SearchSpace("reciprocal", 4, -1)
     with pytest.raises(PolynomialError, match="non-integer coefficient"):
