@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Optional
 
@@ -47,6 +48,7 @@ from .enclosure import Enclosure
 from .errors import PolynomialError, PrecisionExhausted
 from .poly import (
     IntPoly,
+    _canonical,
     _strip_t_powers,
     cyclotomic,
     divrem_exact,
@@ -71,13 +73,14 @@ __all__ = [
 ]
 
 
-# Polynomials whose chains the chain memo keeps in a scope.  A search
-# scan takes each leaf of its power-sum tree and then the leaf's
-# t -> -t partner: two keys for one chain of at most ten or so steps
-# (its Kronecker walk on the spaces up to degree 16, and the bounds'
-# depth _bound_steps(n), 9 at degrees 10 to 16, often cut short by an
-# early stop), read back-to-back and never again, so this holds dozens
-# of such pairs, and memory stays bounded for any input.
+# Keys the chain memo keeps in a scope.  Each chain of an even-degree
+# polynomial is filed under two keys, its own coefficients and its
+# t -> -t partner's.  A search scan takes each leaf of its power-sum
+# tree and then the leaf's partner: one chain of at most ten or so
+# steps (its Kronecker walk on the spaces up to degree 16, and the
+# bounds' depth _bound_steps(n), 9 at degrees 10 to 16, often cut short
+# by an early stop), read back-to-back and never again, so this holds
+# dozens of such pairs, and memory stays bounded for any input.
 _CHAIN_MEMO_SIZE = 64
 
 # Members whose squarefree parts the parts memo keeps in a scope: a
@@ -86,6 +89,7 @@ _CHAIN_MEMO_SIZE = 64
 _PARTS_MEMO_SIZE = 256
 
 
+@functools.lru_cache(maxsize=None)
 def _bound_steps(n: int) -> int:
     """The Graeffe step the search bounds read for degree n.
 
@@ -121,23 +125,25 @@ def graeffe(f: IntPoly) -> IntPoly:
     stays monic.  Everything is exact integer arithmetic on coefficient
     lists, with a single IntPoly built for the result.
     """
-    if f.is_zero():
-        raise PolynomialError("graeffe of the zero polynomial")
     c = f.coeffs
     n = len(c)
+    if not n:
+        raise PolynomialError("graeffe of the zero polynomial")
     coeffs = _square(c[0::2])
     coeffs += [0] * (n - len(coeffs))
     for k, y in enumerate(_square(c[1::2])):
         coeffs[k + 1] -= y
     if n % 2 == 0:  # odd degree
         coeffs = [-x for x in coeffs]
-    g = IntPoly(coeffs)
-    if g.degree != f.degree or g.leading != f.leading**2:
+    # coeffs has n integer entries, so a last one of lc(f)**2, which is
+    # nonzero, proves it canonical: the result is built unchecked
+    if coeffs[-1] != c[-1] * c[-1]:
+        g = IntPoly(coeffs)
         raise PolynomialError(
             f"graeffe of a degree-{f.degree} polynomial gave degree "
             f"{g.degree} with leading coefficient {g.leading}"
         )
-    return g
+    return _canonical(tuple(coeffs))
 
 
 class _Chain:
@@ -151,7 +157,10 @@ class _Chain:
     takes only absolute values of its coefficients, which t -> -t keeps.
 
     The Kronecker decision is shared too: t -> -t negates every root,
-    so it keeps every root modulus, and with it the answer.
+    so it keeps every root modulus, and with it the answer.  A chain a
+    bound made for t**k * g (k > 0) walks the iterates t**k * g_k, whose
+    coefficients are g_k's under a larger central binomial bound, so it
+    reaches the same decision as g's.
     """
 
     __slots__ = ("iterates", "kronecker", "reads")
@@ -169,20 +178,20 @@ class _Chain:
         return iterates[k]
 
     def is_kronecker(self) -> bool:
-        """is_kronecker's decision for iterates[0] (nonzero at 0), walked once."""
+        """is_kronecker's decision for iterates[0], walked once."""
         if self.kronecker is None:
-            g = self.iterates[0]
-            bound = math.comb(g.degree, g.degree // 2)
-            seen = {g.coeffs}
+            c = self.iterates[0].coeffs
+            bound = _central_binomial(len(c) - 1)
+            seen = {c}
             for k in itertools.count(1):
-                if any(abs(c) > bound for c in g.coeffs):
+                if max(map(abs, c)) > bound:
                     self.kronecker = False
                     break
-                g = self.iterate(k)
-                if g.coeffs in seen:
+                c = self.iterate(k).coeffs
+                if c in seen:
                     self.kronecker = True
                     break
-                seen.add(g.coeffs)
+                seen.add(c)
         return self.kronecker
 
     def read(self, reader, k: int) -> float:
@@ -194,30 +203,45 @@ class _Chain:
         return value
 
 
+@functools.lru_cache(maxsize=None)
+def _central_binomial(n: int) -> int:
+    """C(n, floor(n/2)), the largest coefficient of (t + 1)**n."""
+    return math.comb(n, n // 2)
+
+
 # coefficients -> the _Chain they share with their t -> -t partner
 _chains = _ScopedMemo(_CHAIN_MEMO_SIZE)
 
 
 def _chain(g: IntPoly) -> _Chain:
-    """The Graeffe chain of g, kept only inside a memo scope.
+    """A new Graeffe chain of g, which its caller checked and found no chain of.
 
-    In a scope, a lookup of g that misses tries g(-t) before it builds a
-    chain, and on a hit there files g under the same chain, so a search
-    member and its partner, scanned one after the other, share all of
-    their exact Graeffe work.  Outside a scope every lookup builds a
-    fresh chain.
+    Inside a memo scope the chain is filed under g and, at even degree,
+    under g(-t), so a search member and its partner share all of their
+    Graeffe work, and a later lookup of either is one memo hit.  Only at
+    even degree is g(-t) monic with g, so every key filed was checked
+    monic, and a hit stands for that check.  Outside a scope nothing is
+    filed.
     """
+    chain = _Chain(g)
+    c = g.coeffs
+    _chains.keep(c, chain)
+    # even degree, and g(-t) != g: some odd coefficient is nonzero
+    if _chains.entries is not None and len(c) % 2 and any(c[1::2]):
+        partner = list(c)
+        partner[1::2] = [-x for x in c[1::2]]
+        _chains.keep(tuple(partner), chain)
+    return chain
 
-    def make() -> _Chain:
-        if _chains.entries is not None:
-            partner = list(g.coeffs)
-            partner[1::2] = [-c for c in partner[1::2]]
-            chain = _chains.entries.get(tuple(partner))
-            if chain is not None:
-                return chain
-        return _Chain(g)
 
-    return _chains.get(g.coeffs, make)
+def _monic_chain(f: IntPoly, name: str) -> _Chain:
+    """The chain of monic f: the memo's, else a new one once f is checked."""
+    chain = _chains.lookup(f.coeffs)
+    if chain is None:
+        if not f.is_monic():
+            raise PolynomialError(f"{name} requires monic input")
+        chain = _chain(f)
+    return chain
 
 
 def is_kronecker(f: IntPoly) -> bool:
@@ -242,15 +266,25 @@ def is_kronecker(f: IntPoly) -> bool:
     test is a memo hit, as are the Graeffe bounds taken next on f or on
     f(-t) (with no t-power factor, as for every search member), which
     continue this chain instead of starting it again.
+
+    The memo is looked up first, under f's own coefficients.  A hit
+    skips the checks below: every key is filed by a caller that checked
+    it monic, and so nonzero (see _chain).
     """
-    if f.is_zero():
-        raise PolynomialError("is_kronecker of the zero polynomial")
-    if not f.is_monic():
-        raise PolynomialError("is_kronecker requires monic input")
-    g0 = f if f.coeffs[0] else _strip_t_powers(f)[1]
-    if g0.degree == 0:
-        return True
-    return _chain(g0).is_kronecker()
+    chain = _chains.lookup(f.coeffs)
+    if chain is None:
+        if f.is_zero():
+            raise PolynomialError("is_kronecker of the zero polynomial")
+        if not f.is_monic():
+            raise PolynomialError("is_kronecker requires monic input")
+        if not f.coeffs[0]:
+            f = _strip_t_powers(f)[1]
+            chain = _chains.lookup(f.coeffs)
+        if f.degree == 0:
+            return True
+        if chain is None:
+            chain = _chain(f)
+    return chain.is_kronecker()
 
 
 @functools.lru_cache(maxsize=None)
@@ -438,7 +472,7 @@ def _mahler_root_tol(f: IntPoly, tol: float) -> Fraction:
 
 def _height_bound(f: IntPoly) -> int:
     """Integer upper bound for M(f), from the coefficient l2 norm."""
-    s = sum(c * c for c in f.coeffs)
+    s = sum(map(operator.mul, f.coeffs, f.coeffs))
     return max(1, math.isqrt(s) + 1)
 
 
@@ -507,8 +541,9 @@ def _log2_norm_bound(g: IntPoly, k: int) -> float:
     g has the degree of f.  A chain reader, as are the three below that
     compute each bound from its iterate.
     """
+    c = g.coeffs
     # log2 ||g||_2 = log2(s)/2, computed safely for huge integers
-    log2_s = _log2_below(sum(c * c for c in g.coeffs))
+    log2_s = _log2_below(sum(map(operator.mul, c, c)))
     return (log2_s / 2 - g.degree) / (1 << k)
 
 
@@ -535,11 +570,11 @@ def mahler_lower_bound(f: IntPoly, *, above: Optional[float] = None) -> float:
 
     Each b_k is read once per chain, which f shares with f(-t) inside a
     memo scope: the bound of f(-t), with any above, is then a memo hit
-    on the steps already read, and equals that of f.
+    on the steps already read, and equals that of f.  As in
+    is_kronecker, a memo hit skips the monic check.
     """
-    if not f.is_monic():
-        raise PolynomialError("mahler_lower_bound requires monic input")
-    return _lower_bound(_chain(f), _log2_norm_bound, _bound_steps(f.degree),
+    chain = _monic_chain(f, "mahler_lower_bound")
+    return _lower_bound(chain, _log2_norm_bound, _bound_steps(f.degree),
                         f.degree, above)
 
 
@@ -571,13 +606,12 @@ def house_lower_bound(f: IntPoly, *, above: Optional[float] = None) -> float:
     power of t has no b_k, and never stops early.
 
     It is read once per chain, which f shares with f(-t) inside a memo
-    scope.
+    scope, and a memo hit skips the monic check.
     """
-    if not f.is_monic():
-        raise PolynomialError("house_lower_bound requires monic input")
-    if f.degree == 0:  # no roots: the empty maximum, as for a power of t
+    if f.coeffs == (1,):  # no roots: the empty maximum, as for a power of t
         return 0.0
-    return _lower_bound(_chain(f), _log2_house_bound, _bound_steps(f.degree),
+    chain = _monic_chain(f, "house_lower_bound")
+    return _lower_bound(chain, _log2_house_bound, _bound_steps(f.degree),
                         math.log2(2 * f.degree), above)
 
 
@@ -608,11 +642,18 @@ def _log2_house_bound(g: IntPoly, k: int) -> float:
     nonzero coefficients below the leading one; -inf if there is none."""
     c = g.coeffs
     n = len(c) - 1
+    log2_binomials = _log2_binomials(n)
     return max(
-        ((_log2_below(abs(c[n - j])) - math.log2(math.comb(n, j))) / (j << k)
-         for j in range(1, n + 1) if c[n - j]),
+        [(_log2_below(abs(c[n - j])) - log2_binomials[j]) / (j << k)
+         for j in range(1, n + 1) if c[n - j]],
         default=-math.inf,
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _log2_binomials(n: int) -> tuple[float, ...]:
+    """log2 C(n, j) for j = 0..n, the row _log2_house_bound reads."""
+    return tuple([math.log2(math.comb(n, j)) for j in range(n + 1)])
 
 
 def _log2_above(n: int) -> float:
@@ -656,14 +697,13 @@ def mahler_upper_bound(f: IntPoly) -> float:
     scope, after that lower bound on f or on f(-t) this makes no
     Graeffe step, and the bound itself is read once per chain.
     """
-    if not f.is_monic():
-        raise PolynomialError("mahler_upper_bound requires monic input")
-    return _chain(f).read(_mahler_upper_bound, _bound_steps(f.degree))
+    chain = _monic_chain(f, "mahler_upper_bound")
+    return chain.read(_mahler_upper_bound, _bound_steps(f.degree))
 
 
 def _mahler_upper_bound(g: IntPoly, k: int) -> float:
-    s = sum(c * c for c in g.coeffs)
-    return _pow2_above(_log2_above(s) / (2 << k))
+    c = g.coeffs
+    return _pow2_above(_log2_above(sum(map(operator.mul, c, c))) / (2 << k))
 
 
 def house_upper_bound(f: IntPoly) -> float:
@@ -690,9 +730,8 @@ def house_upper_bound(f: IntPoly) -> float:
     scope, after that lower bound on f or on f(-t) this makes no
     Graeffe step, and the bound itself is read once per chain.
     """
-    if not f.is_monic():
-        raise PolynomialError("house_upper_bound requires monic input")
-    return _chain(f).read(_house_upper_bound, _bound_steps(f.degree))
+    chain = _monic_chain(f, "house_upper_bound")
+    return chain.read(_house_upper_bound, _bound_steps(f.degree))
 
 
 def _house_upper_bound(g: IntPoly, k: int) -> float:

@@ -188,6 +188,17 @@ class IntPoly(Record):
         return list(self.coeffs)
 
 
+def _canonical(coeffs: tuple[int, ...]) -> IntPoly:
+    """The IntPoly of a tuple already in canonical form, built unchecked.
+
+    For hot callers whose own invariants prove what IntPoly() checks:
+    every entry an int and the last one nonzero.
+    """
+    f = object.__new__(IntPoly)
+    object.__setattr__(f, "coeffs", coeffs)
+    return f
+
+
 ZERO = IntPoly(())
 ONE = IntPoly((1,))
 T = IntPoly((0, 1))
@@ -468,6 +479,14 @@ _TERM_RE = re.compile(
 )
 
 
+def _parse_int(digits: str) -> int:
+    """int(digits), with CPython's limit on digit strings reported as a ParseError."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ParseError(f"bad number of {len(digits)} digits: {exc}") from None
+
+
 def parse_poly(text: str) -> IntPoly:
     """Parse either a dense coefficient list or a monomial expression.
 
@@ -506,14 +525,14 @@ def parse_poly(text: str) -> IntPoly:
             raise ParseError(f"missing '+' or '-' before {text[pos:pos+12]!r}")
         sign = -1 if m.group("sign") == "-" else 1
         if m.group("coeff") is not None:
-            coeff = sign * int(m.group("coeff"))
+            coeff = sign * _parse_int(m.group("coeff"))
             if "t" in m.group(0):
-                exp = int(m.group("exp1")) if m.group("exp1") else 1
+                exp = _parse_int(m.group("exp1")) if m.group("exp1") else 1
             else:
                 exp = 0
         else:
             coeff = sign
-            exp = int(m.group("exp2")) if m.group("exp2") else 1
+            exp = _parse_int(m.group("exp2")) if m.group("exp2") else 1
         if exp > MAX_DEGREE:
             raise ParseError(f"exponent {exp} is above degree {MAX_DEGREE}")
         coeffs[exp] = coeffs.get(exp, 0) + coeff

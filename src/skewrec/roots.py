@@ -63,7 +63,8 @@ which opens and closes all of them together.  A search and a decomposition surve
 one scope, and so does each task a search sends to a pool worker; outside
 a scope nothing is kept, so no operation reads another's work.  Only
 tables that depend on small integers alone (the start angles here,
-cyclotomic polynomials) live as long as the process.
+cyclotomic polynomials, measure.py's per-degree constants) live as long
+as the process.
 """
 
 from __future__ import annotations
@@ -385,8 +386,8 @@ class _ScopedMemo:
         self.hits = self.misses = 0
         _memos.append(self)
 
-    def get(self, key, make):
-        """The entry kept for key; on a miss make() builds it, kept in a scope."""
+    def lookup(self, key):
+        """The entry kept for key, or None; always None outside a scope."""
         entries = self.entries
         if entries is not None:
             value = entries.get(key)
@@ -394,11 +395,22 @@ class _ScopedMemo:
                 self.hits += 1
                 return value
         self.misses += 1
-        value = make()
+        return None
+
+    def keep(self, key, value) -> None:
+        """In a scope, keep value under key, dropping the oldest key at maxsize."""
+        entries = self.entries
         if entries is not None:
             if len(entries) >= self.maxsize:
                 del entries[next(iter(entries))]
             entries[key] = value
+
+    def get(self, key, make):
+        """The entry kept for key; on a miss make() builds it, kept in a scope."""
+        value = self.lookup(key)
+        if value is None:
+            value = make()
+            self.keep(key, value)
         return value
 
 

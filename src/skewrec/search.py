@@ -103,7 +103,14 @@ from .measure import (
     mahler_lower_bound,
     mahler_upper_bound,
 )
-from .poly import BREUSCH_BOUND, MAX_DEGREE, IntPoly, negate_variable, reverse
+from .poly import (
+    BREUSCH_BOUND,
+    MAX_DEGREE,
+    IntPoly,
+    _canonical,
+    negate_variable,
+    reverse,
+)
 from .roots import DEFAULT_MAX_BITS, _memos, memo_scope
 from .structure import NonreciprocalWitness, decompose_skew_reciprocal
 
@@ -152,21 +159,20 @@ class SearchSpace(Record):
         return (2 * self.height + 1) ** self.half_degree
 
     def member(self, free: tuple[int, ...]) -> IntPoly:
-        """The member with free coefficients (c_d, ..., c_(2d-1))."""
-        d = self.half_degree
-        if len(free) != d:
+        """The member with integer free coefficients (c_d, ..., c_(2d-1)).
+
+        The low coefficients c_0..c_(d-1) mirror c_(2d)..c_(d+1), with the
+        skew class's signs (-1)**(d+k).  A member is monic, so with
+        integer free coefficients it is built without IntPoly's checks.
+        """
+        d = len(free)
+        if d != self.degree // 2:
             raise PolynomialError("free coefficient vector has wrong length")
-        coeffs = [0] * (self.degree + 1)
-        coeffs[self.degree] = 1
-        for offset, c in enumerate(free):
-            coeffs[d + offset] = c
-        for k in range(d):
-            mirror = coeffs[self.degree - k]
-            if self.kind == RECIPROCAL:
-                coeffs[k] = mirror
-            else:
-                coeffs[k] = (-1) ** (d + k) * mirror
-        return IntPoly(coeffs)
+        low = [1, *free[:0:-1]]  # c_(2d), c_(2d-1), ..., c_(d+1)
+        if self.kind == SKEW:
+            odd = 1 - d % 2  # the first k with d + k odd
+            low[odd::2] = [-c for c in low[odd::2]]
+        return _canonical((*low, *free, 1))
 
     def free_vector(self, f: IntPoly) -> tuple[int, ...]:
         d = self.half_degree
@@ -191,8 +197,10 @@ class SearchSpace(Record):
         identities pair c_k with c_(2d-k), of the same parity), so it
         negates free coefficient i exactly when d + i is odd.
         """
-        d = self.half_degree
-        return tuple(-c if (d + i) % 2 else c for i, c in enumerate(free))
+        odd = 1 - self.half_degree % 2  # the first i with d + i odd
+        partner = list(free)
+        partner[odd::2] = [-c for c in free[odd::2]]
+        return tuple(partner)
 
 
 def enumerate_space(space: SearchSpace) -> Iterator[IntPoly]:

@@ -41,6 +41,7 @@ from skewrec.poly import (
     divrem_exact,
     euler_phi,
     gcd_primitive,
+    negate_variable,
 )
 
 settings.register_profile(
@@ -107,10 +108,17 @@ def mahler_graeffe_oracle(f: IntPoly, iterations: int = 8) -> float:
 
 
 def graeffe_iterate_reference(f: IntPoly, steps: int) -> IntPoly:
-    """The steps-th Graeffe iterate by a plain loop, with nothing memoized."""
+    """The steps-th Graeffe iterate by plain polynomial products, nothing memoized.
+
+    Each step reads g(t**2) = (-1)**deg(g) * g(t) * g(-t) off the even
+    coefficients of the product, without the package's graeffe.
+    """
+    if f.is_zero():
+        raise PolynomialError("graeffe of the zero polynomial")
     g = f
     for _ in range(steps):
-        g = graeffe(g)
+        product = (-1) ** g.degree * g * negate_variable(g)
+        g = IntPoly(product.coeffs[0::2])
     return g
 
 

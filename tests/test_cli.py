@@ -78,6 +78,18 @@ class TestMeasureCommand:
         error = json.loads(err)["error"]
         assert error["type"] == "ParseError" and "missing '+' or '-'" in error["message"]
 
+    @pytest.mark.parametrize("text", [
+        "t^" + "9" * 5000,
+        "9" * 5000 + "t+1",
+        "[" + "9" * 5000 + "]",
+    ], ids=["exponent", "coefficient", "list"])
+    def test_digits_past_the_int_limit_are_a_parse_error(self, capsys, text):
+        # int() refuses strings of more than 4300 digits with a ValueError
+        code, out, err = run_cli(["classify", text], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ParseError" and "5000 digits" in error["message"]
+
 
 class TestClassifyAndDecompose:
     def test_classify(self, capsys):

@@ -111,6 +111,22 @@ class TestGraeffe:
     def test_zero_rejected(self):
         with pytest.raises(PolynomialError):
             graeffe(IntPoly([]))
+        with pytest.raises(PolynomialError):
+            graeffe_iterate_reference(IntPoly([]), 1)
+
+    @given(f=integer_polys(), steps=st.integers(1, 4))
+    @example(f=IntPoly([1, 1, 1, 1, 1, 1]), steps=2)  # odd degree
+    @example(f=IntPoly([-2, 0, 3]), steps=3)  # non-monic
+    @example(f=IntPoly([0, 0, 4, -1, -5]), steps=2)  # negative lc, times t**2
+    def test_matches_the_product_reference(self, f, steps):
+        # graeffe builds its result unchecked: it must come out canonical
+        g = f
+        for _ in range(steps):
+            g = graeffe(g)
+            assert type(g.coeffs) is tuple and g.coeffs[-1] != 0
+            assert all(type(c) is int for c in g.coeffs)
+        assert g == graeffe_iterate_reference(f, steps)
+        assert g.degree == f.degree and g.leading == f.leading ** (2**steps)
 
     @given(f=integer_polys())
     @example(f=IntPoly([7]))  # degree 0
@@ -401,7 +417,9 @@ def _non_kronecker_members(kind, degree, height):
 
 def graeffe_iterate(f, steps):
     """The steps-th Graeffe iterate of f from its chain; step 0 is f itself."""
-    return f if steps == 0 else _chain(f).iterate(steps)
+    if steps == 0:
+        return f
+    return (_chains.lookup(f.coeffs) or _chain(f)).iterate(steps)
 
 
 def count_graeffe(monkeypatch):
@@ -473,8 +491,54 @@ class TestGraeffeChain:
             is_kronecker(f)
             is_kronecker(f)
             assert len(calls) == counts[0]
-            assert len(_chains.entries) == 1
+            # one chain, filed under f and its partner f(-t)
+            assert len(_chains.entries) == 2
+            assert set(_chains.entries) == {f.coeffs, negate_variable(f).coeffs}
         assert _chains.entries is None and _ladders.entries is None
+
+    def test_a_member_and_its_partner_file_one_chain(self, monkeypatch):
+        calls = count_graeffe(monkeypatch)
+        for f in _non_kronecker_members("skew_reciprocal", 8, 1):
+            g = negate_variable(f)
+            with memo_scope():
+                assert not is_kronecker(f)
+                bound = mahler_lower_bound(f)
+                # both keys, or one for a member that is its own partner
+                assert set(_chains.entries) == {f.coeffs, g.coeffs}
+                assert _chains.entries[f.coeffs] is _chains.entries[g.coeffs]
+                walked, hits = len(calls), _chains.hits
+                # each later lookup of either is one hit, with no new step
+                assert not is_kronecker(g)
+                assert mahler_lower_bound(g) == bound
+                assert _chains.hits == hits + 2 and len(calls) == walked
+            assert _chains.entries is None
+
+    def test_pair_filing_keeps_the_bound(self):
+        members = [f for f in _non_kronecker_members("reciprocal", 8, 2)
+                   if negate_variable(f) != f]
+        assert 2 * len(members) > _chains.maxsize
+        with memo_scope():
+            for f in members:
+                is_kronecker(f)
+                assert len(_chains.entries) <= _chains.maxsize
+            assert len(_chains.entries) == _chains.maxsize
+            last = members[-1]
+            assert {last.coeffs, negate_variable(last).coeffs} <= set(_chains.entries)
+            assert members[0].coeffs not in _chains.entries
+        assert _chains.entries is None
+
+    def test_an_odd_degree_partner_is_not_filed(self):
+        # t^3 + t - 2 is monic, its partner -t^3 - t - 2 is not: filing
+        # the partner would let a memo hit skip the monic check
+        f = IntPoly([-2, 1, 0, 1])
+        g = negate_variable(f)
+        with memo_scope():
+            assert not is_kronecker(f)
+            mahler_lower_bound(f)
+            assert set(_chains.entries) == {f.coeffs}
+            for read in ORBIT_READERS.values():
+                with pytest.raises(PolynomialError):
+                    read(g)
 
 
 # every chain reader search.py calls, each with the arguments it passes
@@ -587,7 +651,7 @@ def test_an_infinite_above_reads_only_the_last_step(lower_bound):
     for f in [LEHMER_POLY, *_non_kronecker_members("skew_reciprocal", 8, 1)]:
         with memo_scope():
             bound = lower_bound(f, above=math.inf)
-            steps = {k for _, k in _chain(f).reads}
+            steps = {k for _, k in _chains.lookup(f.coeffs).reads}
         assert steps == {_bound_steps(f.degree)}
         assert bound == lower_bound(f)
 

@@ -122,6 +122,22 @@ class TestSearchSpace:
             assert len(members) == space.size
             assert len(set(m.coeffs for m in members)) == space.size
 
+    def test_member_matches_the_mirrored_construction(self):
+        # member builds its IntPoly unchecked: compare with the class
+        # identities applied one coefficient at a time
+        for kind in ("reciprocal", "skew_reciprocal"):
+            for degree, height in itertools.product((2, 4, 6, 8, 10), (0, 1, 2)):
+                space = SearchSpace(kind, degree, height)
+                d = degree // 2
+                for free in space.free_vectors():
+                    coeffs = [0] * d + list(free) + [1]
+                    for k in range(d):
+                        sign = 1 if kind == "reciprocal" else (-1) ** (d + k)
+                        coeffs[k] = sign * coeffs[degree - k]
+                    f = space.member(free)
+                    assert f == IntPoly(coeffs) and type(f.coeffs) is tuple
+                    assert space.free_vector(f) == free
+
     def test_members_have_declared_symmetry(self):
         for f in enumerate_space(SearchSpace("reciprocal", 4, 2)):
             assert f.is_monic() and f.degree == 4 and is_reciprocal(f)
