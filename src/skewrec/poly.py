@@ -10,6 +10,7 @@ polynomial and it is safe to share them across threads and processes.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
 
@@ -353,7 +354,71 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly(rem[: b.degree])
 
 
+# Points xi that gcd_primitive's heuristic tries before the subresultant loop
+_HEU_TRIES = 4
+
+
 def gcd_primitive(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Primitive positive-leading gcd in Z[t]: the heuristic gcd, verified.
+
+    GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989) rests on
+    this identity.  Let a, b be primitive with |a|_inf <= |b|_inf, xi an
+    integer >= 2*|a|_inf + 2, and h the primitive part of the polynomial
+    whose coefficients are the symmetric xi-adic digits of
+    gcd(a(xi), b(xi)).  If h divides a and b, then h = gcd(a, b)
+    (Geddes, Czapor & Labahn, Thm 7.7): the cofactor gcd/h at xi divides
+    the content of h, at most xi/2, while its roots are roots of a, so
+    within |a|_inf + 1 of 0, and unless it is constant it is larger than
+    xi/2 at xi.  xi is a power of two, so evaluating and reading digits
+    are shifts, and math.gcd does the integer work.  A
+    candidate is accepted only when it is constant or monic and
+    divrem_exact leaves no remainder on either input; otherwise xi grows.
+    After _HEU_TRIES points the subresultant loop decides.  Inside
+    squarefree_decomposition every gcd divides a monic input, so it is
+    monic.  Contents of the inputs are dropped: the result is primitive.
+    """
+    if f.is_zero() and g.is_zero():
+        raise PolynomialError("gcd of two zero polynomials")
+    if f.is_zero():
+        return g.primitive()
+    if g.is_zero():
+        return f.primitive()
+    a, b = f.primitive(), g.primitive()
+    # the smallest k with 2**k >= 2*min(|a|, |b|) + 2
+    k = (2 * min(a.height(), b.height()) + 1).bit_length()
+    for _ in range(_HEU_TRIES):
+        h = _from_digits(math.gcd(_at_power_of_two(a, k), _at_power_of_two(b, k)), k)
+        if h.degree == 0:
+            return ONE
+        if (h.leading == 1 and divrem_exact(a, h)[1].is_zero()
+                and divrem_exact(b, h)[1].is_zero()):
+            return h
+        k += k // 2 + 1
+    return _gcd_subresultant(a, b)
+
+
+def _at_power_of_two(f: IntPoly, k: int) -> int:
+    """f(2**k), by Horner's rule in shifts."""
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = (acc << k) + c
+    return acc
+
+
+def _from_digits(gamma: int, k: int) -> IntPoly:
+    """Primitive part of the polynomial with gamma > 0's symmetric 2**k-adic digits."""
+    mask, half, xi = (1 << k) - 1, 1 << (k - 1), 1 << k
+    digits = []
+    while gamma:
+        d = gamma & mask
+        if d > half:
+            d -= xi
+        digits.append(d)
+        gamma = (gamma - d) >> k
+    return IntPoly(digits).primitive()
+
+
+def _gcd_subresultant(f: IntPoly, g: IntPoly) -> IntPoly:
     """Primitive positive-leading gcd in Z[t], via a subresultant remainder sequence.
 
     The subresultant sequence keeps all intermediate polynomials integral

@@ -20,18 +20,19 @@ are dyadic rationals (doubles included), so the Weierstrass corrections
     W_i = f(z_i) / (lc * prod_{j != i} (z_i - z_j))
 
 and the Newton quotients f(z_i)/f'(z_i) are evaluated in exact integer
-arithmetic.  Each radius and each modulus bracket is then rounded
-outward onto the dyadic grid 2**-R, where R is _GUARD_BITS (64) finer
-than the finest of the points and of 2**-res_bits, the working
-precision (see _certify).  Carrying the exact quotients instead would
-give radii with thousands of denominator bits, and products of them
-in the Mahler bounds with tens of thousands.  A certified disk keeps
-its centre, radius and modulus bracket as plain integer numerators on
-that grid, so grouping disks into components and reading enclosures
-from them compare and multiply integers; measure.py builds one
-Fraction per enclosure bound at the end.  Two classical facts turn
-the quotients into a certificate, for pairwise distinct z_1..z_n and
-radii r_i >= n * max(|W_i|, |f(z_i)/f'(z_i)|):
+arithmetic, f and f' at z_i both from one division of f by the real
+quadratic (t - z_i)(t - conj z_i).  Each radius and each modulus
+bracket is then rounded outward onto the dyadic grid 2**-R, where R is
+_GUARD_BITS (64) finer than the finest of the points and of
+2**-res_bits, the working precision (see _certify).  Carrying the exact
+quotients instead would give radii with thousands of denominator bits,
+and products of them in the Mahler bounds with tens of thousands.  A
+certified disk keeps its centre, radius and modulus bracket as plain
+integer numerators on that grid, so grouping disks into components and
+reading enclosures from them compare and multiply integers; measure.py
+builds one Fraction per enclosure bound at the end.  Two classical
+facts turn the quotients into a certificate, for pairwise distinct
+z_1..z_n and radii r_i >= n * max(|W_i|, |f(z_i)/f'(z_i)|):
 
   * every root of f lies in the union of the closed disks D(z_i, r_i),
     and a connected component made of k disks contains exactly k roots
@@ -255,16 +256,28 @@ def _eval_scaled(coeffs, s: int, x: int, y: int) -> tuple[int, int, int, int]:
 
     p has the integer coefficients coeffs and degree n.  Returns the real
     and imaginary parts of 2**(s*n) * p(z) and then of
-    2**(s*(n-1)) * p'(z).  This is homogeneous Horner in plain integers:
-    each step is acc * (x + i*y) + c_j * 2**(s*(n - j)), and the
-    derivative's accumulator takes acc, as in Horner's scheme for p'.
+    2**(s*(n-1)) * p'(z).  Dividing p by the real quadratic
+    q(t) = (t - z)(t - conj z) = t**2 - 2 Re(z) t + |z|**2 gives
+    b_n = c_n, b_k = c_k + 2 Re(z) b_(k+1) - |z|**2 b_(k+2), the quotient
+    Q = sum_(k>=2) b_k t**(k-2) and p = q*Q + b_1 t + b_0 - 2 Re(z) b_1.
+    As q(z) = 0 and q'(z) = 2i Im(z), this is the identity
+    p(z) = b_0 - conj(z) b_1,  p'(z) = b_1 + 2i Im(z) Q(z).
+    In integers B_k = 2**(s*(n-k)) b_k: B_n = c_n and
+    B_k = c_k * 2**(s*(n-k)) + 2x B_(k+1) - (x**2 + y**2) B_(k+2), and
+    the same recurrence over B_n..B_2 gives 2**(s*(n-2)) Q(z) =
+    E_0 - (x - i*y) E_1.  That is four integer products a step, where
+    Gaussian Horner for p and p' takes eight.
     """
     n = len(coeffs) - 1
-    fa, fb, da, db = coeffs[n], 0, 0, 0
-    for j in range(n - 1, -1, -1):
-        da, db = da * x - db * y + fa, da * y + db * x + fb
-        fa, fb = fa * x - fb * y + (coeffs[j] << s * (n - j)), fa * y + fb * x
-    return fa, fb, da, db
+    tx, m = 2 * x, x * x + y * y
+    # (b0, b1) = (B_k, B_(k+1)) and (e0, e1) = (E_(k-2), E_(k-1))
+    b0 = b1 = e0 = e1 = 0
+    for k in range(n, 1, -1):
+        b0, b1 = (coeffs[k] << s * (n - k)) + tx * b0 - m * b1, b0
+        e0, e1 = b0 + tx * e0 - m * e1, e0
+    for k in range(min(n, 1), -1, -1):
+        b0, b1 = (coeffs[k] << s * (n - k)) + tx * b0 - m * b1, b0
+    return b0 - b1 * x, b1 * y, b1 - 2 * y * y * e1, 2 * y * (e0 - e1 * x)
 
 
 def _certify(coeffs, points, res_bits=0):
@@ -286,23 +299,25 @@ def _certify(coeffs, points, res_bits=0):
     z_i = Z_i / 2**s_i for a Gaussian integer Z_i and s_i = max(0, -e_i),
     and R >= s_i + 64, so each centre is an exact integer on the grid.
     f(z_i) * 2**(s_i*n) and f'(z_i) * 2**(s_i*(n-1)) are Gaussian
-    integers (_eval_scaled).  The n(n-1)/2 squared distances
-    |z_i - z_j|**2, each an integer over 4**max(s_i, s_j), are computed
-    once, and since |prod w|**2 = prod |w|**2, the squared Weierstrass
-    denominator |lc * prod_{j != i} (z_i - z_j)|**2 is lc**2 times their
-    product over j: an integer over a power of 4.  The larger of |W_i|
-    and |f(z_i)/f'(z_i)| is the one with the smaller denominator, chosen
-    by one shifted integer comparison, and the radius is the smallest
-    grid multiple at or above n times it (one exact ceiling division and
-    one isqrt).  |z_i| is rounded down and up onto the grid, and the
+    integers, both read off one integer division of f by the real
+    quadratic with roots z_i and conj z_i (_eval_scaled).  The n(n-1)/2
+    squared distances |z_i - z_j|**2, each an integer over
+    4**max(s_i, s_j), are computed once, and since
+    |prod w|**2 = prod |w|**2, the squared Weierstrass denominator
+    |lc * prod_{j != i} (z_i - z_j)|**2 is lc**2 times their product over
+    j: an integer over a power of 4.  The larger of |W_i| and
+    |f(z_i)/f'(z_i)| is the one with the smaller denominator, chosen by
+    one shifted integer comparison, and the radius is the smallest grid
+    multiple at or above n times it (one exact ceiling division and one
+    isqrt).  |z_i| is rounded down and up onto the grid, and the
     bracket of the disk is that interval widened by the radius, clamped
     below at 0.
 
     Each point keeps its own exponent, not the least one: a near-real
     point with a tiny imaginary part (a double such as 1.18 + 2.9e-47i)
     has an exponent far below the others', and shifting every point onto
-    it would make all of the integers, and Horner's accumulators most,
-    that much longer.
+    it would make all of the integers, and the division's quotient
+    terms most, that much longer.
 
     Rounding outward is sound because every statement of the certificate
     survives larger radii and wider brackets:

@@ -741,8 +741,8 @@ def _min_search(
              tol, prune, max_bits) for first in firsts])
 
         enumerated = space.size
-        assert sum(scanned + cut for scanned, cut, *_ in chunk_results) \
-            == enumerated
+        if sum(scanned + cut for scanned, cut, *_ in chunk_results) != enumerated:
+            raise AssertionError("the chunks did not cover the search space")
         kron = sum(k for _, _, k, _ in chunk_results)
         candidates = sorted(
             (c for _, _, _, survivors in chunk_results for c in survivors),

@@ -141,7 +141,8 @@ def charpoly(a: IntMatrix) -> IntPoly:
 
     The trace divisions by k are exact for integer matrices; each one is
     verified, and the final Cayley-Hamilton identity A*M_(n-1) + c_0*I = 0
-    is asserted, so a wrong result cannot escape silently.
+    is checked (AssertionError, also under python -O), so a wrong result
+    cannot escape silently.
     """
     n = a.size
     if n == 0:
@@ -157,7 +158,8 @@ def charpoly(a: IntMatrix) -> IntPoly:
             raise ArithmeticError("Faddeev-LeVerrier division is not exact")
         coeffs[n - k] = q
         m = am + IntMatrix.identity(n).scaled(q)
-    assert m == IntMatrix.identity(n).scaled(0), "Cayley-Hamilton check failed"
+    if m != IntMatrix.identity(n).scaled(0):
+        raise AssertionError("Cayley-Hamilton check failed")
     return IntPoly(coeffs)
 
 
@@ -327,12 +329,14 @@ def random_symplectic(g: int, word_length: int, seed: int) -> IntMatrix:
         x = next(stream)
         gen, inv = gens[(x >> 1) % len(gens)]
         result = result @ (inv if x & 1 else gen)
-    assert is_symplectic(result)
+    if not is_symplectic(result):
+        raise AssertionError("random_symplectic result is not symplectic")
     return result
 
 
 def random_anti_symplectic(g: int, word_length: int, seed: int) -> IntMatrix:
     """random_symplectic(g, word_length, seed) @ R; word_length 0 gives R."""
     result = random_symplectic(g, word_length, seed) @ reversal(g)
-    assert is_anti_symplectic(result)
+    if not is_anti_symplectic(result):
+        raise AssertionError("random_anti_symplectic result is not anti-symplectic")
     return result

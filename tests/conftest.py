@@ -36,11 +36,11 @@ from skewrec.measure import graeffe
 from skewrec.poly import (
     ONE,
     IntPoly,
+    _gcd_subresultant,
     cyclotomic,
     div_exact,
     divrem_exact,
     euler_phi,
-    gcd_primitive,
     negate_variable,
 )
 
@@ -128,7 +128,8 @@ def kronecker_free_part_gcd_reference(f: IntPoly) -> tuple[IntPoly, int, int]:
     The package divides by each cyclotomic polynomial Phi_N directly; this
     reference instead strips gcd(u, t**N - 1) for every order N with
     euler_phi(N) <= deg u.  By unique factorisation both give the same
-    (u, stripped, k).
+    (u, stripped, k).  The gcd is the subresultant loop, not the
+    package's heuristic gcd_primitive, so neither checks itself.
     """
     if not f.is_monic():
         raise PolynomialError("kronecker_free_part requires monic input")
@@ -150,7 +151,7 @@ def kronecker_free_part_gcd_reference(f: IntPoly) -> tuple[IntPoly, int, int]:
             if r.is_zero():
                 g = u
             else:
-                g = gcd_primitive(u, r)
+                g = _gcd_subresultant(u, r)
             if g.degree == 0:
                 break
             u = div_exact(u, g)

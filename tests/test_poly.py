@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+import skewrec.poly as poly_module
 from skewrec.errors import ParseError, PolynomialError
 from skewrec.poly import (
     BREUSCH_BOUND,
@@ -17,6 +18,7 @@ from skewrec.poly import (
     T,
     ZERO,
     IntPoly,
+    _gcd_subresultant,
     _strip_t_powers,
     cyclotomic,
     div_exact,
@@ -156,6 +158,81 @@ class TestGcd:
         a = IntPoly([1, -3, 1]) * IntPoly([1, 1])
         b = IntPoly([1, -3, 1]) * IntPoly([-1, 1])
         assert gcd_primitive(a, b) == IntPoly([1, -3, 1])
+
+
+monic_factors = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
+    lambda c: IntPoly(c + [1]))
+
+
+class TestHeuristicGcd:
+    """gcd_primitive's verified heuristic against the subresultant loop."""
+
+    @given(small_polys, small_polys, small_polys, st.integers(-6, 6))
+    def test_matches_subresultant(self, common, f, g, content):
+        # shared factors, non-monic and non-primitive inputs, constants, zero
+        a, b = common * f * content, common * g
+        if a.is_zero() and b.is_zero():
+            return
+        assert gcd_primitive(a, b) == _gcd_subresultant(a, b)
+
+    @given(st.lists(st.tuples(monic_factors, st.integers(1, 5)),
+                    min_size=1, max_size=3))
+    def test_matches_subresultant_on_repeated_factors(self, spec):
+        f = ONE
+        for p, mult in spec:
+            f = f * p**mult
+        df = f.derivative()
+        assert gcd_primitive(f, df) == _gcd_subresultant(f, df)
+        assert gcd_primitive(df, f) == _gcd_subresultant(f, df)
+
+    @pytest.mark.parametrize("f, want", [
+        (IntPoly([1, 1]) ** 5 * LEHMER_POLY**2, IntPoly([1, 1]) ** 4 * LEHMER_POLY),
+        (IntPoly([-1, 1]) ** 3 * IntPoly([1, 1, 1]) ** 4,
+         IntPoly([-1, 1]) ** 2 * IntPoly([1, 1, 1]) ** 3),
+        (cyclotomic(7) ** 2 * cyclotomic(9), cyclotomic(7)),
+    ])
+    def test_high_multiplicities(self, f, want):
+        assert gcd_primitive(f, f.derivative()) == want
+
+    def test_constants_and_zero(self):
+        assert gcd_primitive(IntPoly([6]), IntPoly([4])) == ONE
+        assert gcd_primitive(IntPoly([-3]), LEHMER_POLY) == ONE
+        assert gcd_primitive(ZERO, IntPoly([4, 6])) == IntPoly([2, 3])
+        with pytest.raises(PolynomialError):
+            gcd_primitive(ZERO, ZERO)
+
+    def test_a_rejected_point_moves_to_a_larger_one(self, monkeypatch):
+        # at the first point the candidate for gcd(f, f') does not divide
+        f = IntPoly([0, -2, -1, 1])  # t(t - 2)(t + 1)
+        seen = []
+        read = poly_module._from_digits
+        monkeypatch.setattr(poly_module, "_from_digits",
+                            lambda gamma, k: seen.append(k) or read(gamma, k))
+        monkeypatch.setattr(poly_module, "_gcd_subresultant", None)
+        assert gcd_primitive(f, f.derivative()) == ONE
+        assert len(seen) == 3 and seen == sorted(seen)
+
+    def test_no_tries_falls_back(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(poly_module, "_HEU_TRIES", 0)
+        monkeypatch.setattr(poly_module, "_gcd_subresultant",
+                            lambda *ab: calls.append(ab) or _gcd_subresultant(*ab))
+        f = IntPoly([1, 1]) ** 3 * LEHMER_POLY
+        assert gcd_primitive(f, f.derivative()) == IntPoly([1, 1]) ** 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bogus", [IntPoly([5, 1]), IntPoly([2, 1])])
+    def test_a_candidate_dividing_neither_or_one_is_rejected(self, monkeypatch, bogus):
+        # t + 2 divides a but not b; t + 5 divides neither
+        a, b = IntPoly([1, 1]) * IntPoly([2, 1]), IntPoly([1, 1]) * IntPoly([3, 1])
+        monkeypatch.setattr(poly_module, "_from_digits", lambda gamma, k: bogus)
+        assert gcd_primitive(a, b) == IntPoly([1, 1])
+
+    def test_a_non_monic_gcd_is_found(self):
+        # divrem_exact cannot test 2t + 1, so the subresultant loop finds it
+        common = IntPoly([1, 2])
+        a, b = common * IntPoly([1, 1]), common * IntPoly([-1, 1]) * 3
+        assert gcd_primitive(a, b) == common
 
 
 class TestSquarefree:

@@ -393,14 +393,13 @@ class TestDyadicCertificate:
 
 
 class TestHomogeneousHorner:
-    """_eval_scaled against exact dyadic evaluation of f and f'."""
+    """_eval_scaled against exact dyadic evaluation of f and f'.
 
-    @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=12),
-           st.integers(-9, 9).filter(bool),
-           st.integers(-2**70, 2**70), st.integers(-2**70, 2**70),
-           st.integers(0, 80))
-    def test_matches_dyadic_evaluation(self, lower, lc, x, y, s):
-        coeffs = tuple(lower) + (lc,)
+    Measure-batch points reach s = 209 at degree 30.
+    """
+
+    @staticmethod
+    def check(coeffs, s, x, y):
         n = len(coeffs) - 1
         deriv = [k * c for k, c in enumerate(coeffs) if k > 0]
         fa, fb, da, db = _eval_scaled(coeffs, s, x, y)
@@ -409,6 +408,27 @@ class TestHomogeneousHorner:
         want_df = dyadic_fractions(dyadic_eval(deriv, (x, y, -s)))
         assert (fa * scale ** n, fb * scale ** n) == want_f
         assert (da * scale ** (n - 1), db * scale ** (n - 1)) == want_df
+
+    @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=30),
+           st.integers(-9, 9).filter(bool),
+           st.integers(-2**70, 2**70), st.integers(-2**70, 2**70),
+           st.integers(0, 300))
+    def test_matches_dyadic_evaluation(self, lower, lc, x, y, s):
+        self.check(tuple(lower) + (lc,), s, x, y)
+
+    @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=30),
+           st.integers(-9, 9).filter(bool),
+           st.integers(-2**70, 2**70), st.sampled_from(["x", "y", "both"]),
+           st.integers(0, 300))
+    def test_points_on_an_axis(self, lower, lc, v, zero, s):
+        x, y = {"x": (0, v), "y": (v, 0), "both": (0, 0)}[zero]
+        self.check(tuple(lower) + (lc,), s, x, y)
+
+    @given(st.integers(-1000, 1000), st.integers(-9, 9).filter(bool),
+           st.integers(-2**70, 2**70), st.integers(-2**70, 2**70),
+           st.integers(0, 300))
+    def test_degree_one(self, c0, c1, x, y, s):
+        self.check((c0, c1), s, x, y)
 
 
 class TestRelativeGrid:

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import skewrec.symplectic as symplectic_module
 from conftest import charpoly_cofactor
 from skewrec.errors import PolynomialError
 from skewrec.poly import IntPoly, is_reciprocal, is_skew_reciprocal
@@ -181,6 +182,27 @@ class TestRandomSampling:
     def test_word_length_zero_gives_identity_class(self):
         m = random_symplectic(2, 0, 0)
         assert is_symplectic(m)
+
+
+class TestResultChecksRaise:
+    """The result checks raise AssertionError themselves, so python -O keeps them."""
+
+    def test_cayley_hamilton(self, monkeypatch):
+        m = companion_symplectic(IntPoly([1, -3, 1]))
+        # every trace read as 0: the divisions stay exact, the result is t^2
+        monkeypatch.setattr(IntMatrix, "trace", lambda self: 0)
+        with pytest.raises(AssertionError, match="Cayley-Hamilton check failed"):
+            charpoly(m)
+
+    def test_random_symplectic(self, monkeypatch):
+        monkeypatch.setattr(symplectic_module, "is_symplectic", lambda a: False)
+        with pytest.raises(AssertionError, match="not symplectic"):
+            random_symplectic(2, 5, 1)
+
+    def test_random_anti_symplectic(self, monkeypatch):
+        monkeypatch.setattr(symplectic_module, "is_anti_symplectic", lambda a: False)
+        with pytest.raises(AssertionError, match="not anti-symplectic"):
+            random_anti_symplectic(2, 5, 1)
 
 
 class TestExhaustiveSmallCompanions:
