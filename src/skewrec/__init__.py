@@ -6,6 +6,12 @@ The public API is re-exported here: exact polynomial arithmetic
 Kronecker test, the skew-reciprocal decomposition, symplectic and
 anti-symplectic companion matrices, and deterministic height-bounded
 minimum searches.
+
+The package attribute `measure` is the measure() function, and it
+shadows the submodule of that name: `import skewrec.measure as M` binds
+the function, so `M.squarefree_decomposition` does not exist.  Reach
+the module as `sys.modules["skewrec.measure"]` or
+`importlib.import_module("skewrec.measure")`.
 """
 
 import importlib

@@ -4,15 +4,23 @@ The engine is one simultaneous (Aberth-Ehrlich) iteration, run up one
 ladder of working precisions: hardware doubles (Python complex over
 float coefficients) first, then mpmath multiprecision at p0, 2*p0, ...
 up to a configured bit cap, where p0 is the first of 64, 128, 256, ...
-with 2**-p0 <= tol.  Each multiprecision rung is warm-started from the
-previous rung's approximations.  At working precision prec the
-iteration stops once every relative correction satisfies
-|corr|**2 / (1 + |z|**2) < 2**(2*(10 - prec)).  A zero derivative or a
-collision at point i nudges it by 2**-(prec//2) * (1 + 1j) * (i + 1).
-A value that stops being finite, or a coefficient too large for a
-double, ends the rung with nothing, and the next rung cold-starts.
-Only the correctly rounded +, -, *, / touch the double iterates, so
-they are the same on every run and in every worker process.
+with 2**-p0 <= tol.  A cold start puts the points on circles read off
+the Newton polygon of the coefficients' bit lengths.  At working
+precision prec a point stops once its relative correction satisfies
+|corr|**2 / (1 + |z|**2) < 2**(2*(10 - prec)), and the sweep ends when
+every point has stopped.  A zero derivative or a collision at point i
+nudges it by 2**-(prec//2) * (1 + 1j) * (i + 1).  A value that stops
+being finite, or a coefficient too large for a double, ends the rung
+with nothing, and the next rung cold-starts.  Only the correctly
+rounded +, -, *, / touch the double iterates, so they are the same on
+every run and in every worker process.
+
+A rung after one whose disks certified but were too wide runs no
+multiprecision iteration: exact Newton steps, in integers, carry each
+point onto a grid prec bits finer than its own (_newton).  Only when
+those points do not converge, do not certify, or give no narrower
+disks does the rung fall back to the iteration, warm-started from the
+latest points, as after a rung that certified nothing.
 
 Certification on top of it uses no floating point: the approximations
 are dyadic rationals (doubles included), so the Weierstrass corrections
@@ -52,7 +60,7 @@ memo_scope() a bounded memo keeps, per (part, p0), every rung already
 run: its points, which warm-start the next rung, and its disks (or
 None).  A later certification of the same part at the same p0, at a
 tighter tolerance or a higher cap, reads those rungs back and runs
-_aberth and _certify only past them, as MPSolve carries its
+_newton, _aberth and _certify only past them, as MPSolve carries its
 approximations up its precision ladder (Bini & Fiorentino, Numer.
 Algorithms 23, 2000).  Rung i is a pure function of (coefficients, p0,
 i), so a resumed ladder returns every bit a fresh one would.
@@ -87,6 +95,9 @@ __all__ = ["RootDisk", "roots_certified", "DEFAULT_MAX_BITS"]
 DEFAULT_MAX_BITS = 4096
 _START_BITS = 64
 _MAX_ITER = 220
+# Newton steps a point may take in one rung: seven double a double's 53
+# correct bits past 4096 + 53, and the eighth finds the step zero
+_NEWTON_STEPS = 8
 _DOUBLE_BITS = 53
 # the certificate's grid is this many bits finer than its points
 _GUARD_BITS = 64
@@ -153,21 +164,37 @@ def _unit_angles(n: int, prec: int) -> tuple:
 
 
 def _start_radii(coeffs, n: int) -> list:
-    """The n start radii: a Cauchy-bound circle with a small stagger.
+    """The n start radii, read off the Newton polygon, with a small stagger.
 
-    The stagger depends on the index, so that symmetric inputs do not
-    lock the iteration into a symmetric stall.  Doubles, unless the
-    bound is past the double range (mpf exponents are unbounded).
+    The points (k, bl_k), bl_k the bit length of |c_k|, have an upper
+    convex hull from k = 0 to k = n.  An edge a -> b of it stands for
+    b - a roots of modulus about 2**((bl_a - bl_b) / (b - a)), and gives
+    b - a radii of 2**e, e that exponent rounded to the nearest integer
+    (halves up), all in integer arithmetic.  A zero coefficient has
+    bl_k = 0, below every chord between the nonzero end points, so it
+    never lies on the hull.  The stagger depends on the index, so that
+    symmetric inputs do not lock the iteration into a symmetric stall.
+    Doubles, unless a radius is past the double range (mpf exponents are
+    unbounded); each radius is a power of two times the stagger, exact
+    in either type.
     """
-    lc = abs(coeffs[-1])
-    top = max((abs(c) for c in coeffs[:-1]), default=0)
-    try:
-        bound = 1.0 + top / lc
-    except OverflowError:
-        import mpmath as mp
+    hull: list[tuple[int, int]] = []
+    for k, c in enumerate(coeffs):
+        y = abs(c).bit_length()
+        # drop the last vertex while it lies on or below the chord to (k, y)
+        while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
+                                 <= (y - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append((k, y))
+    exps = []
+    for (a, bl_a), (b, bl_b) in zip(hull, hull[1:]):
+        exps += [(2 * (bl_a - bl_b) + b - a) // (2 * (b - a))] * (b - a)
+    stagger = [1.0 + 0.041 * (k % 3) + 0.0127 * (k % 5) for k in range(n)]
+    if all(-1022 <= e <= 1023 for e in exps):
+        return list(map(math.ldexp, stagger, exps))
+    import mpmath as mp
 
-        bound = 1 + mp.mpf(top) / lc
-    return [bound * (1.0 + 0.041 * (k % 3) + 0.0127 * (k % 5)) for k in range(n)]
+    return list(map(mp.ldexp, stagger, exps))
 
 
 def _initial_points(coeffs, n: int, prec: int) -> list:
@@ -194,6 +221,11 @@ def _aberth(coeffs, prec: int, warm):
     coefficients, otherwise mpc over mpf coefficients under
     mp.workprec(prec); the update rule and its arithmetic are the same.
     Starts from warm, or from _initial_points when warm is None.
+
+    Each point stops on its own: once its relative correction is below
+    eps, the correction is applied and the point is not updated again,
+    though it still enters the other points' sums.  The sweep ends when
+    no point is left active (Bini, Numer. Algorithms 13, 1996).
     Returns the approximations, or None when a coefficient does not fit
     the number type or a value stops being finite.
     """
@@ -203,8 +235,8 @@ def _aberth(coeffs, prec: int, warm):
     num, real = (complex, float) if prec == _DOUBLE_BITS else (mp.mpc, mp.mpf)
     with mp.workprec(prec):
         try:
-            cs = [real(c) for c in coeffs]
-            dcs = [real(i * c) for i, c in enumerate(coeffs) if i > 0]
+            # highest degree first, for Horner
+            cs = [real(c) for c in reversed(coeffs)]
         except OverflowError:
             return None
         if warm is not None:
@@ -214,27 +246,27 @@ def _aberth(coeffs, prec: int, warm):
         eps2 = real(2) ** (2 * (10 - prec))
         nudge = real(2) ** -(prec // 2)
         zero = num(0)
+        active = range(n)
         for _ in range(_MAX_ITER):
-            maxcorr2 = 0
-            for i in range(n):
+            if not active:
+                break
+            still = []
+            for i in active:
                 z = zs[i]
                 fz = dfz = s = zero
-                for c in reversed(cs):
+                for c in cs:
+                    dfz = dfz * z + fz
                     fz = fz * z + c
-                for c in reversed(dcs):
-                    dfz = dfz * z + c
-                collided = False
-                for other in zs[:i] + zs[i + 1:]:
-                    diff = z - other
-                    if diff == 0:
-                        collided = True
-                        break
-                    s += 1 / diff
-                if collided or dfz == 0:
+                try:
+                    for other in zs[:i]:
+                        s += 1 / (z - other)
+                    for other in zs[i + 1:]:
+                        s += 1 / (z - other)
+                    w = fz / dfz
+                except ZeroDivisionError:  # a collision, or f'(z) = 0
                     zs[i] = z + nudge * (1 + 1j) * (i + 1)
-                    maxcorr2 = _INF
+                    still.append(i)
                     continue
-                w = fz / dfz
                 denom = 1 - w * s
                 corr = w if denom == 0 else w / denom
                 zs[i] = z - corr
@@ -243,12 +275,51 @@ def _aberth(coeffs, prec: int, warm):
                 if not (corr2 < _INF and z2 < _INF):
                     return None
                 # (|corr| / (1 + |z|))**2 <= corr2 / (1 + z2) <= twice that
-                mc2 = corr2 / (1 + z2)
-                if mc2 > maxcorr2:
-                    maxcorr2 = mc2
-            if maxcorr2 < eps2:
-                break
+                if corr2 / (1 + z2) >= eps2:
+                    still.append(i)
+            active = still
         return zs
+
+
+def _newton(coeffs, points, prec: int) -> Optional[list]:
+    """Exact Newton steps z - f(z)/f'(z) from each point, as exact mpc.
+
+    Point i, z_i = (x + i*y) / 2**s_i as in _certify, is first put on
+    the grid 2**-(s_i + prec), and stays on it.  There _eval_scaled gives
+    F = 2**(s*n) f(z) and D = 2**(s*(n-1)) f'(z) with s = s_i + prec, so
+    the step f(z)/f'(z) is F conj(D) / |D|**2 grid units, rounded to the
+    nearest one (halves up) in integers.  A point stops once its rounded
+    step is zero; each step from a simple root's neighbourhood doubles
+    its correct bits, so _NEWTON_STEPS carry a double up to past 4096
+    bits.  Returns None when a point has not stopped by then (a cluster,
+    where Newton converges only linearly) or meets f'(z) = 0 off a root.
+    The mpc values are made from their exact parts: mpc() would round
+    them to the working precision and lose the steps' low bits.
+    """
+    import mpmath as mp
+    from mpmath.libmp import from_man_exp
+
+    out = []
+    for z in points:
+        a, b, e = dy.from_mpf_pair(z.real, z.imag)
+        s = max(0, -e) + prec
+        x, y = a << max(0, e) + prec, b << max(0, e) + prec
+        for _ in range(_NEWTON_STEPS):
+            fa, fb, da, db = _eval_scaled(coeffs, s, x, y)
+            d2 = da * da + db * db
+            if d2 == 0:
+                if fa or fb:
+                    return None
+                break
+            sx = (2 * (fa * da + fb * db) + d2) // (2 * d2)
+            sy = (2 * (fb * da - fa * db) + d2) // (2 * d2)
+            if sx == sy == 0:
+                break
+            x, y = x - sx, y - sy
+        else:
+            return None
+        out.append(mp.make_mpc((from_man_exp(x, -s), from_man_exp(y, -s))))
+    return out
 
 
 def _eval_scaled(coeffs, s: int, x: int, y: int) -> tuple[int, int, int, int]:
@@ -463,10 +534,14 @@ def _certified_disks(
     for hardware doubles, otherwise the multiprecision working precision.
 
     Given p0, the ladder [53, p0, 2*p0, ...] depends on nothing else:
-    max_bits only truncates it.  Rung i runs _aberth from rung i-1's
-    points (a cold start after a rung that gave none) and certifies
-    them at grid max(prec, p0), so its points and disks are a pure
-    function of (coefficients, p0, i).  Inside memo_scope() the rungs
+    max_bits only truncates it.  When rung i-1 returned disks (certified,
+    but too wide), rung i runs _newton from its points and keeps the
+    Newton points if they certify with a widest disk narrower than
+    rung i-1's.  Otherwise it runs _aberth from the latest points: the
+    Newton ones when _newton converged, else rung i-1's (a cold start
+    after a rung that gave none).  Either way it certifies at grid
+    max(prec, p0), so its points and disks are a pure function of
+    (coefficients, p0, i).  Inside memo_scope() the rungs
     already run for (coefficients, p0) are read back from _ladders, and
     only the rest are run and kept.  Each rung, read or run, takes the
     same tolerance test, so the result is the one a fresh ladder gives,
@@ -488,14 +563,24 @@ def _certified_disks(
         ladder.append(prec)
         prec *= 2
     rungs = _ladders.get((coeffs, p0), list)
-    zs = None
+    zs = disks = None
     for i, prec in enumerate(ladder):
         if i < len(rungs):
             zs, disks = rungs[i]
         else:
-            zs = _aberth(coeffs, prec, zs)
             # the points are dyadic rationals: _certify converts them exactly
-            disks = None if zs is None else _certify(coeffs, zs, max(prec, p0))
+            last, disks = disks, None
+            newton = None if last is None else _newton(coeffs, zs, prec)
+            if newton is not None:
+                zs, disks = newton, _certify(coeffs, newton, max(prec, p0))
+                # kept only when its widest disk is narrower than the last's
+                if disks is not None and dy.le_scaled(
+                        max(d.r for d in last), -last[0].grid,
+                        max(d.r for d in disks), -disks[0].grid):
+                    disks = None
+            if disks is None:
+                zs = _aberth(coeffs, prec, zs)
+                disks = None if zs is None else _certify(coeffs, zs, max(prec, p0))
             rungs.append((zs, disks))
         # r * 2**-grid <= tol, with r an integer
         if disks is not None and max(d.r for d in disks) <= (

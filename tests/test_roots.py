@@ -36,6 +36,8 @@ from skewrec.roots import (
     _GUARD_BITS,
     _initial_points,
     _ladders,
+    _newton,
+    _start_radii,
     _START_BITS,
     components,
     memo_scope,
@@ -177,6 +179,33 @@ def _disk_data(parts, certify):
     return [(certify(p), mult) for p, mult in parts]
 
 
+def record_rungs(monkeypatch) -> list:
+    """Record each _aberth and _newton call as (name, prec, points passed in).
+
+    Wraps whatever the module holds at the time, so a test may first
+    replace either function and then record the replacement.
+    """
+    module = importlib.import_module("skewrec.roots")
+    aberth, newton = module._aberth, module._newton
+    calls = []
+
+    def recording_aberth(coeffs, prec, warm):
+        calls.append(("aberth", prec, warm))
+        return aberth(coeffs, prec, warm)
+
+    def recording_newton(coeffs, points, prec):
+        calls.append(("newton", prec, points))
+        return newton(coeffs, points, prec)
+
+    monkeypatch.setattr(module, "_aberth", recording_aberth)
+    monkeypatch.setattr(module, "_newton", recording_newton)
+    return calls
+
+
+def rung_names(calls) -> list:
+    return [(name, prec) for name, prec, _ in calls]
+
+
 class TestDoubleFastPath:
     """The hardware-double seed against a forced multiprecision run.
 
@@ -218,23 +247,21 @@ class TestDoubleFastPath:
         self.check(IntPoly(coeffs + [1]))
 
     def test_fallback_is_warm_started(self, monkeypatch):
+        # two coincident double points certify nothing, so the 64-bit rung
+        # runs the iteration from them rather than from a cold start
         module = importlib.import_module("skewrec.roots")
-        original = module._aberth
-        calls = []
-
-        def recording(coeffs, prec, warm):
-            calls.append((prec, warm))
-            return original(coeffs, prec, warm)
-
-        monkeypatch.setattr(module, "_aberth", recording)
-        tol = Fraction(1e-20)  # out of reach of double approximations
+        aberth = module._aberth
+        collided = [1.5 + 0.5j] * 2
+        monkeypatch.setattr(module, "_aberth", lambda coeffs, prec, warm: (
+            collided if prec == 53 else aberth(coeffs, prec, warm)))
+        calls = record_rungs(monkeypatch)
+        tol = Fraction(1e-12)
         disks, bits = _certified_disks(IntPoly([1, -3, 1]), tol,
                                        DEFAULT_MAX_BITS)
         assert len(disks) == 2 and all(disk_fractions(d)[2] <= tol for d in disks)
-        assert bits > 53
-        assert calls[0] == (53, None)
-        warms = [warm for prec, warm in calls if prec > 53]
-        assert warms and warms[0] is not None
+        assert bits == 64
+        assert rung_names(calls) == [("aberth", 53), ("aberth", 64)]
+        assert calls[0][2] is None and calls[1][2] is collided
 
     def test_double_rung_recovers_from_coincident_points(self):
         # every pair collides at the start; the nudges must separate them
@@ -282,24 +309,20 @@ class TestLadderMemo:
         assert resumed == fresh
 
     def test_exhaustion_then_success_gives_the_fresh_result(self, monkeypatch):
-        f, tol = IntPoly([1, -3, 1]), Fraction(1, 1 << 64)  # p0 = 64
+        # no double holds 10**400, and the 64-bit iteration leaves the root
+        # near -10**400 far wider than 2**-64; the Newton rung at 128 bits
+        # puts it on the grid 2**-128
+        f, tol = IntPoly([1, 10**400, 1]), Fraction(1, 1 << 64)  # p0 = 64
         fresh = _certified_disks(f, tol, DEFAULT_MAX_BITS)
-        module = importlib.import_module("skewrec.roots")
-        original = module._aberth
-        precs = []
-
-        def recording(coeffs, prec, warm):
-            precs.append(prec)
-            return original(coeffs, prec, warm)
-
-        monkeypatch.setattr(module, "_aberth", recording)
+        calls = record_rungs(monkeypatch)
         with memo_scope():
             with pytest.raises(PrecisionExhausted):
                 _certified_disks(f, tol, 64)
-            assert precs == [53, 64]
+            assert rung_names(calls) == [("aberth", 53), ("aberth", 64)]
             assert _certified_disks(f, tol, DEFAULT_MAX_BITS) == fresh
         # the second call ran only the rung past the cap
-        assert precs == [53, 64, 128] and fresh[1] == 128
+        assert rung_names(calls) == [("aberth", 53), ("aberth", 64), ("newton", 128)]
+        assert fresh[1] == 128
 
     def test_nothing_is_kept_outside_a_scope(self):
         f, tol = IntPoly([1, -3, 1]), Fraction(1e-12)
@@ -314,6 +337,83 @@ class TestLadderMemo:
                 _certified_disks(f, tol, DEFAULT_MAX_BITS)
             assert len(_ladders.entries) == 1
         assert (_ladders.hits, _ladders.entries) == (hits + 1, None)
+
+
+def _newton_reference(coeffs, z, prec):
+    """_newton's rule for one point, in exact complex rationals.
+
+    The point starts on the grid 2**-(s + prec), s as in _certify; each
+    step f/f' is rounded to the nearest grid point (halves up), until
+    one rounds to zero.  None when eight steps do not get there.
+    """
+    a, b, e = dy.from_mpf_pair(z.real, z.imag)
+    grid = 1 << (max(0, -e) + prec)
+    x, y = dyadic_fractions((a, b, e))
+    for _ in range(8):
+        fr = fi = dr = di = Fraction(0)
+        for c in reversed(coeffs):
+            dr, di = dr * x - di * y + fr, dr * y + di * x + fi
+            fr, fi = fr * x - fi * y + c, fr * y + fi * x
+        m = dr * dr + di * di
+        sx = math.floor((fr * dr + fi * di) / m * grid + Fraction(1, 2))
+        sy = math.floor((fi * dr - fr * di) / m * grid + Fraction(1, 2))
+        if sx == sy == 0:
+            return x, y
+        x, y = x - Fraction(sx, grid), y - Fraction(sy, grid)
+    return None
+
+
+class TestNewtonRung:
+    """A rung after certified but too wide disks: exact Newton steps."""
+
+    def test_lehmer_at_1e_15_runs_no_multiprecision_iteration(self, monkeypatch):
+        calls = record_rungs(monkeypatch)
+        tol = Fraction(1e-15)
+        disks, bits = _certified_disks(LEHMER_POLY, tol, DEFAULT_MAX_BITS)
+        assert bits == 64 and all(disk_fractions(d)[2] <= tol for d in disks)
+        assert rung_names(calls) == [("aberth", 53), ("newton", 64)]
+        calls.clear()
+        result = measure(LEHMER_POLY, 1e-15)
+        assert result.mahler.bits == result.house.bits == 64
+        assert calls and all(prec == 53 for name, prec, _ in calls if name == "aberth")
+
+    @pytest.mark.parametrize("failure", ["uncertified", "unconverged"])
+    def test_a_failed_newton_rung_warm_starts_the_iteration(self, monkeypatch, failure):
+        module = importlib.import_module("skewrec.roots")
+        newton = module._newton
+        handed = []
+
+        def failing(coeffs, points, prec):
+            if failure == "unconverged":
+                return None
+            zs = newton(coeffs, points, prec)
+            handed.append(zs[:1] + zs[:-1])  # two coincide: no certificate
+            return handed[0]
+
+        monkeypatch.setattr(module, "_newton", failing)
+        calls = record_rungs(monkeypatch)
+        tol = Fraction(1e-15)
+        disks, bits = _certified_disks(LEHMER_POLY, tol, DEFAULT_MAX_BITS)
+        assert bits == 64 and all(disk_fractions(d)[2] <= tol for d in disks)
+        assert rung_names(calls) == [("aberth", 53), ("newton", 64), ("aberth", 64)]
+        # the Newton points when they converged, else the double rung's
+        warm = handed[0] if handed else calls[1][2]
+        assert calls[2][2] is warm
+
+    @pytest.mark.parametrize("prec", [64, 128, 512])
+    def test_steps_match_an_exact_rational_reference(self, rng, prec):
+        inputs = [LEHMER_POLY, IntPoly([1, -3, 1])]
+        inputs += [random_monic(rng, 12, 5) for _ in range(6)]
+        for f in inputs:
+            for p, _ in squarefree_decomposition(f):
+                points = _aberth(p.coeffs, 53, None)
+                got = _newton(p.coeffs, points, prec)
+                want = [_newton_reference(p.coeffs, z, prec) for z in points]
+                if None in want:
+                    assert got is None
+                else:
+                    assert [dyadic_fractions(dy.from_mpf_pair(z.real, z.imag))
+                            for z in got] == want
 
 
 class TestCertifyCoincidentPoints:
@@ -445,18 +545,83 @@ class TestRelativeGrid:
         assert disk.center == 2.0**-600 and disk.radius <= 1e-200
 
 
+def _stagger(k):
+    return 1.0 + 0.041 * (k % 3) + 0.0127 * (k % 5)
+
+
+def _polygon_exponents(coeffs):
+    """Start-radius exponents from the upper envelope U of (k, bl_k), by brute force.
+
+    U(k) is the largest value at k of a chord between two points around
+    it (or of the point itself), so U is the upper hull.  On [j-1, j] it
+    has slope U(j) - U(j-1), the root modulus there is about
+    2**(U(j-1) - U(j)), and the exponent is that rounded, halves up.
+    """
+    n = len(coeffs) - 1
+    bl = [abs(c).bit_length() for c in coeffs]
+    u = []
+    for k in range(n + 1):
+        # the chord's value at k is num / den; keep the largest
+        num, den = bl[k], 1
+        for a in range(k):
+            for b in range(k + 1, n + 1):
+                v, d = bl[a] * (b - a) + (bl[b] - bl[a]) * (k - a), b - a
+                if v * den > num * d:
+                    num, den = v, d
+        u.append(Fraction(num, den))
+    return [math.floor(u[j - 1] - u[j] + Fraction(1, 2)) for j in range(1, n + 1)]
+
+
 def _direct_initial_points(coeffs, n):
-    """The start points with cos and sin evaluated afresh, at mp's precision."""
-    bound = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
+    """The start points from the brute-force radii, with cos and sin afresh, at mp's precision."""
     pts = []
-    for k in range(n):
-        r = bound * (1.0 + 0.041 * (k % 3) + 0.0127 * (k % 5))
+    for k, e in enumerate(_polygon_exponents(coeffs)):
+        r = mp.ldexp(_stagger(k), e)
         theta = (2 * mp.pi * k + mp.mpf("0.7")) / n
         pts.append(mp.mpc(r * mp.cos(theta), r * mp.sin(theta)))
     return pts
 
 
+# flat, steep and gapped bit-length profiles, and one past the double range
+POLYGON_CASES = [
+    [1] * 9,
+    [3, 5, 7, 2, 6, 4, 5, 1],
+    [2**(20 * k) for k in range(7)],
+    [2**(20 * (6 - k)) for k in range(7)],
+    [1, 2**60, 2**100, 2**120, 2**130, 1],
+    [7, -2**40, 2**41, 3, -2**90, 1],
+    [1, 0, 0, 0, 0, 0, 1],
+    [5, 0, 0, 2**50, 0, 0, 0, 1],
+    [-(2**90), 0, 0, 0, 2**3, 0, 1],
+    [1, 10**400, 1],
+]
+
+
 class TestInitialPoints:
+    @pytest.mark.parametrize("coeffs", POLYGON_CASES, ids=str)
+    def test_radii_follow_the_newton_polygon(self, coeffs):
+        n = len(coeffs) - 1
+        got = _start_radii(coeffs, n)
+        # exact: each radius is a power of two times a double
+        assert [mp.mpf(r) for r in got] == \
+            [mp.ldexp(_stagger(k), e) for k, e in enumerate(_polygon_exponents(coeffs))]
+        assert all(type(r) is float for r in got) == (coeffs != [1, 10**400, 1])
+
+    def test_radii_past_the_double_range(self):
+        assert [mp.mpf(r) for r in _start_radii([1, 10**400, 1], 2)] == \
+            [mp.ldexp(1.0, -1328), mp.ldexp(_stagger(1), 1328)]
+
+    @settings(max_examples=60)
+    @given(st.lists(st.one_of(st.integers(-9, 9), st.integers(-2**80, 2**80)),
+                    min_size=1, max_size=24),
+           st.integers(1, 2**40))
+    def test_radii_match_the_brute_force_hull(self, lower, lead):
+        assume(lower[0] != 0)
+        coeffs = lower + [lead]
+        n = len(coeffs) - 1
+        assert [mp.mpf(r) for r in _start_radii(coeffs, n)] == \
+            [mp.ldexp(_stagger(k), e) for k, e in enumerate(_polygon_exponents(coeffs))]
+
     @pytest.mark.parametrize("prec", [53, 64, 128, 256])
     def test_cached_angles_are_bit_identical(self, rng, prec):
         for n in range(1, 40):
