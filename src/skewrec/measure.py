@@ -56,7 +56,8 @@ from .poly import (
     gcd_primitive,  # not called here; perfbench/tracer.py wraps this name
     squarefree_decomposition,
 )
-from .roots import DEFAULT_MAX_BITS, _ScopedMemo, _certified_disks, components
+from .roots import (DEFAULT_MAX_BITS, _check_tol, _ScopedMemo, _certified_disks,
+                    components)
 
 __all__ = [
     "graeffe",
@@ -491,6 +492,7 @@ def mahler(
     """
     if not f.is_monic():
         raise PolynomialError("mahler requires monic input")
+    _check_tol(tol)
     parts, _ = _free_parts(f)
     if not parts:  # f is Kronecker
         return Enclosure(1.0, 1.0, 0)
@@ -512,6 +514,7 @@ def house(
     """
     if f.is_zero() or f.degree < 1:
         raise PolynomialError("house requires degree >= 1")
+    _check_tol(tol)
     if f.is_monic():
         parts, stripped = _free_parts(f)
         if not parts:
@@ -774,6 +777,7 @@ def measure(
         raise PolynomialError("measure requires degree >= 1")
     if not f.is_monic():
         raise PolynomialError("measure requires monic input")
+    _check_tol(tol)
     parts, _ = _free_parts(f)
     if not parts:  # f is Kronecker
         return MeasureResult(Enclosure(1.0, 1.0, 0), house(f, tol, max_bits),

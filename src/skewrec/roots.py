@@ -22,6 +22,15 @@ those points do not converge, do not certify, or give no narrower
 disks does the rung fall back to the iteration, warm-started from the
 latest points, as after a rung that certified nothing.
 
+The roots of a real polynomial are closed under conjugation, and each
+rung's points are made so too (_conjugate_closed): every point is
+matched with the one nearest its conjugate and, when that matching is
+an involution, a point matched with itself becomes exactly real and of
+a pair the point below the real axis becomes the exact conjugate of the
+other.  _certify then evaluates one point per pair and mirrors its
+disk, and _newton steps one point per pair.  Soundness does not rest on
+this: the certificate holds for any set of distinct points.
+
 Certification on top of it uses no floating point: the approximations
 are dyadic rationals (doubles included), so the Weierstrass corrections
 
@@ -281,6 +290,45 @@ def _aberth(coeffs, prec: int, warm):
         return zs
 
 
+def _conjugate_closed(points: list) -> list:
+    """The points made closed under conjugation, or the points themselves.
+
+    Each point is matched with the point nearest its conjugate, in double
+    arithmetic.  When that matching is an involution, a point matched
+    with itself becomes exactly real, and the point of a pair with
+    Im < 0 becomes the exact conjugate of its partner.  Any other
+    matching, or a point past the double range, returns the points
+    unchanged.  The roots of a real polynomial are closed under
+    conjugation, so _certify and _newton can then work on one point per
+    pair; _certify checks the result as it checks any points.  The parts
+    are copied exactly: mpc() and conjugate() would round an mpc to 53
+    bits.
+    """
+    import mpmath as mp
+    from mpmath.libmp import fzero, mpf_neg
+
+    ds = [complex(z) for z in points]
+    if not all(abs(z) < _INF for z in ds):
+        return points
+    match = []
+    for z in ds:
+        c = z.conjugate()
+        dist = [abs(w - c) for w in ds]
+        match.append(dist.index(min(dist)))
+    out = list(points)
+    for i, j in enumerate(match):
+        if match[j] != i:
+            return points
+        z, w = points[i], points[j]
+        if i == j:
+            out[i] = (complex(z.real) if type(z) is complex
+                      else mp.make_mpc((z.real._mpf_, fzero)))
+        elif z.imag < 0:
+            out[i] = (w.conjugate() if type(w) is complex
+                      else mp.make_mpc((w.real._mpf_, mpf_neg(w.imag._mpf_))))
+    return out
+
+
 def _newton(coeffs, points, prec: int) -> Optional[list]:
     """Exact Newton steps z - f(z)/f'(z) from each point, as exact mpc.
 
@@ -293,15 +341,22 @@ def _newton(coeffs, points, prec: int) -> Optional[list]:
     its correct bits, so _NEWTON_STEPS carry a double up to past 4096
     bits.  Returns None when a point has not stopped by then (a cluster,
     where Newton converges only linearly) or meets f'(z) = 0 off a root.
-    The mpc values are made from their exact parts: mpc() would round
-    them to the working precision and lose the steps' low bits.
+    A real point stays real (its steps have no imaginary part), and of a
+    point and its exact conjugate only the one with Im > 0 steps: the
+    other becomes the exact conjugate of its result, so a set closed
+    under conjugation stays closed.  The mpc values are made from their
+    exact parts: mpc() would round them to the working precision and
+    lose the steps' low bits.
     """
     import mpmath as mp
-    from mpmath.libmp import from_man_exp
+    from mpmath.libmp import from_man_exp, mpf_neg
 
-    out = []
-    for z in points:
-        a, b, e = dy.from_mpf_pair(z.real, z.imag)
+    zs = [dy.from_mpf_pair(z.real, z.imag) for z in points]
+    index = {z: i for i, z in enumerate(zs)}
+    out = [None] * len(zs)
+    for i, (a, b, e) in enumerate(zs):
+        if b < 0 and (a, -b, e) in index:
+            continue  # made from its partner below
         s = max(0, -e) + prec
         x, y = a << max(0, e) + prec, b << max(0, e) + prec
         for _ in range(_NEWTON_STEPS):
@@ -318,7 +373,11 @@ def _newton(coeffs, points, prec: int) -> Optional[list]:
             x, y = x - sx, y - sy
         else:
             return None
-        out.append(mp.make_mpc((from_man_exp(x, -s), from_man_exp(y, -s))))
+        out[i] = mp.make_mpc((from_man_exp(x, -s), from_man_exp(y, -s)))
+    for i, (a, b, e) in enumerate(zs):
+        if out[i] is None:
+            w = out[index[a, -b, e]]
+            out[i] = mp.make_mpc((w.real._mpf_, mpf_neg(w.imag._mpf_)))
     return out
 
 
@@ -371,9 +430,9 @@ def _certify(coeffs, points, res_bits=0):
     and R >= s_i + 64, so each centre is an exact integer on the grid.
     f(z_i) * 2**(s_i*n) and f'(z_i) * 2**(s_i*(n-1)) are Gaussian
     integers, both read off one integer division of f by the real
-    quadratic with roots z_i and conj z_i (_eval_scaled).  The n(n-1)/2
-    squared distances |z_i - z_j|**2, each an integer over
-    4**max(s_i, s_j), are computed once, and since
+    quadratic with roots z_i and conj z_i (_eval_scaled).  Each squared
+    distance |z_i - z_j|**2, an integer over 4**max(s_i, s_j), is
+    computed once, and since
     |prod w|**2 = prod |w|**2, the squared Weierstrass denominator
     |lc * prod_{j != i} (z_i - z_j)|**2 is lc**2 times their product over
     j: an integer over a power of 4.  The larger of |W_i| and
@@ -384,11 +443,26 @@ def _certify(coeffs, points, res_bits=0):
     bracket of the disk is that interval widened by the radius, clamped
     below at 0.
 
-    Each point keeps its own exponent, not the least one: a near-real
-    point with a tiny imaginary part (a double such as 1.18 + 2.9e-47i)
-    has an exponent far below the others', and shifting every point onto
-    it would make all of the integers, and the division's quotient
-    terms most, that much longer.
+    A set closed under conjugation (the triple of each point's conjugate
+    is in the set, as _conjugate_closed leaves the rungs' points) is
+    certified one point per pair.  Only the real points and the points
+    with Im > 0 are evaluated, and the other point of a pair gets the
+    mirror disk, the same radius and bracket with the centre's imaginary
+    part negated.  f has real coefficients, so f(conj z) = conj f(z),
+    and conjugation maps the set onto itself, so the distances from
+    conj z_i to the other points are those from z_i: every integer of
+    the mirror's certificate equals its partner's, and the mirror disk
+    is bit for bit the one the point would get on its own.  Only the
+    distances of the evaluated points are formed, and one from z_i to
+    z_j or to conj z_j serves, conjugated, z_j too.  Any other set takes
+    every point.
+
+    Each point keeps its own exponent, not the least one: shifting every
+    point onto the finest would make all of the integers, and the
+    division's quotient terms most, that much longer.  The grid does
+    follow the finest point, so a near-real point with a tiny imaginary
+    part (a double such as 1.18 + 2.9e-47i) would put it that far down;
+    _conjugate_closed makes such points exactly real first.
 
     Rounding outward is sound because every statement of the certificate
     survives larger radii and wider brackets:
@@ -403,32 +477,50 @@ def _certify(coeffs, points, res_bits=0):
     n = len(coeffs) - 1
     zs = [dy.from_mpf_pair(z.real, z.imag) for z in points]
     # exact: from_mpf_pair gives each complex value exactly one triple
-    if len(set(zs)) < n:
+    index = {z: i for i, z in enumerate(zs)}
+    if len(index) < n:
         return None
     grid = max(res_bits, -min(e for _, _, e in zs)) + _GUARD_BITS
     # z_i = (xs[i] + i*ys[i]) / 2**ss[i]
     ss = [max(0, -e) for _, _, e in zs]
     xs = [a << max(0, e) for a, _, e in zs]
     ys = [b << max(0, e) for _, b, e in zs]
-    # |z_i - z_j|**2 = dist2[i][j] / 4**max(ss[i], ss[j]); scale[i] sums
-    # those exponents over j != i
-    dist2 = [[0] * n for _ in range(n)]
-    scale = [0] * n
-    for i in range(n):
+    # In a set closed under conjugation, point i with Im > 0 is paired
+    # with point mirror[i] = conj z_i, and only the points with Im >= 0
+    # (the rows) are evaluated; otherwise every point is a row.
+    mirror = [index.get((a, -b, e)) for a, b, e in zs]
+    closed = None not in mirror
+    paired = [closed and y > 0 for y in ys]
+    rows = [i for i in range(n) if not (closed and ys[i] < 0)]
+    # |z_i - z_j|**2 = d / 4**max(ss[i], ss[j]) for each d in dist2[i].
+    # For rows i, j the distances from z_i to z_j and to conj z_j serve,
+    # conjugated, row j too.
+    dist2 = [[] for _ in range(n)]
+    for pos, i in enumerate(rows):
         x, y, s, row = xs[i], ys[i], ss[i], dist2[i]
-        for j in range(i + 1, n):
+        if paired[i]:  # |z_i - conj z_i|**2 = 4 y**2 / 4**s
+            row.append(4 * y * y)
+        for j in rows[pos + 1:]:
             k = s - ss[j]
             if k >= 0:
-                a, b, t = x - (xs[j] << k), y - (ys[j] << k), s
+                a, yi, yj = x - (xs[j] << k), y, ys[j] << k
             else:
-                a, b, t = (x << -k) - xs[j], (y << -k) - ys[j], ss[j]
-            row[j] = dist2[j][i] = a * a + b * b
-            scale[i] += t
-            scale[j] += t
+                a, yi, yj = (x << -k) - xs[j], y << -k, ys[j]
+            a2, b = a * a, yi - yj
+            d = a2 + b * b
+            row.append(d)
+            dist2[j].append(d)
+            if paired[i] or paired[j]:  # |z_i - conj z_j| = |z_j - conj z_i|
+                b = yi + yj
+                d = a2 + b * b
+                if paired[j]:
+                    row.append(d)
+                if paired[i]:
+                    dist2[j].append(d)
     lc2 = coeffs[-1] ** 2
     n2 = n * n
-    disks = []
-    for i in range(n):
+    disks = [None] * n
+    for i in rows:
         x, y, s = xs[i], ys[i], ss[i]
         fa, fb, da, db = _eval_scaled(coeffs, s, x, y)
         f2 = fa * fa + fb * fb
@@ -438,19 +530,20 @@ def _certify(coeffs, points, res_bits=0):
             d2 = da * da + db * db
             if d2 == 0:
                 return None
-            row = dist2[i]
-            # |lc * prod|**2 = w2 / 4**scale[i] and |f'(z)|**2 = d2 / 4**de
-            w2 = lc2 * math.prod(row[:i] + row[i + 1:])
+            # |lc * prod|**2 = w2 / 4**we and |f'(z)|**2 = d2 / 4**de
+            w2, we = lc2 * math.prod(dist2[i]), sum(max(s, t) for t in ss) - s
             de = s * (n - 1)
-            q2, qe = ((w2, scale[i]) if dy.le_scaled(w2, -2 * scale[i], d2, -2 * de)
-                      else (d2, de))
+            q2, qe = (w2, we) if dy.le_scaled(w2, -2 * we, d2, -2 * de) else (d2, de)
             # (r * 2**grid)**2 = n2 * f2 * 4**(grid - s*n + qe) / q2
             k = 2 * (grid - s * n + qe)
             num, den = (n2 * f2 << k, q2) if k >= 0 else (n2 * f2, q2 << -k)
             _, r = dy.sqrt_bounds(num, den)
         up = grid - s
         m_lo, m_hi = dy.sqrt_bounds((x * x + y * y) << 2 * up)
-        disks.append(_ExactDisk(x << up, y << up, r, max(0, m_lo - r), m_hi + r, grid))
+        re, im, lo, hi = x << up, y << up, max(0, m_lo - r), m_hi + r
+        disks[i] = _ExactDisk(re, im, r, lo, hi, grid)
+        if paired[i]:
+            disks[mirror[i]] = _ExactDisk(re, -im, r, lo, hi, grid)
     return disks
 
 
@@ -539,9 +632,11 @@ def _certified_disks(
     Newton points if they certify with a widest disk narrower than
     rung i-1's.  Otherwise it runs _aberth from the latest points: the
     Newton ones when _newton converged, else rung i-1's (a cold start
-    after a rung that gave none).  Either way it certifies at grid
-    max(prec, p0), so its points and disks are a pure function of
-    (coefficients, p0, i).  Inside memo_scope() the rungs
+    after a rung that gave none).  The points either iteration returns
+    are first made closed under conjugation (_conjugate_closed); those
+    closed points are certified, kept and passed on.  Either way the
+    rung certifies at grid max(prec, p0), so its points and disks are a
+    pure function of (coefficients, p0, i).  Inside memo_scope() the rungs
     already run for (coefficients, p0) are read back from _ladders, and
     only the rest are run and kept.  Each rung, read or run, takes the
     same tolerance test, so the result is the one a fresh ladder gives,
@@ -572,7 +667,8 @@ def _certified_disks(
             last, disks = disks, None
             newton = None if last is None else _newton(coeffs, zs, prec)
             if newton is not None:
-                zs, disks = newton, _certify(coeffs, newton, max(prec, p0))
+                zs = _conjugate_closed(newton)
+                disks = _certify(coeffs, zs, max(prec, p0))
                 # kept only when its widest disk is narrower than the last's
                 if disks is not None and dy.le_scaled(
                         max(d.r for d in last), -last[0].grid,
@@ -580,7 +676,9 @@ def _certified_disks(
                     disks = None
             if disks is None:
                 zs = _aberth(coeffs, prec, zs)
-                disks = None if zs is None else _certify(coeffs, zs, max(prec, p0))
+                if zs is not None:
+                    zs = _conjugate_closed(zs)
+                    disks = _certify(coeffs, zs, max(prec, p0))
             rungs.append((zs, disks))
         # r * 2**-grid <= tol, with r an integer
         if disks is not None and max(d.r for d in disks) <= (
@@ -628,6 +726,15 @@ def components(disks: list[_ExactDisk]) -> list[list[int]]:
     return list(groups.values())
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that is not positive and finite, before any root work.
+
+    A NaN fails both comparisons.  The CLI applies the same rule to --tol.
+    """
+    if not 0 < tol < _INF:
+        raise PolynomialError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 def roots_certified(
     f: IntPoly, tol: float = 1e-10, max_bits: int = DEFAULT_MAX_BITS
 ) -> list[RootDisk]:
@@ -641,12 +748,12 @@ def roots_certified(
     widened, rounding upward, by the rounding distance, so it still
     contains its root.  Every returned radius is at most tol; a tol too
     small for that at the centre's double spacing raises
-    PrecisionExhausted.
+    PrecisionExhausted, and one that is not positive and finite raises
+    PolynomialError, as in measure(), mahler() and house().
     """
     if f.is_zero():
         raise PolynomialError("roots of the zero polynomial")
-    if tol <= 0:
-        raise PolynomialError("tolerance must be positive")
+    _check_tol(tol)
     tol_frac = Fraction(tol)
     k, f = _strip_t_powers(f)
     out = [RootDisk(0j, 0.0)] * k

@@ -31,6 +31,7 @@ from skewrec.roots import (
     _aberth,
     _certified_disks,
     _certify,
+    _conjugate_closed,
     _eval_scaled,
     _ExactDisk,
     _GUARD_BITS,
@@ -158,6 +159,22 @@ class TestErrors:
 
     def test_constant_polynomial_has_no_roots(self):
         assert roots_certified(IntPoly([7])) == []
+
+    @pytest.mark.parametrize("f", [LEHMER_POLY, IntPoly([1, 1, 1])],
+                             ids=["lehmer", "kronecker"])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("quantity", [roots_certified, mahler, house, measure],
+                             ids=lambda fn: fn.__name__)
+    def test_tolerance_must_be_positive_and_finite(self, quantity, tol, f, monkeypatch):
+        # rejected before any root work: the ladder would run to the cap
+        def no_root_work(*args):
+            raise AssertionError("root work ran")
+
+        for name in ("skewrec.roots", "skewrec.measure"):
+            module = importlib.import_module(name)
+            monkeypatch.setattr(module, "_certified_disks", no_root_work)
+        with pytest.raises(PolynomialError, match="positive and finite"):
+            quantity(f, tol)
 
     @pytest.mark.parametrize("quantity", [roots_certified, mahler, house, measure],
                              ids=lambda fn: fn.__name__)
@@ -400,6 +417,16 @@ class TestNewtonRung:
         warm = handed[0] if handed else calls[1][2]
         assert calls[2][2] is warm
 
+    def test_closed_points_step_one_per_pair(self):
+        # the partner below the axis is the exact mirror of the stepped
+        # point, which is where its own steps would have taken it
+        coeffs = LEHMER_POLY.coeffs
+        points = _conjugate_closed(_aberth(coeffs, 53, None))
+        got = _triples(_newton(coeffs, points, 128))
+        assert all((a, -b, e) in got for a, b, e in got)
+        want = [_newton_reference(coeffs, z, 128) for z in points]
+        assert [dyadic_fractions(z) for z in got] == want
+
     @pytest.mark.parametrize("prec", [64, 128, 512])
     def test_steps_match_an_exact_rational_reference(self, rng, prec):
         inputs = [LEHMER_POLY, IntPoly([1, -3, 1])]
@@ -414,6 +441,64 @@ class TestNewtonRung:
                 else:
                     assert [dyadic_fractions(dy.from_mpf_pair(z.real, z.imag))
                             for z in got] == want
+
+
+def _triples(points):
+    return [dy.from_mpf_pair(z.real, z.imag) for z in points]
+
+
+class TestConjugateClosed:
+    """Exactly real points and exact conjugate pairs, or the input itself."""
+
+    def test_double_points(self):
+        points = [1.5 + 3e-20j, 0.25 - 1.0000001j, -2 - 4.5e-52j, 0.25 + 1j]
+        out = _conjugate_closed(points)
+        assert out == [1.5 + 0j, 0.25 - 1j, -2 + 0j, 0.25 + 1j]
+        assert all(type(z) is complex for z in out)
+        assert points[1] == 0.25 - 1.0000001j  # the input is not changed
+
+    def test_multiprecision_points_keep_every_bit(self):
+        # built at 256 bits and closed at the default 53: mpc() or
+        # conjugate() would round the parts to 53 bits
+        with mp.workprec(256):
+            x, y = mp.mpf(1) / 3, mp.sqrt(2)
+            points = [mp.mpc(x, y), mp.mpc(x, mp.mpf(2) ** -200 / 7 - y),
+                      mp.mpc(-y, mp.mpf(2) ** -300)]
+        a, b, e = _triples(points)[0]
+        real = dy.from_mpf_pair(points[2].real, 0.0)
+        assert a.bit_length() > 200 and real[0].bit_length() > 200
+        out = _conjugate_closed(points)
+        assert out[0] is points[0]
+        assert _triples(out) == [(a, b, e), (a, -b, e), real]
+
+    def test_a_matching_that_is_no_involution_returns_the_input(self):
+        # both upper points are nearest the conjugate of the lower one
+        points = [1 + 1j, 1.1 + 1j, 1 - 1j]
+        assert _conjugate_closed(points) is points
+
+    def test_a_point_past_the_double_range_returns_the_input(self):
+        points = [mp.mpc(mp.mpf(2) ** 2000, 1), mp.mpc(1, 0)]
+        assert _conjugate_closed(points) is points
+
+    @pytest.mark.parametrize("f", [LEHMER_POLY, IntPoly([-2] + [0] * 15 + [1]),
+                                   IntPoly([1, -3, 0, 0, 0, 0, 0, 1])],
+                             ids=["lehmer", "t^16-2", "t^7-3t+1"])
+    def test_roots_certified_centres_come_in_exact_pairs(self, f):
+        centres = [d.center for d in roots_certified(f, 1e-12)]
+        assert sorted(centres, key=repr) == sorted((z.conjugate() for z in centres),
+                                                   key=repr)
+        real = [z for z in centres if z.imag == 0]
+        assert len(real) == sum(1 for r in brute_roots(f) if abs(r.imag) < 1e-9)
+
+    @pytest.mark.parametrize("coeffs", [(1, -3, 0, 0, 0, 0, 0, 1), (6, 0, -5, 0, 1)],
+                             ids=["t^7-3t+1", "(t^2-2)(t^2-3)"])
+    def test_real_roots_keep_the_certificate_grid_at_128_bits(self, coeffs):
+        # double points of real roots used to carry imaginary parts near
+        # 2**-240 and put the whole grid that far down
+        disks, bits = _certified_disks(IntPoly(coeffs), Fraction(1e-10),
+                                       DEFAULT_MAX_BITS)
+        assert bits == 53
+        assert {d.grid for d in disks} == {53 + 11 + _GUARD_BITS}
 
 
 class TestCertifyCoincidentPoints:
@@ -480,6 +565,22 @@ class TestDyadicCertificate:
         points = _aberth(coeffs, prec, None)
         assume(points is not None)
         self.check(coeffs, points, res_bits)
+
+    @settings(max_examples=60)
+    @given(certify_cases())
+    def test_conjugate_closed_points_get_mirror_disks(self, case):
+        coeffs, prec, res_bits = case
+        points = _aberth(coeffs, prec, None)
+        assume(points is not None)
+        points = _conjugate_closed(points)
+        zs = _triples(points)
+        assume(all((a, -b, e) in zs for a, b, e in zs))
+        self.check(coeffs, points, res_bits)
+        disks = _certify(coeffs, points, res_bits)
+        if disks is not None:
+            for (a, b, e), d in zip(zs, disks):
+                mirror = disks[zs.index((a, -b, e))]
+                assert mirror == _ExactDisk(d.re, -d.im, d.r, d.lo, d.hi, d.grid)
 
     @pytest.mark.parametrize("coeffs, points", [
         ((-1, 0, 1), [0j, 3 + 0j]),  # f'(0) = 0 at a non-root
