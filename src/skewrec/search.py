@@ -6,26 +6,32 @@ ranging over [-H, H] in lexicographic order, and the bottom half is
 derived from the class identity (c_k = c_(2d-k), respectively
 c_k = (-1)**(d+k) * c_(2d-k)).  Enumeration size is exactly (2H+1)**d.
 
-Minimum searches run in two phases so that results are bit-identical for
-any worker count:
+A minimum search takes one or more quantities (a table row takes both,
+min_mahler and min_house one) and returns a report per quantity.  It
+runs in two phases so that results are bit-identical for any worker
+count:
 
-  * phase 1 walks, per chunk, a tree over the top coefficients
-    c_(2d-1), ..., c_d whose nodes are cut by Newton power sums against
-    a cap on the quantity (see _PowerSumTree): one chunk per value
-    c_(2d-1) = 0, -1, ..., -H, each leaf followed by its t -> -t
-    partner.  Every chunk of a search reads and lowers one shared cap,
-    which starts at inf (see _scan_chunk).  Phase 1 excludes Kronecker
-    members exactly (the tree never cuts one) and computes a base
-    enclosure per remaining member; a chunk returns only its member,
-    cut and Kronecker counts and, sorted by free vector, the members
-    whose lower bound is at most its own best upper bound, since the
-    search-wide best is never above any chunk's best and phase 2 would
-    drop every other member; the parent sorts all of them before phase
-    2.  However the shared cap falls, phase 2 gets the same candidates
-    (see _scan_chunk), so the worker count cannot influence the report,
-    only a pool search's walked and cut counts;
-  * phase 2 keeps every candidate whose certified lower bound does not
-    exceed the smallest certified upper bound, then refines this set at
+  * phase 1 scans the space once for all the quantities.  It walks, per
+    chunk, a tree over the top coefficients c_(2d-1), ..., c_d whose
+    nodes are cut by Newton power sums against a cap per quantity, only
+    where every cap rules them out (see _PowerSumTree): one chunk per
+    value c_(2d-1) = 0, -1, ..., -H, each leaf followed by its t -> -t
+    partner.  Every chunk of a search reads and lowers one shared cap
+    per quantity, each starting at inf (see _scan_chunk).  Phase 1
+    excludes Kronecker members exactly, with one test per member walked
+    (the tree never cuts one), and computes a base enclosure per
+    remaining member and quantity; a chunk returns only its member, cut
+    and Kronecker counts and, per quantity and sorted by free vector,
+    the members whose lower bound is at most its own best upper bound,
+    since the search-wide best is never above any chunk's best and
+    phase 2 would drop every other member; the parent sorts all of them
+    before phase 2.  However the shared caps fall, phase 2 gets the
+    same candidates (see _scan_chunk), so neither the worker count nor
+    the other quantities can influence a report, only a pool search's
+    walked and cut counts;
+  * phase 2 runs for each quantity in turn (see _phase_two).  It
+    keeps every candidate whose certified lower bound does not exceed
+    the smallest certified upper bound, then refines this set at
     progressively finer tolerances until a single witness remains, the
     escalation budget is spent, or every candidate left has the same
     exact tie-class key (see _tie_key); unresolved ties are reported in
@@ -71,12 +77,12 @@ mahler_upper_bound, house_upper_bound).  The lower bound participates
 in candidate elimination unconditionally; the prune flag only controls
 whether members disqualified by the cap alone are cut from the tree or
 skip the expensive enclosure computation.  Pruned or not, reports are
-identical.  The Kronecker test and the bounds walk one memoized Graeffe
-chain per leaf and partner, and a pruning scan lets the lower bound
-stop at an earlier step once it provably exceeds the chunk's cap
-(the member is pruned either way, and the bound of every member kept is
-the full one).  enumerated is the space size, the members reached plus
-those cut.
+identical.  The Kronecker test and every quantity's bounds walk one
+memoized Graeffe chain per leaf and partner, and a pruning scan lets a
+lower bound stop at an earlier step once it provably exceeds the
+chunk's cap for its quantity (the member is pruned for it either way,
+and the bound of every member kept is the full one).  enumerated is
+the space size, the members reached plus those cut.
 """
 
 from __future__ import annotations
@@ -111,7 +117,7 @@ from .poly import (
     negate_variable,
     reverse,
 )
-from .roots import DEFAULT_MAX_BITS, _memos, memo_scope
+from .roots import DEFAULT_MAX_BITS, _check_tol, _memos, memo_scope
 from .structure import NonreciprocalWitness, decompose_skew_reciprocal
 
 __all__ = [
@@ -129,6 +135,9 @@ __all__ = [
 ]
 
 _ESCALATION_ROUNDS = 3
+
+# The quantities a search can minimise; a table row's search takes both.
+_QUANTITIES = ("mahler", "house")
 
 RECIPROCAL = "reciprocal"
 SKEW = "skew_reciprocal"
@@ -228,11 +237,14 @@ class _PowerSumTree:
     n/2 pairs: sum x_i <= log B, and x -> e**(kx) + e**(-kx) - 2 is
     convex and 0 at 0, so superadditive on x >= 0, which gives
     |s_k| <= sum |alpha|**k <= n - 2 + B**k + B**-k.  If house(f) <= h,
-    every pair has r <= h, so |s_k| <= (n/2) * (h**k + h**-k).  A node
-    whose |s_k| breaks the bound is cut with its whole subtree, and a
-    leaf whose s_(d+1)..s_n break it is cut too; every member cut has a
-    value above the cap (see set_cap).  A Kronecker member has
-    |s_k| <= n, within every bound, so it is never cut.
+    every pair has r <= h, so |s_k| <= (n/2) * (h**k + h**-k).  The tree
+    holds a cap per quantity of its search, and a node is live for the
+    quantities whose bound its |s_k| and every |s_j| above it keep.  A
+    node live for none is cut with its whole subtree, and so is a leaf
+    that s_(d+1)..s_n leave live for none; a member cut, or not live for
+    a quantity, has that quantity's value above its cap (see set_caps).
+    A Kronecker member has |s_k| <= n, within every bound, so it is
+    never cut and always live.
 
     f(t) -> f(-t) negates a_k for odd k and keeps both classes; it maps
     s_k to (-1)**k s_k, so a member and its partner are cut together.
@@ -249,42 +261,54 @@ class _PowerSumTree:
     c_(2d-1) = 0.
     """
 
-    def __init__(self, space: SearchSpace, quantity: str, first: int):
+    def __init__(self, space: SearchSpace, quantities: tuple[str, ...], first: int):
         self.space = space
-        self.quantity = quantity
+        self.quantities = quantities
         self.first = first
-        self.limits: Optional[list[int]] = None  # limits[k] bounds |s_k|
+        self.limits: Optional[list[tuple]] = None  # per k, see set_caps
         self.cut = 0
 
-    def set_cap(self, cap: float) -> None:
-        """Cut from now on the members whose value is above cap (inf: none).
+    def set_caps(self, caps) -> None:
+        """Cut from now on the members whose every value is above its cap.
 
-        The bound of the class docstring is taken at B = cap * (1 + 2**-40),
-        an exact rational, and floored to an integer limit per k: the
-        integer |s_k| is at most the bound exactly when it is at most the
-        limit, so every member of value at most B is walked.  The margin
-        absorbs the float rounding that _scan_chunk's proof allows for.
-        A lower cap only lowers the limits, so the subtrees cut before
-        stay cut soundly.
+        caps holds a cap per quantity; while one is inf nothing is cut.  Each
+        quantity's bound of the class docstring is taken at
+        B = cap * (1 + 2**-40), an exact rational, and floored to an
+        integer limit per k: the integer |s_k| is at most the bound
+        exactly when it is at most the limit, so every member with a
+        value at most its B is walked, and live for that quantity (see
+        members).  The margin absorbs the float rounding that
+        _scan_chunk's proof allows for.  Lower caps only lower the
+        limits, so the subtrees cut before stay cut soundly.
         """
-        if cap == math.inf:
+        if math.inf in caps:
             self.limits = None
             return
-        num, den = cap.as_integer_ratio()
-        top, bottom = num * ((1 << 40) + 1), den << 40  # B = top / bottom
         n = self.space.degree
-        limits = [0]
-        p = q = 1
-        for _ in range(n):
-            p, q = p * top, q * bottom  # B**k + B**-k = (p*p + q*q) / (p*q)
-            if self.quantity == "mahler":
-                limits.append(n - 2 + (p * p + q * q) // (p * q))
-            else:
-                limits.append(n * (p * p + q * q) // (2 * p * q))
-        self.limits = limits
+        each = []
+        for quantity, cap in zip(self.quantities, caps):
+            num, den = cap.as_integer_ratio()
+            top, bottom = num * ((1 << 40) + 1), den << 40  # B = top / bottom
+            limits = [0]
+            p = q = 1
+            for _ in range(n):
+                p, q = p * top, q * bottom  # B**k + B**-k = (p*p + q*q) / (p*q)
+                if quantity == "mahler":
+                    limits.append(n - 2 + (p * p + q * q) // (p * q))
+                else:
+                    limits.append(n * (p * p + q * q) // (2 * p * q))
+            each.append(limits)
+        # per k: the smallest limit, the largest, and each quantity's
+        self.limits = [(min(ks), max(ks), ks) for ks in zip(*each)]
 
-    def members(self) -> Iterator[tuple[int, ...]]:
-        """The free vectors walked, in walk order, each leaf then its partner."""
+    def members(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(free, live) for the members walked, each leaf then its partner.
+
+        live holds the indices of the quantities whose limits the member
+        keeps, every quantity's while a cap is inf.  A member outside a
+        quantity's limits has its value above that quantity's cap, so
+        _scan_chunk prunes it for that quantity unread.
+        """
         space = self.space
         n, d, height = space.degree, space.half_degree, space.height
         if space.kind == RECIPROCAL:
@@ -297,16 +321,25 @@ class _PowerSumTree:
         a = [1] + [0] * n
         s = [0] * (n + 1)
 
-        def leaf_passes(limits) -> bool:
+        def narrowed(sk: int, limit, live: tuple[int, ...]) -> tuple[int, ...]:
+            # the quantities of live whose limit keeps |s_k|, past the smallest
+            _, top, each = limit
+            if abs(sk) > top:
+                return ()
+            return tuple(j for j in live if abs(sk) <= each[j])
+
+        def leaf_live(limits, live: tuple[int, ...]) -> tuple[int, ...]:
             for k in range(d + 1, n + 1):
                 a[k] = sign[k] * a[n - k]
                 sk = -(k * a[k] + sum(map(operator.mul, a[1:k], s[k - 1:0:-1])))
-                if abs(sk) > limits[k]:
-                    return False
+                if abs(sk) > limits[k][0]:
+                    live = narrowed(sk, limits[k], live)
+                    if not live:
+                        break
                 s[k] = sk
-            return True
+            return live
 
-        def visit(k: int, paired: bool) -> Iterator[tuple[int, ...]]:
+        def visit(k: int, paired: bool, live: tuple[int, ...]):
             # a_1..a_(k-1) and s_1..s_(k-1) are set; this node picks a_k
             rest = sum(map(operator.mul, a[1:k], s[k - 1:0:-1]))
             if k == 1:
@@ -319,21 +352,27 @@ class _PowerSumTree:
                 sk = -(k * v + rest)
                 pair = paired or (k % 2 == 1 and v != 0)
                 limits = self.limits
-                if limits is not None and abs(sk) > limits[k]:
-                    self.cut += width ** (d - k) << pair
-                    continue
+                node_live = live
+                if limits is not None and abs(sk) > limits[k][0]:
+                    node_live = narrowed(sk, limits[k], live)
+                    if not node_live:
+                        self.cut += width ** (d - k) << pair
+                        continue
                 a[k], s[k] = v, sk
                 if k < d:
-                    yield from visit(k + 1, pair)
-                elif limits is None or leaf_passes(limits):
+                    yield from visit(k + 1, pair, node_live)
+                    continue
+                if limits is not None:
+                    node_live = leaf_live(limits, node_live)
+                if node_live:
                     free = tuple(a[d:0:-1])
-                    yield free
+                    yield free, node_live
                     if pair:
-                        yield space.partner(free)
+                        yield space.partner(free), node_live
                 else:
                     self.cut += 1 << pair
 
-        yield from visit(1, False)
+        yield from visit(1, False, tuple(range(len(self.quantities))))
 
 
 def _chunk_firsts(space: SearchSpace) -> range:
@@ -346,50 +385,58 @@ def _lower(candidate) -> float:
     return max(candidate[1].lo, candidate[2])
 
 
-class _LocalCap:
+class _LocalCap(list):
     """The shared cap of a search whose chunks run in this process.
 
-    It has what _scan_chunk uses of a pool's multiprocessing.Value.
+    It holds a slot per quantity and has what _scan_chunk uses of a
+    pool's multiprocessing.Array.
     """
 
-    value = math.inf
+    def __init__(self):
+        super().__init__([math.inf] * len(_QUANTITIES))
 
     def get_lock(self):
         return contextlib.nullcontext()
 
 
 def _scan_chunk(args, shared) -> tuple[int, int, int, list]:
-    """Phase 1 over one chunk: (scanned, cut, kronecker, survivors).
+    """Phase 1 over one chunk: (scanned, cut, kronecker, survivors per quantity).
 
     The chunk is the _PowerSumTree with c_(2d-1) = first: scanned
-    counts the members it walks, cut those it cuts.  Each leaf is
-    followed directly by its partner, whose Kronecker test and Graeffe
-    bounds are then hits on the chain memo the two share (see
-    is_kronecker).  Each survivor is a (free, Enclosure, gb, new, key)
-    tuple whose lower bound max(lo, gb) is at most the chunk's final
-    best upper bound and, when pruning, at most the shared cap as the
-    chunk ends; survivors are returned sorted by free.  Enclosure is
-    the member's tol0 enclosure; new and key are phase 2's first round
-    for it: its enclosure at the search's tol (None past max_bits, see
+    counts the members it walks, cut those it cuts.  Each member walked
+    takes one Kronecker test, whichever quantities the search has.  Each
+    leaf is followed directly by its partner, whose Kronecker test and
+    Graeffe bounds are then hits on the chain memo the two share (see
+    is_kronecker).  survivors holds a list per quantity of the search.
+    Each survivor is a (free, Enclosure, gb, new, key) tuple whose lower
+    bound max(lo, gb) is at most the chunk's final best upper bound for
+    the quantity and, when pruning, at most the quantity's shared cap
+    as the chunk ends; each list is sorted by free.  Enclosure is the
+    member's tol0 enclosure; new and key are phase 2's first round for
+    it: its enclosure at the search's tol (None past max_bits, see
     _enclose) and its _tie_key.  They are computed here, in the chunk's
     memo scope, so they resume the ladders and read the squarefree
-    parts of the tol0 enclosures.
+    parts of the tol0 enclosures, as a member's enclosures for the
+    search's quantities read each other's.
 
-    shared is the search's cap, which all its chunks read and lower (see
-    _Runner).  When pruning, the chunk starts from the shared cap and
-    is scanned twice.  Pass A walks the tree, which cuts against the
-    live cap: each member walked takes the Kronecker test; a
-    non-Kronecker member then takes the shared cap if another chunk has
-    lowered it below the chunk's own, then the Graeffe lower bound gb
-    (which may stop early above the cap, see mahler_lower_bound and
-    house_lower_bound), and a member with gb above the cap is pruned.
-    Every other member lowers the cap to its Graeffe upper bound
+    shared is the search's cap, a slot per quantity, which all its
+    chunks read and lower (see _Runner).  When pruning, the chunk starts
+    from the shared caps and is scanned twice.  Pass A walks the tree,
+    which cuts against the live caps: each member walked takes the
+    Kronecker test; a non-Kronecker member is pruned for each quantity
+    it is not live for (see _PowerSumTree), and for each other one
+    takes the shared cap if another chunk has lowered it below the
+    chunk's own, then the Graeffe lower bound gb (which may stop early
+    above the cap, see mahler_lower_bound and house_lower_bound), and
+    is pruned for the quantity if gb is above its cap.  Otherwise it
+    lowers the quantity's cap to its Graeffe upper bound
     (mahler_upper_bound, house_upper_bound) plus 2*tol0, and the shared
-    cap with it, and is kept as (free, gb); the tree's limits are
-    recomputed only when the cap falls.  Pass B encloses the kept
-    members in scan order, with its best upper bound starting at the
-    final cap, and prunes and filters as the single-pass scan does.
-    This leaves phase 2 the candidates a full scan capped by enclosures
+    cap with it, and is kept for the quantity with its gb; the tree's
+    limits are recomputed only when a cap falls.  Pass B encloses the
+    kept members in scan order, once for each quantity that kept them,
+    with each quantity's best upper bound starting at its final cap, and
+    prunes and filters as the single-pass scan does.  For each quantity,
+    this leaves phase 2 the candidates a full scan capped by enclosures
     alone would give it, in the same order:
 
       * take m, the smallest hi of the tol0 enclosures of all
@@ -407,11 +454,12 @@ def _scan_chunk(args, shared) -> tuple[int, int, int, list]:
         up to the float rounding of two widths and of the cap's sum,
         a relative error below 2**-50 of the cap (which is above 1 and
         above tol0).  So its value is at most cap * (1 + 2**-40) for
-        every cap held, the tree walks it (see _PowerSumTree.set_cap),
-        and it passes both prunes, is enclosed, and survives the final
-        filter, with the full gb (the early stop changes gb only for
-        members it prunes); every member cut, pruned or filtered out
-        has a lower bound above m;
+        every cap held, the tree walks it and keeps it live for the
+        quantity (see _PowerSumTree.set_caps), and it passes both
+        prunes, is enclosed, and survives the final filter, with the
+        full gb (the early stop changes gb only for members it prunes);
+        every member cut, pruned or filtered out has a lower bound
+        above m;
       * the shared cap as the chunk ends is inf or some chunk's cap,
         so it is at least m too, and a member above it has a lower
         bound above m: dropping it here, before its first round is
@@ -422,78 +470,86 @@ def _scan_chunk(args, shared) -> tuple[int, int, int, list]:
         candidates, with the same enclosures, in the same order.
 
     The same argument makes phase 2 independent of the chunk layout, of
-    the walk order within a chunk and of when the other chunks lower
-    the shared cap.  m, every member's tol0 enclosure and its full gb
-    do not depend on them, and every member whose lower bound is at
-    most m survives its chunk, whichever chunk holds it; the other
-    survivors are dropped by the first filter.  So the parent, which
-    sorts all candidates by free before that filter, gives phase 2 the
-    members whose lower bound is at most m in lexicographic order, as a
-    scan of the space in that order would.
+    the walk order within a chunk, of when the other chunks lower the
+    shared cap and of the other quantities the search has.  m, every
+    member's tol0 enclosure and its full gb do not depend on them, and
+    every member whose lower bound is at most m survives its chunk,
+    whichever chunk holds it; the other survivors are dropped by the
+    first filter.  So the parent, which sorts all candidates by free
+    before that filter, gives phase 2 the members whose lower bound is
+    at most m in lexicographic order, as a scan of the space in that
+    order would.
 
-    Without pruning the cap is ignored, the tree cuts nothing and
+    Without pruning the caps are ignored, the tree cuts nothing and
     nothing is deferred: each member is enclosed as pass A reaches it,
     so retained memory is the survivors, not the chunk.
     """
-    (kind, degree, height, first, quantity, tol0, tol, prune, max_bits) = args
+    (kind, degree, height, first, quantities, tol0, tol, prune, max_bits) = args
     space = SearchSpace(kind, degree, height)
-    if quantity == "mahler":
-        lower_bound, upper_bound = mahler_lower_bound, mahler_upper_bound
-        measure_fn = mahler
-    else:
-        lower_bound, upper_bound = house_lower_bound, house_upper_bound
-        measure_fn = house
-    cap = shared.value if prune else math.inf
-    tree = _PowerSumTree(space, quantity, first)
-    tree.set_cap(cap)
+    functions = [
+        (mahler_lower_bound, mahler_upper_bound, mahler) if quantity == "mahler"
+        else (house_lower_bound, house_upper_bound, house)
+        for quantity in quantities]
+    caps = shared[:len(quantities)] if prune else [math.inf] * len(quantities)
+    tree = _PowerSumTree(space, quantities, first)
+    tree.set_caps(caps)
     scanned = kron = 0
 
     def pass_a():
-        nonlocal scanned, kron, cap
-        for free in tree.members():
+        nonlocal scanned, kron
+        for free, live in tree.members():
             scanned += 1
             f = space.member(free)
             if is_kronecker(f):
                 kron += 1
                 continue
             if not prune:
-                yield free, lower_bound(f)
+                yield free, [lower_bound(f) for lower_bound, _, _ in functions]
                 continue
-            held = shared.value
-            if held < cap:
-                cap = held
-                tree.set_cap(cap)
-            gb = lower_bound(f, above=cap)
-            if gb <= cap:
+            gbs = [None] * len(quantities)  # None: pruned for the quantity
+            fell = False
+            for j in live:
+                lower_bound, upper_bound, _ = functions[j]
+                held = shared[j]
+                if held < caps[j]:
+                    caps[j], fell = held, True
+                gb = lower_bound(f, above=caps[j])
+                if gb > caps[j]:
+                    continue
                 ub = upper_bound(f) + 2 * tol0
-                if ub < cap:
-                    cap = ub
-                    tree.set_cap(cap)
+                if ub < caps[j]:
+                    caps[j], fell = ub, True
                     with shared.get_lock():
-                        shared.value = min(shared.value, cap)
-                yield free, gb
+                        shared[j] = min(shared[j], ub)
+                gbs[j] = gb
+            if fell:
+                tree.set_caps(caps)
+            if gbs.count(None) < len(gbs):
+                yield free, gbs
 
     kept = list(pass_a()) if prune else pass_a()
-    best_hi = cap
-    survivors = []
-    for free, gb in kept:
-        if prune and gb > best_hi:
-            continue
-        enc = measure_fn(space.member(free), tol0, max_bits)
-        best_hi = min(best_hi, enc.hi)
-        # best_hi only falls, so a member above it now stays above it
-        candidate = (free, enc, gb)
-        if _lower(candidate) <= best_hi:
-            survivors.append(candidate)
-    if prune:
-        best_hi = min(best_hi, shared.value)
-    survivors = [c for c in survivors if _lower(c) <= best_hi]
-    survivors.sort(key=_free)
-    members = [space.member(free) for free, _, _ in survivors]
-    news = _enclose((quantity, members, tol, max_bits), shared)
-    return scanned, tree.cut, kron, [
-        (free, enc, gb, new, _tie_key(quantity, f))
-        for (free, enc, gb), f, new in zip(survivors, members, news)]
+    best_his = list(caps)
+    survivors = [[] for _ in quantities]
+    for free, gbs in kept:
+        f = space.member(free)
+        for j, gb in enumerate(gbs):
+            if gb is None or prune and gb > best_his[j]:
+                continue
+            enc = functions[j][2](f, tol0, max_bits)
+            best_his[j] = min(best_his[j], enc.hi)
+            # best_hi only falls, so a member above it now stays above it
+            candidate = (free, enc, gb)
+            if _lower(candidate) <= best_his[j]:
+                survivors[j].append(candidate)
+    shipped = []
+    for j, quantity in enumerate(quantities):
+        best_hi = min(best_his[j], shared[j]) if prune else best_his[j]
+        chosen = sorted((c for c in survivors[j] if _lower(c) <= best_hi), key=_free)
+        members = [space.member(free) for free, _, _ in chosen]
+        news = _enclose((quantity, members, tol, max_bits), shared)
+        shipped.append([(free, enc, gb, new, _tie_key(quantity, f))
+                        for (free, enc, gb), f, new in zip(chosen, members, news)])
+    return scanned, tree.cut, kron, shipped
 
 
 def _free(candidate) -> tuple[int, ...]:
@@ -510,7 +566,7 @@ def _fork_pool(workers: int) -> tuple:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    cap = multiprocessing.Value("d", math.inf)
+    cap = multiprocessing.Array("d", [math.inf] * len(_QUANTITIES))
     executor = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                                    initargs=(cap,))
     return executor, cap
@@ -537,15 +593,15 @@ def _drop_kept() -> None:
 class _Runner:
     """One search's tasks: map(fn, items) is [fn(x, cap) for x in items].
 
-    The runner holds the search's cap, which all its chunks read and
-    lower (see _scan_chunk) and which starts at inf for every search: a
-    cap left by another search could cut members unsoundly.  With one
-    worker, map calls fn here, in the search's memo scope, on a
-    _LocalCap, so each chunk starts from the cap the one before ended
-    at.  With more, each x is a task of its own on the process pool,
-    which runs fn in a memo scope of its own (see _run_task) on the
-    pool's multiprocessing.Value.  So no search or task reads another's
-    work.
+    The runner holds the search's cap, a slot per quantity, which all
+    its chunks read and lower (see _scan_chunk) and whose every slot
+    starts at inf for every search: a cap left by another search could
+    cut members unsoundly.  With one worker, map calls fn here, in the
+    search's memo scope, on a _LocalCap, so each chunk starts from the
+    caps the one before ended at.  With more, each x is a task of its
+    own on the process pool, which runs fn in a memo scope of its own
+    (see _run_task) on the pool's multiprocessing.Array.  So no search
+    or task reads another's work.
 
     One pool serves every search of the process: it is forked at the
     first search that needs workers and kept, and it is replaced only
@@ -580,7 +636,7 @@ class _Runner:
             if kept is not None:
                 kept[0].shutdown()
             self._executor, self._cap = _fork_pool(self.workers)
-        self._cap.value = math.inf
+        self._cap[:] = [math.inf] * len(_QUANTITIES)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -719,16 +775,19 @@ class SearchReport(Record):
 
 def _min_search(
     space: SearchSpace,
-    quantity: str,
+    quantities: tuple[str, ...],
     tol: float,
     jobs: int,
     prune: bool,
     max_bits: int,
     budget: int,
-) -> SearchReport:
+) -> tuple[SearchReport, ...]:
+    """A report per quantity, from one phase-1 scan of the space and a phase 2 each."""
+    _check_tol(tol)
     if space.size > budget:
         raise BudgetExceeded(
-            f"{quantity} search over {space.kind} degree {space.degree}",
+            f"{' and '.join(quantities)} search over {space.kind} "
+            f"degree {space.degree}",
             space.size,
             budget,
         )
@@ -737,52 +796,57 @@ def _min_search(
     workers = min(jobs, len(firsts))
     with memo_scope(), _Runner(workers) as run:
         chunk_results = run.map(_scan_chunk, [
-            (space.kind, space.degree, space.height, first, quantity, tol0,
+            (space.kind, space.degree, space.height, first, quantities, tol0,
              tol, prune, max_bits) for first in firsts])
-
-        enumerated = space.size
-        if sum(scanned + cut for scanned, cut, *_ in chunk_results) != enumerated:
+        if sum(scanned + cut for scanned, cut, *_ in chunk_results) != space.size:
             raise AssertionError("the chunks did not cover the search space")
         kron = sum(k for _, _, k, _ in chunk_results)
-        candidates = sorted(
-            (c for _, _, _, survivors in chunk_results for c in survivors),
-            key=_free)
-        if not candidates:
-            return SearchReport(space, quantity, tol, enumerated, kron, None,
-                                (), (), 0, False)
+        return tuple(
+            _phase_two(run, space, quantity, tol, max_bits, kron, sorted(
+                (c for *_, survivors in chunk_results for c in survivors[j]),
+                key=_free))
+            for j, quantity in enumerate(quantities))
 
-        min_hi = min(c[1].hi for c in candidates)
-        active = [c for c in candidates if _lower(c) <= min_hi]
-        # the first round's enclosures, at tol, and the keys came with them
-        encs = [new for _, _, _, new, _ in active]
-        keys = {free: key for free, _, _, _, key in active}
 
-        escalations = 0
-        exhausted = False
-        cur_tol = tol
-        while True:
-            refined = []
-            for (free, enc, gb, *_), new in zip(active, encs):
-                if new is None:
-                    exhausted = True
-                else:
-                    enc = new
-                refined.append((free, enc, gb))
-            min_hi = min(enc.hi for _, enc, _ in refined)
-            active = [e for e in refined if _lower(e) <= min_hi]
-            if len(active) <= 1 or escalations >= _ESCALATION_ROUNDS or exhausted:
-                break
-            # one exact tie class: no round can shrink the active set
-            if len({keys[free] for free, _, _ in active}) == 1:
-                break
-            escalations += 1
-            cur_tol /= 16
-            # one batch per worker: a round trip per batch, not per candidate
-            members = [space.member(free) for free, _, _ in active]
-            size = -(-len(members) // workers)
-            batches = [(quantity, members[i:i + size], cur_tol, max_bits)
-                       for i in range(0, len(members), size)]
-            encs = itertools.chain.from_iterable(run.map(_enclose, batches))
+def _phase_two(run: _Runner, space: SearchSpace, quantity: str, tol: float,
+               max_bits: int, kron: int, candidates: list) -> SearchReport:
+    """Phase 2 for one quantity over its phase-1 candidates, sorted by free."""
+    if not candidates:
+        return SearchReport(space, quantity, tol, space.size, kron, None,
+                            (), (), 0, False)
+
+    min_hi = min(c[1].hi for c in candidates)
+    active = [c for c in candidates if _lower(c) <= min_hi]
+    # the first round's enclosures, at tol, and the keys came with them
+    encs = [new for _, _, _, new, _ in active]
+    keys = {free: key for free, _, _, _, key in active}
+
+    escalations = 0
+    exhausted = False
+    cur_tol = tol
+    while True:
+        refined = []
+        for (free, enc, gb, *_), new in zip(active, encs):
+            if new is None:
+                exhausted = True
+            else:
+                enc = new
+            refined.append((free, enc, gb))
+        min_hi = min(enc.hi for _, enc, _ in refined)
+        active = [e for e in refined if _lower(e) <= min_hi]
+        if len(active) <= 1 or escalations >= _ESCALATION_ROUNDS or exhausted:
+            break
+        # one exact tie class: no round can shrink the active set
+        if len({keys[free] for free, _, _ in active}) == 1:
+            break
+        escalations += 1
+        cur_tol /= 16
+        # one batch per worker: a round trip per batch, not per candidate
+        members = [space.member(free) for free, _, _ in active]
+        size = -(-len(members) // run.workers)
+        batches = [(quantity, members[i:i + size], cur_tol, max_bits)
+                   for i in range(0, len(members), size)]
+        encs = itertools.chain.from_iterable(run.map(_enclose, batches))
     minimum = Enclosure(
         min(enc.lo for _, enc, _ in active),
         min_hi,
@@ -791,7 +855,7 @@ def _min_search(
     witnesses = tuple(space.member(free) for free, _, _ in active)
     enclosures = tuple(enc for _, enc, _ in active)
     return SearchReport(
-        space, quantity, tol, enumerated, kron, minimum, witnesses,
+        space, quantity, tol, space.size, kron, minimum, witnesses,
         enclosures, escalations, exhausted,
     )
 
@@ -811,7 +875,8 @@ def min_mahler(
     reported witness carry certified enclosures.  Results are identical
     for any jobs count and for prune on/off.
     """
-    return _min_search(space, "mahler", tol, jobs, prune, max_bits, budget)
+    (report,) = _min_search(space, ("mahler",), tol, jobs, prune, max_bits, budget)
+    return report
 
 
 def min_house(
@@ -828,7 +893,8 @@ def min_house(
     pruning bound; results are identical for any jobs count and for prune
     on/off.
     """
-    return _min_search(space, "house", tol, jobs, prune, max_bits, budget)
+    (report,) = _min_search(space, ("house",), tol, jobs, prune, max_bits, budget)
+    return report
 
 
 # -- sequence table ----------------------------------------------------------
@@ -892,11 +958,14 @@ def sequence_table(
 ) -> SequenceTable:
     """Minima tables over degrees 2**i, i = 1..max_i, one height per row.
 
-    Each row runs four searches (Mahler and house, both classes).  The
+    Each row runs two searches, one per class, and each finds both the
+    Mahler and the house minimum in one scan of its space.  The
     telescoping product q_m multiplies the certified ratio enclosures
-    r_i/s_i row by row.  Every row's space is validated and its size
-    checked against the budget before anything runs.
+    r_i/s_i row by row.  The tolerance and every row's space are
+    validated, and each size checked against the budget, before
+    anything runs.
     """
+    _check_tol(tol)
     if max_i < 1:
         raise PolynomialError("max_i must be >= 1")
     if len(heights) != max_i:
@@ -912,11 +981,11 @@ def sequence_table(
     for i in range(1, max_i + 1):
         height = heights[i - 1]
         degree = 2**i
-        args = dict(tol=tol, jobs=jobs, max_bits=max_bits, budget=budget)
-        rep_m_rec = min_mahler(SearchSpace(RECIPROCAL, degree, height), **args)
-        rep_m_skew = min_mahler(SearchSpace(SKEW, degree, height), **args)
-        rep_h_rec = min_house(SearchSpace(RECIPROCAL, degree, height), **args)
-        rep_h_skew = min_house(SearchSpace(SKEW, degree, height), **args)
+        args = (_QUANTITIES, tol, jobs, True, max_bits, budget)
+        rep_m_rec, rep_h_rec = _min_search(
+            SearchSpace(RECIPROCAL, degree, height), *args)
+        rep_m_skew, rep_h_skew = _min_search(
+            SearchSpace(SKEW, degree, height), *args)
         r = s = None
         if rep_h_rec.minimum is not None:
             r = rep_h_rec.minimum.log().scaled(degree)
@@ -1004,6 +1073,7 @@ def verify_decomposition_over_space(
     Kronecker test here, the one decompose_skew_reciprocal repeats, and
     the Mahler lower bound walk one Graeffe chain per member.
     """
+    _check_tol(tol)
     if space.kind != SKEW:
         raise PolynomialError("decomposition survey needs a skew-reciprocal space")
     if space.size > budget:

@@ -188,8 +188,8 @@ class TestSearchCommand:
             ["table", "--max-i", "1", "--heights", "1", "--jobs", "64"], capsys
         )
         assert code == 0 and json.loads(out)["meta"]["jobs"] == 64
-        # four searches of H+1 = 2 chunks each (c_1 = 0 and -1)
-        assert pool_sizes == [2, 2, 2, 2]
+        # one scan per class, of H+1 = 2 chunks each (c_1 = 0 and -1)
+        assert pool_sizes == [2, 2]
 
     def test_exhausted_phase_two_same_data_across_jobs(self, capsys):
         args = ["search", "--kind", "skew_reciprocal", "--degree", "6",
@@ -262,6 +262,7 @@ class TestTableCommand:
 
         monkeypatch.setattr("skewrec.search.min_mahler", no_work)
         monkeypatch.setattr("skewrec.search.min_house", no_work)
+        monkeypatch.setattr("skewrec.search._min_search", no_work)
         max_i = str(len(heights.split(",")))
         code, out, err = run_cli(
             ["table", "--max-i", max_i, "--heights", heights] + extra, capsys

@@ -85,23 +85,25 @@ def one_key_per_candidate(monkeypatch):
 
 def chunk_args(space, first, quantity, prune, tol0=1e-6, tol=1e-10,
                max_bits=4096):
-    """_scan_chunk's arguments for the chunk c_(2d-1) = first."""
-    return (space.kind, space.degree, space.height, first, quantity, tol0,
+    """_scan_chunk's arguments for the chunk c_(2d-1) = first, one quantity."""
+    return (space.kind, space.degree, space.height, first, (quantity,), tol0,
             tol, prune, max_bits)
 
 
 def scan_space(space, quantity, prune, tol0=1e-6, tol=1e-10):
-    """Phase 1 over every chunk of the space, as a --jobs 1 search runs it.
+    """Phase 1 of a one-quantity search over every chunk, as --jobs 1 runs it.
 
     The chunks run in turn and share one cap, which starts at inf; each
-    chunk's survivors are checked against the cap it ended at.
+    chunk's survivors are checked against the cap it ended at.  Each
+    result is (scanned, cut, kronecker, the quantity's survivors).
     """
     shared = _LocalCap()
     results = []
     for first in _chunk_firsts(space):
-        results.append(_scan_chunk(
-            chunk_args(space, first, quantity, prune, tol0, tol), shared))
-        assert all(_lower(c) <= shared.value for c in results[-1][3])
+        scanned, cut, kron, (survivors,) = _scan_chunk(
+            chunk_args(space, first, quantity, prune, tol0, tol), shared)
+        assert all(_lower(c) <= shared[0] for c in survivors)
+        results.append((scanned, cut, kron, survivors))
     return results
 
 
@@ -155,16 +157,16 @@ class TestSearchSpace:
         chunks = []  # (chunk args, members walked, members cut)
 
         def recording_scan(args, shared):
-            kind, degree, height, first, quantity, _, _, prune = args[:8]
+            kind, degree, height, first, quantities, _, _, prune = args[:8]
             if prune:
                 # as a pruning chunk would, lower the search's shared cap
-                shared.value = min(shared.value, 1.3)
-            tree = _PowerSumTree(SearchSpace(kind, degree, height), quantity,
+                shared[0] = min(shared[0], 1.3)
+            tree = _PowerSumTree(SearchSpace(kind, degree, height), quantities,
                                  first)
-            tree.set_cap(shared.value if prune else math.inf)
-            chunk = list(tree.members())
+            tree.set_caps(shared[:1] if prune else [math.inf])
+            chunk = [free for free, _ in tree.members()]
             chunks.append((args, chunk, tree.cut))
-            return len(chunk), tree.cut, 0, []
+            return len(chunk), tree.cut, 0, [[]]
 
         monkeypatch.setattr("skewrec.search._scan_chunk", recording_scan)
         for kind in ("reciprocal", "skew_reciprocal"):
@@ -331,9 +333,9 @@ class TestMinimumSearches:
         starts, ends, walked = [], [], []
 
         def recording_scan(args, shared):
-            starts.append(shared.value)
+            starts.append(shared[0])
             result = _scan_chunk(args, shared)
-            ends.append(shared.value)
+            ends.append(shared[0])
             walked.append(result[0])
             return result
 
@@ -727,7 +729,7 @@ class TestSharedPool:
                             lambda workers: runs.append(workers)
                             or original(workers))
         table = sequence_table(2, [1, 1], jobs=2)
-        assert runs == [2] * 8  # two rows of four searches
+        assert runs == [2] * 4  # two rows of one scan per class
         assert pool_events == [("fork", 2)]
         assert table.to_json() == sequence_table(2, [1, 1]).to_json()
 
@@ -770,7 +772,7 @@ class TestSharedPool:
         # a cap below every non-Kronecker member's value, left in the kept
         # pool as if by another search, would cut every such member
         _, cap, _ = search_module._kept
-        cap.value = 1.0
+        cap[:] = [1.0] * len(cap)
         space = SearchSpace("skew_reciprocal", 8, 2)
         assert min_house(space, jobs=2).to_json() == min_house(space).to_json()
         assert pool_events == [("fork", 2)]
@@ -789,9 +791,25 @@ class TestSharedPool:
         report = search(space, jobs=4)
         assert report.to_json() == search(space).to_json()
         _, cap, _ = search_module._kept
-        shared = cap.value
+        shared = cap[0]
         assert report.minimum.lo <= shared
         assert shared <= min(upper_bound(w) + 2e-6 for w in report.witnesses)
+
+    def test_each_slot_keeps_its_quantity_s_least_cap(self, pool_events):
+        # a scan for both quantities on four workers, more than two cores:
+        # each slot of the shared cap holds at most the least cap of its
+        # quantity that a chunk kept, which a lost update would leave above
+        space = SearchSpace("skew_reciprocal", 10, 3)
+        reports = search_module._min_search(
+            space, ("mahler", "house"), 1e-10, 4, True, DEFAULT_MAX_BITS,
+            search_module.DEFAULT_BUDGET)
+        assert [r.to_json() for r in reports] == \
+            [min_mahler(space).to_json(), min_house(space).to_json()]
+        _, cap, _ = search_module._kept
+        for slot, report, upper_bound in zip(
+                cap, reports, (mahler_upper_bound, house_upper_bound)):
+            assert report.minimum.lo <= slot
+            assert slot <= min(upper_bound(w) + 2e-6 for w in report.witnesses)
 
     def test_searches_side_by_side_in_threads(self, monkeypatch, pool_events):
         # the house search ends at a cap below the skew Mahler minimum,
@@ -1035,8 +1053,8 @@ class TestScanChunk:
                     # from a cap of its own, the survivors are exactly the
                     # chunk's own possible minimisers
                     args = chunk_args(space, first, quantity, prune, tol0)
-                    scanned, cut, kron, survivors = _scan_chunk(args,
-                                                                _LocalCap())
+                    scanned, cut, kron, (survivors,) = _scan_chunk(
+                        args, _LocalCap())
                     assert scanned + cut == len(members)
                     assert kron == len(members) - len(chunk)
                     assert [c[0] for c in survivors] == \
@@ -1073,7 +1091,7 @@ class TestScanChunk:
         monkeypatch.setattr(search_module, "_pool_cap", _LocalCap())
         args = chunk_args(SearchSpace("skew_reciprocal", 6, 1), 0, quantity,
                           True, tol=1e-30, max_bits=64)
-        *_, survivors = _run_task(_scan_chunk, args)
+        *_, (survivors,) = _run_task(_scan_chunk, args)
         assert survivors
         assert all(new is None and enc.width <= 1e-6
                    for _, enc, _, new, _ in survivors)
@@ -1128,32 +1146,46 @@ class TestPowerSumTree:
     @given(kind=st.sampled_from(["reciprocal", "skew_reciprocal"]),
            degree=st.sampled_from([2, 4, 6, 8]),
            height=st.integers(0, 2),
-           quantity=st.sampled_from(["mahler", "house"]),
-           cap=st.floats(1.0, 3.0))
+           quantities=st.sampled_from([("mahler",), ("house",),
+                                       ("mahler", "house")]),
+           caps=st.lists(st.floats(1.0, 3.0), min_size=2, max_size=2))
     # t^2 - 3t + 1, of Mahler measure and house 2.618..., meets both
     # bounds at k = 1: s_1 = 3 = B + 1/B
-    @example(kind="reciprocal", degree=2, height=3, quantity="mahler",
-             cap=2.62)
-    @example(kind="reciprocal", degree=2, height=3, quantity="house",
-             cap=2.62)
+    @example(kind="reciprocal", degree=2, height=3, quantities=("mahler",),
+             caps=[2.62, 1.0])
+    @example(kind="reciprocal", degree=2, height=3, quantities=("house",),
+             caps=[2.62, 1.0])
+    @example(kind="reciprocal", degree=2, height=3,
+             quantities=("mahler", "house"), caps=[1.0, 2.62])
+    # a low house cap with a high Mahler cap: the Mahler limits keep the
+    # members the house limits alone would cut
+    @example(kind="skew_reciprocal", degree=8, height=2,
+             quantities=("mahler", "house"), caps=[2.5, 1.1])
     def test_cuts_only_members_above_the_cap(self, kind, degree, height,
-                                             quantity, cap):
+                                             quantities, caps):
         space = SearchSpace(kind, degree, height)
-        values = oracle_values(kind, degree, height, quantity)
-        walked = []
+        caps = caps[:len(quantities)]
+        values = [oracle_values(kind, degree, height, quantity)
+                  for quantity in quantities]
+        walked = []  # (free, the indices of the quantities it is live for)
         cut = 0
         for first in _chunk_firsts(space):
-            tree = _PowerSumTree(space, quantity, first)
-            tree.set_cap(cap)
+            tree = _PowerSumTree(space, quantities, first)
+            tree.set_caps(caps)
             walked += tree.members()
             cut += tree.cut
-        assert len(set(walked)) == len(walked)
+        live = dict(walked)
+        assert len(live) == len(walked)
         assert len(walked) + cut == space.size
-        assert {free for free, (value, _) in values.items()
-                if value <= cap} <= set(walked)
+        assert all(live.values())
+        # every member with a value at most its quantity's cap is walked,
+        # and live for that quantity
+        for j, (v, cap) in enumerate(zip(values, caps)):
+            assert {free for free, (value, _) in v.items() if value <= cap} <= \
+                {free for free, js in live.items() if j in js}
         # the Kronecker count of the walk is that of a full enumeration
-        assert sum(values[free][1] for free in walked) == \
-            sum(kron for _, kron in values.values())
+        assert sum(values[0][free][1] for free in live) == \
+            sum(kron for _, kron in values[0].values())
 
 
 class TestSequenceTable:
@@ -1204,8 +1236,79 @@ class TestSequenceTable:
 
         monkeypatch.setattr("skewrec.search.min_mahler", no_work)
         monkeypatch.setattr("skewrec.search.min_house", no_work)
+        monkeypatch.setattr("skewrec.search._min_search", no_work)
         with pytest.raises(PolynomialError, match="height"):
             sequence_table(len(heights), heights, budget=budget)
+
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_match_the_single_searches(self, jobs):
+        table = sequence_table(3, [2, 2, 1], jobs=jobs)
+        for row in table.rows:
+            for field, search, kind in [
+                    ("mahler_reciprocal", min_mahler, "reciprocal"),
+                    ("mahler_skew", min_mahler, "skew_reciprocal"),
+                    ("house_reciprocal", min_house, "reciprocal"),
+                    ("house_skew", min_house, "skew_reciprocal")]:
+                space = SearchSpace(kind, row.degree, row.height)
+                minimum = search(space, jobs=jobs).minimum
+                assert getattr(row, field) == minimum
+                if minimum is not None:
+                    assert getattr(row, field).to_json() == minimum.to_json()
+
+    def test_one_kronecker_test_per_member_walked(self, monkeypatch):
+        # each row scans each space once for both quantities, and each
+        # member the scan walks takes one Kronecker test
+        tested = []
+        chunks = {}  # (kind, degree) -> [(args, scanned, cut, tests)]
+        scan = _scan_chunk
+
+        def recording_kronecker(f):
+            tested.append(f.coeffs)
+            return is_kronecker(f)
+
+        def recording_scan(args, shared):
+            before = len(tested)
+            scanned, cut, *rest = scan(args, shared)
+            chunks.setdefault(args[:2], []).append(
+                (args, scanned, cut, tested[before:]))
+            return (scanned, cut, *rest)
+
+        monkeypatch.setattr(search_module, "is_kronecker", recording_kronecker)
+        monkeypatch.setattr(search_module, "_scan_chunk", recording_scan)
+        heights = {2: 2, 4: 2, 8: 1}
+        sequence_table(3, list(heights.values()))
+        assert len(chunks) == 6  # two spaces per row
+        for (kind, degree), scans in chunks.items():
+            space = SearchSpace(kind, degree, heights[degree])
+            assert [args[3] for args, *_ in scans] == list(_chunk_firsts(space))
+            assert all(args[4] == ("mahler", "house") for args, *_ in scans)
+            assert all(scanned == len(tests) for _, scanned, _, tests in scans)
+            members = [f for *_, tests in scans for f in tests]
+            assert len(set(members)) == len(members)
+            assert len(members) == \
+                space.size - sum(cut for _, _, cut, _ in scans)
+
+
+SMALL_SKEW = SearchSpace("skew_reciprocal", 6, 1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda tol: min_mahler(SMALL_SKEW, tol=tol),
+    lambda tol: min_house(SMALL_SKEW, tol=tol),
+    lambda tol: sequence_table(2, [1, 1], tol=tol),
+    lambda tol: verify_decomposition_over_space(SMALL_SKEW, tol=tol),
+], ids=["min_mahler", "min_house", "sequence_table", "survey"])
+def test_a_bad_tol_is_rejected_before_any_scan(monkeypatch, entry, tol):
+    calls = []
+    for name in ("_scan_chunk", "is_kronecker"):
+        original = getattr(search_module, name)
+        monkeypatch.setattr(search_module, name,
+                            lambda *args, fn=original: calls.append(fn) or fn(*args))
+    with pytest.raises(PolynomialError, match="tolerance"):
+        entry(tol)
+    assert calls == []
 
 
 class TestDecompositionSurvey:
