@@ -161,10 +161,7 @@ class IntPoly(Record):
 
     def content(self) -> int:
         """Gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = _gcd_int(g, c)
-        return g
+        return math.gcd(*self.coeffs)
 
     def primitive(self) -> "IntPoly":
         """Primitive part with positive leading coefficient."""
@@ -215,12 +212,6 @@ LEHMER_MAHLER_5DP = "1.17628"
 # Every monic irreducible nonreciprocal integer polynomial other than t and
 # t - 1 has Mahler measure strictly greater than this rational threshold.
 BREUSCH_BOUND = Fraction(1179, 1000)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # -- structural operations ----------------------------------------------
@@ -350,7 +341,8 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
         if top:
             for j, y in enumerate(b.coeffs):
                 rem[i + j] -= top * y
-        assert rem[i + b.degree] == 0
+        if rem[i + b.degree]:
+            raise ArithmeticError("pseudo-remainder step left its leading term")
     return IntPoly(rem[: b.degree])
 
 
@@ -444,8 +436,9 @@ def _gcd_subresultant(f: IntPoly, g: IntPoly) -> IntPoly:
         if r.degree == 0:
             return ONE
         denom = gg * h**delta
+        if any(c % denom for c in r.coeffs):
+            raise ArithmeticError("subresultant division is not exact")
         a, b = b, IntPoly([c // denom for c in r.coeffs])
-        assert all(c % denom == 0 for c in r.coeffs)
         gg = a.leading
         if delta == 0:
             # h unchanged by a zero-delta step

@@ -45,19 +45,16 @@ count:
     differ.
     Each round refines every candidate's enclosure once and reads the
     new enclosures in candidate order (a candidate past the precision
-    cap keeps its previous enclosure and marks the report exhausted),
-    so the round's outcome does not depend on the worker count.  The
-    first round, at tol, is computed in phase 1: each chunk encloses
+    cap keeps its previous enclosure and marks the report exhausted).
+    The first round, at tol, is computed in phase 1: each chunk encloses
     its survivors at tol and computes their tie keys before it returns
-    (see _scan_chunk), so the parent computes no key and makes no round
-    trip for it.  Both are pure functions of the member, the values a
-    round of the parent's own would compute.  Each escalation round
-    maps its candidates over the runner that ran phase 1, one task per
-    worker, a contiguous batch of ceil(n / workers) candidates: a round
-    trip per batch, not per candidate.  Both phases take one path for
-    every worker count: a _Runner calls each task in this process with
-    one worker, and sends it to the process's one pool with more.  The
-    search runs in one memo scope, and each task the runner sends to a
+    (see _scan_chunk), so the parent computes no key for it.  Both are
+    pure functions of the member, the values a round of the parent's
+    own would compute.  Phase 1's chunks go to a _Runner, which calls
+    each in this process with one worker and sends it to the process's
+    one pool with more; the pool is handed back before phase 2, whose
+    escalation rounds run in this process for every worker count.  The
+    search runs in one memo scope, and each chunk the runner sends to a
     pool worker runs in a scope of its own (see _run_task and
     roots.memo_scope); outside a scope no memo keeps anything, so no
     search or task reads another's Graeffe chains, squarefree parts or
@@ -65,11 +62,11 @@ count:
     ladder where an earlier one in the same scope left it, instead of
     rerunning the Aberth iteration and the exact certificate from the
     start, and a member is factored once per scope.  The first round
-    resumes the ladders its chunk's tol0 enclosures left, with any
-    worker count.  With one worker an escalation round resumes the
-    ladders of the rounds before; in a pool the candidates of one batch
-    share the ladders of the parts they have in common.  A resumed
-    ladder returns the bits a fresh one would.
+    resumes the ladders its chunk's tol0 enclosures left; an escalation
+    round resumes those the rounds before it left in this process (with
+    one worker, phase 1's too), and candidates with a squarefree part in
+    common share its ladder.  A resumed ladder returns the bits a fresh
+    one would.
 
 Both quantities have cheap certified lower and upper bounds read from
 exact Graeffe iterates (mahler_lower_bound, house_lower_bound,
@@ -118,7 +115,7 @@ from .poly import (
     reverse,
 )
 from .roots import DEFAULT_MAX_BITS, _check_tol, _memos, memo_scope
-from .structure import NonreciprocalWitness, decompose_skew_reciprocal
+from .structure import NonreciprocalWitness, _is_power_of_two, decompose_skew_reciprocal
 
 __all__ = [
     "SearchSpace",
@@ -546,7 +543,7 @@ def _scan_chunk(args, shared) -> tuple[int, int, int, list]:
         best_hi = min(best_his[j], shared[j]) if prune else best_his[j]
         chosen = sorted((c for c in survivors[j] if _lower(c) <= best_hi), key=_free)
         members = [space.member(free) for free, _, _ in chosen]
-        news = _enclose((quantity, members, tol, max_bits), shared)
+        news = _enclose(quantity, members, tol, max_bits)
         shipped.append([(free, enc, gb, new, _tie_key(quantity, f))
                         for (free, enc, gb), f, new in zip(chosen, members, news)])
     return scanned, tree.cut, kron, shipped
@@ -606,12 +603,12 @@ class _Runner:
     One pool serves every search of the process: it is forked at the
     first search that needs workers and kept, and it is replaced only
     for another worker count or after a failure.  A search takes the
-    kept pool out and gives it back when it ends; a search that finds
-    none kept while another holds it (searches run side by side in
-    threads) forks its own, and of two pools given back only one is
-    kept.  Phase 2's candidates do not depend on which chunks ran
-    before, so a map that finds a kept pool broken (a worker died
-    between searches) is rerun once on a fresh pool.  A search that
+    kept pool out for its phase 1 and gives it back before phase 2; a
+    search that finds none kept while another holds it (searches run
+    side by side in threads) forks its own, and of two pools given back
+    only one is kept.  Phase 2's candidates do not depend on which
+    chunks ran before, so a map that finds a kept pool broken (a worker
+    died between searches) is rerun once on a fresh pool.  A search that
     raises shuts its pool down, so the next one starts clean.
     concurrent.futures joins the kept pool's workers at interpreter exit,
     and _drop_kept lets the pool go after that.
@@ -699,17 +696,16 @@ def _run_task(fn, args):
         return fn(args, _pool_cap)
 
 
-def _enclose(args, cap) -> list[Optional[Enclosure]]:
-    """One phase-2 round over a batch: each enclosure, or None past max_bits.
+def _enclose(quantity, members, tol, max_bits) -> list[Optional[Enclosure]]:
+    """One phase-2 round: each member's enclosure, or None past max_bits.
 
-    cap is unused: every task takes one (see _Runner).  An escalation
-    round sends one batch per worker; the first round is a call in each
-    phase-1 chunk, over its survivors (see _scan_chunk).  A batch runs
-    in one memo scope, so candidates with a squarefree part in common
-    share its ladder.  PrecisionExhausted never leaves it: a candidate
-    past max_bits gets None, which the search records as exhausted.
+    The first round is a call in each phase-1 chunk, over its survivors
+    (see _scan_chunk); each escalation round is a call in the search's
+    own memo scope (see _phase_two).  Either way the call runs in one
+    memo scope, so candidates with a squarefree part in common share its
+    ladder.  PrecisionExhausted never leaves it: a candidate past
+    max_bits gets None, which the search records as exhausted.
     """
-    quantity, members, tol, max_bits = args
     measure_fn = mahler if quantity == "mahler" else house
     encs = []
     for f in members:
@@ -792,24 +788,23 @@ def _min_search(
             budget,
         )
     tol0 = max(tol, 1e-6)
-    firsts = _chunk_firsts(space)
-    workers = min(jobs, len(firsts))
-    with memo_scope(), _Runner(workers) as run:
-        chunk_results = run.map(_scan_chunk, [
-            (space.kind, space.degree, space.height, first, quantities, tol0,
-             tol, prune, max_bits) for first in firsts])
+    chunks = [(space.kind, space.degree, space.height, first, quantities, tol0, tol,
+               prune, max_bits) for first in _chunk_firsts(space)]
+    with memo_scope():
+        with _Runner(min(jobs, len(chunks))) as run:
+            chunk_results = run.map(_scan_chunk, chunks)
         if sum(scanned + cut for scanned, cut, *_ in chunk_results) != space.size:
             raise AssertionError("the chunks did not cover the search space")
         kron = sum(k for _, _, k, _ in chunk_results)
         return tuple(
-            _phase_two(run, space, quantity, tol, max_bits, kron, sorted(
+            _phase_two(space, quantity, tol, max_bits, kron, sorted(
                 (c for *_, survivors in chunk_results for c in survivors[j]),
                 key=_free))
             for j, quantity in enumerate(quantities))
 
 
-def _phase_two(run: _Runner, space: SearchSpace, quantity: str, tol: float,
-               max_bits: int, kron: int, candidates: list) -> SearchReport:
+def _phase_two(space: SearchSpace, quantity: str, tol: float, max_bits: int,
+               kron: int, candidates: list) -> SearchReport:
     """Phase 2 for one quantity over its phase-1 candidates, sorted by free."""
     if not candidates:
         return SearchReport(space, quantity, tol, space.size, kron, None,
@@ -841,12 +836,8 @@ def _phase_two(run: _Runner, space: SearchSpace, quantity: str, tol: float,
             break
         escalations += 1
         cur_tol /= 16
-        # one batch per worker: a round trip per batch, not per candidate
-        members = [space.member(free) for free, _, _ in active]
-        size = -(-len(members) // run.workers)
-        batches = [(quantity, members[i:i + size], cur_tol, max_bits)
-                   for i in range(0, len(members), size)]
-        encs = itertools.chain.from_iterable(run.map(_enclose, batches))
+        encs = _enclose(quantity, [space.member(free) for free, _, _ in active],
+                        cur_tol, max_bits)
     minimum = Enclosure(
         min(enc.lo for _, enc, _ in active),
         min_hi,
@@ -1053,6 +1044,10 @@ def verify_decomposition_over_space(
 ) -> DecompositionSurvey:
     """Decompose every member of a skew-reciprocal space and audit witnesses.
 
+    The degree must be 2**(i+1) with i >= 1, as decompose_skew_reciprocal
+    requires; like the tolerance and the class, it is checked before any
+    member is.
+
     A witness-case member after the first skips its Mahler enclosure when
     its Graeffe lower bound b = mahler_lower_bound(f) exceeds both the
     running minimum's hi and 1179/1000 - 1e-9 + 2*tol (compared as exact
@@ -1076,6 +1071,8 @@ def verify_decomposition_over_space(
     _check_tol(tol)
     if space.kind != SKEW:
         raise PolynomialError("decomposition survey needs a skew-reciprocal space")
+    if not (_is_power_of_two(space.degree) and space.degree >= 4):
+        raise PolynomialError("decomposition requires degree 2**(i+1) with i >= 1")
     if space.size > budget:
         raise BudgetExceeded("decomposition survey", space.size, budget)
     slack = BREUSCH_BOUND - Fraction(1, 10**9)
@@ -1093,11 +1090,11 @@ def verify_decomposition_over_space(
                 witnesses += 1
                 if min_mahler_enc is not None:
                     above = max(skip_above_float, min_mahler_enc.hi)
-                    bound = Fraction(mahler_lower_bound(f, above=above))
-                    if bound > skip_above and bound > Fraction(min_mahler_enc.hi):
+                    bound = mahler_lower_bound(f, above=above)
+                    if bound > skip_above and bound > min_mahler_enc.hi:
                         continue
                 enc = mahler(f, tol, max_bits)
-                if Fraction(enc.lo) <= slack:
+                if enc.lo <= slack:
                     below += 1
                 if min_mahler_enc is None or enc.hi < min_mahler_enc.hi:
                     min_mahler_enc = enc

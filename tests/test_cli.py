@@ -1,5 +1,6 @@
 """CLI behavior: JSON shape, exit codes, determinism, environment knobs."""
 
+import importlib
 import json
 import shutil
 import sys
@@ -282,6 +283,21 @@ class TestVerifyCommand:
         assert code == 0
         assert doc["data"]["enumerated"] == 9
         assert doc["data"]["all_witnesses_above_bound"] is True
+
+    @pytest.mark.parametrize("degree", ["2", "6", "12"])
+    def test_a_degree_not_a_power_of_two_exits_2_before_any_scan(
+            self, capsys, monkeypatch, degree):
+        # at height 0 every member is Kronecker, so no member would reach
+        # decompose_skew_reciprocal's own degree check
+        search = importlib.import_module("skewrec.search")
+        calls = []
+        monkeypatch.setattr(search, "is_kronecker", lambda f, fn=search.is_kronecker:
+                            calls.append(f) or fn(f))
+        code, out, err = run_cli(["verify", "--degree", degree, "--height", "0"],
+                                 capsys)
+        assert code == 2 and out == "" and calls == []
+        error = json.loads(err)["error"]
+        assert error["type"] == "PolynomialError" and "2**(i+1)" in error["message"]
 
 
 class TestDegreeLimit:

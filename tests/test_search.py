@@ -51,7 +51,7 @@ from skewrec.poly import (
     is_skew_reciprocal,
     negate_variable,
 )
-from skewrec.roots import DEFAULT_MAX_BITS, _ladders
+from skewrec.roots import DEFAULT_MAX_BITS, _ladders, memo_scope
 from skewrec.search import (
     SearchSpace,
     _chunk_firsts,
@@ -368,21 +368,17 @@ class TestMinimumSearches:
     def pooled_phase_two(monkeypatch, pool_sizes, escalations):
         """A --jobs 2 search with `escalations` escalation rounds, recorded.
 
-        Checks that the first round came back with the chunks, that only
-        escalation rounds are mapped, on the phase-1 pool, each as one
-        contiguous batch per worker, and that the report is the serial one.
+        Checks that the pool maps the phase-1 chunks only and is handed
+        back before phase 2, whose rounds then run in this process, and
+        that the report is the serial one.
         """
         serial = min_mahler(SearchSpace("skew_reciprocal", 8, 2))
         mapped = []
-        batches = []  # the batch sizes of each escalation round
         runner = search_module._Runner
         run_map, run_exit = runner.map, runner.__exit__
 
         def recording_map(run, fn, items):
             mapped.append(fn.__name__)
-            items = list(items)
-            if fn.__name__ == "_enclose":
-                batches.append([len(members) for _, members, _, _ in items])
             return run_map(run, fn, items)
 
         def recording_exit(run, *exc):
@@ -394,22 +390,17 @@ class TestMinimumSearches:
         space = SearchSpace("skew_reciprocal", 8, 2)
         report = min_mahler(space, jobs=2)
         assert report.precision_escalations == escalations
-        assert mapped == ["_scan_chunk"] + ["_enclose"] * escalations + ["closed"]
+        assert mapped == ["_scan_chunk", "closed"]
         assert pool_sizes == [2]  # one pooled search, on one pool
-        # each escalation round goes out as one contiguous batch per
-        # worker (2 here)
-        assert len(batches) == escalations
-        assert all(len(sizes) <= 2 and sizes[0] == -(-sum(sizes) // 2)
-                   for sizes in batches)
         assert report.to_json() == serial.to_json()
 
-    def test_phase_two_runs_on_the_phase_one_pool(self, monkeypatch,
-                                                  pool_sizes):
+    def test_phase_two_runs_after_the_pool_is_handed_back(self, monkeypatch,
+                                                          pool_sizes):
         # the candidates are one tie class: the first round is the last
         self.pooled_phase_two(monkeypatch, pool_sizes, 0)
 
-    def test_escalation_rounds_run_on_the_phase_one_pool(self, monkeypatch,
-                                                         pool_sizes):
+    def test_escalation_rounds_run_after_the_pool_is_handed_back(
+            self, monkeypatch, pool_sizes):
         one_key_per_candidate(monkeypatch)
         self.pooled_phase_two(monkeypatch, pool_sizes, 3)
 
@@ -561,20 +552,25 @@ class TestMemoScope:
         verify_decomposition_over_space(SearchSpace("skew_reciprocal", 8, 1))
         assert repeated and set(repeated) == {0} and calls
 
-    def test_phase_two_rounds_hit_the_memo(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_phase_two_rounds_hit_the_memo(self, monkeypatch, pool_events,
+                                           jobs):
+        # the escalation rounds run in this process, in the search's memo
+        # scope, for any worker count; with two, the first round's calls
+        # run in the pool's workers, which fork after the patches
         module = importlib.import_module("skewrec.search")
         original = module._enclose
         hits = []
 
-        def recording(args, cap):
+        def recording(*args):
             before = _ladders.hits
-            enc = original(args, cap)
+            encs = original(*args)
             hits.append(_ladders.hits - before)
-            return enc
+            return encs
 
         monkeypatch.setattr(module, "_enclose", recording)
         one_key_per_candidate(monkeypatch)
-        report = min_mahler(SearchSpace("skew_reciprocal", 8, 2), jobs=1)
+        report = min_mahler(SearchSpace("skew_reciprocal", 8, 2), jobs=jobs)
         assert report.precision_escalations == 3
         assert sum(hits) > 0
 
@@ -611,12 +607,12 @@ class TestMemoScope:
 
     def test_a_phase_two_batch_shares_one_memo_scope(self):
         # both candidates have the squarefree part t^2 - 3t + 1, whose
-        # ladder the second one reads back within the batch's task
+        # ladder the second one reads back within the round's memo scope
         part = IntPoly([1, -3, 1])
-        batch = ("mahler", [part * IntPoly([-1, 1]), part * IntPoly([1, 1])],
-                 1e-10, DEFAULT_MAX_BITS)
+        members = [part * IntPoly([-1, 1]), part * IntPoly([1, 1])]
         hits = _ladders.hits
-        first, second = _run_task(_enclose, batch)
+        with memo_scope():
+            first, second = _enclose("mahler", members, 1e-10, DEFAULT_MAX_BITS)
         assert _ladders.hits > hits
         assert _chains.entries is None and _ladders.entries is None
         assert first == second == mahler(part, 1e-10)
