@@ -101,8 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"or {DEFAULT_MAX_BITS})")
         if jobs:
             p.add_argument("--jobs", type=int, default=1,
-                           help="worker processes (default 1); results do "
-                                "not depend on this")
+                           help="worker processes (default 1), at most one "
+                                "per chunk and per CPU; results do not "
+                                "depend on this")
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="enumeration size limit "
@@ -135,10 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="free coefficients range over [-H, H]")
     p.add_argument("--quantity", choices=["mahler", "house"],
                    default="mahler")
-    p.add_argument("--no-prune", action="store_true",
-                   help="enclose every non-Kronecker member instead of "
-                        "skipping those a Graeffe lower bound rules out "
-                        "(same results, slower)")
     add_common(p, jobs=True, budget=True)
 
     p = sub.add_parser("table", help="minima table over degrees 2**i")
@@ -164,7 +161,6 @@ def _meta(args: argparse.Namespace, max_bits: int) -> dict:
         "tol": repr(getattr(args, "tol", None)),
         "max_bits": max_bits,
         "jobs": getattr(args, "jobs", 1),
-        "prune": not getattr(args, "no_prune", False),
         "budget": getattr(args, "budget", None),
     }
 
@@ -265,8 +261,7 @@ def _run(args: argparse.Namespace) -> dict:
         space = SearchSpace(args.kind, args.degree, args.height)
         search = min_mahler if args.quantity == "mahler" else min_house
         report = search(space, tol=args.tol, jobs=args.jobs,
-                        prune=not args.no_prune, max_bits=max_bits,
-                        budget=args.budget)
+                        max_bits=max_bits, budget=args.budget)
         return {"meta": meta, "data": report.to_json()}
 
     if args.command == "table":

@@ -112,7 +112,7 @@ _DOUBLE_BITS = 53
 _GUARD_BITS = 64
 _INF = float("inf")
 # Keys the ladder memo holds, oldest dropped first: a search's phase-2
-# candidates and their phase-1 enclosures fit, and a --no-prune scan of
+# candidates and their phase-1 enclosures fit, and a scope that encloses
 # millions of members stays bounded.
 _MEMO_SIZE = 256
 

@@ -70,16 +70,16 @@ count:
 
 Both quantities have cheap certified lower and upper bounds read from
 exact Graeffe iterates (mahler_lower_bound, house_lower_bound,
-mahler_upper_bound, house_upper_bound).  The lower bound participates
-in candidate elimination unconditionally; the prune flag only controls
-whether members disqualified by the cap alone are cut from the tree or
-skip the expensive enclosure computation.  Pruned or not, reports are
-identical.  The Kronecker test and every quantity's bounds walk one
-memoized Graeffe chain per leaf and partner, and a pruning scan lets a
-lower bound stop at an earlier step once it provably exceeds the
-chunk's cap for its quantity (the member is pruned for it either way,
-and the bound of every member kept is the full one).  enumerated is
-the space size, the members reached plus those cut.
+mahler_upper_bound, house_upper_bound).  Phase 1 cuts from the tree,
+or skips the expensive enclosure of, every member that its cap alone
+rules out, and the lower bound takes part in phase 2's candidate
+elimination too; the reports are those of a scan that enclosed every
+non-Kronecker member (see _scan_chunk).  The Kronecker test and every
+quantity's bounds walk one memoized Graeffe chain per leaf and partner,
+and a lower bound stops at an earlier step once it provably exceeds
+the chunk's cap for its quantity (the member is pruned for it either
+way, and the bound of every member kept is the full one).  enumerated
+is the space size, the members reached plus those cut.
 """
 
 from __future__ import annotations
@@ -89,6 +89,7 @@ import contextlib
 import itertools
 import math
 import operator
+import os
 import threading
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -407,8 +408,8 @@ def _scan_chunk(args, shared) -> tuple[int, int, int, list]:
     is_kronecker).  survivors holds a list per quantity of the search.
     Each survivor is a (free, Enclosure, gb, new, key) tuple whose lower
     bound max(lo, gb) is at most the chunk's final best upper bound for
-    the quantity and, when pruning, at most the quantity's shared cap
-    as the chunk ends; each list is sorted by free.  Enclosure is the
+    the quantity and at most the quantity's shared cap as the chunk
+    ends; each list is sorted by free.  Enclosure is the
     member's tol0 enclosure; new and key are phase 2's first round for
     it: its enclosure at the search's tol (None past max_bits, see
     _enclose) and its _tie_key.  They are computed here, in the chunk's
@@ -417,8 +418,8 @@ def _scan_chunk(args, shared) -> tuple[int, int, int, list]:
     search's quantities read each other's.
 
     shared is the search's cap, a slot per quantity, which all its
-    chunks read and lower (see _Runner).  When pruning, the chunk starts
-    from the shared caps and is scanned twice.  Pass A walks the tree,
+    chunks read and lower (see _Runner).  The chunk starts from the
+    shared caps and is scanned twice.  Pass A walks the tree,
     which cuts against the live caps: each member walked takes the
     Kronecker test; a non-Kronecker member is pruned for each quantity
     it is not live for (see _PowerSumTree), and for each other one
@@ -431,10 +432,12 @@ def _scan_chunk(args, shared) -> tuple[int, int, int, list]:
     cap with it, and is kept for the quantity with its gb; the tree's
     limits are recomputed only when a cap falls.  Pass B encloses the
     kept members in scan order, once for each quantity that kept them,
-    with each quantity's best upper bound starting at its final cap, and
-    prunes and filters as the single-pass scan does.  For each quantity,
-    this leaves phase 2 the candidates a full scan capped by enclosures
-    alone would give it, in the same order:
+    with each quantity's best upper bound starting at its final cap: a
+    member whose gb is above the quantity's best upper bound is pruned
+    unenclosed, and an enclosed one is kept while its lower bound is at
+    most that bound.  For each quantity, this leaves phase 2 the
+    candidates a full scan capped by enclosures alone would give it, in
+    the same order:
 
       * take m, the smallest hi of the tol0 enclosures of all
         non-Kronecker members of the space.  The shared cap starts at
@@ -476,61 +479,51 @@ def _scan_chunk(args, shared) -> tuple[int, int, int, list]:
     before that filter, gives phase 2 the members whose lower bound is
     at most m in lexicographic order, as a scan of the space in that
     order would.
-
-    Without pruning the caps are ignored, the tree cuts nothing and
-    nothing is deferred: each member is enclosed as pass A reaches it,
-    so retained memory is the survivors, not the chunk.
     """
-    (kind, degree, height, first, quantities, tol0, tol, prune, max_bits) = args
+    (kind, degree, height, first, quantities, tol0, tol, max_bits) = args
     space = SearchSpace(kind, degree, height)
     functions = [
         (mahler_lower_bound, mahler_upper_bound, mahler) if quantity == "mahler"
         else (house_lower_bound, house_upper_bound, house)
         for quantity in quantities]
-    caps = shared[:len(quantities)] if prune else [math.inf] * len(quantities)
+    caps = shared[:len(quantities)]
     tree = _PowerSumTree(space, quantities, first)
     tree.set_caps(caps)
     scanned = kron = 0
-
-    def pass_a():
-        nonlocal scanned, kron
-        for free, live in tree.members():
-            scanned += 1
-            f = space.member(free)
-            if is_kronecker(f):
-                kron += 1
+    kept = []  # pass A's (free, gbs), gbs[j] None when pruned for quantity j
+    for free, live in tree.members():
+        scanned += 1
+        f = space.member(free)
+        if is_kronecker(f):
+            kron += 1
+            continue
+        gbs = [None] * len(quantities)
+        fell = False
+        for j in live:
+            lower_bound, upper_bound, _ = functions[j]
+            held = shared[j]
+            if held < caps[j]:
+                caps[j], fell = held, True
+            gb = lower_bound(f, above=caps[j])
+            if gb > caps[j]:
                 continue
-            if not prune:
-                yield free, [lower_bound(f) for lower_bound, _, _ in functions]
-                continue
-            gbs = [None] * len(quantities)  # None: pruned for the quantity
-            fell = False
-            for j in live:
-                lower_bound, upper_bound, _ = functions[j]
-                held = shared[j]
-                if held < caps[j]:
-                    caps[j], fell = held, True
-                gb = lower_bound(f, above=caps[j])
-                if gb > caps[j]:
-                    continue
-                ub = upper_bound(f) + 2 * tol0
-                if ub < caps[j]:
-                    caps[j], fell = ub, True
-                    with shared.get_lock():
-                        shared[j] = min(shared[j], ub)
-                gbs[j] = gb
-            if fell:
-                tree.set_caps(caps)
-            if gbs.count(None) < len(gbs):
-                yield free, gbs
+            ub = upper_bound(f) + 2 * tol0
+            if ub < caps[j]:
+                caps[j], fell = ub, True
+                with shared.get_lock():
+                    shared[j] = min(shared[j], ub)
+            gbs[j] = gb
+        if fell:
+            tree.set_caps(caps)
+        if gbs.count(None) < len(gbs):
+            kept.append((free, gbs))
 
-    kept = list(pass_a()) if prune else pass_a()
     best_his = list(caps)
     survivors = [[] for _ in quantities]
     for free, gbs in kept:
         f = space.member(free)
         for j, gb in enumerate(gbs):
-            if gb is None or prune and gb > best_his[j]:
+            if gb is None or gb > best_his[j]:
                 continue
             enc = functions[j][2](f, tol0, max_bits)
             best_his[j] = min(best_his[j], enc.hi)
@@ -540,7 +533,7 @@ def _scan_chunk(args, shared) -> tuple[int, int, int, list]:
                 survivors[j].append(candidate)
     shipped = []
     for j, quantity in enumerate(quantities):
-        best_hi = min(best_his[j], shared[j]) if prune else best_his[j]
+        best_hi = min(best_his[j], shared[j])
         chosen = sorted((c for c in survivors[j] if _lower(c) <= best_hi), key=_free)
         members = [space.member(free) for free, _, _ in chosen]
         news = _enclose(quantity, members, tol, max_bits)
@@ -774,11 +767,14 @@ def _min_search(
     quantities: tuple[str, ...],
     tol: float,
     jobs: int,
-    prune: bool,
     max_bits: int,
     budget: int,
 ) -> tuple[SearchReport, ...]:
-    """A report per quantity, from one phase-1 scan of the space and a phase 2 each."""
+    """A report per quantity, from one phase-1 scan of the space and a phase 2 each.
+
+    Phase 1 runs on at most jobs workers, and on no more than there are
+    chunks or CPUs: a pool starts all its workers at once.
+    """
     _check_tol(tol)
     if space.size > budget:
         raise BudgetExceeded(
@@ -789,9 +785,9 @@ def _min_search(
         )
     tol0 = max(tol, 1e-6)
     chunks = [(space.kind, space.degree, space.height, first, quantities, tol0, tol,
-               prune, max_bits) for first in _chunk_firsts(space)]
+               max_bits) for first in _chunk_firsts(space)]
     with memo_scope():
-        with _Runner(min(jobs, len(chunks))) as run:
+        with _Runner(min(jobs, len(chunks), os.cpu_count() or 1)) as run:
             chunk_results = run.map(_scan_chunk, chunks)
         if sum(scanned + cut for scanned, cut, *_ in chunk_results) != space.size:
             raise AssertionError("the chunks did not cover the search space")
@@ -855,7 +851,6 @@ def min_mahler(
     space: SearchSpace,
     tol: float = 1e-10,
     jobs: int = 1,
-    prune: bool = True,
     max_bits: int = DEFAULT_MAX_BITS,
     budget: int = DEFAULT_BUDGET,
 ) -> SearchReport:
@@ -864,9 +859,9 @@ def min_mahler(
     Membership in the "measure > 1" side is decided exactly by the
     Kronecker test, never by a numeric threshold; the minimum and every
     reported witness carry certified enclosures.  Results are identical
-    for any jobs count and for prune on/off.
+    for any jobs count.
     """
-    (report,) = _min_search(space, ("mahler",), tol, jobs, prune, max_bits, budget)
+    (report,) = _min_search(space, ("mahler",), tol, jobs, max_bits, budget)
     return report
 
 
@@ -874,17 +869,15 @@ def min_house(
     space: SearchSpace,
     tol: float = 1e-10,
     jobs: int = 1,
-    prune: bool = True,
     max_bits: int = DEFAULT_MAX_BITS,
     budget: int = DEFAULT_BUDGET,
 ) -> SearchReport:
     """Minimum house over the non-Kronecker members of the space.
 
     Certified in the same way as min_mahler, with house_lower_bound as the
-    pruning bound; results are identical for any jobs count and for prune
-    on/off.
+    pruning bound; results are identical for any jobs count.
     """
-    (report,) = _min_search(space, ("house",), tol, jobs, prune, max_bits, budget)
+    (report,) = _min_search(space, ("house",), tol, jobs, max_bits, budget)
     return report
 
 
@@ -972,7 +965,7 @@ def sequence_table(
     for i in range(1, max_i + 1):
         height = heights[i - 1]
         degree = 2**i
-        args = (_QUANTITIES, tol, jobs, True, max_bits, budget)
+        args = (_QUANTITIES, tol, jobs, max_bits, budget)
         rep_m_rec, rep_h_rec = _min_search(
             SearchSpace(RECIPROCAL, degree, height), *args)
         rep_m_skew, rep_h_skew = _min_search(

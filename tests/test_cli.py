@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -172,24 +173,27 @@ class TestSearchCommand:
         assert datas[0] == datas[1]
 
     @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
-    def test_house_search_no_prune_same_data(self, capsys, kind):
+    def test_house_search_has_one_scan(self, capsys, kind):
         args = ["search", "--kind", kind, "--degree", "8", "--height", "1",
                 "--quantity", "house"]
-        docs = []
-        for extra in ([], ["--no-prune"]):
-            code, out, _ = run_cli(args + extra, capsys)
-            assert code == 0
-            docs.append(json.loads(out))
-        assert json.dumps(docs[0]["data"]) == json.dumps(docs[1]["data"])
-        assert [d["meta"]["prune"] for d in docs] == [True, False]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and "prune" not in json.loads(out)["meta"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + ["--no-prune"], capsys)
+        assert exc.value.code == 2
 
-    def test_pool_capped_and_requested_jobs_reported(self, capsys,
+    def test_pool_capped_and_requested_jobs_reported(self, capsys, monkeypatch,
                                                      pool_sizes):
-        code, out, _ = run_cli(
-            ["table", "--max-i", "1", "--heights", "1", "--jobs", "64"], capsys
-        )
+        args = ["table", "--max-i", "1", "--heights", "1", "--jobs", "64"]
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        code, out, _ = run_cli(args, capsys)
         assert code == 0 and json.loads(out)["meta"]["jobs"] == 64
         # one scan per class, of H+1 = 2 chunks each (c_1 = 0 and -1)
+        assert pool_sizes == [2, 2]
+        # on one CPU no pool starts, and meta still keeps the request
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and json.loads(out)["meta"]["jobs"] == 64
         assert pool_sizes == [2, 2]
 
     def test_exhausted_phase_two_same_data_across_jobs(self, capsys):

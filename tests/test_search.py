@@ -83,14 +83,13 @@ def one_key_per_candidate(monkeypatch):
                         lambda quantity, f: f.coeffs)
 
 
-def chunk_args(space, first, quantity, prune, tol0=1e-6, tol=1e-10,
-               max_bits=4096):
+def chunk_args(space, first, quantity, tol0=1e-6, tol=1e-10, max_bits=4096):
     """_scan_chunk's arguments for the chunk c_(2d-1) = first, one quantity."""
     return (space.kind, space.degree, space.height, first, (quantity,), tol0,
-            tol, prune, max_bits)
+            tol, max_bits)
 
 
-def scan_space(space, quantity, prune, tol0=1e-6, tol=1e-10):
+def scan_space(space, quantity, tol0=1e-6, tol=1e-10):
     """Phase 1 of a one-quantity search over every chunk, as --jobs 1 runs it.
 
     The chunks run in turn and share one cap, which starts at inf; each
@@ -101,7 +100,7 @@ def scan_space(space, quantity, prune, tol0=1e-6, tol=1e-10):
     results = []
     for first in _chunk_firsts(space):
         scanned, cut, kron, (survivors,) = _scan_chunk(
-            chunk_args(space, first, quantity, prune, tol0, tol), shared)
+            chunk_args(space, first, quantity, tol0, tol), shared)
         assert all(_lower(c) <= shared[0] for c in survivors)
         results.append((scanned, cut, kron, survivors))
     return results
@@ -157,49 +156,59 @@ class TestSearchSpace:
         chunks = []  # (chunk args, members walked, members cut)
 
         def recording_scan(args, shared):
-            kind, degree, height, first, quantities, _, _, prune = args[:8]
-            if prune:
-                # as a pruning chunk would, lower the search's shared cap
-                shared[0] = min(shared[0], 1.3)
+            kind, degree, height, first, quantities = args[:5]
+            # as a chunk that encloses a member would, lower the shared cap
+            shared[0] = min(shared[0], 1.3)
             tree = _PowerSumTree(SearchSpace(kind, degree, height), quantities,
                                  first)
-            tree.set_caps(shared[:1] if prune else [math.inf])
+            tree.set_caps(shared[:1])
             chunk = [free for free, _ in tree.members()]
             chunks.append((args, chunk, tree.cut))
             return len(chunk), tree.cut, 0, [[]]
+
+        def check_walk(space, chunks):
+            """One chunk per c_(2d-1), walked and cut members partition the space."""
+            # one chunk per c_(2d-1) = 0, -1, ..., -H
+            assert [args[3] for args, _, _ in chunks] == \
+                list(range(0, -space.height - 1, -1))
+            walked = [free for _, chunk, _ in chunks for free in chunk]
+            assert len(set(walked)) == len(walked)
+            assert len(walked) + sum(cut for *_, cut in chunks) == space.size
+            for _, chunk, _ in chunks:
+                i = 0
+                while i < len(chunk):
+                    free = chunk[i]
+                    partner = space.partner(free)
+                    assert space.member(partner) == \
+                        negate_variable(space.member(free))
+                    # the leaf: c_(2d-1) <= 0, and its first nonzero
+                    # odd-indexed coefficient is negative
+                    odd = [c for j, c in enumerate(free)
+                           if (space.half_degree - j) % 2]
+                    assert next((c for c in reversed(odd) if c), 0) <= 0
+                    if free != partner:
+                        assert chunk[i + 1] == partner
+                        i += 1
+                    i += 1
+            return walked
 
         monkeypatch.setattr("skewrec.search._scan_chunk", recording_scan)
         for kind in ("reciprocal", "skew_reciprocal"):
             for degree, height in itertools.product((2, 4, 6, 8, 10), range(4)):
                 space = SearchSpace(kind, degree, height)
-                for prune in (False, True):
-                    chunks.clear()
-                    assert min_mahler(space, prune=prune).minimum is None
-                    # one chunk per c_(2d-1) = 0, -1, ..., -H
-                    assert [args[3] for args, _, _ in chunks] == \
-                        list(range(0, -height - 1, -1))
-                    walked = [free for _, chunk, _ in chunks for free in chunk]
-                    assert len(set(walked)) == len(walked)
-                    assert len(walked) + sum(cut for *_, cut in chunks) == \
-                        space.size
-                    if not prune:
-                        assert sorted(walked) == list(space.free_vectors())
-                    for _, chunk, _ in chunks:
-                        i = 0
-                        while i < len(chunk):
-                            free = chunk[i]
-                            partner = space.partner(free)
-                            assert space.member(partner) == \
-                                negate_variable(space.member(free))
-                            # the leaf: c_(2d-1) <= 0, and its first nonzero
-                            # odd-indexed coefficient is negative
-                            odd = [c for j, c in enumerate(free)
-                                   if (space.half_degree - j) % 2]
-                            assert next((c for c in reversed(odd) if c), 0) <= 0
-                            if free != partner:
-                                assert chunk[i + 1] == partner
-                                i += 1
-                            i += 1
+                chunks.clear()
+                assert min_mahler(space).minimum is None
+                check_walk(space, chunks)
+                # at an inf cap the trees cut nothing and walk every member
+                chunks.clear()
+                for first in _chunk_firsts(space):
+                    tree = _PowerSumTree(space, ("mahler",), first)
+                    tree.set_caps([math.inf])
+                    chunks.append(((None, None, None, first),
+                                   [free for free, _ in tree.members()],
+                                   tree.cut))
+                walked = check_walk(space, chunks)
+                assert sorted(walked) == list(space.free_vectors())
 
     def test_height_zero_allowed(self):
         members = list(enumerate_space(SearchSpace("skew_reciprocal", 4, 0)))
@@ -265,14 +274,24 @@ class TestMinimumSearches:
         assert abs(rep.minimum.midpoint - brute) < 1e-6
 
     def test_prune_does_not_change_report(self):
+        # the reference: phase 2 over every non-Kronecker member, each with
+        # fresh enclosures at tol0 and tol and its full Graeffe lower bound
         for kind, degree in itertools.product(("reciprocal", "skew_reciprocal"),
                                               (4, 6)):
             space = SearchSpace(kind, degree, 2)
-            for search in (min_mahler, min_house):
-                with_prune = search(space, tol=1e-10, prune=True)
-                without = search(space, tol=1e-10, prune=False)
-                assert json.dumps(with_prune.to_json()) == \
-                    json.dumps(without.to_json())
+            for search, quantity, measure_fn, lower_bound in (
+                    (min_mahler, "mahler", mahler, mahler_lower_bound),
+                    (min_house, "house", house, house_lower_bound)):
+                members = list(enumerate_space(space))
+                unpruned = [(space.free_vector(f), measure_fn(f, 1e-6),
+                             lower_bound(f), measure_fn(f, 1e-10),
+                             _tie_key(quantity, f))
+                            for f in members if not is_kronecker(f)]
+                kron = len(members) - len(unpruned)
+                reference = search_module._phase_two(
+                    space, quantity, 1e-10, DEFAULT_MAX_BITS, kron, unpruned)
+                assert json.dumps(search(space, tol=1e-10).to_json()) == \
+                    json.dumps(reference.to_json())
 
     @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
     def test_house_prune_skips_enclosures(self, monkeypatch, kind):
@@ -284,18 +303,10 @@ class TestMinimumSearches:
             return house(f, tol, max_bits)
 
         monkeypatch.setattr("skewrec.search.house", counting_house)
-        space = SearchSpace(kind, 8, 1)
-        non_kronecker = sum(1 for f in enumerate_space(space)
-                            if not is_kronecker(f))
-        enclosed = {}
-        for prune in (True, False):
-            calls.clear()
-            scan_space(space, "house", prune)
-            enclosed[prune] = len(calls)
-        assert enclosed[False] == non_kronecker
+        scan_space(SearchSpace(kind, 8, 1), "house")
         # 16 (reciprocal) before chunks were capped by Graeffe upper
         # bounds; 6 and 10 before the power-sum tree, which encloses 4 and 8
-        assert enclosed[True] <= (6 if kind == "reciprocal" else 10)
+        assert len(calls) <= (6 if kind == "reciprocal" else 10)
 
     def test_upper_bound_cap_skips_mahler_enclosures(self, monkeypatch):
         calls = []  # the tol0 enclosures; the survivors' first round follows
@@ -306,7 +317,7 @@ class TestMinimumSearches:
             return mahler(f, tol, max_bits)
 
         monkeypatch.setattr("skewrec.search.mahler", counting_mahler)
-        scan_space(SearchSpace("skew_reciprocal", 8, 2), "mahler", True)
+        scan_space(SearchSpace("skew_reciprocal", 8, 2), "mahler")
         # 68 before chunks were capped by Graeffe upper bounds, 26 before
         # the power-sum tree, which encloses 15
         assert len(calls) <= 26
@@ -316,13 +327,9 @@ class TestMinimumSearches:
                                               (4, 6)):
             space = SearchSpace(kind, degree, 2)
             for search in (min_mahler, min_house):
-                for prune in (True, False):
-                    reports = [
-                        json.dumps(search(space, tol=1e-10, jobs=j,
-                                          prune=prune).to_json())
-                        for j in (1, 2, 5)
-                    ]
-                    assert reports[0] == reports[1] == reports[2]
+                reports = [json.dumps(search(space, tol=1e-10, jobs=j).to_json())
+                           for j in (1, 2, 5)]
+                assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.parametrize("kind, degree, height, quantity", [
         ("skew_reciprocal", 8, 3, "mahler"),
@@ -350,19 +357,30 @@ class TestMinimumSearches:
         assert all(end <= start for start, end in zip(starts, ends))
         assert ends[0] < starts[0]
         # each chunk from a cap of its own walks more
-        unchained = [_scan_chunk(chunk_args(space, first, quantity, True),
+        unchained = [_scan_chunk(chunk_args(space, first, quantity),
                                  _LocalCap())[0]
                      for first in _chunk_firsts(space)]
         assert sum(walked) < sum(unchained)
         monkeypatch.undo()  # a pool pickles _scan_chunk by name
         assert report.to_json() == search(space, jobs=2).to_json()
 
-    def test_pool_is_capped_at_the_chunk_count(self, pool_sizes):
+    def test_pool_is_capped_at_the_chunk_count(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         space = SearchSpace("reciprocal", 4, 2)  # 3 chunks
         assert min_mahler(space, jobs=64).to_json() == \
             min_mahler(space).to_json()
         assert min_house(space, jobs=2).to_json() == min_house(space).to_json()
         assert pool_sizes == [3, 2]
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, pool_sizes):
+        # a pool starts all its workers at once: never more than the CPUs,
+        # read at each search; no worker process starts here
+        space = SearchSpace("reciprocal", 4, 9)  # 10 chunks
+        serial = min_mahler(space).to_json()
+        for cpus, pools in ((4, [4]), (2, [4, 2]), (1, [4, 2]), (None, [4, 2])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert min_mahler(space, jobs=1000).to_json() == serial
+            assert pool_sizes == pools
 
     @staticmethod
     def pooled_phase_two(monkeypatch, pool_sizes, escalations):
@@ -505,8 +523,13 @@ class TestMemoScope:
         sizes = []
         self.count_aberth(monkeypatch, lambda: sizes.append(
             len(_ladders.entries)))
-        min_mahler(SearchSpace("skew_reciprocal", 8, 2), prune=False)
-        # about 600 members are enclosed, so the cap is reached and held
+        members = [f for f in enumerate_space(SearchSpace("skew_reciprocal", 8, 2))
+                   if not is_kronecker(f)]
+        assert len(members) > _ladders.maxsize
+        with memo_scope():
+            for f in members:
+                mahler(f, 1e-6)
+        # more members than the cap are enclosed, so it is reached and held
         assert max(sizes) == _ladders.maxsize
         assert _ladders.entries is None
 
@@ -579,7 +602,7 @@ class TestMemoScope:
         # outside any scope, so only the task's own scope keeps anything
         monkeypatch.setattr(search_module, "_pool_cap", _LocalCap())
         space = SearchSpace("skew_reciprocal", 6, 1)
-        chunk = chunk_args(space, 0, "mahler", True, max_bits=DEFAULT_MAX_BITS)
+        chunk = chunk_args(space, 0, "mahler", max_bits=DEFAULT_MAX_BITS)
         assert _chains.entries is None and _ladders.entries is None
         hits = _chains.hits
         _run_task(_scan_chunk, chunk)
@@ -738,7 +761,9 @@ class TestSharedPool:
         assert len(states) == 2
         assert list(states.values()) == [(None, None)] * 2
 
-    def test_another_worker_count_replaces_the_pool(self, pool_events):
+    def test_another_worker_count_replaces_the_pool(self, monkeypatch,
+                                                   pool_events):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         space = SearchSpace("reciprocal", 4, 2)  # 3 chunks
         first = min_mahler(space, jobs=2).to_json()
         old = worker_pids()
@@ -776,13 +801,15 @@ class TestSharedPool:
     @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
     @pytest.mark.parametrize("search, upper_bound", [
         (min_mahler, mahler_upper_bound), (min_house, house_upper_bound)])
-    def test_the_shared_cap_keeps_the_least_cap(self, pool_events, kind,
-                                                search, upper_bound):
-        # four chunks on four workers, more than two cores: every witness
+    def test_the_shared_cap_keeps_the_least_cap(self, monkeypatch, pool_events,
+                                                kind, search, upper_bound):
+        # four chunks on four workers, more than two cores (the CPU count
+        # is pinned so that all four start): every witness
         # was kept by its chunk, which then held a cap of at most
         # ub + 2*tol0 (tol0 = 1e-6) and lowered the shared cap to it, so
         # a lost update could leave the shared cap above that; and by
         # _scan_chunk's proof no cap is below the minimum
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         space = SearchSpace(kind, 10, 3)
         report = search(space, jobs=4)
         assert report.to_json() == search(space).to_json()
@@ -791,13 +818,16 @@ class TestSharedPool:
         assert report.minimum.lo <= shared
         assert shared <= min(upper_bound(w) + 2e-6 for w in report.witnesses)
 
-    def test_each_slot_keeps_its_quantity_s_least_cap(self, pool_events):
-        # a scan for both quantities on four workers, more than two cores:
-        # each slot of the shared cap holds at most the least cap of its
-        # quantity that a chunk kept, which a lost update would leave above
+    def test_each_slot_keeps_its_quantity_s_least_cap(self, monkeypatch,
+                                                      pool_events):
+        # a scan for both quantities on four workers, more than two cores
+        # (the CPU count is pinned so that all four start): each slot of
+        # the shared cap holds at most the least cap of its quantity that a
+        # chunk kept, which a lost update would leave above
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         space = SearchSpace("skew_reciprocal", 10, 3)
         reports = search_module._min_search(
-            space, ("mahler", "house"), 1e-10, 4, True, DEFAULT_MAX_BITS,
+            space, ("mahler", "house"), 1e-10, 4, DEFAULT_MAX_BITS,
             search_module.DEFAULT_BUDGET)
         assert [r.to_json() for r in reports] == \
             [min_mahler(space).to_json(), min_house(space).to_json()]
@@ -1032,35 +1062,33 @@ class TestScanChunk:
                     free = space.free_vector(f)
                     full[free] = (free, measure_fn(f, tol0), gb)
             m = min(enc.hi for _, enc, _ in full.values())
-            for prune in (True, False):
-                chained = scan_space(space, quantity, prune, tol0)
-                for first, (scanned, cut, kron, survivors) in zip(
-                        _chunk_firsts(space), chained):
-                    # the chunk: the members with c_7 = +-first
-                    members = [free for free in space.free_vectors()
-                               if abs(free[-1]) == -first]
-                    chunk = [full[free] for free in members if free in full]
-                    best_hi = min(enc.hi for _, enc, _ in chunk)
-                    assert scanned + cut == len(members)
-                    assert prune or cut == 0
-                    assert kron == len(members) - len(chunk)
-                    assert all(_lower(c) <= best_hi for c in survivors)
-                    assert len(survivors) < len(chunk)
-                    # from a cap of its own, the survivors are exactly the
-                    # chunk's own possible minimisers
-                    args = chunk_args(space, first, quantity, prune, tol0)
-                    scanned, cut, kron, (survivors,) = _scan_chunk(
-                        args, _LocalCap())
-                    assert scanned + cut == len(members)
-                    assert kron == len(members) - len(chunk)
-                    assert [c[0] for c in survivors] == \
-                        [c[0] for c in chunk if _lower(c) <= best_hi]
-                assert (sum(cut for _, cut, *_ in chained) > 0) == prune
-                # chained, the candidates phase 2 keeps are the space's
-                candidates = sorted((c for _, _, _, survivors in chained
-                                     for c in survivors), key=lambda c: c[0])
-                assert [c[0] for c in candidates if _lower(c) <= m] == \
-                    [free for free in sorted(full) if _lower(full[free]) <= m]
+            chained = scan_space(space, quantity, tol0)
+            for first, (scanned, cut, kron, survivors) in zip(
+                    _chunk_firsts(space), chained):
+                # the chunk: the members with c_7 = +-first
+                members = [free for free in space.free_vectors()
+                           if abs(free[-1]) == -first]
+                chunk = [full[free] for free in members if free in full]
+                best_hi = min(enc.hi for _, enc, _ in chunk)
+                assert scanned + cut == len(members)
+                assert kron == len(members) - len(chunk)
+                assert all(_lower(c) <= best_hi for c in survivors)
+                assert len(survivors) < len(chunk)
+                # from a cap of its own, the survivors are exactly the
+                # chunk's own possible minimisers
+                args = chunk_args(space, first, quantity, tol0)
+                scanned, cut, kron, (survivors,) = _scan_chunk(
+                    args, _LocalCap())
+                assert scanned + cut == len(members)
+                assert kron == len(members) - len(chunk)
+                assert [c[0] for c in survivors] == \
+                    [c[0] for c in chunk if _lower(c) <= best_hi]
+            assert sum(cut for _, cut, *_ in chained) > 0
+            # chained, the candidates phase 2 keeps are the space's
+            candidates = sorted((c for _, _, _, survivors in chained
+                                 for c in survivors), key=lambda c: c[0])
+            assert [c[0] for c in candidates if _lower(c) <= m] == \
+                [free for free in sorted(full) if _lower(full[free]) <= m]
 
     @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
     @pytest.mark.parametrize("quantity", ["mahler", "house"])
@@ -1069,7 +1097,7 @@ class TestScanChunk:
                                                       tol):
         measure_fn = mahler if quantity == "mahler" else house
         space = SearchSpace(kind, 8, 2)
-        survivors = [c for *_, chunk in scan_space(space, quantity, True, tol=tol)
+        survivors = [c for *_, chunk in scan_space(space, quantity, tol=tol)
                      for c in chunk]
         assert survivors
         # each value is recomputed outside any memo scope
@@ -1086,14 +1114,14 @@ class TestScanChunk:
         # in the task, and each survivor keeps its tol0 enclosure
         monkeypatch.setattr(search_module, "_pool_cap", _LocalCap())
         args = chunk_args(SearchSpace("skew_reciprocal", 6, 1), 0, quantity,
-                          True, tol=1e-30, max_bits=64)
+                          tol=1e-30, max_bits=64)
         *_, (survivors,) = _run_task(_scan_chunk, args)
         assert survivors
         assert all(new is None and enc.width <= 1e-6
                    for _, enc, _, new, _ in survivors)
 
     @pytest.mark.parametrize("quantity", ["mahler", "house"])
-    def test_only_a_pruning_scan_defers_enclosures(self, monkeypatch, quantity):
+    def test_a_scan_defers_enclosures(self, monkeypatch, quantity):
         events = []
         measure_fn = mahler if quantity == "mahler" else house
 
@@ -1109,15 +1137,7 @@ class TestScanChunk:
         monkeypatch.setattr("skewrec.search.is_kronecker", recording_kronecker)
         monkeypatch.setattr(f"skewrec.search.{quantity}", recording_measure)
         space = SearchSpace("skew_reciprocal", 8, 2)
-        scanned, cut, *_ = _scan_chunk(chunk_args(space, 0, quantity, False),
-                                       _LocalCap())
-        assert (scanned, cut) == (125, 0)
-        # without pruning, each member is enclosed as soon as it is scanned
-        for i, (kind, f) in enumerate(events):
-            if kind == "enclose":
-                assert events[i - 1] == ("scan", f)
-        events.clear()
-        scanned, cut, *_ = _scan_chunk(chunk_args(space, 0, quantity, True),
+        scanned, cut, *_ = _scan_chunk(chunk_args(space, 0, quantity),
                                        _LocalCap())
         kinds = [kind for kind, _ in events]
         first_enclosure = kinds.index("enclose")
