@@ -76,12 +76,13 @@ __all__ = [
 
 # Keys the chain memo keeps in a scope.  Each chain of an even-degree
 # polynomial is filed under two keys, its own coefficients and its
-# t -> -t partner's.  A search scan takes each leaf of its power-sum
-# tree and then the leaf's partner: one chain of at most ten or so
-# steps (its Kronecker walk on the spaces up to degree 16, and the
-# bounds' depth _bound_steps(n), 9 at degrees 10 to 16, often cut short
-# by an early stop), read back-to-back and never again, so this holds
-# dozens of such pairs, and memory stays bounded for any input.
+# t -> -t partner's.  A search scan and the decomposition survey each
+# take a leaf of the power-sum tree and then the leaf's partner: one
+# chain of at most ten or so steps (its Kronecker walk on the spaces up
+# to degree 16, and the bounds' depth _bound_steps(n), 9 at degrees 10
+# to 16, often cut short by an early stop), read back-to-back and never
+# again, so this holds dozens of such pairs, and memory stays bounded
+# for any input.
 _CHAIN_MEMO_SIZE = 64
 
 # Members whose squarefree parts the parts memo keeps in a scope: a

@@ -254,18 +254,21 @@ def is_skew_reciprocal(f: IntPoly) -> bool:
     """True iff f(t) = (-1)**d * t**(2d) * f(-1/t) for f of even degree 2d.
 
     Expanding the functional equation termwise gives the coefficient
-    identity c_k = (-1)**(d+k) * c_(2d-k), which is what is checked here.
-    Odd-degree input is rejected: the defining identity forces the
-    leading coefficient of an odd-degree candidate to vanish.
+    identity c_k = (-1)**(d+k) * c_(2d-k), which is what is checked here:
+    against the reversal c_(2d-k) with the sign (-1)**d at even k and
+    its opposite at odd k.  Odd-degree input is rejected: the defining
+    identity forces the leading coefficient of an odd-degree candidate
+    to vanish.
     """
     if f.is_zero():
         raise PolynomialError("is_skew_reciprocal of the zero polynomial")
     if f.degree % 2 != 0:
         raise PolynomialError("skew-reciprocity is defined for even degree only")
-    d = f.degree // 2
-    return all(
-        f[k] == (-1) ** (d + k) * f[2 * d - k] for k in range(f.degree + 1)
-    )
+    c = f.coeffs
+    rev = c[::-1]
+    neg = tuple(-x for x in rev)
+    even, odd = (rev, neg) if f.degree % 4 == 0 else (neg, rev)
+    return c[::2] == even[::2] and c[1::2] == odd[1::2]
 
 
 def negate_variable(f: IntPoly) -> IntPoly:

@@ -762,6 +762,15 @@ class SearchReport(Record):
         return {**super().to_json(), "tol": repr(self.tol)}
 
 
+def _check_jobs(jobs: int) -> None:
+    """Reject a worker count that is not an integer >= 1, before any pool is touched.
+
+    The CLI applies the same rule to --jobs.
+    """
+    if not isinstance(jobs, int) or jobs < 1:
+        raise PolynomialError(f"jobs must be an integer >= 1, got {jobs!r}")
+
+
 def _min_search(
     space: SearchSpace,
     quantities: tuple[str, ...],
@@ -776,6 +785,7 @@ def _min_search(
     chunks or CPUs: a pool starts all its workers at once.
     """
     _check_tol(tol)
+    _check_jobs(jobs)
     if space.size > budget:
         raise BudgetExceeded(
             f"{' and '.join(quantities)} search over {space.kind} "
@@ -950,6 +960,7 @@ def sequence_table(
     anything runs.
     """
     _check_tol(tol)
+    _check_jobs(jobs)
     if max_i < 1:
         raise PolynomialError("max_i must be >= 1")
     if len(heights) != max_i:
@@ -1011,7 +1022,8 @@ class DecompositionSurvey(Record):
 
     Fields: the space surveyed, the enumerated and excluded_kronecker
     member counts, square_substitution_count and witness_count by case,
-    the min_witness_mahler enclosure (None without witnesses), and
+    the min_witness_mahler enclosure, of the witness with the least
+    (hi, free vector) (None without witnesses), and
     witnesses_below_bound, the witnesses whose Mahler enclosure reaches
     down to 1179/1000 - 1e-9.
     """
@@ -1041,25 +1053,36 @@ def verify_decomposition_over_space(
     requires; like the tolerance and the class, it is checked before any
     member is.
 
-    A witness-case member after the first skips its Mahler enclosure when
-    its Graeffe lower bound b = mahler_lower_bound(f) exceeds both the
-    running minimum's hi and 1179/1000 - 1e-9 + 2*tol (compared as exact
-    rationals).  The skipped enclosure, at most tol wide, would contain
-    M(f) >= b: its hi would be above the running minimum's hi, and its lo
-    above the slack 1179/1000 - 1e-9 (the second tol absorbs the float
-    rounding of Enclosure.width).  So neither witnesses_below_bound nor
-    min_witness_mahler can change.
+    The survey walks the search's own tree (see _PowerSumTree), chunk by
+    chunk of _chunk_firsts, with no cap: it cuts nothing, so every member
+    is walked once, each leaf followed by its t -> -t partner.  It runs
+    in one memo scope (see roots.memo_scope), so the Kronecker test here,
+    the one decompose_skew_reciprocal repeats, and the Mahler lower bound
+    walk one Graeffe chain per leaf and partner, and the partner's are
+    memo hits.
 
-    The bound is taken with above = the larger of the two thresholds
-    (the rational one rounded up to a float), so it may stop early (see
-    mahler_lower_bound), and no skip decision changes: an early result
-    exceeds above, so it exceeds both thresholds and the member is
-    skipped, as it would be on the full bound, which then exceeds above
-    too; any other result is the full bound, compared as before.
+    A witness-case member skips its Mahler enclosure when its Graeffe
+    lower bound b = mahler_lower_bound(f, above=a) exceeds
+    a = max(skip_above, best_hi), where skip_above is
+    1179/1000 - 1e-9 + 2*tol rounded up to a float and best_hi, inf
+    before the first enclosure, is the least hi enclosed so far.  The
+    skipped enclosure, at most tol wide, would contain M(f) >= b: its hi
+    would be above best_hi, and its lo above the slack 1179/1000 - 1e-9
+    (the second tol absorbs the float rounding of Enclosure.width).  So
+    neither witnesses_below_bound nor min_witness_mahler can change.  A
+    bound may stop early (see mahler_lower_bound), but only once the
+    full bound exceeds a too, so no skip decision changes.  The float
+    b > skip_above differs from the exact b > 1179/1000 - 1e-9 + 2*tol
+    only for b = skip_above: such a member is enclosed, and its
+    enclosure contains M(f) >= b, so its lo is above the slack, as
+    above, and its hi is at least b; it is a new minimum only if
+    b <= best_hi, when the exact test would enclose it too.
 
-    The survey runs in one memo scope (see roots.memo_scope), so the
-    Kronecker test here, the one decompose_skew_reciprocal repeats, and
-    the Mahler lower bound walk one Graeffe chain per member.
+    min_witness_mahler is the enclosure of the witness with the least
+    (hi, free vector), whatever order the walk takes.  A witness whose
+    hi equals the final minimum m has b <= M(f) <= m <= best_hi at every
+    step of the walk, so it is never skipped; with the least free vector
+    among them, it is the one kept.
     """
     _check_tol(tol)
     if space.kind != SKEW:
@@ -1069,30 +1092,31 @@ def verify_decomposition_over_space(
     if space.size > budget:
         raise BudgetExceeded("decomposition survey", space.size, budget)
     slack = BREUSCH_BOUND - Fraction(1, 10**9)
-    skip_above = slack + 2 * Fraction(tol)
-    skip_above_float = float_above(skip_above)
-    kron = squares = witnesses = below = 0
-    min_mahler_enc: Optional[Enclosure] = None
+    skip_above = float_above(slack + 2 * Fraction(tol))
+    walked = kron = squares = witnesses = below = 0
+    best_hi, best_free, min_mahler_enc = math.inf, None, None
     with memo_scope():
-        for f in enumerate_space(space):
-            if is_kronecker(f):
-                kron += 1
-                continue
-            outcome = decompose_skew_reciprocal(f)
-            if isinstance(outcome, NonreciprocalWitness):
+        for first in _chunk_firsts(space):
+            for free, _ in _PowerSumTree(space, ("mahler",), first).members():
+                walked += 1
+                f = space.member(free)
+                if is_kronecker(f):
+                    kron += 1
+                    continue
+                if not isinstance(decompose_skew_reciprocal(f), NonreciprocalWitness):
+                    squares += 1
+                    continue
                 witnesses += 1
-                if min_mahler_enc is not None:
-                    above = max(skip_above_float, min_mahler_enc.hi)
-                    bound = mahler_lower_bound(f, above=above)
-                    if bound > skip_above and bound > min_mahler_enc.hi:
-                        continue
+                above = max(skip_above, best_hi)
+                if mahler_lower_bound(f, above=above) > above:
+                    continue
                 enc = mahler(f, tol, max_bits)
                 if enc.lo <= slack:
                     below += 1
-                if min_mahler_enc is None or enc.hi < min_mahler_enc.hi:
-                    min_mahler_enc = enc
-            else:
-                squares += 1
+                if best_free is None or (enc.hi, free) < (best_hi, best_free):
+                    best_hi, best_free, min_mahler_enc = enc.hi, free, enc
+    if walked != space.size:
+        raise AssertionError("the survey did not walk the whole space")
     return DecompositionSurvey(
         space, space.size, kron, squares, witnesses, min_mahler_enc, below
     )

@@ -301,6 +301,25 @@ class TestSymmetry:
         with pytest.raises(PolynomialError):
             is_skew_reciprocal(IntPoly([1, 1, 1, 1]))
 
+    @given(st.integers(0, 5).flatmap(
+        lambda d: st.lists(st.integers(-3, 3), min_size=2 * d, max_size=2 * d)),
+        st.sampled_from([-2, -1, 1, 2]), st.booleans())
+    def test_skew_matches_the_termwise_identity(self, low, leading, mirror):
+        # a mirrored draw satisfies the identity by construction, so both
+        # answers are drawn often
+        c = [*low, leading]
+        d = len(low) // 2
+        if mirror:
+            for k in range(d):
+                c[k] = (-1) ** (d + k) * c[2 * d - k]
+        want = all(c[k] == (-1) ** (d + k) * c[2 * d - k]
+                   for k in range(2 * d + 1))
+        assert is_skew_reciprocal(IntPoly(c)) == want
+
+    def test_skew_rejects_zero(self):
+        with pytest.raises(PolynomialError):
+            is_skew_reciprocal(ZERO)
+
     @given(st.lists(st.integers(-4, 4), min_size=0, max_size=4))
     def test_palindromization_produces_reciprocal(self, half):
         # build an even-degree palindrome with nonzero ends

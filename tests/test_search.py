@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_house, brute_mahler, run_in_checkout
+from skewrec.enclosure import Enclosure
 from skewrec.errors import (
     BudgetExceeded,
     DecompositionFalsified,
@@ -788,6 +789,21 @@ class TestSharedPool:
         assert pool_events == [("fork", 2), ("shutdown", 2), ("fork", 2)]
         assert not {p.pid for p in killed} & worker_pids()
 
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, "2", None])
+    def test_bad_jobs_leave_the_kept_pool(self, monkeypatch, pool_events, jobs):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        space = SearchSpace("reciprocal", 4, 2)  # 3 chunks
+        min_mahler(space, jobs=2)
+        kept = search_module._kept
+        assert kept is not None
+        for entry in (lambda: min_mahler(space, jobs=jobs),
+                      lambda: min_house(space, jobs=jobs),
+                      lambda: sequence_table(2, [1, 1], jobs=jobs)):
+            with pytest.raises(PolynomialError, match="jobs"):
+                entry()
+        assert search_module._kept is kept
+        assert pool_events == [("fork", 2)]
+
     def test_each_search_starts_from_its_own_cap(self, pool_events):
         min_mahler(SearchSpace("reciprocal", 8, 2), jobs=2)
         # a cap below every non-Kronecker member's value, left in the kept
@@ -1355,9 +1371,12 @@ class TestDecompositionSurvey:
                 SearchSpace("skew_reciprocal", 8, 3), budget=10
             )
 
-    @pytest.mark.parametrize("height", [1, 2])
-    def test_skipped_enclosures_change_nothing(self, monkeypatch, height):
-        space = SearchSpace("skew_reciprocal", 8, height)
+    # ids "1" and "2" are the degree-8 spaces' heights
+    @pytest.mark.parametrize("degree, height", [(8, 1), (8, 2), (4, 3)],
+                             ids=["1", "2", "degree4-3"])
+    def test_skipped_enclosures_change_nothing(self, monkeypatch, degree,
+                                               height):
+        space = SearchSpace("skew_reciprocal", degree, height)
         tol = 1e-8
         # reference: the audit with a Mahler enclosure of every witness
         slack = Fraction(1179, 1000) - Fraction(1, 10**9)
@@ -1390,6 +1409,56 @@ class TestDecompositionSurvey:
             (space.size, kron, squares, witnesses, below)
         assert survey.min_witness_mahler == least
         assert 0 < len(calls) < witnesses // 2
+
+    @pytest.mark.parametrize("degree, height", [(4, 3), (8, 1)])
+    def test_ties_keep_the_least_free_vector(self, monkeypatch, degree,
+                                             height):
+        # every witness encloses to one hi, above every Graeffe bound, so
+        # none is skipped and all tie: the least free vector is kept,
+        # whatever order the walk takes
+        space = SearchSpace("skew_reciprocal", degree, height)
+        made = []
+
+        def tied_mahler(f, tol=1e-10, max_bits=4096):
+            made.append((Enclosure(2.0, 100.0, 53), f))
+            return made[-1][0]
+
+        monkeypatch.setattr("skewrec.search.mahler", tied_mahler)
+        survey = verify_decomposition_over_space(space)
+        witnesses = [f for f in enumerate_space(space) if not is_kronecker(f)
+                     and isinstance(decompose_skew_reciprocal(f),
+                                    NonreciprocalWitness)]
+        assert len(made) == survey.witness_count == len(witnesses) > 1
+        (kept,) = [f for enc, f in made if enc is survey.min_witness_mahler]
+        assert kept == witnesses[0]  # enumerate_space is lexicographic
+        assert [f for _, f in made] != witnesses  # the walk is not
+
+    def test_partners_hit_the_chain_memo(self, monkeypatch):
+        # the survey walks each leaf then its t -> -t partner, whose
+        # Kronecker test reads the chain the leaf's filed
+        space = SearchSpace("skew_reciprocal", 8, 2)
+        calls = []
+
+        def recording(f):
+            hits = _chains.hits
+            result = is_kronecker(f)
+            calls.append((f, _chains.hits > hits))
+            return result
+
+        monkeypatch.setattr(search_module, "is_kronecker", recording)
+        verify_decomposition_over_space(space)
+        assert len(calls) == space.size
+        pairs = i = 0
+        while i < len(calls):
+            f, _ = calls[i]
+            if negate_variable(f) == f:
+                i += 1
+                continue
+            partner, hit = calls[i + 1]
+            assert partner == negate_variable(f) and hit
+            pairs += 1
+            i += 2
+        assert pairs > 0
 
     def test_json_shape(self):
         doc = verify_decomposition_over_space(
