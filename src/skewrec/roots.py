@@ -12,8 +12,18 @@ every point has stopped.  A zero derivative or a collision at point i
 nudges it by 2**-(prec//2) * (1 + 1j) * (i + 1).  A value that stops
 being finite, or a coefficient too large for a double, ends the rung
 with nothing, and the next rung cold-starts.  Only the correctly
-rounded +, -, *, / touch the double iterates, so they are the same on
-every run and in every worker process.
+rounded +, -, *, / and square root touch the double iterates, so they
+are the same on every run, on every host and in every worker process.
+
+The two classes the package studies have a shorter way in.  A
+reciprocal part of degree 2d is t**d P(t + 1/t), a skew-reciprocal one
+t**d P(t - 1/t), with P an integer polynomial of degree d
+(_trace_polynomial).  The double rung of such a part first runs the
+iteration on P, and each root x of P gives two start points for the
+part, the roots of a**2 - x a + 1 or a**2 - x a - 1 (_trace_start).
+The part's own iteration then runs from those 2d points, usually for a
+single sweep, and only its own points are certified.  A sweep on P, of
+half the degree, costs about a quarter of one on the part.
 
 A rung after one whose disks certified but were too wide runs no
 multiprecision iteration: exact Newton steps, in integers, carry each
@@ -87,6 +97,7 @@ as the process.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import math
@@ -104,6 +115,11 @@ __all__ = ["RootDisk", "roots_certified", "DEFAULT_MAX_BITS"]
 DEFAULT_MAX_BITS = 4096
 _START_BITS = 64
 _MAX_ITER = 220
+# Sweeps for a trace polynomial's roots, which only start the part's own
+# iteration: from degree about 24 on, P's monomial coefficients hold its
+# roots in [-2, 2] to less than the stopping rule asks, and sweeps on to
+# _MAX_ITER would cost more than a cold start on the part
+_TRACE_SWEEPS = 16
 # Newton steps a point may take in one rung: seven double a double's 53
 # correct bits past 4096 + 53, and the eighth finds the step zero
 _NEWTON_STEPS = 8
@@ -223,7 +239,7 @@ def _initial_points(coeffs, n: int, prec: int) -> list:
                 in zip(_start_radii(coeffs, n), _unit_angles(n, prec))]
 
 
-def _aberth(coeffs, prec: int, warm):
+def _aberth(coeffs, prec: int, warm, sweeps: int = _MAX_ITER):
     """The simultaneous iteration at one rung of the precision ladder.
 
     At prec 53 it iterates Python complex numbers over float
@@ -233,8 +249,9 @@ def _aberth(coeffs, prec: int, warm):
 
     Each point stops on its own: once its relative correction is below
     eps, the correction is applied and the point is not updated again,
-    though it still enters the other points' sums.  The sweep ends when
-    no point is left active (Bini, Numer. Algorithms 13, 1996).
+    though it still enters the other points' sums.  The iteration ends
+    when no point is left active (Bini, Numer. Algorithms 13, 1996), or
+    after the given number of sweeps.
     Returns the approximations, or None when a coefficient does not fit
     the number type or a value stops being finite.
     """
@@ -256,7 +273,7 @@ def _aberth(coeffs, prec: int, warm):
         nudge = real(2) ** -(prec // 2)
         zero = num(0)
         active = range(n)
-        for _ in range(_MAX_ITER):
+        for _ in range(sweeps):
             if not active:
                 break
             still = []
@@ -294,11 +311,13 @@ def _conjugate_closed(points: list) -> list:
     """The points made closed under conjugation, or the points themselves.
 
     Each point is matched with the point nearest its conjugate, in double
-    arithmetic.  When that matching is an involution, a point matched
-    with itself becomes exactly real, and the point of a pair with
-    Im < 0 becomes the exact conjugate of its partner.  Any other
-    matching, or a point past the double range, returns the points
-    unchanged.  The roots of a real polynomial are closed under
+    arithmetic, the lowest index among equally near ones.  Over the
+    points sorted by real part, a scan outward from the conjugate's real
+    part finds it without forming all n**2 distances.  When that
+    matching is an involution, a point matched with itself becomes
+    exactly real, and the point of a pair with Im < 0 becomes the exact
+    conjugate of its partner.  Any other matching, or a point past the
+    double range, returns the points unchanged.  The roots of a real polynomial are closed under
     conjugation, so _certify and _newton can then work on one point per
     pair; _certify checks the result as it checks any points.  The parts
     are copied exactly: mpc() and conjugate() would round an mpc to 53
@@ -310,11 +329,24 @@ def _conjugate_closed(points: list) -> list:
     ds = [complex(z) for z in points]
     if not all(abs(z) < _INF for z in ds):
         return points
+    n = len(ds)
+    order = sorted(range(n), key=[z.real for z in ds].__getitem__)
+    by_re = [ds[j] for j in order]
+    reals = [w.real for w in by_re]
     match = []
     for z in ds:
-        c = z.conjugate()
-        dist = [abs(w - c) for w in ds]
-        match.append(dist.index(min(dist)))
+        # the point nearest c, ties to the lowest index: outward from Re(c)
+        # in each direction, while |Re(w - c)| <= |w - c| can reach the best
+        c, x = z.conjugate(), z.real
+        start = bisect.bisect_left(reals, x)
+        best, at = _INF, 0
+        for step, i in ((1, start), (-1, start - 1)):
+            while 0 <= i < n and (reals[i] - x) * step <= best:
+                d = abs(by_re[i] - c)
+                if d < best or d == best and order[i] < at:
+                    best, at = d, order[i]
+                i += step
+        match.append(at)
     out = list(points)
     for i, j in enumerate(match):
         if match[j] != i:
@@ -326,6 +358,79 @@ def _conjugate_closed(points: list) -> list:
         elif z.imag < 0:
             out[i] = (w.conjugate() if type(w) is complex
                       else mp.make_mpc((w.real._mpf_, mpf_neg(w.imag._mpf_))))
+    return out
+
+
+def _trace_polynomial(coeffs) -> Optional[tuple]:
+    """(P, sigma) with f(t) = t**d * P(t + sigma/t), or None.
+
+    f of degree n = 2d is reciprocal (c_k = c_(n-k), sigma = +1) or
+    skew-reciprocal (c_(d-k) = (-1)**k c_(d+k), sigma = -1) when
+    f(t) / t**d = c_d + sum_k c_(d+k) E_k(t + sigma/t), where
+    E_k(x) = t**k + (sigma/t)**k, so E_0 = 2, E_1 = x and
+    E_(k+1) = x E_k - sigma E_(k-1).  P, of degree d, is built exactly,
+    constant first.  A reciprocal f that is also skew takes sigma = +1.
+    """
+    n = len(coeffs) - 1
+    d = n // 2
+    if n < 2 or n % 2:
+        return None
+    lower, upper = coeffs[d::-1], coeffs[d:]
+    if lower == upper:
+        sigma = 1
+    elif lower == tuple(-c if k % 2 else c for k, c in enumerate(upper)):
+        sigma = -1
+    else:
+        return None
+    p = [upper[0]] + [0] * d
+    prev, cur = [2], [0, 1]  # E_(k-1), E_k
+    for c in upper[1:]:
+        for j, e in enumerate(cur):
+            p[j] += c * e
+        prev, cur = cur, [a - sigma * b for a, b in zip([0] + cur, prev + [0, 0])]
+    return tuple(p), sigma
+
+
+def _trace_start(coeffs) -> Optional[list]:
+    """Double start points for f from the roots of its trace polynomial.
+
+    Each root x of P, found by _aberth at 53 bits in at most
+    _TRACE_SWEEPS sweeps and made closed under conjugation, lifts to
+    both roots of a**2 - x a + sigma = 0: a, the one of larger modulus,
+    (x + s) / 2 with s the square root of x**2 - 4 sigma on x's side,
+    and sigma / a, or conj(a) when x is real and a is not.  Only +, -, *, / and math.sqrt on reals touch them,
+    not complex division or abs, so the points are the same on every
+    host and Python version, and a set closed under conjugation lifts
+    to one.  None when f is in neither class, P does not fit in doubles,
+    or a lift is not finite.
+    """
+    trace = _trace_polynomial(coeffs)
+    xs = None if trace is None else _aberth(trace[0], _DOUBLE_BITS, None,
+                                            _TRACE_SWEEPS)
+    if xs is None:
+        return None
+    sigma, out = trace[1], []
+    for x in _conjugate_closed(xs):
+        # u + i*v = x**2 - 4 sigma, and s + i*t its principal square root
+        u = x.real * x.real - x.imag * x.imag - 4 * sigma
+        v = 2 * x.real * x.imag
+        r = math.sqrt(u * u + v * v)
+        if not r < _INF:
+            return None
+        if u >= 0:
+            s = math.sqrt((r + u) / 2)
+            t = v / (2 * s) if s else 0.0
+        else:
+            t = math.copysign(math.sqrt((r - u) / 2), v)
+            s = v / (2 * t)
+        if x.real * s + x.imag * t < 0:  # |x + s| >= |x - s|
+            s, t = -s, -t
+        p, q = (x.real + s) / 2, (x.imag + t) / 2  # a = p + i*q
+        if x.imag == 0 and q:
+            out += [complex(p, q), complex(p, -q)]
+        else:  # sigma / a = sigma conj(a) / |a|**2
+            m = sigma / (p * p + q * q)
+            out += [complex(p, q), complex(m * p, -m * q)]
     return out
 
 
@@ -632,13 +737,17 @@ def _certified_disks(
     Newton points if they certify with a widest disk narrower than
     rung i-1's.  Otherwise it runs _aberth from the latest points: the
     Newton ones when _newton converged, else rung i-1's (a cold start
-    after a rung that gave none).  The points either iteration returns
-    are first made closed under conjugation (_conjugate_closed); those
-    closed points are certified, kept and passed on.  Either way the
-    rung certifies at grid max(prec, p0), so its points and disks are a
-    pure function of (coefficients, p0, i).  Inside memo_scope() the rungs
-    already run for (coefficients, p0) are read back from _ladders, and
-    only the rest are run and kept.  Each rung, read or run, takes the
+    after a rung that gave none).  The double rung, which has no points
+    before it, starts a reciprocal or skew-reciprocal part from the lift
+    of its trace polynomial's roots (_trace_start), and any other part,
+    or one whose lift does not fit in doubles, from _initial_points.  The
+    points either iteration returns are first made closed under
+    conjugation (_conjugate_closed); those closed points are certified,
+    kept and passed on.  Both starts are functions of the coefficients
+    alone, and either way the rung certifies at grid max(prec, p0), so
+    its points and disks are a pure function of (coefficients, p0, i).
+    Inside memo_scope() the rungs already run for (coefficients, p0) are
+    read back from _ladders, and only the rest are run and kept.  Each rung, read or run, takes the
     same tolerance test, so the result is the one a fresh ladder gives,
     and the returned disks are shared with the memo: callers only read
     them.
@@ -675,6 +784,8 @@ def _certified_disks(
                         max(d.r for d in disks), -disks[0].grid):
                     disks = None
             if disks is None:
+                if prec == _DOUBLE_BITS:  # the first rung: no points yet
+                    zs = _trace_start(coeffs)
                 zs = _aberth(coeffs, prec, zs)
                 if zs is not None:
                     zs = _conjugate_closed(zs)

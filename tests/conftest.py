@@ -378,6 +378,51 @@ def exact_radius2(coeffs, zs, i: int) -> Fraction:
     return (len(coeffs) - 1) ** 2 * f2 / denom2
 
 
+def expand_trace(p, sigma: int) -> tuple:
+    """t**d * P(t + sigma/t) expanded exactly, constant first; d = deg P.
+
+    Each power (t + sigma/t)**j is expanded by the binomial theorem,
+    sum_i C(j, i) sigma**i t**(j - 2i), not by roots.py's recurrence.
+    """
+    d = len(p) - 1
+    out = [0] * (2 * d + 1)
+    for j, a in enumerate(p):
+        for i in range(j + 1):
+            out[d + j - 2 * i] += a * math.comb(j, i) * sigma ** i
+    return tuple(out)
+
+
+def conjugate_closed_reference(points: list) -> list:
+    """roots._conjugate_closed by its all-pairs rule, the earlier code.
+
+    Each point is matched with the point nearest its conjugate, the
+    lowest index among equally near ones, from all n**2 double distances.
+    """
+    import mpmath as mp
+    from mpmath.libmp import fzero, mpf_neg
+
+    ds = [complex(z) for z in points]
+    if not all(abs(z) < math.inf for z in ds):
+        return points
+    match = []
+    for z in ds:
+        c = z.conjugate()
+        dist = [abs(w - c) for w in ds]
+        match.append(dist.index(min(dist)))
+    out = list(points)
+    for i, j in enumerate(match):
+        if match[j] != i:
+            return points
+        z, w = points[i], points[j]
+        if i == j:
+            out[i] = (complex(z.real) if type(z) is complex
+                      else mp.make_mpc((z.real._mpf_, fzero)))
+        elif z.imag < 0:
+            out[i] = (w.conjugate() if type(w) is complex
+                      else mp.make_mpc((w.real._mpf_, mpf_neg(w.imag._mpf_))))
+    return out
+
+
 def charpoly_cofactor(m) -> IntPoly:
     """det(tI - M) by cofactor expansion over polynomial entries.
 

@@ -16,10 +16,12 @@ from conftest import (
     brute_mahler,
     brute_roots,
     certify_reference,
+    conjugate_closed_reference,
     disk_fractions,
     dyadic_eval,
     dyadic_fractions,
     exact_radius2,
+    expand_trace,
     random_monic,
 )
 from skewrec import _dyadic as dy
@@ -40,10 +42,13 @@ from skewrec.roots import (
     _newton,
     _start_radii,
     _START_BITS,
+    _trace_polynomial,
+    _trace_start,
     components,
     memo_scope,
     roots_certified,
 )
+from skewrec.search import SearchSpace, enumerate_space
 
 ORACLE_INPUTS = [
     (1, -3, 1),
@@ -199,21 +204,32 @@ def _disk_data(parts, certify):
 def record_rungs(monkeypatch) -> list:
     """Record each _aberth and _newton call as (name, prec, points passed in).
 
-    Wraps whatever the module holds at the time, so a test may first
-    replace either function and then record the replacement.
+    An _aberth call on a trace polynomial, the cold double start of a
+    reciprocal or skew-reciprocal part, is named "trace"; every other
+    _aberth call, on the part itself, "aberth".  Wraps whatever the
+    module holds at the time, so a test may first replace either
+    function and then record the replacement.
     """
     module = importlib.import_module("skewrec.roots")
-    aberth, newton = module._aberth, module._newton
-    calls = []
+    aberth, newton, trace = module._aberth, module._newton, module._trace_polynomial
+    calls, traces = [], []
 
-    def recording_aberth(coeffs, prec, warm):
-        calls.append(("aberth", prec, warm))
-        return aberth(coeffs, prec, warm)
+    def recording_trace(coeffs):
+        out = trace(coeffs)
+        if out is not None:
+            traces.append(out[0])
+        return out
+
+    def recording_aberth(coeffs, prec, warm, *sweeps):
+        name = "trace" if any(coeffs is p for p in traces) else "aberth"
+        calls.append((name, prec, warm))
+        return aberth(coeffs, prec, warm, *sweeps)
 
     def recording_newton(coeffs, points, prec):
         calls.append(("newton", prec, points))
         return newton(coeffs, points, prec)
 
+    monkeypatch.setattr(module, "_trace_polynomial", recording_trace)
     monkeypatch.setattr(module, "_aberth", recording_aberth)
     monkeypatch.setattr(module, "_newton", recording_newton)
     return calls
@@ -265,20 +281,22 @@ class TestDoubleFastPath:
 
     def test_fallback_is_warm_started(self, monkeypatch):
         # two coincident double points certify nothing, so the 64-bit rung
-        # runs the iteration from them rather than from a cold start
+        # runs the iteration from them rather than from a cold start; the
+        # double rung itself starts from its trace polynomial's roots
         module = importlib.import_module("skewrec.roots")
         aberth = module._aberth
-        collided = [1.5 + 0.5j] * 2
-        monkeypatch.setattr(module, "_aberth", lambda coeffs, prec, warm: (
-            collided if prec == 53 else aberth(coeffs, prec, warm)))
+        f, collided = IntPoly([1, -3, 1]), [1.5 + 0.5j] * 2
+        monkeypatch.setattr(module, "_aberth", lambda coeffs, prec, warm, *sweeps: (
+            collided if prec == 53 and coeffs == f.coeffs
+            else aberth(coeffs, prec, warm, *sweeps)))
         calls = record_rungs(monkeypatch)
         tol = Fraction(1e-12)
-        disks, bits = _certified_disks(IntPoly([1, -3, 1]), tol,
-                                       DEFAULT_MAX_BITS)
+        disks, bits = _certified_disks(f, tol, DEFAULT_MAX_BITS)
         assert len(disks) == 2 and all(disk_fractions(d)[2] <= tol for d in disks)
         assert bits == 64
-        assert rung_names(calls) == [("aberth", 53), ("aberth", 64)]
-        assert calls[0][2] is None and calls[1][2] is collided
+        assert rung_names(calls) == [("trace", 53), ("aberth", 53), ("aberth", 64)]
+        assert calls[0][2] is None and len(calls[1][2]) == 2
+        assert calls[2][2] is collided
 
     def test_double_rung_recovers_from_coincident_points(self):
         # every pair collides at the start; the nudges must separate them
@@ -335,10 +353,13 @@ class TestLadderMemo:
         with memo_scope():
             with pytest.raises(PrecisionExhausted):
                 _certified_disks(f, tol, 64)
-            assert rung_names(calls) == [("aberth", 53), ("aberth", 64)]
+            # P = t + 10**400 fits no double either: the plain cold start
+            assert rung_names(calls) == [("trace", 53), ("aberth", 53), ("aberth", 64)]
+            assert calls[1][2] is None
             assert _certified_disks(f, tol, DEFAULT_MAX_BITS) == fresh
         # the second call ran only the rung past the cap
-        assert rung_names(calls) == [("aberth", 53), ("aberth", 64), ("newton", 128)]
+        assert rung_names(calls) == [("trace", 53), ("aberth", 53), ("aberth", 64),
+                                     ("newton", 128)]
         assert fresh[1] == 128
 
     def test_nothing_is_kept_outside_a_scope(self):
@@ -388,11 +409,11 @@ class TestNewtonRung:
         tol = Fraction(1e-15)
         disks, bits = _certified_disks(LEHMER_POLY, tol, DEFAULT_MAX_BITS)
         assert bits == 64 and all(disk_fractions(d)[2] <= tol for d in disks)
-        assert rung_names(calls) == [("aberth", 53), ("newton", 64)]
+        assert rung_names(calls) == [("trace", 53), ("aberth", 53), ("newton", 64)]
         calls.clear()
         result = measure(LEHMER_POLY, 1e-15)
         assert result.mahler.bits == result.house.bits == 64
-        assert calls and all(prec == 53 for name, prec, _ in calls if name == "aberth")
+        assert calls and all(prec == 53 for name, prec, _ in calls if name != "newton")
 
     @pytest.mark.parametrize("failure", ["uncertified", "unconverged"])
     def test_a_failed_newton_rung_warm_starts_the_iteration(self, monkeypatch, failure):
@@ -412,10 +433,11 @@ class TestNewtonRung:
         tol = Fraction(1e-15)
         disks, bits = _certified_disks(LEHMER_POLY, tol, DEFAULT_MAX_BITS)
         assert bits == 64 and all(disk_fractions(d)[2] <= tol for d in disks)
-        assert rung_names(calls) == [("aberth", 53), ("newton", 64), ("aberth", 64)]
+        assert rung_names(calls) == [("trace", 53), ("aberth", 53), ("newton", 64),
+                                     ("aberth", 64)]
         # the Newton points when they converged, else the double rung's
-        warm = handed[0] if handed else calls[1][2]
-        assert calls[2][2] is warm
+        warm = handed[0] if handed else calls[2][2]
+        assert calls[3][2] is warm
 
     def test_closed_points_step_one_per_pair(self):
         # the partner below the axis is the exact mirror of the stepped
@@ -499,6 +521,150 @@ class TestConjugateClosed:
                                        DEFAULT_MAX_BITS)
         assert bits == 53
         assert {d.grid for d in disks} == {53 + 11 + _GUARD_BITS}
+
+
+def _exactly(points):
+    """Each point's type and exact parts, and a double's signed zeros."""
+    return [(type(z), dy.from_mpf_pair(z.real, z.imag),
+             repr(z) if type(z) is complex else None) for z in points]
+
+
+_GRID = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+_SPREAD = st.floats(-1e3, 1e3)
+
+
+class TestConjugateMatching:
+    """The outward scan by real part against the all-pairs rule."""
+
+    def check(self, points):
+        out, want = _conjugate_closed(points), conjugate_closed_reference(points)
+        assert (out is points) == (want is points)
+        assert _exactly(out) == _exactly(want)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.builds(complex, _GRID, _GRID), min_size=1, max_size=12))
+    def test_grid_points_full_of_ties(self, points):
+        self.check(points)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.builds(complex, _SPREAD, _SPREAD), min_size=1, max_size=16))
+    def test_random_points(self, points):
+        self.check(points)
+
+    def test_perturbed_conjugate_sets(self, rng):
+        # the sets the ladder meets: near-real points and near-conjugate
+        # pairs, some of them one double apart
+        for _ in range(300):
+            points = []
+            for _ in range(rng.randint(1, 12)):
+                x, y = rng.uniform(-3, 3), rng.choice([0.0, rng.uniform(-3, 3)])
+                points.append(complex(x, y * rng.choice([1e-30, 1])))
+                if y and rng.random() < 0.8:
+                    points.append(complex(x + rng.choice([0, 1e-15]),
+                                          -y + rng.choice([0, 1e-12, -1e-15])))
+            rng.shuffle(points)
+            self.check(points)
+
+    @pytest.mark.parametrize("points", [
+        # the conjugate of 1j is as near 1 - 1j as -1 - 1j; the lower index wins
+        [1j, 1 - 1j, -1 - 1j, -1 + 1j],
+        [1j, -1 - 1j, 1 - 1j, -1 + 1j],
+        [1 + 1j, 1 - 1j, 1 - 1j],
+        [2 + 0j, 2 + 0j],
+        [0.5 + 0j, -0.5 + 0j, 0j, -0.0 + 0j],
+        [1 + 2j, 1 - 2j, 1 + 2j, 1 - 2j],
+    ])
+    def test_ties_go_to_the_lowest_index(self, points):
+        self.check(points)
+
+    def test_iterates_of_either_type(self, rng):
+        inputs = [LEHMER_POLY] + [random_monic(rng, 24, 3) for _ in range(6)]
+        for f in inputs:
+            for p, _ in squarefree_decomposition(f):
+                points = _aberth(p.coeffs, 53, None)
+                self.check(points)
+                self.check(_aberth(p.coeffs, 128, points))
+
+
+def _squarefree_members(kind, degree, height):
+    return [f.coeffs for f in enumerate_space(SearchSpace(kind, degree, height))
+            if squarefree_decomposition(f) == [(f, 1)]]
+
+
+class TestTracePolynomial:
+    """f(t) = t**d * P(t + sigma/t) for the members of both classes."""
+
+    @pytest.mark.parametrize("degree, height", [(4, 3), (8, 2), (12, 1)])
+    @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
+    def test_every_member_round_trips(self, kind, degree, height):
+        for f in enumerate_space(SearchSpace(kind, degree, height)):
+            p, sigma = _trace_polynomial(f.coeffs)
+            assert len(p) == degree // 2 + 1 and p[-1] == 1
+            assert expand_trace(p, sigma) == f.coeffs
+            # a member of both classes takes the reciprocal reading
+            assert sigma == (1 if f.coeffs == f.coeffs[::-1] else -1)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(-50, 50), min_size=2, max_size=16)
+           .filter(lambda p: p[-1] != 0), st.sampled_from([1, -1]))
+    def test_any_trace_polynomial_comes_back(self, p, sigma):
+        f = expand_trace(p, sigma)
+        got = _trace_polynomial(f)
+        assert expand_trace(*got) == f
+        if sigma == 1 or f != f[::-1]:
+            assert got == (tuple(p), sigma)
+
+    @pytest.mark.parametrize("coeffs", [
+        (7,), (1, 1), (-1, 1), (1, 1, 1, 1), (1, -3, 3, -1, 0, 2),  # odd degree
+        (-1, 0, 0, 0, 1), (-1, -1, 0, 1, 1), (1, -2, 0, 2, -1),  # anti-palindromic
+        (1, 2, 3), (2, 0, 1), (1, 1, 1, 1, -1),  # neither
+        (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 2),
+    ])
+    def test_none_outside_both_classes(self, coeffs):
+        assert _trace_polynomial(coeffs) is None
+        assert _trace_start(coeffs) is None
+
+    @pytest.mark.parametrize("degree, height", [(8, 2), (12, 1)])
+    @pytest.mark.parametrize("kind", ["reciprocal", "skew_reciprocal"])
+    def test_lifted_start_points_are_closed_under_conjugation(self, kind, degree, height):
+        for coeffs in _squarefree_members(kind, degree, height):
+            points = _trace_start(coeffs)
+            assert len(points) == degree and all(type(z) is complex for z in points)
+            got = _triples(points)
+            assert sorted(got) == sorted((a, -b, e) for a, b, e in got)
+
+    @pytest.mark.parametrize("coeffs", [
+        LEHMER_POLY.coeffs, (1, -3, 1), (-1, -1, 1), (1, 0, -3, 0, 1),
+        (-1, -1, -1, 1, 1, -1, 1), (1, 10**40, 1), (1, 2, 0, -3, 0, 2, 1)])
+    def test_lifted_points_start_near_the_roots(self, coeffs):
+        # each lifted pair solves a**2 - x a + sigma = 0 for a root x of P,
+        # so each point is a root of f up to the double rung's error
+        roots = brute_roots(IntPoly(coeffs))
+        points = _trace_start(coeffs)
+        assert len(points) == len(roots)
+        for z in points:
+            assert min(abs(z - r) for r in roots) <= 1e-8 * max(1.0, abs(z))
+
+    def test_the_double_rung_starts_from_the_lift(self, monkeypatch):
+        calls = record_rungs(monkeypatch)
+        _certified_disks(LEHMER_POLY, Fraction(1e-10), DEFAULT_MAX_BITS)
+        assert rung_names(calls) == [("trace", 53), ("aberth", 53)]
+        assert calls[0][2] is None
+        assert calls[1][2] == _trace_start(LEHMER_POLY.coeffs)
+
+    @pytest.mark.parametrize("coeffs", [(1, 10**400, 1), (1, 10**100, 1)],
+                             ids=["P past doubles", "lift past doubles"])
+    def test_a_lift_that_does_not_fit_keeps_the_plain_cold_start(self, coeffs,
+                                                                  monkeypatch):
+        # P = x + c: 10**400 fits no double, and at c = 10**100 the root
+        # x = -c does, but |x**2 - 4|, taken as sqrt(u**2 + v**2), does not
+        assert _trace_polynomial(coeffs) == ((coeffs[1], 1), 1)
+        assert _trace_start(coeffs) is None
+        calls = record_rungs(monkeypatch)
+        disks, _ = _certified_disks(IntPoly(coeffs), Fraction(1e-10), DEFAULT_MAX_BITS)
+        assert len(disks) == 2
+        assert rung_names(calls)[:2] == [("trace", 53), ("aberth", 53)]
+        assert calls[1][2] is None
 
 
 class TestCertifyCoincidentPoints:

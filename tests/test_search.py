@@ -502,9 +502,9 @@ class TestMemoScope:
         module = importlib.import_module("skewrec.roots")
         original = module._aberth
 
-        def counting(coeffs, prec, warm):
+        def counting(coeffs, prec, warm, *sweeps):
             record()
-            return original(coeffs, prec, warm)
+            return original(coeffs, prec, warm, *sweeps)
 
         monkeypatch.setattr(module, "_aberth", counting)
 
