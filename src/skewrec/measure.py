@@ -10,7 +10,8 @@ numerically.  Instead:
     iteration with a binomial coefficient bound and cycle detection);
   * before root finding, all cyclotomic factors are stripped exactly by
     dividing by each cyclotomic polynomial Phi_N, for the finitely many
-    N whose totient fits the degree, as often as it divides.  The
+    N whose totient fits the degree (a totient sieve up to a proved
+    bound lists them, _cyclotomic_orders), as often as it divides.  The
     factors that would pin root disks onto the unit circle are gone and
     contribute their exact factor 1.  A division is tried only when the
     input vanishes at an element w of order N modulo a prime p = 1
@@ -20,6 +21,18 @@ numerically.  Instead:
 
 The enclosure readers work on the certified disks' integer numerators
 (see roots._ExactDisk) and build one Fraction per bound at the end.
+
+A squarefree part in either class, p(t) = t**d P(t + sigma/t) with
+sigma = 1 (reciprocal) or -1 (skew-reciprocal), is not certified
+itself.  Each root x of P gives the roots a and sigma/a of
+a**2 - x a + sigma, so the part's Mahler measure, house and count of
+roots outside the circle are all functions of L(x) = max(|a|, |sigma/a|)
+over the d roots of P.  P, of half the degree, is certified instead,
+and each of its disks carries an outward integer bracket of L over the
+whole disk in place of a modulus bracket (_trace_brackets); the readers
+take those records as they take a part's own disks.  A part whose P
+has a disk too near a branch point, where the two lifts meet, and every
+part in neither class are certified themselves.
 
 Roots of a Salem-type factor still sit on the circle; the disk product
 remains a sound enclosure for them because max(1, .) is applied to the
@@ -52,12 +65,12 @@ from .poly import (
     _strip_t_powers,
     cyclotomic,
     divrem_exact,
-    euler_phi,
     gcd_primitive,  # not called here; perfbench/tracer.py wraps this name
     squarefree_decomposition,
 )
-from .roots import (DEFAULT_MAX_BITS, _check_tol, _ScopedMemo, _certified_disks,
-                    components)
+from . import _dyadic as dy
+from .roots import (_GUARD_BITS, DEFAULT_MAX_BITS, _check_tol, _ExactDisk,
+                    _ScopedMemo, _certified_disks, _trace_polynomial, components)
 
 __all__ = [
     "graeffe",
@@ -89,6 +102,20 @@ _CHAIN_MEMO_SIZE = 64
 # search chunk's enclosed members, read again by its survivors'
 # enclosures at the search tolerance and their tie keys.
 _PARTS_MEMO_SIZE = 256
+
+# A class part's trace polynomial P is certified at this many times the
+# part's root tolerance (_disk_data).  The bracket of L over a P-disk of
+# radius rho is about 4 rho / delta wide, relative (_trace_brackets), with
+# delta = |x0**2 - 4 sigma|**(1/2) at the disk's centre, known only once
+# P is certified, so no tolerance fixed before that bounds the brackets:
+# _refine's width check decides, as for the part's own disks.  P's
+# monomial coefficients hold its roots less tightly than the part's hold
+# theirs (see roots._trace_points): on the measure benchmark's draws its
+# double-rung radii run to about ten times the part's root tolerance,
+# the part's stay below one.  Of 1000 draws over 40 seeds, 290 climb to
+# the 64-bit rung at 1 times; at 16 times, the step of one _refine round,
+# 10 still do, and none needs a second round.
+_TRACE_TOL_FACTOR = 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -290,9 +317,34 @@ def is_kronecker(f: IntPoly) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _cyclotomic_orders(d: int) -> tuple[int, ...]:
-    """Every N with euler_phi(N) <= d (totient lower bound gives N <= 2*d*d)."""
-    return tuple(n for n in range(1, 2 * d * d + 1) if euler_phi(n) <= d)
+def _cyclotomic_orders(d: int) -> tuple[tuple[int, int], ...]:
+    """(N, euler_phi(N)) for every N with euler_phi(N) <= d, by increasing N.
+
+    The totients come from a sieve up to d * prod p_i / (p_i - 1) over
+    the first K primes p_1 = 2, p_2 = 3, ..., K the largest k with
+    prod_(i<=k) (p_i - 1) <= d.  Proof that every such N is below it:
+    let q_1 < ... < q_k be the distinct primes of N, so q_i >= p_i.  Then
+    euler_phi(N) >= prod (q_i - 1) >= prod_(i<=k) (p_i - 1), which is at
+    most d only when k <= K, and
+    N / euler_phi(N) = prod q_i / (q_i - 1) <= prod_(i<=k) p_i / (p_i - 1)
+    <= prod_(i<=K) p_i / (p_i - 1), since x / (x - 1) falls as x grows
+    and each factor exceeds 1.  The bound is 4928 at d = 1024, where
+    euler_phi(N) >= sqrt(N / 2) gives 2 * d * d.
+    """
+    num = den = 1  # prod p_i and prod (p_i - 1) over the primes so far
+    p = 2
+    while den * (p - 1) <= d:
+        num, den = num * p, den * (p - 1)
+        p += 1
+        while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            p += 1
+    bound = d * num // den
+    phi = list(range(bound + 1))
+    for q in range(2, bound + 1):
+        if phi[q] == q:  # q is prime: no smaller prime touched it
+            for m in range(q, bound + 1, q):
+                phi[m] -= phi[m] // q
+    return tuple((n, phi[n]) for n in range(1, bound + 1) if phi[n] <= d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -332,20 +384,21 @@ def kronecker_free_part(f: IntPoly) -> tuple[IntPoly, int, int]:
         raise PolynomialError("kronecker_free_part requires monic input")
     k, u = _strip_t_powers(f)
     stripped = 0
-    for n in _cyclotomic_orders(u.degree):
-        phi = cyclotomic(n)
+    for n, degree in _cyclotomic_orders(u.degree):
+        if degree > u.degree:
+            continue
         p, w = _root_of_unity_mod(n)
-        while phi.degree <= u.degree:
+        while degree <= u.degree:
             residue = 0
             for c in reversed(u.coeffs):
                 residue = (residue * w + c) % p
             if residue:
                 break
-            q, r = divrem_exact(u, phi)
+            q, r = divrem_exact(u, cyclotomic(n))
             if not r.is_zero():
                 break
             u = q
-            stripped += phi.degree
+            stripped += degree
     return u, stripped, k
 
 
@@ -377,14 +430,118 @@ def _disk_data(parts, tol: Fraction, max_bits: int):
     """Certified disks for each (factor, multiplicity) pair of parts.
 
     Returns (disks, multiplicity) pairs plus the largest precision used.
+    A monic part in either class, p(t) = t**d P(t + sigma/t), is read
+    from its trace polynomial P instead: P's certified disks, at
+    _TRACE_TOL_FACTOR times tol, each carry the bracket of L over the
+    disk (_trace_brackets).  A part whose P has a disk too near a branch
+    point, or which is in neither class, gets its own disks.
     """
     bits = 0
     out = []
     for p, mult in parts:
-        disks, prec = _certified_disks(p, tol, max_bits)
+        trace = _trace_polynomial(p.coeffs) if p.is_monic() else None
+        disks = None
+        # P(0) = 0 only for a part with the cyclotomic factor t**2 + sigma
+        if trace is not None and trace[0][0]:
+            coeffs, sigma = trace
+            trace_tol = tol * _TRACE_TOL_FACTOR
+            disks, prec = _certified_disks(_canonical(coeffs), trace_tol, max_bits,
+                                           part=p)
+            disks = _trace_brackets(disks, sigma, trace_tol)
+        if disks is None:
+            disks, prec = _certified_disks(p, tol, max_bits)
         bits = max(bits, prec)
         out.append((disks, mult))
     return out, bits
+
+
+def _trace_brackets(disks, sigma: int, tol: Fraction):
+    """Records of L = max(|a|, |sigma/a|) over each certified disk of P, or None.
+
+    For each root x of P the part has the two roots a and sigma/a of
+    q_x(a) = a**2 - x a + sigma, and max(1, |a|) * max(1, |sigma/a|) = L(x)
+    since |a| * |sigma/a| = 1.  So M(p) is the product of L over P's
+    roots, the house of p is their largest L, and exactly one root of
+    the pair lies outside the unit circle when L(x) > 1, none when
+    L(x) = 1.  Each record keeps the disk's centre, radius and grid, which
+    the component grouping reads, and has lo/hi an outward integer
+    bracket of L over the whole disk: a component of k disks still holds
+    exactly k roots x, each disk at least one, and L >= 1, so
+    _mahler_bounds, _house_bounds (floor 1) and measure()'s count read
+    the records as they read a part's own disks.
+
+    The bracket.  Let the disk be D(x0, rho), a0 and b0 = sigma/a0 the
+    roots of q_x0 with |a0| = L0 >= 1 >= |b0| = 1/L0, and
+    delta = |a0 - b0| = |x0**2 - 4 sigma|**(1/2).  For x in the disk,
+    q_x(a) = q_x0(a) - (x - x0) a, so a root a of q_x has
+    |a - a0| |a - b0| = |x - x0| |a| <= rho |a|.  If a is at least as
+    near a0 as b0, then |a - b0| >= delta / 2, so
+    |a - a0| <= 2 rho |a| / delta <= 2 rho (|a0| + |a - a0|) / delta, that
+    is |a - a0| <= eps_a = 2 rho |a0| / (delta - 2 rho) when delta > 2 rho;
+    likewise a root at least as near b0 is within
+    eps_b = 2 rho |b0| / (delta - 2 rho) of b0.  Now require
+    delta (delta - 2 rho) > 4 rho, so eps_b <= 2 rho / (delta - 2 rho)
+    < delta / 2: the closed disk of radius eps_b about b0 lies strictly
+    on b0's side of the bisector of a0 and b0, apart from the closed set
+    of points on a0's side within eps_a of a0, and the roots of every
+    q_x lie in these two sets.  The roots move continuously with x over
+    the connected disk and are a0 and b0 at x0, so the number of roots
+    in b0's set stays 1: for each x, one root b is within eps_b of b0,
+    the other, a = sigma/b, within eps_a of a0.  Then
+    L(x) = max(|a|, |b|) <= L0 + eps_a = L0 delta / (delta - 2 rho)
+    (|b| <= 1/L0 + eps_b is no more), and
+    L(x) >= |a| = 1/|b| >= 1 / (1/L0 + eps_b) = L0 (delta - 2 rho) / delta.
+    Both bounds move the right way as delta falls, so a lower bound on
+    delta serves in each.  Near the branch points x = +-2 (sigma = 1)
+    or +-2i (sigma = -1), where a0 and b0 meet on the circle, delta is
+    small; a disk there that fails the requirement returns None, and
+    the caller certifies the part itself.  Nothing here uses the closed
+    form |a|**2 + |a|**-2 = (|x|**2 + |x**2 - 4 sigma|) / 2 over the
+    disk: its square-root singularity at L = 1 would widen the bracket
+    of every root on the circle to about rho**(1/2).
+
+    In integers on the disk's grid g = 2**grid, x0 = (X + iY) / g and
+    rho = R / g: x0**2 - 4 sigma = (Dr + i Di) / g**2 and
+    delta = N**(1/4) / g with N = Dr**2 + Di**2.  With s = (u + iv) / g
+    a square root of x0**2 - 4 sigma, the roots of q_x0 are (x0 +- s) / 2,
+    so 4 L0**2 g**2 = X**2 + Y**2 + N**(1/2) + 2 |X u + Y v|, whose last
+    term squared is T = ((X**2 + Y**2) N**(1/2) + (X**2 - Y**2) Dr + Di**2) / 2
+    (u**2 - v**2 = Dr and 2uv = Di).  Every square root is taken down and
+    up on integers, so each step rounds outward.  A disk and its mirror,
+    the same L, share one bracket.  The records' grid is the disks' own,
+    or finer where that is coarser than 2**-_GUARD_BITS * tol: a root of
+    P that a double hits exactly certifies with radius 0 at any
+    tolerance, and below 2**-max_bits its grid would stop the brackets
+    from tightening as _refine lowers tol.
+    """
+    up = max(0, (tol.denominator // tol.numerator).bit_length() + _GUARD_BITS
+             - disks[0].grid)
+    grid = disks[0].grid + up
+    g = 1 << grid
+    shift = 4 * sigma << 2 * grid
+    brackets = {}
+    out = []
+    for d in disks:
+        x, y, r = d.re << up, d.im << up, d.r << up
+        key = (x, abs(y), r)
+        bracket = brackets.get(key)
+        if bracket is None:
+            x2, y2 = x * x, y * y
+            dr, di = x2 - y2 - shift, 2 * x * y
+            n0, n1 = dy.sqrt_bounds(dr * dr + di * di)
+            delta = math.isqrt(n0)  # floor(N**(1/4)) <= delta * g
+            gap = delta - 2 * r
+            if gap <= 0 or delta * gap <= 4 * r * g:
+                return None
+            m, e = x2 + y2, (x2 - y2) * dr + di * di
+            t0 = math.isqrt(max(0, (m * n0 + e) >> 1))
+            t1 = dy.sqrt_bounds(-(-(m * n1 + e) >> 1))[1]
+            l0 = math.isqrt(m + n0 + 2 * t0) >> 1
+            l1 = -(-dy.sqrt_bounds(m + n1 + 2 * t1)[1] >> 1)
+            bracket = brackets[key] = (max(g, l0 * gap // delta),
+                                       -(-l1 * delta // gap))
+        out.append(_ExactDisk(x, y, r, *bracket, grid))
+    return out
 
 
 def _mahler_bounds(disk_data) -> tuple[Fraction, Fraction]:
@@ -770,9 +927,12 @@ def measure(
     as mahler() reads it, so no Graeffe chain is walked.  Both enclosures
     and the root count are read from one set of certified disks, refined
     until both enclosures meet tol.  The root count outside the unit
-    circle is exact whenever every disk is resolved against the circle;
-    Salem-type roots on the circle leave straddling disks, in which case
-    the count is a certified lower bound and the certified flag is False.
+    circle is exact whenever every disk is resolved against the circle,
+    a class part's record of P when its bracket of L lies above 1 (one
+    root of the pair outside);
+    Salem-type roots on the circle leave straddling disks, or brackets
+    that reach down to 1, in which case the count is a certified lower
+    bound and the certified flag is False.
     """
     if f.degree < 1:
         raise PolynomialError("measure requires degree >= 1")

@@ -23,7 +23,17 @@ iteration on P, and each root x of P gives two start points for the
 part, the roots of a**2 - x a + 1 or a**2 - x a - 1 (_trace_start).
 The part's own iteration then runs from those 2d points, usually for a
 single sweep, and only its own points are certified.  A sweep on P, of
-half the degree, costs about a quarter of one on the part.
+half the degree, costs about a quarter of one on the part.  The
+enclosures of measure.py go further: they certify P itself and read the
+part's Mahler measure, house and root count from P's disks (see
+measure._trace_brackets), so a class part reaches the ladder in its
+own right only through roots_certified, or when a disk of P lies too
+near a branch point for that reading.  P's monomial coefficients grow
+about like 2**d, and an iteration on P in doubles finds its roots near
+[-2, 2] only to about 2**d times a double's precision; when that leaves
+a double disk of P wider than 2**-40, P's double rung takes its points
+from the part's own iteration instead, mapped by x = a + sigma/a
+(_trace_points).
 
 A rung after one whose disks certified but were too wide runs no
 multiprecision iteration: exact Newton steps, in integers, carry each
@@ -120,6 +130,10 @@ _MAX_ITER = 220
 # roots in [-2, 2] to less than the stopping rule asks, and sweeps on to
 # _MAX_ITER would cost more than a cold start on the part
 _TRACE_SWEEPS = 16
+# A trace polynomial's own double disks are kept when none is wider than
+# 2**-_TRACE_OWN_BITS, a double's precision less 13 bits; wider ones, from
+# P of degree about 14 on, give way to the part's points (_trace_points)
+_TRACE_OWN_BITS = 40
 # Newton steps a point may take in one rung: seven double a double's 53
 # correct bits past 4096 + 53, and the eighth finds the step zero
 _NEWTON_STEPS = 8
@@ -155,6 +169,12 @@ class _ExactDisk(Record):
     (re + i*im) * 2**-grid is the exact centre and r * 2**-grid the
     radius; [lo, hi] * 2**-grid bounds the modulus of anything inside
     the disk.  All disks of one _certify call share one grid.
+
+    A record that measure._trace_brackets makes from a disk of a class
+    part's trace polynomial P keeps the disk's centre and radius, on its
+    grid or a finer one, but its [lo, hi] * 2**-grid bounds something
+    else: L(x) = max(|a|, |sigma/a|) for every x in the disk, a a root
+    of a**2 - x a + sigma, which is at least 1.
     """
 
     __slots__ = ("re", "im", "r", "lo", "hi", "grid")
@@ -395,21 +415,28 @@ def _trace_start(coeffs) -> Optional[list]:
     """Double start points for f from the roots of its trace polynomial.
 
     Each root x of P, found by _aberth at 53 bits in at most
-    _TRACE_SWEEPS sweeps and made closed under conjugation, lifts to
-    both roots of a**2 - x a + sigma = 0: a, the one of larger modulus,
-    (x + s) / 2 with s the square root of x**2 - 4 sigma on x's side,
-    and sigma / a, or conj(a) when x is real and a is not.  Only +, -, *, / and math.sqrt on reals touch them,
-    not complex division or abs, so the points are the same on every
-    host and Python version, and a set closed under conjugation lifts
-    to one.  None when f is in neither class, P does not fit in doubles,
-    or a lift is not finite.
+    _TRACE_SWEEPS sweeps, lifts to both roots of a**2 - x a + sigma = 0
+    (_lift).  None when f is in neither class, P does not fit in
+    doubles, or a lift is not finite.
     """
     trace = _trace_polynomial(coeffs)
     xs = None if trace is None else _aberth(trace[0], _DOUBLE_BITS, None,
                                             _TRACE_SWEEPS)
-    if xs is None:
-        return None
-    sigma, out = trace[1], []
+    return None if xs is None else _lift(xs, trace[1])
+
+
+def _lift(xs: list, sigma: int) -> Optional[list]:
+    """The pairs [a, sigma/a] of roots of a**2 - x a + sigma over the double points xs.
+
+    The points are made closed under conjugation first.  a, the root of
+    larger modulus, is (x + s) / 2 with s the square root of
+    x**2 - 4 sigma on x's side, and its partner is sigma / a, or conj(a)
+    when x is real and a is not.  Only +, -, *, / and math.sqrt on reals
+    touch them, not complex division or abs, so the points are the same
+    on every host and Python version, and a set closed under
+    conjugation lifts to one.  None when a lift is not finite.
+    """
+    out = []
     for x in _conjugate_closed(xs):
         # u + i*v = x**2 - 4 sigma, and s + i*t its principal square root
         u = x.real * x.real - x.imag * x.imag - 4 * sigma
@@ -432,6 +459,74 @@ def _trace_start(coeffs) -> Optional[list]:
             m = sigma / (p * p + q * q)
             out += [complex(p, q), complex(m * p, -m * q)]
     return out
+
+
+def _trace_points(coeffs, xs: list) -> Optional[list]:
+    """Better double points for the roots of a class part's trace polynomial P.
+
+    coeffs is the part and xs are P's double points.  The part's own
+    iteration at 53 bits, started from their lift, finds its roots to
+    about a double's precision, and each root x of P is a + sigma/a for
+    either root a of the pair it lifts to.  An iteration on P cannot do
+    as well: P's monomial coefficients grow about like 2**d, so a double
+    evaluation of P near [-2, 2] (or i[-2, 2]) loses that much, and the
+    certified radii of P's own double points run from about 1e-13 at
+    degree 12 to 4e-6 at degree 32, where these certify at about 6e-15,
+    as the part's own points do.
+
+    The iteration keeps most points near their starts, which _lift
+    lists in pairs [a, sigma/a]; when some pair no longer
+    satisfies a b = sigma to within 1e-6, every point is matched with
+    the point nearest sigma over it instead (_pair_points).  Each pair
+    gives x from its point of larger modulus.  Only +, -, * and / on
+    reals touch the points.  None when a lift or the part's iteration
+    gives nothing, or the points do not pair up.
+    """
+    sigma = _trace_polynomial(coeffs)[1]
+    start = _lift(xs, sigma)
+    zs = None if start is None else _aberth(coeffs, _DOUBLE_BITS, start)
+    if zs is None:
+        return None
+    pairs = list(zip(zs[0::2], zs[1::2]))
+    for a, b in pairs:
+        u = a.real * b.real - a.imag * b.imag - sigma
+        v = a.real * b.imag + a.imag * b.real
+        if not u * u + v * v <= 1e-12:
+            pairs = _pair_points(zs, sigma)
+            if pairs is None:
+                return None
+            break
+    out = []
+    for a, b in pairs:
+        p, q = a.real, a.imag
+        m = p * p + q * q
+        if b.real * b.real + b.imag * b.imag > m:
+            p, q = b.real, b.imag
+            m = p * p + q * q
+        out.append(complex(p + sigma * p / m, q - sigma * q / m))
+    return out
+
+
+def _pair_points(zs: list, sigma: int) -> Optional[list]:
+    """The points in pairs (a, b), b the point nearest sigma/a, or None.
+
+    All pairs of points are compared, so this is the slow way, for the
+    rare run whose points left their slots.  None unless each point is
+    the nearest to sigma over its own nearest (an involution without
+    fixed points).
+    """
+    match = []
+    for i, a in enumerate(zs):
+        m = a.real * a.real + a.imag * a.imag
+        if not 0 < m < _INF:
+            return None
+        t = complex(sigma * a.real / m, -sigma * a.imag / m)
+        d = [(w.real - t.real) ** 2 + (w.imag - t.imag) ** 2 for w in zs]
+        d[i] = _INF
+        match.append(d.index(min(d)))
+    if any(match[j] != i for i, j in enumerate(match)):
+        return None
+    return [(zs[i], zs[j]) for i, j in enumerate(match) if i < j]
 
 
 def _newton(coeffs, points, prec: int) -> Optional[list]:
@@ -723,7 +818,7 @@ def memo_scope():
 
 
 def _certified_disks(
-    f: IntPoly, tol: Fraction, max_bits: int
+    f: IntPoly, tol: Fraction, max_bits: int, part: Optional[IntPoly] = None
 ) -> tuple[list[_ExactDisk], int]:
     """Certified disks for all roots of f (any nonzero f, roots of 0 excluded).
 
@@ -740,13 +835,18 @@ def _certified_disks(
     after a rung that gave none).  The double rung, which has no points
     before it, starts a reciprocal or skew-reciprocal part from the lift
     of its trace polynomial's roots (_trace_start), and any other part,
-    or one whose lift does not fit in doubles, from _initial_points.  The
-    points either iteration returns are first made closed under
-    conjugation (_conjugate_closed); those closed points are certified,
-    kept and passed on.  Both starts are functions of the coefficients
-    alone, and either way the rung certifies at grid max(prec, p0), so
-    its points and disks are a pure function of (coefficients, p0, i).
-    Inside memo_scope() the rungs already run for (coefficients, p0) are
+    or one whose lift does not fit in doubles, from _initial_points.
+    With part given, f is that class part's trace polynomial P, the
+    double rung runs at most _TRACE_SWEEPS sweeps on P from a cold
+    start, and if a disk is then wider than 2**-_TRACE_OWN_BITS, or none
+    certify, it takes its points from the part's own iteration started
+    from their lift (_trace_points); the ladder is kept under the part
+    as well.  The points an iteration returns are first made closed
+    under conjugation (_conjugate_closed); those closed points are
+    certified, kept and passed on.  Every start is a function of the coefficients
+    (and the part) alone, and the rung certifies at grid max(prec, p0),
+    so its points and disks are a pure function of (coefficients, part,
+    p0, i).  Inside memo_scope() the rungs already run for those keys are
     read back from _ladders, and only the rest are run and kept.  Each rung, read or run, takes the
     same tolerance test, so the result is the one a fresh ladder gives,
     and the returned disks are shared with the memo: callers only read
@@ -766,7 +866,8 @@ def _certified_disks(
     while prec <= max_bits:
         ladder.append(prec)
         prec *= 2
-    rungs = _ladders.get((coeffs, p0), list)
+    key = (coeffs, p0) if part is None else (coeffs, p0, part.coeffs)
+    rungs = _ladders.get(key, list)
     zs = disks = None
     for i, prec in enumerate(ladder):
         if i < len(rungs):
@@ -784,12 +885,23 @@ def _certified_disks(
                         max(d.r for d in disks), -disks[0].grid):
                     disks = None
             if disks is None:
-                if prec == _DOUBLE_BITS:  # the first rung: no points yet
-                    zs = _trace_start(coeffs)
-                zs = _aberth(coeffs, prec, zs)
+                if prec != _DOUBLE_BITS:
+                    zs = _aberth(coeffs, prec, zs)
+                elif part is None:  # the first rung: no points yet
+                    zs = _aberth(coeffs, prec, _trace_start(coeffs))
+                else:
+                    zs = _aberth(coeffs, prec, None, _TRACE_SWEEPS)
                 if zs is not None:
                     zs = _conjugate_closed(zs)
                     disks = _certify(coeffs, zs, max(prec, p0))
+                # P's own double disks, unless one is wider than 2**-40
+                if part is not None and prec == _DOUBLE_BITS and zs is not None and (
+                        disks is None
+                        or max(d.r for d in disks) >> disks[0].grid - _TRACE_OWN_BITS):
+                    better = _trace_points(part.coeffs, zs)
+                    if better is not None:
+                        zs = _conjugate_closed(better)
+                        disks = _certify(coeffs, zs, max(prec, p0))
             rungs.append((zs, disks))
         # r * 2**-grid <= tol, with r an integer
         if disks is not None and max(d.r for d in disks) <= (

@@ -18,6 +18,7 @@ from conftest import (
     brute_house,
     brute_mahler,
     cyclotomic_products,
+    expand_trace,
     graeffe_iterate_reference,
     house_bounds_reference,
     kronecker_free_part_division_reference,
@@ -56,7 +57,7 @@ from skewrec.poly import (
     squarefree_decomposition,
     substitute_square,
 )
-from skewrec.roots import _ExactDisk, _ladders, memo_scope
+from skewrec.roots import _ExactDisk, _ladders, _trace_polynomial, memo_scope
 from skewrec.search import SearchSpace, enumerate_space
 
 PHI = (1 + math.sqrt(5)) / 2  # golden ratio, house of t^2 - t - 1
@@ -229,6 +230,29 @@ class TestKroneckerFreePart:
                 assert got[2] == k
 
 
+class TestCyclotomicOrders:
+    """The orders the stripping tries, from a totient sieve up to a proved bound."""
+
+    def test_orders_match_the_totient_scan(self):
+        # the scan the sieve replaced: every N <= 2 d**2 (euler_phi(N) >=
+        # sqrt(N / 2)) with euler_phi(N) <= d, each totient by factoring
+        phis = [0] + [euler_phi(n) for n in range(1, 2 * 128**2 + 1)]
+        for d in range(129):
+            scan = [n for n in range(1, 2 * d * d + 1) if phis[n] <= d]
+            assert _cyclotomic_orders(d) == tuple((n, phis[n]) for n in scan)
+
+    @pytest.mark.parametrize("d", [256, 1024])
+    def test_sieve_bound_holds_every_order(self, d):
+        # sympy's totient past the sieve's bound, up to the old 2 d**2 at
+        # 256 and a stretch past it at 1024: nothing there fits degree d
+        orders = _cyclotomic_orders(d)
+        top = orders[-1][0]
+        assert all(sympy.totient(n) == phi for n, phi in orders[::17])
+        start = top + 1
+        assert not any(sympy.totient(n) <= d
+                       for n in range(start, min(2 * d * d, 4 * top) + 1))
+
+
 # orders N with euler_phi(N) <= 12
 SMALL_ORDERS = [n for n in range(1, 289) if euler_phi(n) <= 12]
 
@@ -237,7 +261,7 @@ class TestCyclotomicResidueFilter:
     """The mod-p filter in front of each division by Phi_N."""
 
     def test_root_of_unity_tables(self):
-        for n in _cyclotomic_orders(30):
+        for n, _ in _cyclotomic_orders(30):
             p, w = _root_of_unity_mod(n)
             assert sympy.isprime(p) and (p - 1) % n == 0
             assert not any(sympy.isprime(q) for q in range(n + 1, p, n))
@@ -877,19 +901,31 @@ class TestMeasureDriver:
 
     @pytest.mark.parametrize("f", [LEHMER_POLY, SQUARED_WITH_CYCLOTOMIC], ids=str)
     def test_certifies_each_squarefree_part_once(self, f, monkeypatch):
+        # each part once: by its trace polynomial P when it is
+        # t**d P(t + sigma/t) (expand_trace checks P independently), by
+        # itself otherwise; no P here has a disk near a branch point
         # the package attribute skewrec.measure is the measure() function
         module = importlib.import_module("skewrec.measure")
         original = module._certified_disks
         calls = []
 
-        def counting(p, tol, max_bits):
+        def counting(p, tol, max_bits, **kwargs):
             calls.append(p)
-            return original(p, tol, max_bits)
+            return original(p, tol, max_bits, **kwargs)
 
         monkeypatch.setattr(module, "_certified_disks", counting)
         measure(f, tol=1e-10)
         u, _, _ = kronecker_free_part(f)
-        assert calls == [p for p, _ in squarefree_decomposition(u)]
+        expected = []
+        for p, _ in squarefree_decomposition(u):
+            trace = _trace_polynomial(p.coeffs)
+            if trace is not None:
+                assert expand_trace(*trace) == p.coeffs
+            expected.append(p if trace is None else IntPoly(trace[0]))
+        assert calls == expected
+        # Lehmer's polynomial is one reciprocal part; the other input has
+        # the skew part t**2 - t - 1, P = x - 1, and the part t - 2
+        assert [p.degree for p in calls] == ([5] if f == LEHMER_POLY else [1, 1])
 
     def test_json_shape(self):
         doc = measure(IntPoly([1, -3, 1])).to_json()
